@@ -160,10 +160,6 @@ var (
 	// again — admission reopens as soon as the backlog drains. Test with
 	// errors.Is(err, aas.ErrOverloaded).
 	ErrOverloaded = core.ErrOverloaded
-	// ErrStreamUnsupported reports a stream open refused because the
-	// component lives behind a peer link negotiated below wire v5. Test
-	// with errors.Is — the refusal is typed end-to-end, not a string.
-	ErrStreamUnsupported = core.ErrStreamUnsupported
 	// ErrStreamClosed is returned by Recv after the consumer closed the
 	// stream.
 	ErrStreamClosed = core.ErrStreamClosed
@@ -409,7 +405,7 @@ type Metrics = strategy.Metrics
 // Telemetry plane (DESIGN.md §11): end-to-end tracing plus one unified
 // metrics snapshot per node. Zero-alloc span records are written at the
 // client-handle edge, the serving component, and cluster gateways; trace
-// context crosses peer links on wire v6. Observe a system through
+// context crosses peer links in the wire trace trailer. Observe a system through
 // System.Telemetry / System.Spans (node-local), ClusterNode.Telemetry
 // (adds per-link state and gateway sheds), ClusterNode.ShedStats and
 // ClusterNode.BatchStats (the raw distribution-plane counters), and

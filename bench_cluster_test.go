@@ -75,13 +75,12 @@ func benchClusterRegistry(string) *registry.Registry {
 }
 
 func startBenchCluster(b *testing.B) *aas.ClusterHarness {
-	return startBenchClusterAt(b, 0, 0) // 0 = negotiate the newest wire version
+	return startBenchClusterLinger(b, 0)
 }
 
-// startBenchClusterAt pins every node's advertised wire version; maxVer 2
-// disables per-link frame batching (the pre-batching baseline), 0 uses the
-// default (newest, batched). linger is the egress group-commit window.
-func startBenchClusterAt(b *testing.B, maxVer uint8, linger time.Duration) *aas.ClusterHarness {
+// startBenchClusterLinger starts the two-node bench cluster with the given
+// egress group-commit window.
+func startBenchClusterLinger(b *testing.B, linger time.Duration) *aas.ClusterHarness {
 	b.Helper()
 	h, err := aas.StartCluster(context.Background(), aas.ClusterSpec{
 		ADL:       benchClusterADL,
@@ -89,7 +88,7 @@ func startBenchClusterAt(b *testing.B, maxVer uint8, linger time.Duration) *aas.
 		Placement: map[string]string{"Front": "n1", "Store": "n2"},
 		Registry:  benchClusterRegistry,
 		Cluster: func(string) aas.ClusterOptions {
-			return aas.ClusterOptions{MaxWireVersion: maxVer, BatchLinger: linger}
+			return aas.ClusterOptions{BatchLinger: linger}
 		},
 	})
 	if err != nil {
@@ -119,22 +118,11 @@ func BenchmarkClusterParallelRemoteCall(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterBatchedRemoteCall measures the cross-node path over a
-// batched (wire v3) peer link: concurrent callers' frames coalesce into
-// FrameBatch writes, amortizing the syscall per call. Compare against
-// BenchmarkClusterUnbatchedRemoteCall at the same -cpu.
+// BenchmarkClusterBatchedRemoteCall measures the cross-node path under deep
+// concurrency with a 200µs egress linger: concurrent callers' frames
+// coalesce into FrameBatch writes, amortizing the syscall per call.
 func BenchmarkClusterBatchedRemoteCall(b *testing.B) {
-	benchClusterRemote(b, startBenchClusterAt(b, 0, 200*time.Microsecond))
-}
-
-// BenchmarkClusterUnbatchedRemoteCall is the same workload with the link
-// pinned to wire v2 — one frame per write — the pre-batching baseline.
-func BenchmarkClusterUnbatchedRemoteCall(b *testing.B) {
-	benchClusterRemote(b, startBenchClusterAt(b, 2, 0))
-}
-
-func benchClusterRemote(b *testing.B, h *aas.ClusterHarness) {
-	b.Helper()
+	h := startBenchClusterLinger(b, 200*time.Microsecond)
 	sys := h.System("n1")
 	store := sys.Client("Store")
 	ctx := context.Background()

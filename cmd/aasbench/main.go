@@ -1,7 +1,6 @@
-// Command aasbench regenerates every experiment in EXPERIMENTS.md
-// (E1–E22). The paper is a position paper with no tables and one figure;
-// each experiment quantifies one of its claims (see DESIGN.md §3 for the
-// claim-to-experiment mapping).
+// Command aasbench regenerates every experiment (E1–E22) of DESIGN.md §3,
+// the claim-to-experiment mapping. The paper is a position paper with no
+// tables and one figure; each experiment quantifies one of its claims.
 //
 // Usage:
 //

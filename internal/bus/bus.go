@@ -85,7 +85,7 @@ type Message struct {
 	// Trace is the trace id of the call this message belongs to (0 when the
 	// call is untraced): minted at the client-handle edge by head sampling,
 	// forwarded unchanged by connectors, and carried across peer links in
-	// wire v6 frames. Span packs the current span id (high 32 bits) over its
+	// the wire trace trailer. Span packs the current span id (high 32 bits) over its
 	// parent span id (low 32 bits) — see telemetry.PackSpan. Together with
 	// the SentAt shrink these two words keep Message inside the allocation
 	// size class documented on Deadline.

@@ -1,32 +1,16 @@
 // Tests for the per-peer-link frame coalescing layer (DESIGN.md §8): the
 // parallel-caller regression that guards the egress queue's swap/recycle
-// protocol, version negotiation against a v2-pinned peer with graceful
-// degradation, and the batching counters.
+// protocol, and the batching counters.
 package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"repro/internal/registry"
 )
-
-// batchCluster pins per-node options for the batching tests; maxVer 0 lets
-// the handshake pick the newest version, 2 disables batching on that node's
-// links.
-func batchCluster(maxVer map[string]uint8) func(string) Options {
-	return func(node string) Options {
-		o := fastCluster(node)
-		o.MaxWireVersion = maxVer[node]
-		return o
-	}
-}
 
 // TestClusterBatchedParallelCalls hammers one batched peer link with many
 // concurrent callers. This is the regression test for the egress queue's
@@ -93,57 +77,5 @@ func TestClusterBatchedParallelCalls(t *testing.T) {
 	t.Logf("n1 BatchStats: %d writes, %d frames (%.2f frames/write)", writes, frames, float64(frames)/float64(writes))
 	if writes == 0 || frames <= writes {
 		t.Fatalf("BatchStats = %d writes / %d frames, want multi-frame batches", writes, frames)
-	}
-}
-
-// TestClusterMixedVersionNegotiation runs a v3-capable node against a peer
-// pinned to wire v2. The handshake must settle on v2 — no FrameBatch ever
-// crosses that link — while calls keep working in both directions and a
-// propagated deadline still surfaces as context.DeadlineExceeded on the
-// caller via the string fallback (the v2 reply frame has no kind byte).
-func TestClusterMixedVersionNegotiation(t *testing.T) {
-	served := new(atomic.Int64)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h, err := StartHarness(ctx, Spec{
-		ADL:       slowADL,
-		Nodes:     []string{"n1", "n2"},
-		Placement: map[string]string{"Slow": "n2"},
-		Registry: func(string) *registry.Registry {
-			reg := &registry.Registry{}
-			if err := reg.Register(registry.Entry{Name: "Slow", Version: registry.Version{Major: 1},
-				New: func() any { return &slowComp{delay: 300 * time.Millisecond, served: served} }}); err != nil {
-				panic(err)
-			}
-			return reg
-		},
-		Cluster: batchCluster(map[string]uint8{"n2": 2}), // n2 speaks v2 only
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	sys1 := h.System("n1")
-	slow := sys1.Client("Slow")
-
-	// Calls degrade gracefully to the unbatched path.
-	for i := 0; i < 8; i++ {
-		if out, err := slow.Call(context.Background(), "work", i); err != nil || len(out) != 1 || out[0] != "done" {
-			t.Fatalf("mixed-version call %d: %v %v", i, out, err)
-		}
-	}
-	for _, node := range []string{"n1", "n2"} {
-		if w, f := h.Node(node).BatchStats(); w != 0 || f != 0 {
-			t.Fatalf("%s wrote %d batches/%d frames over a v2-negotiated link", node, w, f)
-		}
-	}
-
-	// Deadline classification still works without the kind byte: the v2
-	// reply carries only the error string, and the caller's fallback
-	// recognises the context package's wording.
-	cctx, ccancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer ccancel()
-	if _, err := slow.Call(cctx, "work", "late"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("v2-link deadline err = %v, want context.DeadlineExceeded", err)
 	}
 }

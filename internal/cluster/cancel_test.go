@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/registry"
-	"repro/internal/wire"
 )
 
 // slowRegistry builds the single-component registry the cancel tests share.
@@ -125,53 +124,4 @@ func TestClusterCancelPropagation(t *testing.T) {
 		t.Fatalf("revoked parked request reached the container (%d extra serves)", got-base)
 	}
 	waitPendingZero(t, 2*time.Second, sys1, sys2)
-}
-
-// TestClusterCancelV2Degrade pins graceful degradation against a peer that
-// never negotiated FrameCancel: the caller still settles and frees its own
-// state immediately, no unknown frame crosses the wire, and the callee's
-// slot is reclaimed by the shipped deadline budget as before v4.
-func TestClusterCancelV2Degrade(t *testing.T) {
-	served := new(atomic.Int64)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h, err := StartHarness(ctx, Spec{
-		ADL:       slowADL,
-		Nodes:     []string{"n1", "n2"},
-		Placement: map[string]string{"Slow": "n2"},
-		Registry:  slowRegistry(served, 100*time.Millisecond),
-		Cluster: func(n string) Options {
-			o := fastCluster(n)
-			o.MaxWireVersion = wire.Version // legacy v2 link: no batch, no cancel
-			return o
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	sys1, sys2 := h.System("n1"), h.System("n2")
-	slow := sys1.Client("Slow")
-
-	if _, err := slow.Call(context.Background(), "work", "warm"); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
-
-	cctx, ccancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
-	defer ccancel()
-	done := make(chan error, 1)
-	go func() {
-		_, cerr := slow.Call(cctx, "work", "x")
-		done <- cerr
-	}()
-	time.Sleep(50 * time.Millisecond)
-	ccancel()
-	if cerr := <-done; !errors.Is(cerr, context.Canceled) {
-		t.Fatalf("cancelled call err = %v, want context.Canceled", cerr)
-	}
-	// Caller-side state is gone at once (the gateway dropped its pending
-	// continuation even though it could not tell the peer).
-	waitPendingZero(t, 2*time.Second, sys1)
-	// Callee-side reclamation falls back to the shipped 800ms budget.
-	waitPendingZero(t, 3*time.Second, sys2)
 }

@@ -52,6 +52,11 @@ var (
 	ErrUnknownPeer   = errors.New("cluster: unknown peer")
 	ErrDuplicatePeer = errors.New("cluster: peer already linked")
 	ErrSystemName    = errors.New("cluster: peer runs a different architecture")
+	// ErrWireVersion refuses a link whose two ends speak no common wire
+	// protocol version: min(both offers) is below wire.MinVersion. Both ends
+	// compute the same verdict from the hello/welcome exchange, so the dialer
+	// gets it from Join and the acceptor logs it.
+	ErrWireVersion = errors.New("cluster: no common wire protocol version")
 )
 
 // Options configures a cluster node.
@@ -73,15 +78,9 @@ type Options struct {
 	// Logf, when set, receives diagnostic lines (dropped frames, late
 	// replies); nil discards them.
 	Logf func(format string, args ...any)
-	// MaxWireVersion caps the protocol version this node offers in its
-	// handshake (default wire.MaxVersion). Each link runs at the min of
-	// both sides' offers, so setting wire.Version (2) forces legacy
-	// one-frame-per-write behaviour — for staged rollouts and for testing
-	// mixed-version clusters.
-	MaxWireVersion uint8
-	// BatchLinger optionally delays each egress flush on v3 links to pack
-	// more frames per write (default 0: no artificial delay; batching
-	// arises from backpressure while the previous write is in flight).
+	// BatchLinger optionally delays each egress flush to pack more frames
+	// per write (default 0: no artificial delay; batching arises from
+	// backpressure while the previous write is in flight).
 	BatchLinger time.Duration
 	// Seeds lists addresses of existing cluster members. The node dials
 	// them at start and keeps retrying while it has no link at all; one
@@ -114,9 +113,9 @@ type Node struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu       sync.Mutex
-	peers    map[string]*peer
-	owners   map[string]string // component -> hosting peer id
+	mu     sync.Mutex
+	peers  map[string]*peer
+	owners map[string]string // component -> hosting peer id
 	// ownersAt records when each component's ownership last changed through
 	// an authoritative path (handshake, announce, migration rebind, local
 	// adoption). Gossip-learned claims are refused while the record is
@@ -130,7 +129,7 @@ type Node struct {
 	closed   bool
 
 	// membership is the gossip view, meter the local load signal feeding
-	// it; both exist from Start (gossip runs on every v7 link regardless of
+	// it; both exist from Start (gossip runs on every link regardless of
 	// whether a placer or replicator was started).
 	membership *membership
 	meter      *loadMeter
@@ -146,7 +145,7 @@ type Node struct {
 	imu      sync.Mutex
 	inflight map[callKey]remoteRef
 
-	// Egress coalescing counters across all v3 links (see BatchStats).
+	// Egress coalescing counters across all links (see BatchStats).
 	batchWrites atomic.Uint64
 	batchFrames atomic.Uint64
 	// shedGateway counts requests shed at this node's gateways before
@@ -201,12 +200,6 @@ func Start(sys *core.System, opts Options) (*Node, error) {
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
-	}
-	if opts.MaxWireVersion == 0 || opts.MaxWireVersion > wire.MaxVersion {
-		opts.MaxWireVersion = wire.MaxVersion
-	}
-	if opts.MaxWireVersion < wire.MinVersion {
-		opts.MaxWireVersion = wire.MinVersion
 	}
 	if opts.SuspectAfter <= 0 {
 		opts.SuspectAfter = opts.FailAfter
@@ -352,7 +345,7 @@ func (n *Node) Join(addr string) error {
 // hello builds this node's handshake payload.
 func (n *Node) hello() wire.Hello {
 	return wire.Hello{Node: n.id, System: n.sys.Name(), Components: n.sys.LocalComponents(),
-		MaxVersion: n.opts.MaxWireVersion, Addr: n.opts.Advertise}
+		MaxVersion: wire.MaxVersion, Addr: n.opts.Advertise}
 }
 
 // Members returns the gossip membership view, this node included, sorted by
@@ -388,12 +381,12 @@ func (n *Node) Unblock(id string) {
 	n.mu.Unlock()
 }
 
-// BatchStats reports the egress coalescing counters across all v3+ links:
-// writes is the number of socket writes the egress path issued, frames the
-// number of frames they carried — calls, replies, cancels, and on v5 links
-// the stream plane's opens, chunks, credits and ends. frames/writes is the
-// achieved batching factor; a healthy cross-node stream drives it well
-// above the unary baseline because consecutive chunks pack into single
+// BatchStats reports the egress coalescing counters across all links: writes
+// is the number of socket writes the egress path issued, frames the number
+// of data frames they carried — calls, replies, cancels, the stream plane's
+// opens, chunks, credits and ends, snapshots and their acks. frames/writes
+// is the achieved batching factor; a healthy cross-node stream drives it
+// well above the unary baseline because consecutive chunks pack into single
 // writes.
 func (n *Node) BatchStats() (writes, frames uint64) {
 	return n.batchWrites.Load(), n.batchFrames.Load()
@@ -557,23 +550,17 @@ func (n *Node) addPeer(conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, h wi
 		conn.Close()
 		return fmt.Errorf("cluster: peer %s is blocked", h.Node)
 	}
-	p := newPeer(n, h.Node, conn, enc, dec, seen)
 	// Version negotiation: both sides independently compute min(offers) —
-	// the hello carried each side's MaxVersion — so encoder and decoder
-	// agree without another round trip. A legacy peer's hello has no
-	// version trailer and parses as 2, keeping the link at v2 framing.
-	v := h.MaxVersion
-	if v > n.opts.MaxWireVersion {
-		v = n.opts.MaxWireVersion
-	}
+	// the hello carried each side's MaxVersion — so they agree on the version,
+	// or on refusing the link, without another round trip.
+	v := min(h.MaxVersion, wire.MaxVersion)
 	if v < wire.MinVersion {
-		v = wire.MinVersion
+		conn.Close()
+		return fmt.Errorf("%w: peer %s offers up to v%d, this build speaks v%d to v%d",
+			ErrWireVersion, h.Node, h.MaxVersion, wire.MinVersion, wire.MaxVersion)
 	}
-	p.version = v
-	if v >= wire.VersionBatch {
-		enc.SetVersion(v)
-		p.egress = newEgress(p)
-	}
+	enc.SetVersion(v)
+	p := newPeer(n, h.Node, v, conn, enc, dec, seen)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -595,10 +582,6 @@ func (n *Node) addPeer(conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, h wi
 	n.sys.Events().Emit(core.Event{Kind: core.EvPeerUp, At: n.sys.Now(),
 		Component: h.Node, Detail: conn.RemoteAddr().String()})
 	p.start()
-	if p.egress != nil {
-		n.wg.Add(1)
-		go p.egress.flushLoop(n.ctx)
-	}
 	return nil
 }
 
@@ -751,18 +734,13 @@ func (n *Node) forward(comp string, m bus.Message) {
 	// clocks need not agree). A request that expired while queued at the
 	// gateway is answered here — crossing the wire to be rejected on the
 	// other side would waste a round trip on a caller that already left.
-	// On batched links the stamp is re-derived at write time (see egress),
-	// so only the already-expired check happens here.
-	var deadlineNanos int64
-	if m.Deadline != 0 {
-		rem := time.Until(time.Unix(0, m.Deadline))
-		if rem <= 0 {
-			n.shedGateway.Add(1)
-			n.replyErrorKind(comp, m, connector.ErrKindDeadline,
-				fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op))
-			return
-		}
-		deadlineNanos = int64(rem)
+	// The budget itself is stamped at write time from the absolute deadline
+	// (see egress), so only the already-expired check happens here.
+	if m.Deadline != 0 && time.Now().UnixNano() >= m.Deadline {
+		n.shedGateway.Add(1)
+		n.replyErrorKind(comp, m, connector.ErrKindDeadline,
+			fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op))
+		return
 	}
 	c := wire.Call{Component: comp, Op: m.Op}
 	switch pl := m.Payload.(type) {
@@ -781,9 +759,7 @@ func (n *Node) forward(comp string, m bus.Message) {
 	}
 	// Trace propagation: the gateway opens a forward span parented under the
 	// caller's span and ships its own id as the new parent, so the remote
-	// serve span hangs off the gateway hop. On links below VersionTrace the
-	// encoder drops the trailer — the trace then terminates at this hop but
-	// the forward span itself is still recorded locally.
+	// serve span hangs off the gateway hop.
 	var fwdStart int64
 	var fwdSpan uint32
 	trace, parentSpan := m.Trace, telemetry.SpanID(m.Span)
@@ -808,17 +784,11 @@ func (n *Node) forward(comp string, m bus.Message) {
 		delete(n.inflight, key)
 		n.imu.Unlock()
 		if fwdStart != 0 {
-			outcome := telemetry.OutcomeOK
-			if rep.Err != "" {
-				if outcome = telemetry.Outcome(rep.Kind); outcome == telemetry.OutcomeOK {
-					outcome = telemetry.OutcomeAppError // v2 peers ship no kind byte
-				}
-			}
 			n.sys.Recorder().Record(telemetry.Span{
 				Trace: trace, ID: fwdSpan, Parent: parentSpan,
 				Start: fwdStart, End: time.Now().UnixNano(),
 				Op: op, Comp: comp, Src: n.id, Dst: p.id,
-				Kind: telemetry.KindForward, Outcome: outcome,
+				Kind: telemetry.KindForward, Outcome: telemetry.Outcome(rep.Kind),
 			})
 		}
 		if serr := n.sys.Bus().Send(bus.Message{
@@ -830,25 +800,12 @@ func (n *Node) forward(comp string, m bus.Message) {
 			n.opts.Logf("cluster %s: dropped reply corr=%d: %v", n.id, srcCorr, serr)
 		}
 	})
-	if p.egress != nil {
-		c.DeadlineNanos = 0 // stamped at write time from the absolute deadline
-		p.egress.enqueueCall(c, m.Deadline)
-		return
-	}
-	c.DeadlineNanos = deadlineNanos
-	err := p.send(func(e *wire.Encoder) error { return e.EncodeCall(c) })
-	if err != nil {
-		if cb, ok := p.takePending(corr); ok {
-			cb(wire.Reply{Corr: corr, Err: "cluster: " + err.Error()})
-		}
-	}
+	p.egress.enqueueCall(c, m.Deadline)
 }
 
 // cancelForward revokes a forwarded call whose caller gave up (context
 // cancel or deadline expiry). The caller-side waiter entry is dropped
-// immediately — that alone makes v2 peers degrade gracefully, the callee
-// just serves work nobody collects until its shipped budget expires — and
-// on v4 links a FrameCancel rides to the callee so its serving slot and
+// immediately and a FrameCancel rides to the callee so its serving slot and
 // waiter table are reclaimed right away too. No reply flows back: by the
 // time a cancel reaches the gateway the caller has already settled.
 func (n *Node) cancelForward(m bus.Message) {
@@ -864,17 +821,8 @@ func (n *Node) cancelForward(m bus.Message) {
 	}
 	ref.p.takePending(ref.corr)  // drop the continuation, suppress the late reply
 	ref.p.takeStreamIn(ref.corr) // and the stream record: late chunks find nothing
-	if ref.p.version < wire.VersionCancel || ref.p.down.Load() {
-		return
-	}
-	if ref.p.egress != nil {
+	if !ref.p.down.Load() {
 		ref.p.egress.enqueueCancel(wire.Cancel{Corr: ref.corr})
-		return
-	}
-	if err := ref.p.send(func(e *wire.Encoder) error {
-		return e.EncodeCancel(wire.Cancel{Corr: ref.corr})
-	}); err != nil {
-		n.opts.Logf("cluster %s: cancel corr=%d to %s: %v", n.id, ref.corr, ref.p.id, err)
 	}
 }
 
@@ -1148,14 +1096,11 @@ func (n *Node) handleGossip(p *peer, g wire.Gossip) {
 
 // peerDown tears a peer link down exactly once: the connection closes, its
 // pending remote calls fail fast (the caller sees an error, not a hung
-// timeout), waiting migrations abort. What it *means* depends on the link
-// version: a lost v7 link only makes the member suspect — EvPeerDown waits
-// for converged suspicion (sweep or merged gossip) so one flaky link cannot
-// trigger cluster-wide failover — while a legacy link's death keeps the old
-// contract and declares the peer dead immediately, since pre-v7 peers
-// cannot be refuted through gossip. Gateways toward the dead peer stay
-// attached — new calls get immediate error replies until an announce or
-// adoption repoints or replaces them.
+// timeout), waiting migrations abort. A lost link only makes the member
+// suspect — EvPeerDown waits for converged suspicion (sweep or merged gossip)
+// so one flaky link cannot trigger cluster-wide failover. Gateways toward
+// the dead peer stay attached — new calls get immediate error replies until
+// an announce or adoption repoints or replaces them.
 func (n *Node) peerDown(p *peer, reason string) {
 	if !p.down.CompareAndSwap(false, true) {
 		return
@@ -1171,15 +1116,8 @@ func (n *Node) peerDown(p *peer, reason string) {
 	if closed {
 		return
 	}
-	if p.version >= wire.VersionCluster {
-		n.membership.suspect(p.id)
-		n.opts.Logf("cluster %s: link to %s lost (%s), member suspect", n.id, p.id, reason)
-		return
-	}
-	if n.membership.forceDead(p.id) {
-		n.sys.Events().Emit(core.Event{Kind: core.EvPeerDown, At: n.sys.Now(),
-			Component: p.id, Detail: reason})
-	}
+	n.membership.suspect(p.id)
+	n.opts.Logf("cluster %s: link to %s lost (%s), member suspect", n.id, p.id, reason)
 }
 
 // Close stops the node: the migration hook is removed, the listener and all

@@ -5,13 +5,13 @@
 // no artificial delay by default: a flush starts as soon as the writer is
 // free, and whatever queued during the previous write rides the next batch.
 // Options.BatchLinger can add a bounded µs-scale wait to deepen batches on
-// latency-tolerant links. Only negotiated-v3 links have an egress; v2 links
-// keep the direct one-frame-per-write path.
+// latency-tolerant links. Every data frame of every link goes out this way;
+// only link-control frames (handshake, gossip, migrate, announce) are written
+// directly.
 package cluster
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -31,7 +31,7 @@ const (
 // time — a call that sat in the queue ships with its true remaining credit,
 // and one that expired there fails locally without crossing the wire.
 type egressItem struct {
-	kind         egressKind
+	kind         wire.FrameType // which of the frame fields below is set
 	call         wire.Call
 	reply        wire.Reply
 	cancel       wire.Cancel
@@ -44,22 +44,31 @@ type egressItem struct {
 	absDeadline  int64 // unix nanos, 0 = none; calls and stream opens only
 }
 
-// egressKind discriminates the frame an egressItem carries.
-type egressKind uint8
+// appendBody encodes the frame the item carries.
+func (it *egressItem) appendBody(dst []byte, version uint8) ([]byte, error) {
+	switch it.kind {
+	case wire.FrameCall:
+		return wire.AppendCall(dst, it.call, version)
+	case wire.FrameReply:
+		return wire.AppendReply(dst, it.reply, version)
+	case wire.FrameCancel:
+		return wire.AppendCancel(dst, it.cancel), nil
+	case wire.FrameStreamOpen:
+		return wire.AppendStreamOpen(dst, it.streamOpen, version)
+	case wire.FrameStreamChunk:
+		return wire.AppendStreamChunk(dst, it.streamChunk)
+	case wire.FrameStreamCredit:
+		return wire.AppendStreamCredit(dst, it.streamCredit), nil
+	case wire.FrameStreamEnd:
+		return wire.AppendStreamEnd(dst, it.streamEnd), nil
+	case wire.FrameReplicate:
+		return wire.AppendReplicate(dst, it.replicate), nil
+	default:
+		return wire.AppendReplicateAck(dst, it.replicateAck), nil
+	}
+}
 
-const (
-	egressCall egressKind = iota
-	egressReply
-	egressCancel
-	egressStreamOpen
-	egressStreamChunk
-	egressStreamCredit
-	egressStreamEnd
-	egressReplicate
-	egressReplicateAck
-)
-
-// egress is the coalescing writer of one v3 peer link.
+// egress is the coalescing writer of one peer link.
 type egress struct {
 	p *peer
 
@@ -76,56 +85,56 @@ func newEgress(p *peer) *egress {
 
 // enqueueCall queues an outbound remote call.
 func (e *egress) enqueueCall(c wire.Call, absDeadline int64) {
-	e.enqueue(egressItem{kind: egressCall, call: c, absDeadline: absDeadline})
+	e.enqueue(egressItem{kind: wire.FrameCall, call: c, absDeadline: absDeadline})
 }
 
 // enqueueReply queues an outbound reply.
 func (e *egress) enqueueReply(r wire.Reply) {
-	e.enqueue(egressItem{kind: egressReply, reply: r})
+	e.enqueue(egressItem{kind: wire.FrameReply, reply: r})
 }
 
-// enqueueCancel queues an outbound call revocation (v4 links only). Cancels
-// coalesce with the rest of the traffic; a cancel overtaking its own call is
-// impossible because the queue preserves enqueue order.
+// enqueueCancel queues an outbound call revocation. Cancels coalesce with
+// the rest of the traffic; a cancel overtaking its own call is impossible
+// because the queue preserves enqueue order.
 func (e *egress) enqueueCancel(c wire.Cancel) {
-	e.enqueue(egressItem{kind: egressCancel, cancel: c})
+	e.enqueue(egressItem{kind: wire.FrameCancel, cancel: c})
 }
 
-// enqueueStreamOpen queues an outbound stream open (v5 links only). Like a
-// call it carries the caller's absolute deadline, so the relative budget is
-// stamped at write time and an open that expired in the queue fails locally.
+// enqueueStreamOpen queues an outbound stream open. Like a call it carries
+// the caller's absolute deadline, so the relative budget is stamped at write
+// time and an open that expired in the queue fails locally.
 func (e *egress) enqueueStreamOpen(o wire.StreamOpen, absDeadline int64) {
-	e.enqueue(egressItem{kind: egressStreamOpen, streamOpen: o, absDeadline: absDeadline})
+	e.enqueue(egressItem{kind: wire.FrameStreamOpen, streamOpen: o, absDeadline: absDeadline})
 }
 
 // enqueueStreamChunk queues one outbound stream item. Chunks coalesce with
 // calls and replies into the same batch writes — this is what collapses a
 // stream's per-item wire cost to a fraction of a syscall.
 func (e *egress) enqueueStreamChunk(c wire.StreamChunk) {
-	e.enqueue(egressItem{kind: egressStreamChunk, streamChunk: c})
+	e.enqueue(egressItem{kind: wire.FrameStreamChunk, streamChunk: c})
 }
 
 // enqueueStreamCredit queues one outbound credit grant.
 func (e *egress) enqueueStreamCredit(c wire.StreamCredit) {
-	e.enqueue(egressItem{kind: egressStreamCredit, streamCredit: c})
+	e.enqueue(egressItem{kind: wire.FrameStreamCredit, streamCredit: c})
 }
 
 // enqueueStreamEnd queues one outbound terminal end frame. The queue
 // preserves enqueue order, so an end can never overtake its own chunks.
 func (e *egress) enqueueStreamEnd(s wire.StreamEnd) {
-	e.enqueue(egressItem{kind: egressStreamEnd, streamEnd: s})
+	e.enqueue(egressItem{kind: wire.FrameStreamEnd, streamEnd: s})
 }
 
-// enqueueReplicate queues one outbound warm-standby snapshot (v7 links
-// only). Replication traffic coalesces with calls and replies — shipping a
-// snapshot costs a fraction of a syscall when the link is busy.
+// enqueueReplicate queues one outbound warm-standby snapshot. Replication
+// traffic coalesces with calls and replies — shipping a snapshot costs a
+// fraction of a syscall when the link is busy.
 func (e *egress) enqueueReplicate(r wire.Replicate) {
-	e.enqueue(egressItem{kind: egressReplicate, replicate: r})
+	e.enqueue(egressItem{kind: wire.FrameReplicate, replicate: r})
 }
 
 // enqueueReplicateAck queues one outbound replication acknowledgement.
 func (e *egress) enqueueReplicateAck(a wire.ReplicateAck) {
-	e.enqueue(egressItem{kind: egressReplicateAck, replicateAck: a})
+	e.enqueue(egressItem{kind: wire.FrameReplicateAck, replicateAck: a})
 }
 
 func (e *egress) enqueue(it egressItem) {
@@ -184,220 +193,108 @@ func (e *egress) flushLoop(ctx context.Context) {
 	}
 }
 
-// writeBatch ships one swath of queued frames. A single item goes out as a
-// plain frame (no sub-frame overhead); more become FrameBatch writes,
-// force-flushed at the batch caps. Deadline credit is re-derived per call
-// here, expired calls fail locally, and a reply whose results the value
-// codec cannot ship is downgraded to an error reply in place.
+// writeBatch ships one swath of queued frames as batch writes, force-flushed
+// at the batch caps (the encoder sends a batch of one as the bare frame).
+// Deadline credit is re-derived per call here and expired calls fail
+// locally. A frame whose body cannot be encoded (bad value type, oversized)
+// is a data problem, not a link problem: it is left out of the write and
+// answered locally, the link stays up.
 func (e *egress) writeBatch(items []egressItem) {
 	p := e.p
 	now := time.Now().UnixNano()
 
-	// Pre-scan calls and stream opens: stamp remaining budgets, collect
+	// Pre-scan calls and stream opens: stamp remaining budgets, shed the
 	// expired ones.
-	var expired []wire.Call
-	var expiredOpens []wire.StreamOpen
 	live := items[:0]
 	for i := range items {
-		it := items[i]
+		it := &items[i]
 		if it.absDeadline != 0 {
-			switch it.kind {
-			case egressCall:
-				rem := it.absDeadline - now
-				if rem <= 0 {
-					expired = append(expired, it.call)
-					continue
-				}
+			rem := it.absDeadline - now
+			if rem <= 0 {
+				p.n.shedGateway.Add(1)
+				e.answerLocally(it, wire.KindDeadline, "deadline exceeded in egress queue")
+				continue
+			}
+			if it.kind == wire.FrameCall {
 				it.call.DeadlineNanos = rem
-			case egressStreamOpen:
-				rem := it.absDeadline - now
-				if rem <= 0 {
-					expiredOpens = append(expiredOpens, it.streamOpen)
-					continue
-				}
+			} else {
 				it.streamOpen.DeadlineNanos = rem
 			}
 		}
-		live = append(live, it)
-	}
-	for _, c := range expired {
-		p.n.shedGateway.Add(1)
-		if cb, ok := p.takePending(c.Corr); ok {
-			cb(wire.Reply{Corr: c.Corr, Kind: wire.KindDeadline,
-				Err: "cluster: " + c.Component + "." + c.Op + ": deadline exceeded in egress queue"})
-		}
-	}
-	for _, o := range expiredOpens {
-		p.n.shedGateway.Add(1)
-		p.n.endStreamIn(p, o.Corr, connector.ErrKindDeadline,
-			"cluster: "+o.Component+"."+o.Op+": deadline exceeded in egress queue")
+		live = append(live, *it)
 	}
 	if len(live) == 0 {
 		return
 	}
 
-	var failed []wire.Call              // calls whose arguments failed to encode
-	var failedOpens []wire.StreamOpen   // stream opens whose arguments failed to encode
-	var failedChunks []wire.StreamChunk // chunks whose item failed to encode
+	var failed []encodeFailure
+	var werr error
 	p.encMu.Lock()
 	_ = p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	enc := p.enc
-	var werr error
-	if len(live) == 1 {
-		it := live[0]
-		switch it.kind {
-		case egressReply:
-			werr = e.encodeReplyLocked(it.reply, func(r wire.Reply) error { return enc.EncodeReply(r) })
-		case egressCancel:
-			werr = enc.EncodeCancel(it.cancel)
-		case egressStreamOpen:
-			if werr = enc.EncodeStreamOpen(it.streamOpen); werr != nil && wireDataError(werr) {
-				failedOpens = append(failedOpens, it.streamOpen)
-				werr = nil
-			}
-		case egressStreamChunk:
-			if werr = enc.EncodeStreamChunk(it.streamChunk); werr != nil && wireDataError(werr) {
-				failedChunks = append(failedChunks, it.streamChunk)
-				werr = nil
-			}
-		case egressStreamCredit:
-			werr = enc.EncodeStreamCredit(it.streamCredit)
-		case egressStreamEnd:
-			werr = enc.EncodeStreamEnd(it.streamEnd)
-		case egressReplicate:
-			if werr = enc.EncodeReplicate(it.replicate); werr != nil && wireDataError(werr) {
-				// An oversized snapshot is a data problem, not a link problem:
-				// drop it (the replicator's next round retries; ack lag shows
-				// the gap) and keep the link up.
-				p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %v",
-					p.n.id, it.replicate.Component, it.replicate.Seq, p.id, werr)
-				werr = nil
-			}
-		case egressReplicateAck:
-			werr = enc.EncodeReplicateAck(it.replicateAck)
-		default:
-			if werr = enc.EncodeCall(it.call); werr != nil && wireDataError(werr) {
-				failed = append(failed, it.call)
-				werr = nil
-			}
+	enc.BeginBatch()
+	for i := range live {
+		it := &live[i]
+		body := func(dst []byte) ([]byte, error) { return it.appendBody(dst, p.version) }
+		err := enc.BatchAdd(it.kind, body)
+		if err != nil && it.kind == wire.FrameReply {
+			// Results the codec cannot ship become an error reply in place.
+			it.reply = wire.Reply{Corr: it.reply.Corr, Err: "cluster: " + err.Error(), Kind: wire.KindAppError}
+			err = enc.BatchAdd(it.kind, body)
 		}
-		if werr == nil {
+		if err != nil {
+			failed = append(failed, encodeFailure{it, err})
+			continue
+		}
+		p.countBatchFrame()
+		if enc.BatchLen() >= batchMaxBytes || enc.BatchCount() >= batchMaxFrames {
 			p.countBatchWrite()
-			p.countBatchFrame()
-		}
-	} else {
-		enc.BeginBatch()
-		for _, it := range live {
-			switch it.kind {
-			case egressReply:
-				if werr = e.encodeReplyLocked(it.reply, enc.BatchAddReply); werr != nil {
-					break
-				}
-			case egressCancel:
-				if werr = enc.BatchAddCancel(it.cancel); werr != nil {
-					break
-				}
-			case egressStreamOpen:
-				if aerr := enc.BatchAddStreamOpen(it.streamOpen); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					failedOpens = append(failedOpens, it.streamOpen)
-					continue
-				}
-			case egressStreamChunk:
-				if aerr := enc.BatchAddStreamChunk(it.streamChunk); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					failedChunks = append(failedChunks, it.streamChunk)
-					continue
-				}
-			case egressStreamCredit:
-				if werr = enc.BatchAddStreamCredit(it.streamCredit); werr != nil {
-					break
-				}
-			case egressStreamEnd:
-				if werr = enc.BatchAddStreamEnd(it.streamEnd); werr != nil {
-					break
-				}
-			case egressReplicate:
-				if aerr := enc.BatchAddReplicate(it.replicate); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %v",
-						p.n.id, it.replicate.Component, it.replicate.Seq, p.id, aerr)
-					continue
-				}
-			case egressReplicateAck:
-				if werr = enc.BatchAddReplicateAck(it.replicateAck); werr != nil {
-					break
-				}
-			default:
-				if aerr := enc.BatchAddCall(it.call); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					failed = append(failed, it.call)
-					continue
-				}
-			}
-			if werr != nil {
+			if werr = enc.FlushBatch(); werr != nil {
 				break
 			}
-			p.countBatchFrame()
-			if enc.BatchLen() >= batchMaxBytes || enc.BatchCount() >= batchMaxFrames {
-				p.countBatchWrite()
-				if werr = enc.FlushBatch(); werr != nil {
-					break
-				}
-			}
 		}
-		if werr == nil && enc.BatchCount() > 0 {
-			p.countBatchWrite()
-			werr = enc.FlushBatch()
-		}
+	}
+	if werr == nil && enc.BatchCount() > 0 {
+		p.countBatchWrite()
+		werr = enc.FlushBatch()
 	}
 	p.encMu.Unlock()
 
-	for _, c := range failed {
-		if cb, ok := p.takePending(c.Corr); ok {
-			cb(wire.Reply{Corr: c.Corr, Kind: wire.KindAppError,
-				Err: "cluster: " + c.Component + "." + c.Op + ": arguments not wire-encodable"})
-		}
-	}
-	for _, o := range failedOpens {
-		p.n.endStreamIn(p, o.Corr, connector.ErrKindApp,
-			"cluster: "+o.Component+"."+o.Op+": arguments not wire-encodable")
-	}
-	for _, c := range failedChunks {
-		p.abortRelayEncode(c.Corr)
+	for _, f := range failed {
+		e.answerLocally(f.it, wire.KindAppError, f.err.Error())
 	}
 	if werr != nil {
 		p.n.peerDown(p, "egress write: "+werr.Error())
 	}
 }
 
-// encodeReplyLocked encodes one reply via add, downgrading a reply whose
-// results the value codec cannot ship into an error reply (mirroring the
-// direct path's second-reply fallback). Returns only transport errors.
-func (e *egress) encodeReplyLocked(r wire.Reply, add func(wire.Reply) error) error {
-	err := add(r)
-	if err != nil && wireDataError(err) {
-		return add(wire.Reply{Corr: r.Corr, Err: "cluster: " + err.Error(), Kind: wire.KindAppError})
-	}
-	return err
+// encodeFailure is a frame whose body could not be encoded, and why.
+type encodeFailure struct {
+	it  *egressItem
+	err error
 }
 
-// wireDataError reports whether err is a per-frame encoding problem (bad
-// value type, oversized body) rather than a transport failure: the frame is
-// dropped and answered locally, the link stays up.
-func wireDataError(err error) bool {
-	return err != nil &&
-		(errors.Is(err, wire.ErrUnsupportedType) || errors.Is(err, wire.ErrFrameTooBig))
+// answerLocally settles, on this side of the link, a frame that will not be
+// written: a call's pending continuation and a stream open's consumer get a
+// typed error, a chunk's relay is aborted so the consumer sees an end rather
+// than a gap in the sequence, a dropped snapshot is logged (the replicator's
+// next round retries; ack lag shows the gap). Cancels, credits, ends and
+// acks are best-effort and need no answer.
+func (e *egress) answerLocally(it *egressItem, kind uint8, reason string) {
+	p := e.p
+	switch it.kind {
+	case wire.FrameCall:
+		if cb, ok := p.takePending(it.call.Corr); ok {
+			cb(wire.Reply{Corr: it.call.Corr, Kind: kind,
+				Err: "cluster: " + it.call.Component + "." + it.call.Op + ": " + reason})
+		}
+	case wire.FrameStreamOpen:
+		o := &it.streamOpen
+		p.n.endStreamIn(p, o.Corr, connector.ErrKind(kind), "cluster: "+o.Component+"."+o.Op+": "+reason)
+	case wire.FrameStreamChunk:
+		p.abortRelayEncode(it.streamChunk.Corr)
+	case wire.FrameReplicate:
+		p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %s",
+			p.n.id, it.replicate.Component, it.replicate.Seq, p.id, reason)
+	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/registry"
-	"repro/internal/wire"
 )
 
 // elasticCluster tightens the failure-detector timings for tests: suspicion
@@ -429,61 +428,6 @@ func TestElasticRebalanceAfterJoin(t *testing.T) {
 		if out, err := h.System("n3").Call(svc, "ping", "final"); err != nil || out[0] != "final" {
 			t.Fatalf("%s after rebalance: %v %v", svc, out, err)
 		}
-	}
-}
-
-// TestElasticMixedVersionInterop: a v6-capped peer joins a v7 node. The
-// link negotiates down — no gossip, no replication frames cross it, calls
-// work unchanged — and the v6 peer's death is declared by the legacy
-// immediate path. Graceful degrade, no frame errors.
-func TestElasticMixedVersionInterop(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h, err := StartHarness(ctx, Spec{
-		ADL:       clusterADL,
-		Nodes:     []string{"n1", "n2"},
-		Placement: map[string]string{"Front": "n1", "Store": "n2"},
-		Registry:  testRegistry,
-		Cluster: func(node string) Options {
-			o := elasticCluster(node)
-			if node == "n2" {
-				o.MaxWireVersion = wire.VersionTrace // v6: pre-cluster
-			}
-			return o
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	sys1 := h.System("n1")
-
-	snap := h.Node("n1").Telemetry()
-	if len(snap.Links) != 1 || snap.Links[0].WireVersion != int(wire.VersionTrace) {
-		t.Fatalf("link version = %+v, want v6", snap.Links)
-	}
-
-	// Remote calls work across the downgraded link.
-	for i := 0; i < 50; i++ {
-		token := fmt.Sprintf("t%d", i)
-		if out, err := sys1.Call("Front", "fetch", token); err != nil || out[0] != token {
-			t.Fatalf("call %d over v6 link: %v %v", i, out, err)
-		}
-	}
-	// The v6 peer appears in the membership view through its hello.
-	if m, ok := h.Node("n1").Member("n2"); !ok || m.Status != MemberAlive {
-		t.Fatalf("v6 peer missing from membership view: %+v", m)
-	}
-
-	// Legacy death: immediate EvPeerDown on link loss, no refute window.
-	events, unsub := sys1.Events().Subscribe(64)
-	defer unsub()
-	h.Kill("n2")
-	if !waitForEvent(t, events, core.EvPeerDown, "n2", 5*time.Second) {
-		t.Fatal("v6 peer death not declared by the legacy path")
-	}
-	if m, _ := h.Node("n1").Member("n2"); m.Status != MemberDead {
-		t.Fatalf("v6 peer status = %v after death, want dead", m.Status)
 	}
 }
 

@@ -38,9 +38,8 @@ type Spec struct {
 	// after the first gets the first node's address as its only seed and
 	// the mesh completes itself through gossip discovery and auto-dial
 	// (StartHarness then waits for convergence). When false the harness
-	// explicitly full-meshes with Join calls — the legacy deterministic
-	// path, still right for mixed-version tests where pre-v7 nodes cannot
-	// gossip.
+	// explicitly full-meshes with Join calls — deterministic, and what
+	// most tests want.
 	SeedJoin bool
 }
 

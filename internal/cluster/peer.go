@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/adl"
+	"repro/internal/connector"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -33,20 +34,18 @@ func (l *livenessReader) Read(p []byte) (int, error) {
 }
 
 // peer is one live link to another cluster node. The link carries four
-// traffics multiplexed over the frame protocol: heartbeats, remote calls
-// (and their replies), migration payloads (and their acks), and ownership
-// announcements. One goroutine reads, writers serialize on encMu, and every
-// received frame — not just heartbeats — counts as liveness.
+// traffics multiplexed over the frame protocol: gossip beacons, remote calls
+// and streams (and their replies), migration and replication payloads (and
+// their acks), and ownership announcements. One goroutine reads, writers
+// serialize on encMu, and every received byte counts as liveness.
 type peer struct {
 	n    *Node
 	id   string
 	conn net.Conn
 	// version is the negotiated wire protocol version of this link:
-	// min(both sides' MaxVersion), at least wire.Version. Fixed before the
-	// pumps start, read-only after.
+	// min(both sides' MaxVersion).
 	version uint8
-	// egress is the frame-coalescing writer (nil on v2 links, which write
-	// one frame per send).
+	// egress is the frame-coalescing writer every data frame goes through.
 	egress *egress
 
 	encMu sync.Mutex
@@ -81,29 +80,32 @@ type serveCtl struct {
 	revoked atomic.Bool
 }
 
-func newPeer(n *Node, id string, conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, seen *atomic.Int64) *peer {
+func newPeer(n *Node, id string, version uint8, conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, seen *atomic.Int64) *peer {
 	p := &peer{
-		n: n, id: id, conn: conn, enc: enc, dec: dec, lastSeen: seen,
+		n: n, id: id, version: version, conn: conn, enc: enc, dec: dec, lastSeen: seen,
 		pending:   map[uint64]func(wire.Reply){},
 		migs:      map[uint64]chan string{},
 		serves:    map[uint64]*serveCtl{},
 		streamsIn: map[uint64]*streamIn{},
 		relays:    map[uint64]*core.Stream{},
 	}
+	p.egress = newEgress(p)
 	p.lastSeen.Store(time.Now().UnixNano())
 	return p
 }
 
-// start launches the read pump and the heartbeat beacon.
+// start launches the read pump, the gossip beacon and the egress writer.
 func (p *peer) start() {
-	p.n.wg.Add(2)
+	p.n.wg.Add(3)
 	go p.readLoop()
 	go p.heartbeatLoop()
+	go p.egress.flushLoop(p.n.ctx)
 }
 
-// send serializes one frame write. Frames are assembled fully before any
-// byte hits the socket (the encoder builds the body first), so a failed
-// encode never desynchronizes the stream.
+// send serializes one link-control frame write (data frames go through the
+// egress). Frames are assembled fully before any byte hits the socket (the
+// encoder builds the body first), so a failed encode never desynchronizes
+// the stream.
 func (p *peer) send(encode func(*wire.Encoder) error) error {
 	p.encMu.Lock()
 	defer p.encMu.Unlock()
@@ -197,7 +199,7 @@ func (p *peer) failAll(reason string) {
 	p.streamsIn = map[uint64]*streamIn{}
 	p.pmu.Unlock()
 	for corr, cb := range pending {
-		cb(wire.Reply{Corr: corr, Err: reason})
+		cb(wire.Reply{Corr: corr, Err: reason, Kind: wire.KindAppError})
 	}
 	for _, ch := range migs {
 		select {
@@ -218,7 +220,9 @@ func (p *peer) failAll(reason string) {
 	p.failStreamsIn(streams, reason)
 }
 
-// readLoop dispatches inbound frames until the link dies.
+// readLoop dispatches inbound frames until the link dies. Liveness is
+// recorded by the livenessReader under the decoder, so even a frame still in
+// transit counts.
 func (p *peer) readLoop() {
 	defer p.n.wg.Done()
 	for {
@@ -227,197 +231,136 @@ func (p *peer) readLoop() {
 			p.n.peerDown(p, "link: "+err.Error())
 			return
 		}
-		// Liveness is recorded by the livenessReader under the decoder, so
-		// even a frame still in transit counts.
-		switch t {
-		case wire.FrameHeartbeat:
-			// Liveness already recorded.
-		case wire.FrameCall:
-			c, perr := wire.ParseCall(body, p.dec.FrameVersion())
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.dispatchCall(c)
-		case wire.FrameReply:
-			r, perr := wire.ParseReply(body, p.dec.FrameVersion())
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.dispatchReply(r)
-		case wire.FrameBatch:
-			for len(body) > 0 {
-				st, sb, rest, perr := wire.ReadBatchFrame(body)
-				if perr != nil {
-					p.n.peerDown(p, "protocol: "+perr.Error())
-					return
-				}
-				switch st {
-				case wire.FrameCall:
-					c, perr := wire.ParseCall(sb, p.dec.FrameVersion())
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.dispatchCall(c)
-				case wire.FrameReply:
-					r, perr := wire.ParseReply(sb, p.dec.FrameVersion())
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.dispatchReply(r)
-				case wire.FrameCancel:
-					c, perr := wire.ParseCancel(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.handleCancel(c)
-				case wire.FrameStreamOpen:
-					o, perr := wire.ParseStreamOpen(sb, p.dec.FrameVersion())
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.dispatchStreamOpen(o)
-				case wire.FrameStreamChunk:
-					c, perr := wire.ParseStreamChunk(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.deliverStreamChunk(p, c)
-				case wire.FrameStreamCredit:
-					c, perr := wire.ParseStreamCredit(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.grantRelay(c)
-				case wire.FrameStreamEnd:
-					s, perr := wire.ParseStreamEnd(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.deliverStreamEnd(p, s)
-				case wire.FrameReplicate:
-					r, perr := wire.ParseReplicate(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.handleReplicate(p, r)
-				case wire.FrameReplicateAck:
-					a, perr := wire.ParseReplicateAck(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.handleReplicateAck(p, a)
-				default:
-					p.n.opts.Logf("cluster %s: unknown batched frame %v from %s", p.n.id, st, p.id)
-				}
-				body = rest
-			}
-		case wire.FrameCancel:
-			c, perr := wire.ParseCancel(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.handleCancel(c)
-		case wire.FrameStreamOpen:
-			o, perr := wire.ParseStreamOpen(body, p.dec.FrameVersion())
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.dispatchStreamOpen(o)
-		case wire.FrameStreamChunk:
-			c, perr := wire.ParseStreamChunk(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.deliverStreamChunk(p, c)
-		case wire.FrameStreamCredit:
-			c, perr := wire.ParseStreamCredit(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.grantRelay(c)
-		case wire.FrameStreamEnd:
-			s, perr := wire.ParseStreamEnd(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.deliverStreamEnd(p, s)
-		case wire.FrameMigrate:
-			m, perr := wire.ParseMigrate(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			// Adoption quiesces nothing locally but does take the
-			// reconfiguration lock; run it off the read loop so heartbeats
-			// and replies keep flowing meanwhile.
-			p.n.wg.Add(1)
-			go func() {
-				defer p.n.wg.Done()
-				p.handleMigrate(m)
-			}()
-		case wire.FrameMigrateAck:
-			a, perr := wire.ParseMigrateAck(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.pmu.Lock()
-			ch := p.migs[a.Corr]
-			p.pmu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- a.Err:
-				default:
-				}
-			}
-		case wire.FrameAnnounce:
-			a, perr := wire.ParseAnnounce(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleAnnounce(p, a)
-		case wire.FrameGossip:
-			g, perr := wire.ParseGossip(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleGossip(p, g)
-		case wire.FrameReplicate:
-			r, perr := wire.ParseReplicate(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleReplicate(p, r)
-		case wire.FrameReplicateAck:
-			a, perr := wire.ParseReplicateAck(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleReplicateAck(p, a)
-		default:
-			p.n.opts.Logf("cluster %s: unknown frame %v from %s", p.n.id, t, p.id)
+		if t == wire.FrameBatch {
+			err = p.dispatchBatch(body)
+		} else {
+			err = p.dispatch(t, body)
+		}
+		if err != nil {
+			p.n.peerDown(p, "protocol: "+err.Error())
+			return
 		}
 	}
+}
+
+// dispatchBatch dispatches the sub-frames of one FrameBatch body in order.
+func (p *peer) dispatchBatch(body []byte) error {
+	for len(body) > 0 {
+		t, sub, rest, err := wire.ReadBatchFrame(body)
+		if err != nil {
+			return err
+		}
+		if err := p.dispatch(t, sub); err != nil {
+			return err
+		}
+		body = rest
+	}
+	return nil
+}
+
+// dispatch parses one frame body and hands it to its handler; it serves
+// standalone frames and batch sub-frames alike. A parse error is returned
+// for the read loop to tear the link down; an unknown type is logged and
+// skipped.
+func (p *peer) dispatch(t wire.FrameType, body []byte) error {
+	switch t {
+	case wire.FrameCall:
+		c, err := wire.ParseCall(body, p.version)
+		if err != nil {
+			return err
+		}
+		p.dispatchCall(c)
+	case wire.FrameReply:
+		r, err := wire.ParseReply(body, p.version)
+		if err != nil {
+			return err
+		}
+		p.dispatchReply(r)
+	case wire.FrameCancel:
+		c, err := wire.ParseCancel(body)
+		if err != nil {
+			return err
+		}
+		p.handleCancel(c)
+	case wire.FrameStreamOpen:
+		o, err := wire.ParseStreamOpen(body, p.version)
+		if err != nil {
+			return err
+		}
+		p.dispatchStreamOpen(o)
+	case wire.FrameStreamChunk:
+		c, err := wire.ParseStreamChunk(body)
+		if err != nil {
+			return err
+		}
+		p.n.deliverStreamChunk(p, c)
+	case wire.FrameStreamCredit:
+		c, err := wire.ParseStreamCredit(body)
+		if err != nil {
+			return err
+		}
+		p.grantRelay(c)
+	case wire.FrameStreamEnd:
+		s, err := wire.ParseStreamEnd(body)
+		if err != nil {
+			return err
+		}
+		p.n.endStreamIn(p, s.Corr, connector.ErrKind(s.Kind), s.Err)
+	case wire.FrameReplicate:
+		r, err := wire.ParseReplicate(body)
+		if err != nil {
+			return err
+		}
+		p.n.handleReplicate(p, r)
+	case wire.FrameReplicateAck:
+		a, err := wire.ParseReplicateAck(body)
+		if err != nil {
+			return err
+		}
+		p.n.handleReplicateAck(p, a)
+	case wire.FrameMigrate:
+		m, err := wire.ParseMigrate(body)
+		if err != nil {
+			return err
+		}
+		// Adoption quiesces nothing locally but does take the
+		// reconfiguration lock; run it off the read loop so beacons and
+		// replies keep flowing meanwhile.
+		p.n.wg.Add(1)
+		go func() {
+			defer p.n.wg.Done()
+			p.handleMigrate(m)
+		}()
+	case wire.FrameMigrateAck:
+		a, err := wire.ParseMigrateAck(body)
+		if err != nil {
+			return err
+		}
+		p.pmu.Lock()
+		ch := p.migs[a.Corr]
+		p.pmu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- a.Err:
+			default:
+			}
+		}
+	case wire.FrameAnnounce:
+		a, err := wire.ParseAnnounce(body)
+		if err != nil {
+			return err
+		}
+		p.n.handleAnnounce(p, a)
+	case wire.FrameGossip:
+		g, err := wire.ParseGossip(body)
+		if err != nil {
+			return err
+		}
+		p.n.handleGossip(p, g)
+	default:
+		p.n.opts.Logf("cluster %s: unknown frame %v from %s", p.n.id, t, p.id)
+	}
+	return nil
 }
 
 // dispatchCall serves one inbound remote call concurrently: a call may fan
@@ -480,26 +423,13 @@ func (p *peer) serveCall(c wire.Call) {
 		rep.Err = err.Error()
 		rep.Kind = replyKindOf(err)
 	}
-	if p.egress != nil {
-		// v3 link: replies coalesce with whatever else is outbound; a
-		// non-encodable result set is downgraded to an error reply inside
-		// the egress writer.
-		p.egress.enqueueReply(rep)
-		return
-	}
-	serr := p.send(func(e *wire.Encoder) error { return e.EncodeReply(rep) })
-	if serr != nil && err == nil {
-		// Results the value codec cannot ship become a call error; the
-		// frame was never partially written (bodies build before bytes go
-		// out), so the stream is intact.
-		rep = wire.Reply{Corr: c.Corr, Err: "cluster: " + serr.Error(), Kind: wire.KindAppError}
-		_ = p.send(func(e *wire.Encoder) error { return e.EncodeReply(rep) })
-	}
+	// Replies coalesce with whatever else is outbound; a non-encodable
+	// result set is downgraded to an error reply inside the egress writer.
+	p.egress.enqueueReply(rep)
 }
 
-// replyKindOf maps a serve-side error to the structured reply kind carried
-// on v3 links (and dropped by the v2 encoder — those peers keep the string
-// convention).
+// replyKindOf maps a serve-side error to the structured kind carried on
+// replies and stream ends.
 func replyKindOf(err error) uint8 {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -548,11 +478,10 @@ func (p *peer) handleMigrate(m wire.Migrate) {
 	}
 }
 
-// heartbeatLoop beacons liveness until the link dies. On v7 links the
-// beacon is the gossip carrier: instead of an empty heartbeat each tick
-// ships the full membership view (the self entry's version bumps per
-// beacon, which is what lets a relayed fresh view refute a suspicion).
-// Any received frame counts as liveness on the other side either way.
+// heartbeatLoop beacons liveness until the link dies. The beacon is the
+// gossip carrier: each tick ships the full membership view (the self entry's
+// version bumps per beacon, which is what lets a relayed fresh view refute a
+// suspicion). Any received byte counts as liveness on the other side.
 func (p *peer) heartbeatLoop() {
 	defer p.n.wg.Done()
 	t := time.NewTicker(p.n.opts.Heartbeat)
@@ -565,14 +494,8 @@ func (p *peer) heartbeatLoop() {
 			if p.down.Load() {
 				return
 			}
-			var err error
-			if p.version >= wire.VersionCluster {
-				g := p.n.membership.localView()
-				err = p.send(func(e *wire.Encoder) error { return e.EncodeGossip(g) })
-			} else {
-				err = p.send(func(e *wire.Encoder) error { return e.EncodeHeartbeat() })
-			}
-			if err != nil {
+			g := p.n.membership.localView()
+			if err := p.send(func(e *wire.Encoder) error { return e.EncodeGossip(g) }); err != nil {
 				p.n.peerDown(p, "heartbeat send: "+err.Error())
 				return
 			}

@@ -2,7 +2,7 @@
 // (DESIGN.md §12). A node running a replicator periodically snapshots its
 // capturable components (core.System.SnapshotComponent — a hot copy, no
 // quiesce) and ships each snapshot as a FrameReplicate to a follower chosen
-// by load among the alive v7-linked peers. The follower stores the bytes in
+// by load among the alive linked peers. The follower stores the bytes in
 // its standby table and acks; the origin gossips the follower assignment
 // with its component entry, so when the origin dies every survivor knows who
 // holds the freshest state and failover promotes the follower warm — the
@@ -157,7 +157,7 @@ func (r *Replicator) ReplicateNow() int {
 // followerLink picks (or keeps) the follower for comp and returns its live
 // link. The choice is sticky — an alive, linked follower is kept so the
 // standby stays warm in one place — and otherwise falls to the least-loaded
-// alive member with a live v7 link (ties to the smaller id).
+// alive member with a live link (ties to the smaller id).
 func (r *Replicator) followerLink(comp string) (*peer, string) {
 	n := r.n
 	r.mu.Lock()
@@ -167,7 +167,7 @@ func (r *Replicator) followerLink(comp string) (*peer, string) {
 	}
 	r.mu.Unlock()
 	if cur != "" {
-		if p := n.livePeer(cur); p != nil && p.version >= wire.VersionCluster {
+		if p := n.livePeer(cur); p != nil {
 			if m, ok := n.membership.member(cur); ok && m.Status == MemberAlive {
 				return p, cur
 			}
@@ -182,7 +182,7 @@ func (r *Replicator) followerLink(comp string) (*peer, string) {
 		if m.ID == n.id || m.Status != MemberAlive {
 			continue
 		}
-		if p := n.livePeer(m.ID); p == nil || p.version < wire.VersionCluster {
+		if n.livePeer(m.ID) == nil {
 			continue
 		}
 		cands = append(cands, cand{id: m.ID, load: m.Load})

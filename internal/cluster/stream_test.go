@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/registry"
-	"repro/internal/wire"
 )
 
 const streamADL = `
@@ -67,7 +66,7 @@ func (f *feedComp) Restore([]byte) error      { return nil }
 // returns the harness plus the shared component instance (one feedComp
 // backs every node's factory, so the producer counter is visible to the
 // test regardless of where Feed runs).
-func startStreamCluster(t *testing.T, maxVer map[string]uint8) (*Harness, *feedComp) {
+func startStreamCluster(t *testing.T) (*Harness, *feedComp) {
 	t.Helper()
 	f := &feedComp{}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -84,11 +83,7 @@ func startStreamCluster(t *testing.T, maxVer map[string]uint8) (*Harness, *feedC
 			}
 			return reg
 		},
-		Cluster: func(node string) Options {
-			o := fastCluster(node)
-			o.MaxWireVersion = maxVer[node]
-			return o
-		},
+		Cluster: fastCluster,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +95,7 @@ func startStreamCluster(t *testing.T, maxVer map[string]uint8) (*Harness, *feedC
 // TestClusterStream drives a bounded cross-node stream and checks ordering,
 // the clean end, and that chunks coalesced into batch writes.
 func TestClusterStream(t *testing.T) {
-	h, _ := startStreamCluster(t, nil)
+	h, _ := startStreamCluster(t)
 	sys1, node1 := h.System("n1"), h.Node("n1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -142,7 +137,7 @@ func TestClusterStream(t *testing.T) {
 // the producer on the far node at a bounded distance, with no
 // ErrMailboxFull surfacing anywhere.
 func TestClusterStreamSlowConsumer(t *testing.T) {
-	h, f := startStreamCluster(t, nil)
+	h, f := startStreamCluster(t)
 	sys1 := h.System("n1")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -180,7 +175,7 @@ func TestClusterStreamSlowConsumer(t *testing.T) {
 // sends a bus cancel that becomes a FrameCancel, revoking the relay on the
 // hosting node and through it the producer — well inside the 30s deadline.
 func TestClusterStreamCancelReclaimsProducer(t *testing.T) {
-	h, _ := startStreamCluster(t, nil)
+	h, _ := startStreamCluster(t)
 	sys1, sys2 := h.System("n1"), h.System("n2")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -207,40 +202,12 @@ func TestClusterStreamCancelReclaimsProducer(t *testing.T) {
 	}
 }
 
-// TestClusterStreamUnsupportedPeer: a stream open toward a component hosted
-// behind a pre-v5 link fails fast with the typed sentinel — matched with
-// errors.Is, never a raw string and never a protocol violation on the wire.
-func TestClusterStreamUnsupportedPeer(t *testing.T) {
-	h, _ := startStreamCluster(t, map[string]uint8{"n2": wire.VersionCancel})
-	sys1 := h.System("n1")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	st, err := sys1.Client("Feed").Stream(ctx, "pump")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	_, err = st.Recv(ctx)
-	if !errors.Is(err, core.ErrStreamUnsupported) {
-		t.Fatalf("want ErrStreamUnsupported, got %v", err)
-	}
-	// Unary calls over the same v4 link still work — only the stream plane
-	// is refused.
-	if _, err := sys1.Client("Feed").Call(ctx, "pump"); err == nil {
-		// "pump" is stream-only, so an app error is expected; the point is
-		// it crossed the wire and came back typed as such.
-		t.Fatal("unary call unexpectedly succeeded")
-	} else if errors.Is(err, core.ErrStreamUnsupported) {
-		t.Fatalf("unary call mis-typed as stream-unsupported: %v", err)
-	}
-}
-
 // TestClusterStreamAcrossMigration: a live migration of the producer's
 // component aborts in-flight streams with a clean fast-fail end (no hang,
 // no deadline wait), and a reopened stream against the component's new home
 // works.
 func TestClusterStreamAcrossMigration(t *testing.T) {
-	h, _ := startStreamCluster(t, nil)
+	h, _ := startStreamCluster(t)
 	sys1, sys2 := h.System("n1"), h.System("n2")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -36,9 +36,9 @@ type CallPayload struct {
 }
 
 // ErrKind classifies a call failure structurally, so callers can match with
-// errors.Is instead of the legacy string conventions. The numbering matches
-// the wire protocol's reply kind byte (wire.Kind*), so kinds cross peer
-// links unmapped.
+// errors.Is instead of on error text. The numbering matches the wire
+// protocol's reply kind byte (wire.Kind*), so kinds cross peer links
+// unmapped; 5 is reserved there and here.
 type ErrKind uint8
 
 // Error kinds.
@@ -48,10 +48,6 @@ const (
 	ErrKindDeadline        ErrKind = 2 // deadline exceeded
 	ErrKindCancelled       ErrKind = 3 // caller cancelled
 	ErrKindNoSuchComponent ErrKind = 4 // destination component does not exist
-	// ErrKindStreamUnsupported classifies a stream-open refused because the
-	// path to the component crosses a peer link negotiated below wire v5.
-	// Numbering shared with wire.KindStreamUnsupported.
-	ErrKindStreamUnsupported ErrKind = 5
 )
 
 // ReplyPayload is the reply payload convention; Err is non-empty on
@@ -59,8 +55,8 @@ const (
 type ReplyPayload struct {
 	Results []any
 	Err     string
-	// Kind classifies Err (ErrKindNone for success or for replies from
-	// legacy sources that only speak the string convention).
+	// Kind classifies Err (ErrKindNone for success, and on error replies
+	// that carry no identity beyond their text, such as filter rejects).
 	Kind ErrKind
 }
 

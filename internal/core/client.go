@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -471,7 +470,7 @@ func (c *Client) fallback() time.Duration {
 var ErrNoSuchComponent = ErrUnknownComp
 
 // errKindOf classifies a serve-side error into the structured kind carried
-// on reply payloads (and, over v3 peer links, on the wire).
+// on reply payloads (and, over peer links, on the wire).
 func errKindOf(err error) connector.ErrKind {
 	switch {
 	case err == nil:
@@ -482,25 +481,24 @@ func errKindOf(err error) connector.ErrKind {
 		return connector.ErrKindCancelled
 	case errors.Is(err, ErrUnknownComp):
 		return connector.ErrKindNoSuchComponent
-	case errors.Is(err, ErrStreamUnsupported):
-		return connector.ErrKindStreamUnsupported
 	default:
 		return connector.ErrKindApp
 	}
 }
 
-// replyErrorKind converts a reply payload into the caller-facing error.
-// A structured kind (stamped by the serving side, or parsed from a v3 peer
-// reply) restores error identity directly; payloads without one — filter
-// rejects, app errors, replies relayed by v2 peers — fall back to the
-// string convention replyError implements.
+// replyErrorKind converts a reply payload into the caller-facing error. The
+// structured kind — stamped by whichever side produced the error and carried
+// across peer links — restores error identity: when the callee aborted on the
+// propagated deadline (locally or on another cluster node), the error
+// satisfies errors.Is(err, context.DeadlineExceeded) exactly as if the
+// deadline had tripped on the caller's side. Application errors keep only
+// their text.
 func replyErrorKind(msg string, kind connector.ErrKind) error {
 	switch kind {
-	case connector.ErrKindDeadline, connector.ErrKindCancelled,
-		connector.ErrKindNoSuchComponent, connector.ErrKindStreamUnsupported:
+	case connector.ErrKindDeadline, connector.ErrKindCancelled, connector.ErrKindNoSuchComponent:
 		return &kindedError{msg: msg, kind: kind}
 	}
-	return replyError(msg)
+	return errors.New(msg)
 }
 
 // kindedError is a reply error carrying structured identity.
@@ -519,38 +517,9 @@ func (e *kindedError) Is(target error) bool {
 		return target == context.Canceled
 	case connector.ErrKindNoSuchComponent:
 		return target == ErrUnknownComp
-	case connector.ErrKindStreamUnsupported:
-		return target == ErrStreamUnsupported
 	}
 	return false
 }
-
-// replyError converts a reply payload's error string into the caller-facing
-// error, restoring deadline identity lost at the wire/payload string
-// boundary: when the callee aborted on the propagated deadline (locally or
-// on another cluster node), the error satisfies
-// errors.Is(err, context.DeadlineExceeded) exactly as if the deadline had
-// tripped on the caller's side. Every reply-producing deadline path phrases
-// its error with "deadline exceeded" (the context package's own wording),
-// which is the convention this relies on.
-func replyError(msg string) error {
-	// Scoped to platform-generated errors (every deadline path in core and
-	// cluster prefixes its package) so an application error that merely
-	// mentions a deadline — a wrapped net/http client timeout, say — does
-	// not acquire a deadline identity the caller's own clock never earned.
-	if (strings.HasPrefix(msg, "core: ") || strings.HasPrefix(msg, "cluster: ")) &&
-		strings.Contains(msg, "deadline exceeded") {
-		return &remoteDeadlineError{msg: msg}
-	}
-	return errors.New(msg)
-}
-
-// remoteDeadlineError is a reply error carrying deadline identity.
-type remoteDeadlineError struct{ msg string }
-
-func (e *remoteDeadlineError) Error() string { return e.msg }
-
-func (e *remoteDeadlineError) Is(target error) bool { return target == context.DeadlineExceeded }
 
 // Future is one in-flight asynchronous call. A Future resolves exactly once
 // — to the reply, a timeout, or the context's cancellation error — and every

@@ -28,12 +28,6 @@ const DefaultStreamWindow = 32
 // an unbounded ring.
 const maxStreamWindow = 4096
 
-// ErrStreamUnsupported is the typed identity of a stream open refused
-// because the component lives behind a peer link negotiated below wire v5:
-// the older peer cannot parse stream frames, so the open fails fast and
-// locally instead of violating the protocol.
-var ErrStreamUnsupported = errors.New("core: streaming not supported by peer link")
-
 // ErrStreamClosed is returned by Recv after the consumer closed the stream.
 var ErrStreamClosed = errors.New("core: stream closed")
 
@@ -42,7 +36,7 @@ var ErrStreamClosed = errors.New("core: stream closed")
 // ring sized to the credit window, so a Recv of a buffered item allocates
 // nothing; when the ring drains Recv blocks until the producer pushes or
 // the stream ends. The stream ends with io.EOF (clean), a typed error
-// (deadline, cancellation, unsupported link), or an application error.
+// (deadline, cancellation), or an application error.
 //
 // A Stream is owned by one consumer: Recv must not be called concurrently.
 // Close is safe to call at any time and from other goroutines.

@@ -27,7 +27,7 @@ type Snapshot struct {
 	Links       []LinkState        `json:"links,omitempty"`
 	GatewayShed uint64             `json:"gateway_shed"`
 
-	// Elastic-plane sections (cluster.Node fills these on v7 clusters).
+	// Elastic-plane sections (cluster.Node fills these).
 	Members     []MemberState      `json:"members,omitempty"`
 	Replication []ReplicationState `json:"replication,omitempty"`
 	Standbys    []StandbyState     `json:"standbys,omitempty"`

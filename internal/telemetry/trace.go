@@ -25,7 +25,7 @@ import (
 // class (see the sizing note on bus.Message.Deadline).
 
 // PackSpan packs a span id and its parent into the single int64 carried by
-// bus.Message.Span and the wire v6 trace trailer.
+// bus.Message.Span and the wire trace trailer.
 func PackSpan(span, parent uint32) int64 {
 	return int64(uint64(span)<<32 | uint64(parent))
 }

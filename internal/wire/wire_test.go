@@ -2,11 +2,82 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
+
+// The sample frames the round-trip tests ship and the fuzz targets seed
+// their corpora with.
+var (
+	sampleHello = Hello{Node: "n1", System: "Cluster", Components: []string{"Store", "Front"},
+		MaxVersion: MaxVersion, Addr: "10.0.0.1:7000"}
+	sampleCall = Call{Corr: 7, Component: "Store", Op: "get", Principal: "alice",
+		DeadlineNanos: int64(1500 * time.Millisecond), Args: []any{"k", 2}, Trace: 0x1234, Span: 0x500000004}
+	sampleReply   = Reply{Corr: 7, Results: []any{"v"}}
+	sampleMigrate = Migrate{Corr: 3, Component: "Store", Implements: "KV",
+		Properties: map[string]string{"statefulness": "stateful", "cpu": "2"},
+		CPU:        2, HasState: true, State: []byte("state-bytes")}
+	sampleMigrateAck = MigrateAck{Corr: 3, Err: "nope"}
+	sampleAnnounce   = Announce{Add: true, Component: "Store"}
+	sampleCancel     = Cancel{Corr: 7_000_000_001}
+	sampleOpen       = StreamOpen{Corr: 41, Component: "Feed", Op: "list",
+		Principal: "alice", DeadlineNanos: 5_000_000, Window: 32,
+		Args: []any{"prefix", 10}, Trace: 9, Span: 0x100000000}
+	sampleChunk  = StreamChunk{Corr: 41, Seq: 3, Item: "item-3"}
+	sampleCredit = StreamCredit{Corr: 41, Credit: 8}
+	sampleEnd    = StreamEnd{Corr: 41, Err: "boom", Kind: KindAppError}
+	sampleGossip = Gossip{Members: []GossipMember{
+		{Node: "n1", Addr: "127.0.0.1:7001", Incarnation: 3, Version: 91, Status: GossipAlive,
+			Load: 0.75, Comps: []GossipComp{
+				{Name: "Store", Load: 1.25e6, Follower: "n2"},
+				{Name: "Front", Load: 0, Follower: ""},
+			}},
+		{Node: "n2", Addr: "127.0.0.1:7002", Incarnation: 1, Version: 40, Status: GossipSuspect, Load: 0.1},
+		{Node: "n3", Addr: "", Incarnation: 0, Version: 0, Status: GossipDead},
+	}}
+	sampleReplicate    = Replicate{Corr: 11, Component: "Store", Seq: 42, State: []byte("snapshot-bytes")}
+	sampleReplicateAck = ReplicateAck{Corr: 11, Component: "Store", Seq: 42, Err: "busy"}
+)
+
+// Body closures in the shape Encoder.BatchAdd takes.
+func callBody(c Call) func([]byte) ([]byte, error) {
+	return func(dst []byte) ([]byte, error) { return AppendCall(dst, c, MaxVersion) }
+}
+
+func replyBody(r Reply) func([]byte) ([]byte, error) {
+	return func(dst []byte) ([]byte, error) { return AppendReply(dst, r, MaxVersion) }
+}
+
+func plainBody[T any](appendT func([]byte, T) []byte, v T) func([]byte) ([]byte, error) {
+	return func(dst []byte) ([]byte, error) { return appendT(dst, v), nil }
+}
+
+// sendAlone writes one data frame the way the egress writes a lone one: a
+// batch of one, which the encoder puts on the stream as the bare frame.
+func sendAlone(t *testing.T, enc *Encoder, ft FrameType, body func([]byte) ([]byte, error)) {
+	t.Helper()
+	enc.BeginBatch()
+	if err := enc.BatchAdd(ft, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// next reads one frame and checks its type.
+func next(t *testing.T, dec *Decoder, want FrameType) []byte {
+	t.Helper()
+	typ, body, err := dec.Next()
+	if err != nil || typ != want {
+		t.Fatalf("frame: got %v %v, want %v", typ, err, want)
+	}
+	return body
+}
 
 func TestValueRoundTrip(t *testing.T) {
 	cases := []any{
@@ -70,135 +141,85 @@ func TestFrameRoundTrip(t *testing.T) {
 	enc := NewEncoder(&conn)
 	dec := NewDecoder(&conn)
 
-	hello := Hello{Node: "n1", System: "Cluster", Components: []string{"Store", "Front"}, MaxVersion: Version}
-	call := Call{Corr: 7, Component: "Store", Op: "get", Principal: "alice",
-		DeadlineNanos: int64(1500 * time.Millisecond), Args: []any{"k", 2}}
-	reply := Reply{Corr: 7, Results: []any{"v"}}
-	mig := Migrate{Corr: 3, Component: "Store", Implements: "KV",
-		Properties: map[string]string{"statefulness": "stateful", "cpu": "2"},
-		CPU:        2, HasState: true, State: []byte("state-bytes")}
-	ack := MigrateAck{Corr: 3, Err: "nope"}
-	ann := Announce{Add: true, Component: "Store"}
-
-	if err := enc.EncodeHello(FrameHello, hello); err != nil {
+	if err := enc.EncodeHello(FrameHello, sampleHello); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeHeartbeat(); err != nil {
+	enc.SetVersion(MaxVersion)
+	sendAlone(t, enc, FrameCall, callBody(sampleCall))
+	sendAlone(t, enc, FrameReply, replyBody(sampleReply))
+	if err := enc.EncodeMigrate(sampleMigrate); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeCall(call); err != nil {
+	if err := enc.EncodeMigrateAck(sampleMigrateAck); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeReply(reply); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeMigrate(mig); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeMigrateAck(ack); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeAnnounce(ann); err != nil {
+	if err := enc.EncodeAnnounce(sampleAnnounce); err != nil {
 		t.Fatal(err)
 	}
 
-	typ, body, err := dec.Next()
-	if err != nil || typ != FrameHello {
-		t.Fatalf("frame 1: %v %v", typ, err)
+	// The handshake frame carries the handshake stamp, later frames the
+	// negotiated version.
+	if got := conn.Bytes()[2]; got != MinVersion {
+		t.Fatalf("hello stamped v%d, want MinVersion", got)
 	}
-	gotHello, err := ParseHello(body)
-	if err != nil || !reflect.DeepEqual(gotHello, hello) {
+	gotHello, err := ParseHello(next(t, dec, FrameHello))
+	if err != nil || !reflect.DeepEqual(gotHello, sampleHello) {
 		t.Fatalf("hello: %#v %v", gotHello, err)
 	}
-
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameHeartbeat || len(body) != 0 {
-		t.Fatalf("heartbeat: %v len=%d %v", typ, len(body), err)
-	}
-
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameCall {
-		t.Fatalf("call frame: %v %v", typ, err)
-	}
-	gotCall, err := ParseCall(body, dec.FrameVersion())
-	if err != nil || !reflect.DeepEqual(gotCall, call) {
+	gotCall, err := ParseCall(next(t, dec, FrameCall), MaxVersion)
+	if err != nil || !reflect.DeepEqual(gotCall, sampleCall) {
 		t.Fatalf("call: %#v %v", gotCall, err)
 	}
-
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameReply {
-		t.Fatalf("reply frame: %v %v", typ, err)
-	}
-	gotReply, err := ParseReply(body, dec.FrameVersion())
-	if err != nil || !reflect.DeepEqual(gotReply, reply) {
+	gotReply, err := ParseReply(next(t, dec, FrameReply), MaxVersion)
+	if err != nil || !reflect.DeepEqual(gotReply, sampleReply) {
 		t.Fatalf("reply: %#v %v", gotReply, err)
 	}
-
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameMigrate {
-		t.Fatalf("migrate frame: %v %v", typ, err)
-	}
-	gotMig, err := ParseMigrate(body)
-	if err != nil || !reflect.DeepEqual(gotMig, mig) {
+	gotMig, err := ParseMigrate(next(t, dec, FrameMigrate))
+	if err != nil || !reflect.DeepEqual(gotMig, sampleMigrate) {
 		t.Fatalf("migrate: %#v %v", gotMig, err)
 	}
-
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameMigrateAck {
-		t.Fatalf("ack frame: %v %v", typ, err)
-	}
-	gotAck, err := ParseMigrateAck(body)
-	if err != nil || gotAck != ack {
+	gotAck, err := ParseMigrateAck(next(t, dec, FrameMigrateAck))
+	if err != nil || gotAck != sampleMigrateAck {
 		t.Fatalf("ack: %#v %v", gotAck, err)
 	}
-
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameAnnounce {
-		t.Fatalf("announce frame: %v %v", typ, err)
-	}
-	gotAnn, err := ParseAnnounce(body)
-	if err != nil || gotAnn != ann {
+	gotAnn, err := ParseAnnounce(next(t, dec, FrameAnnounce))
+	if err != nil || gotAnn != sampleAnnounce {
 		t.Fatalf("announce: %#v %v", gotAnn, err)
 	}
 }
 
 func TestHelloVersionNegotiation(t *testing.T) {
-	// A v3 hello carries MaxVersion as a trailing uvarint.
-	buf := AppendHello(nil, Hello{Node: "n1", System: "S", MaxVersion: VersionBatch})
+	// The offer rides the hello unclamped — a newer build's offer above this
+	// build's MaxVersion must reach the negotiation as sent.
+	buf := AppendHello(nil, Hello{Node: "n1", System: "S", MaxVersion: MaxVersion + 1})
 	h, err := ParseHello(buf)
-	if err != nil || h.MaxVersion != VersionBatch {
-		t.Fatalf("v3 hello: MaxVersion=%d err=%v", h.MaxVersion, err)
+	if err != nil || h.MaxVersion != MaxVersion+1 {
+		t.Fatalf("newer hello: MaxVersion=%d err=%v", h.MaxVersion, err)
 	}
-	// A legacy v2 hello (no trailer) parses as MaxVersion 2. Build one by
-	// hand exactly as the version-2 AppendHello emitted it.
-	legacy := AppendString(nil, "n1")
-	legacy = AppendString(legacy, "S")
-	legacy = append(legacy, 0) // zero components
-	h, err = ParseHello(legacy)
-	if err != nil || h.MaxVersion != Version {
-		t.Fatalf("legacy hello: MaxVersion=%d err=%v", h.MaxVersion, err)
+	// A hello that ends before the offer parses as offering nothing: the
+	// parser accepts it and the negotiation refuses it.
+	bare := AppendString(nil, "n1")
+	bare = AppendString(bare, "S")
+	bare = append(bare, 0) // zero components
+	h, err = ParseHello(bare)
+	if err != nil || h.MaxVersion != 0 {
+		t.Fatalf("bare hello: MaxVersion=%d err=%v", h.MaxVersion, err)
 	}
 }
 
 func TestReplyKindRoundTrip(t *testing.T) {
 	r := Reply{Corr: 9, Err: "core: deadline exceeded", Kind: KindDeadline}
-	// v3 preserves the kind byte.
-	buf, err := AppendReply(nil, r, VersionBatch)
+	buf, err := AppendReply(nil, r, MaxVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseReply(buf, VersionBatch)
+	got, err := ParseReply(buf, MaxVersion)
 	if err != nil || !reflect.DeepEqual(got, r) {
-		t.Fatalf("v3 reply: %#v %v", got, err)
+		t.Fatalf("reply: %#v %v", got, err)
 	}
-	// v2 drops it (string fallback for legacy peers).
-	buf, err = AppendReply(nil, r, Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ParseReply(buf, Version)
-	if err != nil || got.Kind != KindNone || got.Err != r.Err {
-		t.Fatalf("v2 reply: %#v %v", got, err)
+	// The kind byte is not optional.
+	if _, err := ParseReply(buf[:len(buf)-2], MaxVersion); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("reply without kind byte: %v", err)
 	}
 }
 
@@ -208,11 +229,11 @@ func TestRawArgsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxed, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", Args: args}, Version)
+	boxed, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", Args: args}, MaxVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", RawArgs: raw}, Version)
+	pre, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", RawArgs: raw}, MaxVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +245,7 @@ func TestRawArgsEquivalence(t *testing.T) {
 func TestBatchRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionBatch)
+	enc.SetVersion(MaxVersion)
 	dec := NewDecoder(&conn)
 
 	calls := []Call{
@@ -235,11 +256,11 @@ func TestBatchRoundTrip(t *testing.T) {
 
 	enc.BeginBatch()
 	for _, c := range calls {
-		if err := enc.BatchAddCall(c); err != nil {
+		if err := enc.BatchAdd(FrameCall, callBody(c)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := enc.BatchAddReply(reply); err != nil {
+	if err := enc.BatchAdd(FrameReply, replyBody(reply)); err != nil {
 		t.Fatal(err)
 	}
 	if enc.BatchCount() != 3 {
@@ -258,7 +279,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil || st != FrameCall {
 			t.Fatalf("sub %d: %v %v", i, st, err)
 		}
-		got, err := ParseCall(sb, dec.FrameVersion())
+		got, err := ParseCall(sb, MaxVersion)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("sub %d: %#v %v", i, got, err)
 		}
@@ -268,12 +289,25 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err != nil || st != FrameReply {
 		t.Fatalf("reply sub: %v %v", st, err)
 	}
-	gotReply, err := ParseReply(sb, dec.FrameVersion())
+	gotReply, err := ParseReply(sb, MaxVersion)
 	if err != nil || !reflect.DeepEqual(gotReply, reply) {
 		t.Fatalf("reply: %#v %v", gotReply, err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("%d trailing bytes after batch", len(rest))
+	}
+	// A sub-frame whose body fails to encode leaves the batch as it was.
+	enc.BeginBatch()
+	if err := enc.BatchAdd(FrameCall, callBody(calls[0])); err != nil {
+		t.Fatal(err)
+	}
+	before := enc.BatchLen()
+	bad := Call{Corr: 9, Component: "Store", Op: "put", Args: []any{make(chan int)}}
+	if err := enc.BatchAdd(FrameCall, callBody(bad)); !errors.Is(err, ErrUnsupportedType) {
+		t.Fatalf("unencodable sub-frame: %v", err)
+	}
+	if enc.BatchLen() != before || enc.BatchCount() != 1 {
+		t.Fatalf("failed add left %d bytes / %d frames, want %d / 1", enc.BatchLen(), enc.BatchCount(), before)
 	}
 	// An empty flush writes nothing.
 	enc.BeginBatch()
@@ -292,39 +326,28 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestCancelRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionCancel)
 	dec := NewDecoder(&conn)
 
-	// Standalone frame.
-	want := Cancel{Corr: 7_000_000_001}
-	if err := enc.EncodeCancel(want); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := dec.Next()
-	if err != nil || typ != FrameCancel {
-		t.Fatalf("frame: %v %v", typ, err)
-	}
-	got, err := ParseCancel(body)
+	// Alone on the link: the bare frame.
+	want := sampleCancel
+	sendAlone(t, enc, FrameCancel, plainBody(AppendCancel, want))
+	got, err := ParseCancel(next(t, dec, FrameCancel))
 	if err != nil || got != want {
 		t.Fatalf("cancel: %#v %v", got, err)
 	}
 
 	// Batched sub-frame, coalescing with a call.
 	enc.BeginBatch()
-	if err := enc.BatchAddCall(Call{Corr: 1, Component: "C", Op: "op"}); err != nil {
+	if err := enc.BatchAdd(FrameCall, callBody(Call{Corr: 1, Component: "C", Op: "op"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddCancel(want); err != nil {
+	if err := enc.BatchAdd(FrameCancel, plainBody(AppendCancel, want)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameBatch {
-		t.Fatalf("batch frame: %v %v", typ, err)
-	}
-	st, _, rest, err := ReadBatchFrame(body)
+	st, _, rest, err := ReadBatchFrame(next(t, dec, FrameBatch))
 	if err != nil || st != FrameCall {
 		t.Fatalf("call sub: %v %v", st, err)
 	}
@@ -353,14 +376,16 @@ func TestDecoderRejectsBadMagic(t *testing.T) {
 }
 
 func TestDecoderRejectsBadVersion(t *testing.T) {
-	dec := NewDecoder(bytes.NewReader([]byte{magic0, magic1, 99, 1, 0, 0, 0, 0}))
-	if _, _, err := dec.Next(); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("want ErrBadVersion, got %v", err)
+	for _, v := range []byte{0, MinVersion - 1, MaxVersion + 1, 99} {
+		dec := NewDecoder(bytes.NewReader([]byte{magic0, magic1, v, 1, 0, 0, 0, 0}))
+		if _, _, err := dec.Next(); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("v%d: want ErrBadVersion, got %v", v, err)
+		}
 	}
 }
 
 func TestDecoderRejectsOversizedFrame(t *testing.T) {
-	hdr := []byte{magic0, magic1, Version, 1, 0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{magic0, magic1, MaxVersion, 1, 0xFF, 0xFF, 0xFF, 0xFF}
 	dec := NewDecoder(bytes.NewReader(hdr))
 	if _, _, err := dec.Next(); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("want ErrFrameTooBig, got %v", err)
@@ -396,7 +421,11 @@ func BenchmarkEncodeCall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		call.Corr = uint64(i)
-		if err := enc.EncodeCall(call); err != nil {
+		enc.BeginBatch()
+		if err := enc.BatchAdd(FrameCall, callBody(call)); err != nil {
+			b.Fatal(err)
+		}
+		if err := enc.FlushBatch(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -406,92 +435,55 @@ type noopWriter struct{}
 
 func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestStreamFramesRoundTrip covers the four v5 stream frames standalone and
-// as batch sub-frames — the coalescing path a flowing stream actually uses.
+// TestStreamFramesRoundTrip covers the four stream frames alone and as batch
+// sub-frames — the coalescing path a flowing stream actually uses.
 func TestStreamFramesRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionStream)
 	dec := NewDecoder(&conn)
 
-	open := StreamOpen{Corr: 41, Component: "Feed", Op: "list",
-		Principal: "alice", DeadlineNanos: 5_000_000, Window: 32,
-		Args: []any{"prefix", 10}}
-	if err := enc.EncodeStreamOpen(open); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := dec.Next()
-	if err != nil || typ != FrameStreamOpen {
-		t.Fatalf("open frame: %v %v", typ, err)
-	}
-	gotOpen, err := ParseStreamOpen(body, dec.FrameVersion())
-	if err != nil || gotOpen.Corr != open.Corr || gotOpen.Component != open.Component ||
-		gotOpen.Op != open.Op || gotOpen.Principal != open.Principal ||
-		gotOpen.DeadlineNanos != open.DeadlineNanos || gotOpen.Window != open.Window ||
-		len(gotOpen.Args) != 2 || gotOpen.Args[0] != "prefix" {
+	open, chunk, credit, end := sampleOpen, sampleChunk, sampleCredit, sampleEnd
+	openBody := func(dst []byte) ([]byte, error) { return AppendStreamOpen(dst, open, MaxVersion) }
+	chunkBody := func(dst []byte) ([]byte, error) { return AppendStreamChunk(dst, chunk) }
+
+	sendAlone(t, enc, FrameStreamOpen, openBody)
+	gotOpen, err := ParseStreamOpen(next(t, dec, FrameStreamOpen), MaxVersion)
+	if err != nil || !reflect.DeepEqual(gotOpen, open) {
 		t.Fatalf("open: %#v %v", gotOpen, err)
 	}
-
-	chunk := StreamChunk{Corr: 41, Seq: 3, Item: "item-3"}
-	if err := enc.EncodeStreamChunk(chunk); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameStreamChunk {
-		t.Fatalf("chunk frame: %v %v", typ, err)
-	}
-	if got, err := ParseStreamChunk(body); err != nil || got != chunk {
+	sendAlone(t, enc, FrameStreamChunk, chunkBody)
+	if got, err := ParseStreamChunk(next(t, dec, FrameStreamChunk)); err != nil || got != chunk {
 		t.Fatalf("chunk: %#v %v", got, err)
 	}
-
-	credit := StreamCredit{Corr: 41, Credit: 8}
-	if err := enc.EncodeStreamCredit(credit); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameStreamCredit {
-		t.Fatalf("credit frame: %v %v", typ, err)
-	}
-	if got, err := ParseStreamCredit(body); err != nil || got != credit {
+	sendAlone(t, enc, FrameStreamCredit, plainBody(AppendStreamCredit, credit))
+	if got, err := ParseStreamCredit(next(t, dec, FrameStreamCredit)); err != nil || got != credit {
 		t.Fatalf("credit: %#v %v", got, err)
 	}
-
-	end := StreamEnd{Corr: 41, Err: "boom", Kind: KindAppError}
-	if err := enc.EncodeStreamEnd(end); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameStreamEnd {
-		t.Fatalf("end frame: %v %v", typ, err)
-	}
-	if got, err := ParseStreamEnd(body); err != nil || got != end {
+	sendAlone(t, enc, FrameStreamEnd, plainBody(AppendStreamEnd, end))
+	if got, err := ParseStreamEnd(next(t, dec, FrameStreamEnd)); err != nil || got != end {
 		t.Fatalf("end: %#v %v", got, err)
 	}
 
 	// All four coalesce as batch sub-frames alongside a reply.
 	enc.BeginBatch()
-	if err := enc.BatchAddStreamOpen(open); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.BatchAddStreamChunk(chunk); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.BatchAddReply(Reply{Corr: 9, Results: []any{"r"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.BatchAddStreamCredit(credit); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.BatchAddStreamEnd(end); err != nil {
-		t.Fatal(err)
+	for _, sub := range []struct {
+		t    FrameType
+		body func([]byte) ([]byte, error)
+	}{
+		{FrameStreamOpen, openBody},
+		{FrameStreamChunk, chunkBody},
+		{FrameReply, replyBody(Reply{Corr: 9, Results: []any{"r"}})},
+		{FrameStreamCredit, plainBody(AppendStreamCredit, credit)},
+		{FrameStreamEnd, plainBody(AppendStreamEnd, end)},
+	} {
+		if err := enc.BatchAdd(sub.t, sub.body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := enc.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameBatch {
-		t.Fatalf("batch frame: %v %v", typ, err)
-	}
+	body := next(t, dec, FrameBatch)
 	wantSubs := []FrameType{FrameStreamOpen, FrameStreamChunk, FrameReply, FrameStreamCredit, FrameStreamEnd}
 	for i, want := range wantSubs {
 		st, sb, rest, err := ReadBatchFrame(body)
@@ -530,25 +522,13 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 func TestGossipRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionCluster)
 	dec := NewDecoder(&conn)
 
-	g := Gossip{Members: []GossipMember{
-		{Node: "n1", Addr: "127.0.0.1:7001", Incarnation: 3, Version: 91, Status: GossipAlive,
-			Load: 0.75, Comps: []GossipComp{
-				{Name: "Store", Load: 1.25e6, Follower: "n2"},
-				{Name: "Front", Load: 0, Follower: ""},
-			}},
-		{Node: "n2", Addr: "127.0.0.1:7002", Incarnation: 1, Version: 40, Status: GossipSuspect, Load: 0.1},
-		{Node: "n3", Addr: "", Incarnation: 0, Version: 0, Status: GossipDead},
-	}}
+	g := sampleGossip
 	if err := enc.EncodeGossip(g); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := dec.Next()
-	if err != nil || typ != FrameGossip {
-		t.Fatalf("frame: %v %v", typ, err)
-	}
+	body := next(t, dec, FrameGossip)
 	got, err := ParseGossip(body)
 	if err != nil || !reflect.DeepEqual(got, g) {
 		t.Fatalf("gossip round trip: %#v %v", got, err)
@@ -561,51 +541,66 @@ func TestGossipRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseGossipCountBomb feeds ParseGossip frames whose member and
+// component counts claim as many entries as there are bytes left. An entry
+// is several times larger in memory than its smallest encoding, so sizing
+// the slices from such a count would reserve ~100x the frame (gigabytes at
+// MaxFrame) before the first field read failed; the parser must reject the
+// count itself and allocate next to nothing.
+func TestParseGossipCountBomb(t *testing.T) {
+	const size = 1 << 20
+	members := binary.AppendUvarint(nil, size)
+	members = append(members, make([]byte, size)...)
+
+	// One well-formed member header, then a component count bomb.
+	comps := []byte{1}
+	comps = AppendString(comps, "n1")
+	comps = AppendString(comps, "")
+	comps = append(comps, 1, 1, GossipAlive)
+	comps = append(comps, make([]byte, 8)...) // load
+	comps = append(comps, binary.AppendUvarint(nil, size)...)
+	comps = append(comps, make([]byte, size)...)
+
+	for name, frame := range map[string][]byte{"members": members, "components": comps} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseGossip(frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s bomb: want ErrTruncated, got %v", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > size {
+			t.Fatalf("%s bomb: parsing a %d-byte frame allocated %d bytes", name, len(frame), grew)
+		}
+	}
+}
+
 func TestReplicateRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionCluster)
 	dec := NewDecoder(&conn)
 
-	rep := Replicate{Corr: 11, Component: "Store", Seq: 42, State: []byte("snapshot-bytes")}
-	ack := ReplicateAck{Corr: 11, Component: "Store", Seq: 42, Err: "busy"}
-
-	if err := enc.EncodeReplicate(rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeReplicateAck(ack); err != nil {
-		t.Fatal(err)
-	}
+	rep, ack := sampleReplicate, sampleReplicateAck
+	sendAlone(t, enc, FrameReplicate, plainBody(AppendReplicate, rep))
+	sendAlone(t, enc, FrameReplicateAck, plainBody(AppendReplicateAck, ack))
 	enc.BeginBatch()
-	if err := enc.BatchAddReplicate(rep); err != nil {
+	if err := enc.BatchAdd(FrameReplicate, plainBody(AppendReplicate, rep)); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddReplicateAck(ack); err != nil {
+	if err := enc.BatchAdd(FrameReplicateAck, plainBody(AppendReplicateAck, ack)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
 
-	typ, body, err := dec.Next()
-	if err != nil || typ != FrameReplicate {
-		t.Fatalf("frame 1: %v %v", typ, err)
-	}
-	if got, err := ParseReplicate(body); err != nil || !reflect.DeepEqual(got, rep) {
+	if got, err := ParseReplicate(next(t, dec, FrameReplicate)); err != nil || !reflect.DeepEqual(got, rep) {
 		t.Fatalf("replicate: %#v %v", got, err)
 	}
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameReplicateAck {
-		t.Fatalf("frame 2: %v %v", typ, err)
-	}
-	if got, err := ParseReplicateAck(body); err != nil || got != ack {
+	if got, err := ParseReplicateAck(next(t, dec, FrameReplicateAck)); err != nil || got != ack {
 		t.Fatalf("ack: %#v %v", got, err)
 	}
-	typ, body, err = dec.Next()
-	if err != nil || typ != FrameBatch {
-		t.Fatalf("frame 3: %v %v", typ, err)
-	}
-	st, sb, rest, err := ReadBatchFrame(body)
+	st, sb, rest, err := ReadBatchFrame(next(t, dec, FrameBatch))
 	if err != nil || st != FrameReplicate {
 		t.Fatalf("sub 1: %v %v", st, err)
 	}
@@ -634,21 +629,24 @@ func TestReplicateRoundTrip(t *testing.T) {
 }
 
 func TestHelloAddrTrailer(t *testing.T) {
-	// New builds advertise a listen address as a second trailing field.
-	h := Hello{Node: "n1", System: "S", MaxVersion: VersionCluster, Addr: "10.0.0.1:7000"}
-	got, err := ParseHello(AppendHello(nil, h))
-	if err != nil || got.Addr != h.Addr || got.MaxVersion != VersionCluster {
+	h := Hello{Node: "n1", System: "S", MaxVersion: MaxVersion, Addr: "10.0.0.1:7000"}
+	body := AppendHello(nil, h)
+	got, err := ParseHello(body)
+	if err != nil || got.Addr != h.Addr || got.MaxVersion != MaxVersion {
 		t.Fatalf("addr trailer: %#v %v", got, err)
 	}
-
-	// A body that stops at the MaxVersion uvarint (what pre-v7 builds
-	// emit) still parses, with an empty Addr.
-	legacy := AppendString(nil, "n1")
-	legacy = AppendString(legacy, "S")
-	legacy = append(legacy, 0) // zero components
-	legacy = append(legacy, VersionTrace)
-	got, err = ParseHello(legacy)
-	if err != nil || got.Addr != "" || got.MaxVersion != VersionTrace {
-		t.Fatalf("legacy hello: %#v %v", got, err)
+	// Fields a newer build appends after Addr are ignored, not an error.
+	if got, err := ParseHello(append(body, 1, 2, 3)); err != nil || got.Addr != h.Addr {
+		t.Fatalf("hello with newer trailing fields: %#v %v", got, err)
+	}
+	// A body that stops at the MaxVersion uvarint still parses, with an
+	// empty Addr.
+	short := AppendString(nil, "n1")
+	short = AppendString(short, "S")
+	short = append(short, 0) // zero components
+	short = append(short, MaxVersion)
+	got, err = ParseHello(short)
+	if err != nil || got.Addr != "" || got.MaxVersion != MaxVersion {
+		t.Fatalf("addr-less hello: %#v %v", got, err)
 	}
 }

@@ -250,52 +250,6 @@ func TestTraceCancelledBothNodes(t *testing.T) {
 	}
 }
 
-// TestTraceV5LinkTruncation: a link negotiated below wire v6 drops the
-// trace trailer without any frame error — calls work, the caller node keeps
-// its client and forward spans, and the trace simply does not appear on the
-// serving node.
-func TestTraceV5LinkTruncation(t *testing.T) {
-	h, err := aas.StartCluster(context.Background(), aas.ClusterSpec{
-		ADL:       traceADL,
-		Nodes:     []string{"n1", "n2"},
-		Placement: map[string]string{"Echo": "n2"},
-		Registry:  traceRegistry,
-		Cluster:   func(string) aas.ClusterOptions { return aas.ClusterOptions{MaxWireVersion: 5} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	sys1, sys2 := h.System("n1"), h.System("n2")
-
-	echo := sys1.Client("Echo").With(aas.WithDeadline(5 * time.Second))
-	if res, err := echo.Call(context.Background(), "get", "k"); err != nil || res[0] != "echo" {
-		t.Fatalf("remote call over v5 link: %v %v", res, err)
-	}
-	client := spanWhere(t, sys1, "client root on n1", func(s aas.Span) bool {
-		return s.Kind == aas.SpanClient && s.Parent == 0
-	})
-	forward := spanWhere(t, sys1, "forward span on n1", func(s aas.Span) bool {
-		return s.Kind == aas.SpanForward && s.Trace == client.Trace
-	})
-	if forward.Outcome != aas.SpanOK {
-		t.Fatalf("forward outcome = %d, want OK", forward.Outcome)
-	}
-	for _, s := range sys2.Spans() {
-		if s.Trace == client.Trace {
-			t.Fatalf("trace crossed a v5 link: %+v", s)
-		}
-	}
-	// The link stayed healthy: both peers still see each other.
-	if len(h.Node("n1").Peers()) != 1 || len(h.Node("n2").Peers()) != 1 {
-		t.Fatal("v5 negotiation broke the link")
-	}
-	snap := h.Node("n1").Telemetry()
-	if len(snap.Links) != 1 || snap.Links[0].WireVersion != 5 {
-		t.Fatalf("link state = %+v, want one v5 link", snap.Links)
-	}
-}
-
 // TestTelemetrySnapshot: the unified snapshot gathers the bus conservation
 // ledger, admission state, event counters and span counters consistently.
 func TestTelemetrySnapshot(t *testing.T) {
