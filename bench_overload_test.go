@@ -49,10 +49,12 @@ func (g *gatedComp) Handle(op string, args []any) ([]any, error) {
 }
 
 // startSaturated boots a Busy system, trains the admission estimator with
-// real ~2ms service times, then wedges the serve workers on the gate and
-// piles a deep deadline-less backlog behind them. The returned client
-// carries a 3ms budget: estimated wait (tens of ms) dwarfs it, so every call
-// through it is shed at the edge until cleanup opens the gate.
+// real ~2ms service times, then blocks 64 deadline-less calls on the gate.
+// All 64 run at once — a component's concurrency is not bounded by its
+// resident serve workers — and admission sees them as 64 requests in
+// service. The returned client carries a 3ms budget: estimated wait (tens
+// of ms) dwarfs it, so every call through it is shed at the edge until
+// cleanup opens the gate.
 func startSaturated(tb testing.TB) (*aas.System, *aas.TypedClient[string, string], func()) {
 	tb.Helper()
 	comp := &gatedComp{gate: make(chan struct{}), delay: 2 * time.Millisecond}
@@ -75,8 +77,8 @@ func startSaturated(tb testing.TB) (*aas.System, *aas.TypedClient[string, string
 	const backlog = 64
 	futs := make([]*aas.TypedFuture[string, string], backlog)
 	for i := range futs {
-		// Deadline-less calls are never shed; they wedge the workers and
-		// hold the queue depth the estimator multiplies by.
+		// Deadline-less calls are never shed; blocked in their handlers they
+		// hold the depth the estimator multiplies by.
 		futs[i] = cl.Async(ctx, "block", "x")
 	}
 	short := cl.With(aas.WithDeadline(3 * time.Millisecond))

@@ -189,7 +189,10 @@ func e19System(slots int, service, patience time.Duration, seed bool) *aas.Syste
 
 func runE19() {
 	const (
-		slots    = 4 // matches the per-component serve-worker pool
+		// The slot pool, not the platform, is the capacity limit: a component
+		// runs as many handlers at once as requests are delivered to it. 4 is
+		// the parallelism the admission estimator divides its backlog by.
+		slots    = 4
 		service  = 5 * time.Millisecond
 		budget   = 3 * service // callers wait at most 3 service times
 		phaseDur = 1200 * time.Millisecond

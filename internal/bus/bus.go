@@ -22,6 +22,13 @@
 // queue live inside the destination's route and every delivery decision is
 // taken under that route's lock: a send either completes before Pause
 // acquires the route or parks after it, never in between.
+//
+// A delivery ends in one of two places: the destination's mailbox, for a
+// receiver goroutine to pick up, or — on an endpoint attached with a
+// DirectFunc — that function, run inline by the deliverer. The second is
+// for terminal consumers (reply waiter tables, cancel and credit controls)
+// that would otherwise need a goroutine just to move the message on. Both
+// sit behind the same paused check and count in the same ledger.
 package bus
 
 import (
@@ -98,8 +105,9 @@ type Message struct {
 	// whose caller has already given up is answered with an error instead
 	// of consuming capacity. Wall-clock (context) semantics, deliberately
 	// not the bus clock: deadlines come from contexts and cross process
-	// boundaries. 8 bytes rather than a time.Time keeps the Message within
-	// the allocation size class the serve path's goroutine spawn relied on.
+	// boundaries. 8 bytes rather than a time.Time keeps the Message at 128
+	// bytes, which every copy — ring slot, held queue, DirectFunc argument —
+	// pays for.
 	Deadline int64
 }
 
@@ -329,6 +337,25 @@ func (b *Bus) routeOrCreate(addr Address) *route {
 // Attach registers addr and returns its endpoint. mailbox is the bounded
 // queue capacity; values < 1 get the default of 4096.
 func (b *Bus) Attach(addr Address, mailbox int) (*Endpoint, error) {
+	return b.AttachDirect(addr, mailbox, nil)
+}
+
+// DirectFunc consumes a delivery inline instead of letting it queue on the
+// mailbox. It runs on the goroutine that delivers — the sender's, or
+// Resume's when the message was held, or the delay timer's — under the
+// destination's route lock, the same contract as Endpoint.SetExpiredFunc:
+// it must not block and must not call back into the bus. Returning false
+// declines the message, which then queues as on a plain endpoint.
+type DirectFunc func(m Message) bool
+
+// AttachDirect is Attach with a direct function: every delivery to addr is
+// offered to direct first, and only what it declines queues for Receive. A
+// paused channel still parks first — direct sees held messages in order on
+// Resume — so Pause, Resume, TransferHeld, Detach and the conservation
+// invariant are the same for direct and queued deliveries. A terminal
+// consumer (a reply waiter table, say) saves the mailbox hop and the
+// goroutine that would only move the message on.
+func (b *Bus) AttachDirect(addr Address, mailbox int, direct DirectFunc) (*Endpoint, error) {
 	if mailbox < 1 {
 		mailbox = 4096
 	}
@@ -339,6 +366,7 @@ func (b *Bus) Attach(addr Address, mailbox int) (*Endpoint, error) {
 		return nil, fmt.Errorf("%w: %s", ErrAddressTaken, addr)
 	}
 	e := newEndpoint(addr, mailbox, &r.mu, &b.stats, b.fifoOnly)
+	e.direct = direct
 	r.ep = e
 	return e, nil
 }
@@ -510,9 +538,10 @@ func resolveIn(redirects map[Address]Address, dst Address) (Address, error) {
 	}
 }
 
-// deliverRouteLocked parks or enqueues m; callers hold r.mu. The pointer
-// only avoids copying the message across the internal calls — the message
-// is copied into the held queue or the mailbox ring, never retained.
+// deliverRouteLocked parks m, hands it to the endpoint's direct function or
+// enqueues it; callers hold r.mu. The pointer only avoids copying the
+// message across the internal calls — the message is copied into the held
+// queue, the direct function's argument or the mailbox ring, never retained.
 func (b *Bus) deliverRouteLocked(r *route, m *Message) error {
 	if r.parksLocked(m.Kind) || r.ep == nil {
 		// Paused channel, or the destination vanished while the message was
@@ -522,7 +551,7 @@ func (b *Bus) deliverRouteLocked(r *route, m *Message) error {
 		b.stats.held.Add(1)
 		return nil
 	}
-	if !r.ep.enqueueLocked(m) {
+	if !r.ep.acceptLocked(m) {
 		return fmt.Errorf("%w: %s", ErrMailboxFull, m.Dst)
 	}
 	b.stats.delivered.Add(1)
@@ -592,7 +621,7 @@ func (b *Bus) Resume(addr Address) (int, error) {
 			shed++
 			continue
 		}
-		if !r.ep.enqueueLocked(m) {
+		if !r.ep.acceptLocked(m) {
 			r.held = append([]Message(nil), r.held[i:]...)
 			account()
 			return flushed, fmt.Errorf("%w: %s", ErrMailboxFull, addr)

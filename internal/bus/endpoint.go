@@ -25,6 +25,9 @@ import (
 // requests, replies, events, control — keeps the FIFO ring, so the
 // zero-alloc steady-state path is unchanged. Both lanes share the one
 // capacity bound.
+//
+// An endpoint attached with a DirectFunc (Bus.AttachDirect) offers every
+// delivery to that function first and queues only what it declines.
 type Endpoint struct {
 	addr Address
 
@@ -44,6 +47,7 @@ type Endpoint struct {
 	depth     atomic.Int64  // lock-free mirror of count+len(edfq) for admission
 	expired   uint64        // messages shed because their deadline lapsed
 	onExpired func(Message) // optional shed hook; runs under mu, must be fast
+	direct    DirectFunc    // optional inline consumer; immutable after attach
 
 	received  uint64
 	arrivals  seqTable // last seen per-source sequence; the dst is fixed
@@ -171,6 +175,18 @@ func (e *Endpoint) nowIfDeadlined() int64 {
 	return time.Now().UnixNano()
 }
 
+// acceptLocked delivers m: the direct function consumes it inline, or —
+// when there is none, or it declines — the message queues. It reports false
+// when the message had to queue and the mailbox is full or closed. Callers
+// hold e.mu (the route lock).
+func (e *Endpoint) acceptLocked(m *Message) bool {
+	if e.direct != nil && e.direct(*m) {
+		e.noteArrivalLocked(m)
+		return true
+	}
+	return e.enqueueLocked(m)
+}
+
 // enqueueLocked appends m and wakes a parked receiver if one is waiting; it
 // reports false when the mailbox is full or closed. Deadline-carrying
 // requests go to the EDF lane, everything else to the FIFO ring; both lanes
@@ -184,8 +200,21 @@ func (e *Endpoint) enqueueLocked(m *Message) bool {
 	} else {
 		e.pushLocked(m)
 	}
-	e.received++
 	e.syncDepthLocked()
+	e.noteArrivalLocked(m)
+	if e.waiting > 0 {
+		select {
+		case e.notify <- struct{}{}:
+		default:
+		}
+	}
+	return true
+}
+
+// noteArrivalLocked counts one delivered message and checks its per-source
+// sequence number against the last one seen; callers hold e.mu.
+func (e *Endpoint) noteArrivalLocked(m *Message) {
+	e.received++
 	cell := e.arrivals.cell(m.Src)
 	switch last := *cell; {
 	case m.Seq == last && m.Seq != 0:
@@ -195,13 +224,6 @@ func (e *Endpoint) enqueueLocked(m *Message) bool {
 	default:
 		*cell = m.Seq
 	}
-	if e.waiting > 0 {
-		select {
-		case e.notify <- struct{}{}:
-		default:
-		}
-	}
-	return true
 }
 
 // Receive blocks until a message arrives, the endpoint closes, or ctx is
@@ -290,7 +312,8 @@ func (e *Endpoint) SetExpiredFunc(f func(Message)) {
 	e.onExpired = f
 }
 
-// Received reports the total number of messages ever enqueued.
+// Received reports the total number of messages ever delivered, queued or
+// direct.
 func (e *Endpoint) Received() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

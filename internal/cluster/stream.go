@@ -179,7 +179,7 @@ func (n *Node) endStreamIn(p *peer, corr uint64, kind connector.ErrKind, reason 
 
 // deliverStreamChunk re-emits one inbound chunk as a local bus push toward
 // the original consumer, in the same pooled envelope local producers use —
-// the reply pump releases it after moving the item into the stream's ring.
+// the client edge releases it after moving the item into the stream's ring.
 // A chunk for an unknown correlation (the consumer closed; the cancel and
 // the chunk crossed on the wire) is dropped.
 func (n *Node) deliverStreamChunk(p *peer, c wire.StreamChunk) {

@@ -21,8 +21,8 @@ type StreamOpenPayload struct {
 }
 
 // StreamItem is one pushed stream item in flight between a producer and the
-// consumer's reply pump. Envelopes are pooled: the producer leases one per
-// item with NewStreamItem and the consuming pump returns it with Release
+// consumer's client edge. Envelopes are pooled: the producer leases one per
+// item with NewStreamItem and the consuming edge returns it with Release
 // after moving Item out, so the steady-state receive path allocates nothing
 // beyond the item itself. The payload is a pointer precisely so boxing it
 // into bus.Message.Payload costs no allocation.

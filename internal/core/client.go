@@ -273,17 +273,17 @@ func (c *Client) Async(ctx context.Context, op string, args ...any) *Future {
 	f.cl, f.tr = c, tr
 	f.w = w
 	f.take = func() bool { _, ok := s.clientWaiters.take(corr); return ok }
-	// Bound the slot: whoever owns the take wins — the reply pump (normal
+	// Bound the slot: whoever owns the take wins — the replier (normal
 	// completion), the fallback timer (timeout), or the context hook
 	// (cancellation and deadline). Mirroring Call, the timer is armed only
 	// when the context carries no deadline, so deadline expiry always
 	// resolves through the hook and keeps context.DeadlineExceeded
 	// identity.
 	// Either callback that loses the take race still runs cleanup: the
-	// reply arrived (pump owns the slot) but nobody Waited, and without the
-	// cleanup an un-awaited future would pin its context.AfterFunc
-	// registration — and through it the future — for the context's whole
-	// lifetime.
+	// reply arrived (the replier owns the slot) but nobody Waited, and
+	// without the cleanup an un-awaited future would pin its
+	// context.AfterFunc registration — and through it the future — for the
+	// context's whole lifetime.
 	var timer *time.Timer
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		timer = time.AfterFunc(c.fallback(), func() {
@@ -321,12 +321,12 @@ func (c *Client) Async(ctx context.Context, op string, args ...any) *Future {
 // endpoint or parks on a route whose component is gone, and both shapes are
 // detected here.
 func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
-	ep, corr, dl, tr, err := c.admit(ctx, op)
+	src, corr, dl, tr, err := c.admit(ctx, op)
 	if err != nil {
 		return err
 	}
 	b := c.b
-	if err := b.sys.bus.Send(c.request(ep, corr, dl, tr, op, args)); err != nil {
+	if err := b.sys.bus.Send(c.request(src, corr, dl, tr, op, args)); err != nil {
 		if errors.Is(err, bus.ErrUnknownDst) {
 			return fmt.Errorf("%w: %s", ErrNoSuchComponent, b.name)
 		}
@@ -361,27 +361,38 @@ func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
 // budget, the call is shed with the bare ErrOverloaded sentinel before any
 // resource is committed: no waiter slot, no message, no goroutine, no
 // allocation.
-func (c *Client) admit(ctx context.Context, op string) (*bus.Endpoint, uint64, int64, traceRef, error) {
+func (c *Client) admit(ctx context.Context, op string) (bus.Address, uint64, int64, traceRef, error) {
 	b := c.b
 	s := b.sys
+	// The one clock read of the prologue, taken at call entry when tracing
+	// is on so the client span brackets the whole call: it opens the span
+	// (traceStart), anchors a WithDeadline budget and is the admission
+	// check's now. With tracing off it is read only where one of the latter
+	// two needs it.
+	var now int64
+	if s.rec.Sampling() != 0 {
+		now = time.Now().UnixNano()
+	}
 	if !s.live.Load() {
-		return nil, 0, 0, traceRef{}, ErrNotRunning
+		return "", 0, 0, traceRef{}, ErrNotRunning
 	}
 	if !b.present.Load() && !b.resolveNow() {
-		return nil, 0, 0, traceRef{}, fmt.Errorf("%w: %s", ErrUnknownComp, b.name)
+		return "", 0, 0, traceRef{}, fmt.Errorf("%w: %s", ErrUnknownComp, b.name)
 	}
-	epsp := s.clientEPs.Load()
-	if epsp == nil {
-		return nil, 0, 0, traceRef{}, ErrNotRunning
+	addrs := s.clientAddrs.Load()
+	if addrs == nil {
+		return "", 0, 0, traceRef{}, ErrNotRunning
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, traceRef{}, fmt.Errorf("core: call %s.%s: %w", b.name, op, err)
+		return "", 0, 0, traceRef{}, fmt.Errorf("core: call %s.%s: %w", b.name, op, err)
 	}
-	var dl, now int64
+	var dl int64
 	if d, ok := ctx.Deadline(); ok {
 		dl = d.UnixNano()
 	} else if c.budget > 0 {
-		now = time.Now().UnixNano()
+		if now == 0 {
+			now = time.Now().UnixNano()
+		}
 		dl = now + int64(c.budget)
 	}
 	if dl != 0 && !s.noOverload {
@@ -390,7 +401,7 @@ func (c *Client) admit(ctx context.Context, op string) (*bus.Endpoint, uint64, i
 				now = time.Now().UnixNano()
 			}
 			if rem := dl - now; rem > 0 && !local.adm.Admit(local.depth(), rem) {
-				return nil, 0, 0, traceRef{}, ErrOverloaded
+				return "", 0, 0, traceRef{}, ErrOverloaded
 			}
 		}
 	}
@@ -399,16 +410,16 @@ func (c *Client) admit(ctx context.Context, op string) (*bus.Endpoint, uint64, i
 	// rates are observable through the snapshot's admission section anyway.
 	tr := c.traceStart(ctx, now)
 	corr := s.clientCorr.Add(1)
-	return (*epsp)[corr&(clientEndpoints-1)], corr, dl, tr, nil
+	return (*addrs)[corr&(clientEndpoints-1)], corr, dl, tr, nil
 }
 
 // request assembles the admitted request message, deadline and trace
 // context stamped.
-func (c *Client) request(ep *bus.Endpoint, corr uint64, dl int64, tr traceRef, op string, args []any) bus.Message {
+func (c *Client) request(src bus.Address, corr uint64, dl int64, tr traceRef, op string, args []any) bus.Message {
 	return bus.Message{
 		Kind: bus.Request, Op: op,
 		Payload: connector.CallPayload{Principal: c.principal, Args: args},
-		Src:     ep.Addr(), Dst: c.b.dst, Corr: corr,
+		Src:     src, Dst: c.b.dst, Corr: corr,
 		Trace: tr.trace, Span: tr.span,
 		Deadline: dl,
 	}
@@ -417,14 +428,14 @@ func (c *Client) request(ep *bus.Endpoint, corr uint64, dl int64, tr traceRef, o
 // send admits the call, registers the reply waiter and puts the request on
 // the bus. On error the waiter slot is already released.
 func (c *Client) send(ctx context.Context, op string, args []any) (chan connector.ReplyPayload, uint64, int64, traceRef, error) {
-	ep, corr, dl, tr, err := c.admit(ctx, op)
+	src, corr, dl, tr, err := c.admit(ctx, op)
 	if err != nil {
 		return nil, 0, 0, traceRef{}, err
 	}
 	s := c.b.sys
 	w := make(chan connector.ReplyPayload, 1)
 	s.clientWaiters.add(corr, w)
-	if err := s.bus.Send(c.request(ep, corr, dl, tr, op, args)); err != nil {
+	if err := s.bus.Send(c.request(src, corr, dl, tr, op, args)); err != nil {
 		s.clientWaiters.take(corr)
 		return nil, 0, 0, traceRef{}, err
 	}
@@ -444,14 +455,13 @@ func (c *Client) sendCancel(corr uint64, dl int64) {
 		return
 	}
 	s := c.b.sys
-	epsp := s.clientEPs.Load()
-	if epsp == nil {
+	addrs := s.clientAddrs.Load()
+	if addrs == nil {
 		return
 	}
-	ep := (*epsp)[corr&(clientEndpoints-1)]
 	_ = s.bus.Send(bus.Message{
 		Kind: bus.Control, Op: bus.OpCancel,
-		Src: ep.Addr(), Dst: c.b.dst, Corr: corr,
+		Src: (*addrs)[corr&(clientEndpoints-1)], Dst: c.b.dst, Corr: corr,
 	})
 }
 
@@ -536,7 +546,7 @@ type Future struct {
 	tr traceRef
 
 	// cleanupMu guards the timer/hook handoff: Async arms them after the
-	// send, but the very callbacks they run (or the reply pump via Wait)
+	// send, but the very callbacks they run (or the reply, via Wait)
 	// can settle the future first — a near-expired deadline makes that
 	// race real, not theoretical. settle and arm therefore exchange the
 	// pair under the lock with a nil-swap, each prepared to run second.

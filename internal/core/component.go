@@ -83,6 +83,9 @@ type runtimeComponent struct {
 	// cross-node handoff drains the mailbox and this counter together so no
 	// popped-but-unrequeued message can be lost to the endpoint teardown.
 	serving atomic.Int64
+	// idle counts serve workers parked on the mailbox or on their way there
+	// (see work).
+	idle atomic.Int32
 	// adm estimates this component's queueing delay from observed service
 	// times (DESIGN.md §9); the platform edge consults it to shed calls whose
 	// deadline budget the backlog already exceeds.
@@ -116,19 +119,19 @@ type runtimeComponent struct {
 var _ ContextCaller = (*runtimeComponent)(nil)
 
 func newRuntimeComponent(sys *System, decl adl.ComponentDecl, cont *container.Container, node netsim.NodeID) (*runtimeComponent, error) {
-	ep, err := sys.bus.Attach(ComponentAddress(decl.Name), sys.mailbox)
-	if err != nil {
-		return nil, err
-	}
 	rc := &runtimeComponent{
 		sys:  sys,
 		name: decl.Name,
 		decl: decl,
 		cont: cont,
-		ep:   ep,
 		node: node,
 		adm:  qos.NewAdmission(serveWorkers),
 	}
+	ep, err := sys.bus.AttachDirect(ComponentAddress(decl.Name), sys.mailbox, rc.deliverDirect)
+	if err != nil {
+		return nil, err
+	}
+	rc.ep = ep
 	empty := map[string]bus.Address{}
 	rc.routes.Store(&empty)
 	// Weave the system's aspects around the container invocation. The
@@ -182,77 +185,92 @@ func (rc *runtimeComponent) dropRoute(service string) {
 	rc.routes.Store(&next)
 }
 
-// serveWorkers is the number of persistent serve goroutines per component.
-// Steady-state requests hand off to an idle worker without spawning — the
-// per-request goroutine (and its closure allocation) is reserved for bursts
-// beyond the worker pool and for re-entrant calls that would otherwise wait
-// on themselves.
+// serveWorkers is how many serve goroutines a component keeps parked on its
+// mailbox. It is a floor, not a bound: a component serves as many requests
+// at once as have been delivered to it. Whenever a worker pops a request and
+// leaves no other receiver parked it first starts one more (see work), so a
+// burst beyond the resident workers, a handler blocked in an outcall and a
+// component calling itself never wait on the pool; a worker that finishes
+// while serveWorkers are already parked exits, so the pool is back to its
+// floor once the burst is over. Admission control (DESIGN.md §9) therefore
+// sees concurrency through depth() = mailbox + serving, not through a pool
+// limit.
 const serveWorkers = 4
 
-// start launches the serve loop.
+// start launches the serve workers.
 func (rc *runtimeComponent) start(ctx context.Context) {
 	ctx, rc.cancel = context.WithCancel(ctx)
 	rc.serveCtx = ctx
 	rc.cont.Activate()
-	work := make(chan bus.Message) // unbuffered: a send succeeds only into an idle worker
+	rc.wg.Add(serveWorkers)
+	rc.idle.Add(serveWorkers)
 	for i := 0; i < serveWorkers; i++ {
-		rc.wg.Add(1)
-		go func() {
-			defer rc.wg.Done()
-			for m := range work {
-				rc.serve(m)
-				rc.serving.Add(-1)
-			}
-		}()
+		go rc.work(ctx)
 	}
-	rc.wg.Add(1)
-	go func() {
-		defer rc.wg.Done()
-		defer close(work)
-		for {
-			m, err := rc.ep.Receive(ctx)
-			if err != nil {
-				return
-			}
-			switch m.Kind {
-			case bus.Request:
-				// Serve concurrently so that outcalls from the handler can
-				// be correlated by this same loop. Prefer an idle pool
-				// worker; fall through to a transient goroutine when all
-				// are busy so a component calling itself cannot deadlock
-				// on its own pool.
-				rc.serving.Add(1)
-				select {
-				case work <- m:
-				default:
-					rc.wg.Add(1)
-					go func(m bus.Message) {
-						defer rc.wg.Done()
-						defer rc.serving.Add(-1)
-						rc.serve(m)
-					}(m)
-				}
-			case bus.Reply:
-				if w, ok := rc.waiters.take(m.Corr); ok {
-					payload, _ := m.Payload.(connector.ReplyPayload)
-					w <- payload
-				}
-			case bus.Control:
-				// A cancel overtakes the request it revokes (Control skips
-				// the EDF lane and passes pauseRequests barriers); record it
-				// so the request is answered unserved when it surfaces, and
-				// reclaim the matching stream producer if one is running.
-				switch m.Op {
-				case bus.OpCancel:
-					rc.cancels.add(m.Src, m.Corr, time.Now().UnixNano())
-					rc.cancelStream(m.Src, m.Corr)
-				case bus.OpStreamCredit:
-					rc.grantStream(m.Src, m.Corr, m.Payload)
-				}
-			}
-		}
-	}()
 	rc.sys.events.Emit(Event{Kind: EvComponentStarted, At: rc.sys.clk.Now(), Component: rc.name})
+}
+
+// work is one serve worker: it receives requests straight from the mailbox
+// (replies and controls never queue — deliverDirect settles them on the
+// sender's goroutine) and serves them on its own goroutine, so outcalls
+// from the handler are correlated while it blocks. idle counts the workers
+// parked in Receive or on their way there; it is the only state the pool
+// has. A worker is counted from the moment it is started, not from when it
+// first runs — on a busy P a new goroutine can wait a whole time slice, and
+// every request in between would start another — so work is entered already
+// counted. In steady state a request finds a parked worker and leaves
+// another behind, and no goroutine is started or ended.
+func (rc *runtimeComponent) work(ctx context.Context) {
+	defer rc.wg.Done()
+	for {
+		m, err := rc.ep.Receive(ctx)
+		last := rc.idle.Add(-1) == 0
+		if err != nil {
+			return
+		}
+		if last {
+			// Nobody else is receiving. Replace this worker before serving:
+			// the handler may block on a request only another worker can pop.
+			rc.wg.Add(1)
+			rc.idle.Add(1)
+			go rc.work(ctx)
+		}
+		rc.serving.Add(1)
+		rc.serve(m)
+		rc.serving.Add(-1)
+		if rc.idle.Add(1) > serveWorkers {
+			rc.idle.Add(-1)
+			return // the floor is already parked: this worker was a burst's spare
+		}
+	}
+}
+
+// deliverDirect is the component's bus.DirectFunc: it settles Reply and
+// Control traffic inline on the sender's goroutine (under the route lock:
+// every step is a short critical section or a send on a cap-1 channel, and
+// none calls back into the bus) and declines requests, which queue for the
+// serve workers.
+func (rc *runtimeComponent) deliverDirect(m bus.Message) bool {
+	switch m.Kind {
+	case bus.Request:
+		return false
+	case bus.Reply:
+		rc.waiters.settle(m.Corr, m.Payload)
+	case bus.Control:
+		// A cancel overtakes the request it revokes (Control skips the EDF
+		// lane and passes pauseRequests barriers, and is settled here while
+		// the request still queues); record it so the request is answered
+		// unserved when it surfaces, and reclaim the matching stream
+		// producer if one is running.
+		switch m.Op {
+		case bus.OpCancel:
+			rc.cancels.add(m.Src, m.Corr, time.Now().UnixNano())
+			rc.cancelStream(m.Src, m.Corr)
+		case bus.OpStreamCredit:
+			rc.grantStream(m.Src, m.Corr, m.Payload)
+		}
+	}
+	return true
 }
 
 // stop cancels the serve loop and waits for in-flight work.
@@ -329,7 +347,8 @@ func (rc *runtimeComponent) serve(m bus.Message) {
 
 	// One clock read closes service: the end timestamp feeds the QoS monitor
 	// (spans auto-feed the monitor — RecordAt reuses it instead of a second
-	// clock read) and, for traced requests, the server span below.
+	// clock read), stamps the served/failed event and, for traced requests,
+	// closes the server span below.
 	ended := rc.sys.clk.Now()
 	endNs := ended.UnixNano()
 	elapsed := ended.Sub(started)
@@ -354,22 +373,22 @@ func (rc *runtimeComponent) serve(m bus.Message) {
 		}
 		if err != nil {
 			tc.Finish(err.Error(), errKindOf(err))
-			rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: rc.sys.clk.Now(),
+			rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: ended,
 				Component: rc.name, Detail: m.Op + ": " + err.Error()})
 		} else {
 			tc.Finish("", connector.ErrKindNone)
-			rc.sys.events.Emit(Event{Kind: EvRequestServed, At: rc.sys.clk.Now(),
+			rc.sys.events.Emit(Event{Kind: EvRequestServed, At: ended,
 				Component: rc.name, Detail: m.Op})
 		}
 		reply.Payload = m.Payload
 	} else if err != nil {
 		reply.Payload = connector.ReplyPayload{Err: err.Error(), Kind: errKindOf(err)}
-		rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: rc.sys.clk.Now(),
+		rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: ended,
 			Component: rc.name, Detail: m.Op + ": " + err.Error()})
 	} else {
 		results, _ := res.([]any)
 		reply.Payload = connector.ReplyPayload{Results: results}
-		rc.sys.events.Emit(Event{Kind: EvRequestServed, At: rc.sys.clk.Now(),
+		rc.sys.events.Emit(Event{Kind: EvRequestServed, At: ended,
 			Component: rc.name, Detail: m.Op})
 	}
 	_ = rc.sys.bus.Send(reply)
@@ -410,7 +429,8 @@ func (rc *runtimeComponent) recordServerSpan(m *bus.Message, startNs, endNs int6
 // pending entry — and carries the structured kind so identity survives
 // relays.
 func (rc *runtimeComponent) rejectUnserved(m *bus.Message, reason string, kind connector.ErrKind) {
-	rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: rc.sys.clk.Now(),
+	at := rc.sys.clk.Now()
+	rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: at,
 		Component: rc.name, Detail: m.Op + ": " + reason})
 	reject := bus.Message{
 		Kind: bus.Reply, Op: m.Op,
@@ -427,7 +447,7 @@ func (rc *runtimeComponent) rejectUnserved(m *bus.Message, reason string, kind c
 	// A rejected request never entered service: its span is all queue wait
 	// (Start == End), which is exactly what the queue/service split should
 	// show for work shed after the caller gave up.
-	now := rc.sys.clk.Now().UnixNano()
+	now := at.UnixNano()
 	rc.recordServerSpan(m, now, now, outcomeOfKind(kind))
 }
 

@@ -1,6 +1,6 @@
 // Server-streaming calls with credit-based flow control (DESIGN.md §10).
 // This file is the consumer half of the stream plane: the Stream handle, the
-// correlation-sharded stream table the reply pump dispatches into, and the
+// correlation-sharded stream table settleClient dispatches into, and the
 // platform-edge open. Like the EDF lane and the credit window it stays off
 // the time package — every wait here is bounded by the caller's context,
 // and the open's deadline is stamped by the shared admit path.
@@ -32,11 +32,12 @@ const maxStreamWindow = 4096
 var ErrStreamClosed = errors.New("core: stream closed")
 
 // Stream is one in-flight server stream: one request, many correlated
-// server-push items. Items arrive through the client reply pump into a
-// ring sized to the credit window, so a Recv of a buffered item allocates
-// nothing; when the ring drains Recv blocks until the producer pushes or
-// the stream ends. The stream ends with io.EOF (clean), a typed error
-// (deadline, cancellation), or an application error.
+// server-push items. Items arrive on the producer's goroutine, through the
+// client edge's direct endpoint (settleClient), into a ring sized to the
+// credit window, so a Recv of a buffered item allocates nothing; when the
+// ring drains Recv blocks until the producer pushes or the stream ends. The
+// stream ends with io.EOF (clean), a typed error (deadline, cancellation),
+// or an application error.
 //
 // A Stream is owned by one consumer: Recv must not be called concurrently.
 // Close is safe to call at any time and from other goroutines.
@@ -61,7 +62,7 @@ type Stream struct {
 	notify   chan struct{} // capacity 1: wake the blocked consumer
 }
 
-// push accepts one item from the reply pump; it reports false when the
+// push accepts one item from settleClient; it reports false when the
 // stream is gone (closed/ended) or the ring is full — a protocol violation
 // by the producer, since credit bounds in-flight items to the window — and
 // the caller counts the item as shed.
@@ -162,14 +163,13 @@ func (s *Stream) Grant(n int) {
 // Best-effort like cancel: lost credit only costs throughput, never
 // correctness (the stream's deadline still bounds it).
 func (s *Stream) sendCredit(n int) {
-	epsp := s.sys.clientEPs.Load()
-	if epsp == nil {
+	addrs := s.sys.clientAddrs.Load()
+	if addrs == nil {
 		return
 	}
-	ep := (*epsp)[s.corr&(clientEndpoints-1)]
 	_ = s.sys.bus.Send(bus.Message{
 		Kind: bus.Control, Op: bus.OpStreamCredit,
-		Src: ep.Addr(), Dst: s.c.b.dst, Corr: s.corr, Payload: n,
+		Src: (*addrs)[s.corr&(clientEndpoints-1)], Dst: s.c.b.dst, Corr: s.corr, Payload: n,
 	})
 }
 
@@ -236,7 +236,7 @@ func (c *Client) streamOpen(ctx context.Context, op string, args []any, window i
 	if window > maxStreamWindow {
 		window = maxStreamWindow
 	}
-	ep, corr, dl, tr, err := c.admit(ctx, op)
+	src, corr, dl, tr, err := c.admit(ctx, op)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +254,7 @@ func (c *Client) streamOpen(ctx context.Context, op string, args []any, window i
 	m := bus.Message{
 		Kind: bus.Request, Op: op,
 		Payload: connector.StreamOpenPayload{Principal: c.principal, Args: args, Window: window},
-		Src:     ep.Addr(), Dst: c.b.dst, Corr: corr,
+		Src:     src, Dst: c.b.dst, Corr: corr,
 		Deadline: dl,
 		Trace:    tr.trace, Span: tr.span,
 	}
@@ -277,7 +277,7 @@ func (s *System) PendingStreams() int {
 	return s.clientStreams.outstanding()
 }
 
-// ShedStreamItems reports stream chunks dropped at the reply pump because
+// ShedStreamItems reports stream chunks dropped at the client edge because
 // their stream was already closed (or its ring overrun by a misbehaving
 // producer). Together with Stream.Received it closes the conservation
 // ledger: every chunk a producer sent was either received or shed.
@@ -299,7 +299,7 @@ func (s *System) ActiveStreams() int {
 }
 
 // streamWaiters is the correlation-sharded stream table, the streaming
-// sibling of replyWaiters: the reply pump looks a chunk's stream up without
+// sibling of replyWaiters: settleClient looks a chunk's stream up without
 // taking it and takes it only on the terminal end.
 type streamWaiters struct {
 	shards [waiterShards]streamShard

@@ -27,9 +27,11 @@ type streamKey struct {
 }
 
 // mailboxFullRetry is how long a producer parks before re-offering a chunk
-// to a full consumer mailbox. Credit normally prevents this entirely (the
-// window bounds in-flight chunks well below mailbox capacity); the retry
-// loop only matters when unrelated traffic fills the shared client shard.
+// to a full consumer mailbox. A consumer at the platform edge has none —
+// chunks settle inline into the stream's ring — so the retry loop only
+// matters for a consumer behind a mailbox (a mediating connector) that
+// unrelated traffic fills; even there credit bounds in-flight chunks well
+// below mailbox capacity.
 const mailboxFullRetry = 200 * time.Microsecond
 
 // streamProducer is one running server stream on the serve side. It

@@ -135,19 +135,17 @@ type System struct {
 	// the other still holds quiesced. Data-plane traffic never touches it.
 	reconfigMu sync.Mutex
 
-	clientMu      sync.Mutex // control plane: client endpoint lifecycle
-	clientEPs     atomic.Pointer[[]*bus.Endpoint]
+	// clientAddrs are the client edge's bus addresses, nil until Start.
+	clientAddrs   atomic.Pointer[[]bus.Address]
 	clientCorr    atomic.Uint64
 	clientWaiters replyWaiters
 	// clientStreams is the correlation-sharded table of open server
-	// streams; the reply pump routes chunk and end payloads through it.
+	// streams; settleClient routes chunk and end payloads through it.
 	clientStreams streamWaiters
 	// streamShed counts chunks that arrived for a stream the consumer had
 	// already closed (or whose ring a misbehaving producer overran) — the
 	// shed side of the conservation ledger sent == received + shed.
 	streamShed atomic.Uint64
-	clientWG   sync.WaitGroup
-	clientStop context.CancelFunc
 
 	// clients is the compiled client-binding table (see client.go): one
 	// canonical *Client per component name, created on first System.Client
@@ -157,9 +155,9 @@ type System struct {
 }
 
 // clientEndpoints is the size of the sharded platform edge: external calls
-// spread across this many bus endpoints (each with its own mailbox, route
-// lock and reply pump) so concurrent callers do not funnel their replies
-// through a single route. Power of two.
+// spread across this many bus endpoints (each with its own route lock) so
+// concurrent callers do not funnel their replies through a single route.
+// Power of two.
 const clientEndpoints = 8
 
 // Assembly errors.
@@ -421,64 +419,51 @@ func (s *System) Start(ctx context.Context) error {
 	return s.startClient()
 }
 
-// startClient attaches the sharded external-caller endpoints used by Call.
+// startClient attaches the sharded client edge: clientEndpoints direct bus
+// endpoints whose deliveries settle on the replier's goroutine (see
+// settleClient). It starts no goroutine.
 func (s *System) startClient() error {
-	ctx, cancel := context.WithCancel(s.ctx)
-	eps := make([]*bus.Endpoint, clientEndpoints)
-	for i := range eps {
-		ep, err := s.bus.Attach(bus.Address(fmt.Sprintf("client:%s#%d", s.name, i)), s.mailbox)
-		if err != nil {
-			cancel()
+	addrs := make([]bus.Address, clientEndpoints)
+	for i := range addrs {
+		addrs[i] = bus.Address(fmt.Sprintf("client:%s#%d", s.name, i))
+		// Mailbox of 1: settleClient declines nothing, so nothing queues.
+		if _, err := s.bus.AttachDirect(addrs[i], 1, s.settleClient); err != nil {
 			return err
 		}
-		eps[i] = ep
 	}
-	s.clientMu.Lock()
-	s.clientEPs.Store(&eps)
-	s.clientStop = cancel
-	s.clientMu.Unlock()
-	for _, ep := range eps {
-		ep := ep
-		s.clientWG.Add(1)
-		go func() {
-			defer s.clientWG.Done()
-			for {
-				m, err := ep.Receive(ctx)
-				if err != nil {
-					return
-				}
-				if m.Kind != bus.Reply {
-					continue
-				}
-				// Stream traffic dispatches on payload type before the
-				// unary waiter path: chunks look their stream up without
-				// taking it, the end takes it. The chunk envelope is
-				// released here, in the pump — the item has moved into the
-				// stream's ring, so the steady-state receive path recycles
-				// every envelope it leases.
-				switch pl := m.Payload.(type) {
-				case *connector.StreamItem:
-					if st, ok := s.clientStreams.lookup(m.Corr); ok && st.push(pl.Item) {
-						pl.Release()
-						continue
-					}
-					s.streamShed.Add(1)
-					pl.Release()
-					continue
-				case connector.StreamEndPayload:
-					if st, ok := s.clientStreams.take(m.Corr); ok {
-						st.finish(pl.Err, pl.Kind)
-					}
-					continue
-				}
-				if w, ok := s.clientWaiters.take(m.Corr); ok {
-					payload, _ := m.Payload.(connector.ReplyPayload)
-					w <- payload
-				}
-			}
-		}()
-	}
+	s.clientAddrs.Store(&addrs)
 	return nil
+}
+
+// settleClient is the client edge's bus.DirectFunc: it consumes everything
+// addressed to a client endpoint inline, on the goroutine that sent it —
+// the serving worker, a connector, or a peer link's read pump. Every step
+// is a short sharded critical section or a send on a cap-1 channel that
+// receives exactly one reply, so it honours the direct-delivery contract:
+// no blocking, no call back into the bus.
+func (s *System) settleClient(m bus.Message) bool {
+	if m.Kind != bus.Reply {
+		return true
+	}
+	// Stream traffic dispatches on payload type before the unary waiter
+	// path: chunks look their stream up without taking it, the end takes
+	// it. The chunk envelope is released here — the item has moved into the
+	// stream's ring, so the steady-state receive path recycles every
+	// envelope it leases.
+	switch pl := m.Payload.(type) {
+	case *connector.StreamItem:
+		if st, ok := s.clientStreams.lookup(m.Corr); !ok || !st.push(pl.Item) {
+			s.streamShed.Add(1)
+		}
+		pl.Release()
+	case connector.StreamEndPayload:
+		if st, ok := s.clientStreams.take(m.Corr); ok {
+			st.finish(pl.Err, pl.Kind)
+		}
+	default:
+		s.clientWaiters.settle(m.Corr, m.Payload)
+	}
+	return true
 }
 
 // Stop shuts everything down and waits for goroutines to exit.
@@ -502,10 +487,6 @@ func (s *System) Stop() {
 	s.mu.Unlock()
 
 	s.triggers.stop()
-	if s.clientStop != nil {
-		s.clientStop()
-	}
-	s.clientWG.Wait()
 	for _, rc := range comps {
 		rc.stop()
 	}

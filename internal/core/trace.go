@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"time"
 
 	"repro/internal/connector"
 	"repro/internal/telemetry"
@@ -58,10 +59,14 @@ func traceFrom(ctx context.Context) (trace, span int64, ok bool) {
 	return v.trace, v.span, true
 }
 
+// wallNanos is the client edge's span clock: the wall clock, like the
+// deadlines the same edge stamps, so admit's one entry read serves both.
+func wallNanos() int64 { return time.Now().UnixNano() }
+
 // traceStart makes the root-or-continuation decision for one admitted call.
-// now is a unix-ns timestamp the caller may already hold (0 = not read
-// yet); the clock is only consulted for calls that are actually traced, so
-// with sampling off the call path pays one atomic load and nothing else.
+// now is admit's call-entry stamp, which becomes the client span's start; it
+// is 0 only when sampling was switched on between admit's check and this
+// one, and the clock is read here instead.
 func (c *Client) traceStart(ctx context.Context, now int64) traceRef {
 	s := c.b.sys
 	if t, sp, ok := traceFrom(ctx); ok {
@@ -71,7 +76,7 @@ func (c *Client) traceStart(ctx context.Context, now int64) traceRef {
 		return traceRef{}
 	}
 	if now == 0 {
-		now = s.clk.Now().UnixNano()
+		now = wallNanos()
 	}
 	return traceRef{
 		trace: telemetry.NewTraceID(),
@@ -80,26 +85,27 @@ func (c *Client) traceStart(ctx context.Context, now int64) traceRef {
 	}
 }
 
-// recordEdgeSpan closes the client-edge span of a traced call. kind is
-// KindClient for unary shapes and KindStream for stream opens;
-// continuations (start == 0) and untraced calls record nothing.
+// recordEdgeSpan closes the client-edge span of a traced call, the last
+// thing a call shape does: the end stamp is taken inside the recorder, after
+// the ring slot is claimed. kind is KindClient for unary shapes and
+// KindStream for stream opens; continuations (start == 0) and untraced
+// calls record nothing.
 func (c *Client) recordEdgeSpan(tr traceRef, op string, kind telemetry.Kind, outcome telemetry.Outcome) {
 	if tr.trace == 0 || tr.start == 0 {
 		return
 	}
 	s := c.b.sys
-	s.rec.Record(telemetry.Span{
+	s.rec.RecordClosing(telemetry.Span{
 		Trace:   tr.trace,
 		ID:      telemetry.SpanID(tr.span),
 		Parent:  telemetry.ParentID(tr.span),
 		Start:   tr.start,
-		End:     s.clk.Now().UnixNano(),
 		Op:      op,
 		Comp:    c.b.name,
 		Src:     s.NodeName(),
 		Kind:    kind,
 		Outcome: outcome,
-	})
+	}, wallNanos)
 }
 
 // outcomeOf classifies a call-shape error into a span outcome. The kind

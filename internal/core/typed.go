@@ -264,7 +264,7 @@ func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (
 	c := t.c
 	b := c.b
 	s := b.sys
-	ep, corr, dl, tr, err := c.admit(ctx, op)
+	src, corr, dl, tr, err := c.admit(ctx, op)
 	if err != nil {
 		// The overload-shed path exits here, before the envelope lease: a
 		// rejected typed call touches nothing poolable and allocates nothing.
@@ -275,7 +275,7 @@ func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (
 	m := bus.Message{
 		Kind: bus.Request, Op: op,
 		Payload: e,
-		Src:     ep.Addr(), Dst: b.dst, Corr: corr,
+		Src:     src, Dst: b.dst, Corr: corr,
 		Trace: tr.trace, Span: tr.span,
 		Deadline: dl,
 	}
@@ -362,7 +362,7 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 		principal: c.principal, req: req}
 	f.e = e
 	s := c.b.sys
-	ep, corr, dl, tr, err := c.admit(ctx, op)
+	src, corr, dl, tr, err := c.admit(ctx, op)
 	if err != nil {
 		f.settle(nil, err)
 		return f
@@ -372,7 +372,7 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 	m := bus.Message{
 		Kind: bus.Request, Op: op,
 		Payload: e,
-		Src:     ep.Addr(), Dst: c.b.dst, Corr: corr,
+		Src:     src, Dst: c.b.dst, Corr: corr,
 		Trace: tr.trace, Span: tr.span,
 		Deadline: dl,
 	}

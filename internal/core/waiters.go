@@ -53,6 +53,19 @@ func (w *replyWaiters) outstanding() int {
 	return n
 }
 
+// settle hands a reply's payload to the waiter registered for corr, if it is
+// still there (the caller may have given up and taken the slot itself). The
+// channel has capacity 1 and a slot is taken once, so the send never blocks
+// — which is what lets replies settle inside a bus.DirectFunc. A typed
+// call's reply carries its envelope, not a ReplyPayload: the waiter gets the
+// zero payload as a pure completion signal.
+func (w *replyWaiters) settle(corr uint64, payload any) {
+	if ch, ok := w.take(corr); ok {
+		p, _ := payload.(connector.ReplyPayload)
+		ch <- p
+	}
+}
+
 // take removes and returns the reply channel for corr, if present.
 func (w *replyWaiters) take(corr uint64) (chan connector.ReplyPayload, bool) {
 	s := w.shard(corr)

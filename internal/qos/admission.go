@@ -14,11 +14,15 @@ import "sync/atomic"
 //	estimatedWait = ewma(serviceTime) × pendingDepth / workers
 //
 // where pendingDepth is supplied by the caller (mailbox depth plus in-flight
-// serves — both readable from existing atomics) and workers is the serve
-// pool width. Both Observe and Admit are lock-free and allocation-free: the
-// EWMA update is a racy load-compute-store (lost updates merely slow
-// convergence, they cannot corrupt the value — the store is always a whole
-// int64), which keeps the admission check off every mutex in the system.
+// serves — both readable from existing atomics) and workers is the
+// parallelism the estimate assumes: the component's resident serve workers.
+// That is a model, not a limit — a component starts spare workers on demand
+// and serves everything delivered to it at once, which is why in-flight
+// serves count toward pendingDepth. Both Observe and Admit are lock-free and
+// allocation-free: the EWMA update is a racy load-compute-store (lost
+// updates merely slow convergence, they cannot corrupt the value — the store
+// is always a whole int64), which keeps the admission check off every mutex
+// in the system.
 //
 // This file must stay free of the time package: all quantities are int64
 // nanoseconds, matching bus.Message.Deadline (the PR 5 size-class lesson —
@@ -77,11 +81,11 @@ func (a *Admission) EstimatedWaitNanos(pending int64) int64 {
 }
 
 // Admit reports whether a call with the given remaining budget (nanoseconds)
-// should be accepted given the current pending depth. A call that will not
-// queue — a serve worker is free — is always admitted: an idle component is
-// never overloaded, and whether the budget covers the service time is the
-// caller's gamble (it expires as DeadlineExceeded, not as a retry-later
-// signal). A call that will queue must have budget for both the estimated
+// should be accepted given the current pending depth. A call arriving behind
+// fewer than workers others — a resident worker is parked to take it — is
+// always admitted: an idle component is never overloaded, and whether the
+// budget covers the service time is the caller's gamble (it expires as
+// DeadlineExceeded, not as a retry-later signal). A call that will queue must have budget for both the estimated
 // queueing delay AND one expected service time — admitting with just enough
 // budget to reach the front of the queue dooms the call to expire
 // mid-service, wasting the very capacity admission exists to protect. Calls

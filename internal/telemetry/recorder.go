@@ -154,7 +154,13 @@ func (r *Recorder) SampleRoot() bool {
 // Record publishes one finished span. Lock-free, 0 allocs/op (pinned in
 // alloc_test.go); spans with a zero trace id are ignored so callers can
 // record unconditionally after stamping.
-func (r *Recorder) Record(s Span) {
+func (r *Recorder) Record(s Span) { r.RecordClosing(s, nil) }
+
+// RecordClosing is Record for a span that ends with the act of recording
+// it: a non-nil now is read into End once the ring slot is claimed, so the
+// span covers the claim and leaves only the copy into the slot outside. The
+// clock is the caller's — this file stays off the time package.
+func (r *Recorder) RecordClosing(s Span, now func() int64) {
 	if r == nil || s.Trace == 0 {
 		return
 	}
@@ -165,6 +171,9 @@ func (r *Recorder) Record(s Span) {
 	if st&1 != 0 || !sl.state.CompareAndSwap(st, st+1) {
 		r.lost.Add(1)
 		return
+	}
+	if now != nil {
+		s.End = now()
 	}
 	sl.span = s
 	sl.state.Store(st + 2)
