@@ -175,6 +175,49 @@ func TestAdmittedDeadlineCallAllocs(t *testing.T) {
 	}
 }
 
+// TestRemoteTypedCallAllocs pins location transparency's allocation cost: a
+// typed call with a deadline budget to a component on the other node of a
+// two-node cluster, counted across both nodes (they share this process) —
+// gateway, egress, wire codec, the peer link's bus endpoint, the serve and
+// the way back. The budget is 18; the path measures 13 here (14 by sites:
+// on the caller node the raw argument buffer and ParseReply's three, on the
+// callee node ParseCall's five, the CallPayload box and the serve's four —
+// the one-byte key and the short names share tiny-allocator blocks). Nothing is
+// allocated just to wait: no goroutine, context, timer, waiter channel or
+// continuation closure per call on either node.
+func TestRemoteTypedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	h, err := aas.StartCluster(context.Background(), aas.ClusterSpec{
+		ADL:       benchClusterADL,
+		Nodes:     []string{"n1", "n2"},
+		Placement: map[string]string{"Front": "n1", "Store": "n2"},
+		Registry:  benchClusterRegistry,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ctx := context.Background()
+	store := aas.ClientOf[string, string](h.System("n1"), "Store").With(aas.WithDeadline(5 * time.Second))
+	// Warm the envelope pool, the link's tables and both egress queues.
+	for i := 0; i < 256; i++ {
+		if _, err := store.Call(ctx, "get", "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := minAllocsPerRun(5, 200, func() {
+		if v, err := store.Call(ctx, "get", "k"); err != nil || v != "k" {
+			t.Fatalf("get = %q, %v", v, err)
+		}
+	})
+	if allocs > 18 {
+		t.Fatalf("remote typed call allocates %.1f/op across both nodes, budget 18", allocs)
+	}
+	t.Logf("remote typed call: %.1f allocs/op", allocs)
+}
+
 // TestMonitorRecordAllocs pins the QoS hot counter at zero allocations.
 func TestMonitorRecordAllocs(t *testing.T) {
 	if raceEnabled {

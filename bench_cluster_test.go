@@ -118,6 +118,25 @@ func BenchmarkClusterParallelRemoteCall(b *testing.B) {
 	})
 }
 
+// BenchmarkClusterTypedRemoteCall is the ledger's remote_unary shape as a Go
+// benchmark: one caller, a typed handle with a deadline budget, one call in
+// flight. allocs/op counts both nodes.
+func BenchmarkClusterTypedRemoteCall(b *testing.B) {
+	h := startBenchCluster(b)
+	store := aas.ClientOf[string, string](h.System("n1"), "Store").With(aas.WithDeadline(5 * time.Second))
+	ctx := context.Background()
+	if _, err := store.Call(ctx, "get", "warm"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := store.Call(ctx, "get", "k"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClusterBatchedRemoteCall measures the cross-node path under deep
 // concurrency with a 200µs egress linger: concurrent callers' frames
 // coalesce into FrameBatch writes, amortizing the syscall per call.

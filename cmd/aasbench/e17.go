@@ -30,8 +30,9 @@ import (
 //     propagated deadline must reach the remote callee over the wire.
 //
 // The experiment asserts zero non-deadline errors, zero leaked waiter slots
-// on both nodes (PendingCalls drains to zero), and reports how much faster
-// a cancelled call returns than the fallback would allow.
+// and served-call records on both nodes (PendingCalls and ServedCalls drain
+// to zero), and reports how much faster a cancelled call returns than the
+// fallback would allow.
 const e17ADL = `
 system AsyncDist {
   component Store {
@@ -180,11 +181,16 @@ func runE17() {
 
 	// Every aborted call must have released its reply-waiter slot; give
 	// stragglers (replies racing the deadline) a moment to drain.
+	// A node holds a waiter slot for a call it made and a served-call record
+	// for one a peer made to it (an inbound call has no waiter); both count.
+	held := func(node string) int {
+		return h.System(node).PendingCalls() + h.Node(node).ServedCalls()
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for sys1.PendingCalls()+sys2.PendingCalls() > 0 && time.Now().Before(deadline) {
+	for held("n1")+held("n2") > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	p1, p2 := sys1.PendingCalls(), sys2.PendingCalls()
+	p1, p2 := held("n1"), held("n2")
 	fmt.Printf("reply-waiter slots outstanding after the storm: n1=%d n2=%d\n", p1, p2)
 	if fanoutErrs != 0 || unexpected.Load() != 0 || p1 != 0 || p2 != 0 {
 		log.Fatal("E17 FAILED: lost calls or leaked waiter slots under cancellation storm")

@@ -23,22 +23,25 @@ func slowRegistry(served *atomic.Int64, delay time.Duration) func(string) *regis
 	}
 }
 
-// waitPendingZero polls both systems' waiter tables down to zero within the
+// waitPendingZero polls every node's call tables down to zero within the
 // window — far below the calls' multi-second budgets, so passing proves the
-// slots were reclaimed by cancellation, not by budget expiry.
-func waitPendingZero(t *testing.T, window time.Duration, syss ...*core.System) {
+// records were reclaimed by cancellation, not by budget expiry. A caller
+// node holds waiter slots (PendingCalls); a callee node holds none for an
+// inbound call, only its link's served-call record (ServedCalls), so both
+// are counted on every node.
+func waitPendingZero(t *testing.T, window time.Duration, h *Harness) {
 	t.Helper()
 	deadline := time.Now().Add(window)
 	for {
 		n := 0
-		for _, s := range syss {
-			n += s.PendingCalls()
+		for _, id := range h.Nodes() {
+			n += h.System(id).PendingCalls() + h.Node(id).ServedCalls()
 		}
 		if n == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d waiter slots still held after %v", n, window)
+			t.Fatalf("%d call records still held after %v", n, window)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -46,9 +49,9 @@ func waitPendingZero(t *testing.T, window time.Duration, syss ...*core.System) {
 
 // TestClusterCancelPropagation is the acceptance test of remote call
 // revocation (wire v4): cancelling a long-budget cross-node call frees the
-// caller's and the callee's waiter slots immediately — no waiting out the
-// shipped budget — and a cancelled call still queued at the serving
-// component is rejected before its handler runs.
+// caller's waiter slot and the callee link's record of it immediately — no
+// waiting out the shipped budget — and a cancelled call still queued at the
+// serving component is rejected before its handler runs.
 func TestClusterCancelPropagation(t *testing.T) {
 	served := new(atomic.Int64)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -72,8 +75,8 @@ func TestClusterCancelPropagation(t *testing.T) {
 	}
 
 	// 1. Cancel an in-flight call carrying a 10s budget. FrameCancel must
-	// release the callee's waiter slot in cancel-order time; without it the
-	// slot would pin until the shipped budget expires.
+	// release the callee's record in cancel-order time; without it the
+	// record would pin until the shipped budget expires.
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer ccancel()
 	done := make(chan error, 1)
@@ -86,7 +89,7 @@ func TestClusterCancelPropagation(t *testing.T) {
 	if cerr := <-done; !errors.Is(cerr, context.Canceled) {
 		t.Fatalf("cancelled call err = %v, want context.Canceled", cerr)
 	}
-	waitPendingZero(t, 2*time.Second, sys1, sys2)
+	waitPendingZero(t, 2*time.Second, h)
 
 	// Let the abandoned handler finish so its serve count is banked before
 	// the queued-revocation phase measures.
@@ -123,5 +126,5 @@ func TestClusterCancelPropagation(t *testing.T) {
 	if got := served.Load(); got != base {
 		t.Fatalf("revoked parked request reached the container (%d extra serves)", got-base)
 	}
-	waitPendingZero(t, 2*time.Second, sys1, sys2)
+	waitPendingZero(t, 2*time.Second, h)
 }

@@ -152,6 +152,9 @@ type Node struct {
 	// crossing the wire: expired in a gateway mailbox's EDF lane, expired
 	// at forward time, or expired in the egress queue (see ShedStats).
 	shedGateway atomic.Uint64
+	// linkSeq numbers link incarnations; it makes each link's bus address
+	// unique for the life of the node (see peer.addr).
+	linkSeq atomic.Uint64
 }
 
 // callKey identifies a caller-side in-flight request: the caller's reply
@@ -168,9 +171,12 @@ type remoteRef struct {
 }
 
 // gateway is a forwarding endpoint occupying a remote component's canonical
-// bus address.
+// bus address. It is a direct endpoint: a unary request that can go straight
+// onto the owning peer's link is forwarded inside the caller's bus.Send
+// (forwardDirect); everything else queues for gatewayLoop.
 type gateway struct {
 	comp   string
+	addr   bus.Address // core.ComponentAddress(comp): the Src of every reply
 	ep     *bus.Endpoint
 	cancel context.CancelFunc
 }
@@ -403,6 +409,22 @@ func (n *Node) ShedStats() (shed uint64) {
 	return n.shedGateway.Load()
 }
 
+// ServedCalls reports how many calls this node is serving for its peers: the
+// inbound calls its links have put on the local bus and not yet seen
+// answered, revoked or expired. It is the callee-side counterpart of
+// core.System.PendingCalls — an inbound call holds no waiter slot, only its
+// link's record — and like it returns to zero at quiescence; a leak here is
+// a bug.
+func (n *Node) ServedCalls() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	total := 0
+	for _, p := range n.peers {
+		total += p.servedCalls()
+	}
+	return total
+}
+
 // Telemetry returns the node's unified metrics snapshot: the system-level
 // sections filled by core.System.Telemetry plus the distribution-plane
 // sections only this layer can see — gateway sheds and one LinkState per
@@ -581,7 +603,10 @@ func (n *Node) addPeer(conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, h wi
 	n.membership.linkUp(h.Node, h.Addr, h.Components)
 	n.sys.Events().Emit(core.Event{Kind: core.EvPeerUp, At: n.sys.Now(),
 		Component: h.Node, Detail: conn.RemoteAddr().String()})
-	p.start()
+	if err := p.start(); err != nil {
+		n.peerDown(p, "start: "+err.Error())
+		return err
+	}
 	return nil
 }
 
@@ -617,7 +642,10 @@ func (n *Node) attachGateway(comp string) error {
 	n.mu.Unlock()
 
 	addr := core.ComponentAddress(comp)
-	ep, err := n.sys.Bus().Attach(addr, gatewayMailbox)
+	g := &gateway{comp: comp, addr: addr}
+	ep, err := n.sys.Bus().AttachDirect(addr, gatewayMailbox, func(m bus.Message) bool {
+		return n.forwardDirect(g, &m)
+	})
 	if err != nil {
 		// Address taken: the component is local (or a gateway raced us in).
 		if errors.Is(err, bus.ErrAddressTaken) {
@@ -630,7 +658,7 @@ func (n *Node) attachGateway(comp string) error {
 	// sheds into the node's edge accounting.
 	ep.SetExpiredFunc(func(bus.Message) { n.shedGateway.Add(1) })
 	ctx, cancel := context.WithCancel(n.ctx)
-	g := &gateway{comp: comp, ep: ep, cancel: cancel}
+	g.ep, g.cancel = ep, cancel
 	n.mu.Lock()
 	if n.closed || n.gateways[comp] != nil {
 		n.mu.Unlock()
@@ -688,8 +716,26 @@ func (n *Node) detachGateway(g *gateway) {
 	}
 }
 
-// gatewayLoop forwards every request arriving at the gateway's address over
-// the owning peer's link.
+// forwardDirect is the gateway's bus.DirectFunc: a unary request that can go
+// onto the owning peer's link as it stands is forwarded here, inside the
+// caller's bus.Send. Everything else is declined and queues for gatewayLoop:
+// controls, stream opens, and every request forward refuses — those must be
+// answered with a bus.Send of their own, which the direct contract forbids
+// (the same split runtimeComponent.deliverDirect makes). It runs under the
+// gateway address's route lock; forward takes short locks, reads the clock
+// and queues one egress item.
+func (n *Node) forwardDirect(g *gateway, m *bus.Message) bool {
+	if m.Kind != bus.Request {
+		return false
+	}
+	if _, ok := m.Payload.(connector.StreamOpenPayload); ok {
+		return false
+	}
+	kind, _ := n.forward(g, m)
+	return kind == connector.ErrKindNone
+}
+
+// gatewayLoop serves what forwardDirect declined at the gateway's address.
 func (n *Node) gatewayLoop(g *gateway, ctx context.Context) {
 	defer n.wg.Done()
 	for {
@@ -716,31 +762,50 @@ func (n *Node) gatewayLoop(g *gateway, ctx context.Context) {
 			n.forwardStreamOpen(g.comp, m, open)
 			continue
 		}
-		n.forward(g.comp, m)
+		// A request the direct path refused. Try again — the refusal may have
+		// been momentary — and answer it here if it is refused again.
+		if kind, reason := n.forward(g, &m); kind != connector.ErrKindNone {
+			if kind == connector.ErrKindDeadline {
+				n.shedGateway.Add(1)
+			}
+			// The kind rides on the payload so typed handles map it back to
+			// a sentinel without string matching.
+			_ = n.sys.Bus().Send(bus.Message{
+				Kind: bus.Reply, Op: m.Op,
+				Payload: connector.ReplyPayload{Err: reason, Kind: kind},
+				Src:     g.addr, Dst: m.Src, Corr: m.Corr,
+			})
+		}
 	}
 }
 
-// forward ships one bus request over the wire and arranges for the peer's
-// reply to be re-emitted as a bus reply toward the original caller — from
-// the caller's perspective the remote component answered from its usual
-// address.
-func (n *Node) forward(comp string, m bus.Message) {
-	p := n.livePeer(n.Owner(comp))
+// forward ships one unary bus request over the wire and records what it
+// takes to re-emit the peer's reply as a bus reply toward the original
+// caller — from the caller's perspective the remote component answered from
+// its usual address. It sends nothing on the bus itself, so it runs on the
+// caller's goroutine inside forwardDirect as well as on the gateway loop's.
+// A request it cannot ship is refused with the error kind and text the
+// caller is owed, and nothing has changed.
+func (n *Node) forward(g *gateway, m *bus.Message) (connector.ErrKind, string) {
+	p := n.livePeer(n.Owner(g.comp))
 	if p == nil {
-		n.replyError(comp, m, fmt.Sprintf("cluster: no live peer hosts %s", comp))
-		return
+		return connector.ErrKindApp, fmt.Sprintf("cluster: no live peer hosts %s", g.comp)
 	}
+	return n.forwardVia(p, g, m)
+}
+
+// forwardVia is forward once the owning peer is picked.
+func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKind, string) {
+	comp := g.comp
 	// Deadline propagation: ship the remaining budget (relative, so peer
-	// clocks need not agree). A request that expired while queued at the
+	// clocks need not agree). A request that expired before reaching the
 	// gateway is answered here — crossing the wire to be rejected on the
 	// other side would waste a round trip on a caller that already left.
 	// The budget itself is stamped at write time from the absolute deadline
 	// (see egress), so only the already-expired check happens here.
 	if m.Deadline != 0 && time.Now().UnixNano() >= m.Deadline {
-		n.shedGateway.Add(1)
-		n.replyErrorKind(comp, m, connector.ErrKindDeadline,
-			fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op))
-		return
+		return connector.ErrKindDeadline,
+			fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op)
 	}
 	c := wire.Call{Component: comp, Op: m.Op}
 	switch pl := m.Payload.(type) {
@@ -751,56 +816,90 @@ func (n *Node) forward(comp string, m bus.Message) {
 		// into the frame verbatim — no []any boxing at the gateway.
 		raw, aerr := pl.AppendArgs(nil)
 		if aerr != nil {
-			n.replyErrorKind(comp, m, connector.ErrKindApp,
-				fmt.Sprintf("cluster: %s.%s: %v", comp, m.Op, aerr))
-			return
+			return connector.ErrKindApp, fmt.Sprintf("cluster: %s.%s: %v", comp, m.Op, aerr)
 		}
 		c.Principal, c.RawArgs = pl.Principal(), raw
 	}
+	pc := pendingCall{g: g, src: m.Src, srcCorr: m.Corr, op: m.Op, payload: m.Payload}
 	// Trace propagation: the gateway opens a forward span parented under the
 	// caller's span and ships its own id as the new parent, so the remote
 	// serve span hangs off the gateway hop.
-	var fwdStart int64
-	var fwdSpan uint32
-	trace, parentSpan := m.Trace, telemetry.SpanID(m.Span)
-	if trace != 0 {
-		fwdSpan = telemetry.NextSpanID()
-		c.Trace = trace
-		c.Span = telemetry.PackSpan(fwdSpan, parentSpan)
-		fwdStart = time.Now().UnixNano()
+	if m.Trace != 0 {
+		pc.trace, pc.parentSpan = m.Trace, telemetry.SpanID(m.Span)
+		pc.fwdSpan = telemetry.NextSpanID()
+		pc.fwdStart = time.Now().UnixNano()
+		c.Trace = m.Trace
+		c.Span = telemetry.PackSpan(pc.fwdSpan, pc.parentSpan)
 	}
-	corr := p.corr.Add(1)
-	c.Corr = corr
-	src, srcCorr, op := m.Src, m.Corr, m.Op
-	key := callKey{src: src, corr: srcCorr}
+	c.Corr = p.corr.Add(1)
+	key := callKey{src: m.Src, corr: m.Corr}
 	n.imu.Lock()
-	n.inflight[key] = remoteRef{p: p, corr: corr}
+	n.inflight[key] = remoteRef{p: p, corr: c.Corr}
 	n.imu.Unlock()
-	p.addPending(corr, func(rep wire.Reply) {
-		// Untrack first: the callback fires on every completion path (reply,
-		// egress-expiry, link failure), and a cancel arriving after that must
-		// find nothing to revoke.
-		n.imu.Lock()
-		delete(n.inflight, key)
-		n.imu.Unlock()
-		if fwdStart != 0 {
-			n.sys.Recorder().Record(telemetry.Span{
-				Trace: trace, ID: fwdSpan, Parent: parentSpan,
-				Start: fwdStart, End: time.Now().UnixNano(),
-				Op: op, Comp: comp, Src: n.id, Dst: p.id,
-				Kind: telemetry.KindForward, Outcome: telemetry.Outcome(rep.Kind),
-			})
+	p.addPending(c.Corr, pc)
+	// The link may have died since it was picked. failAll runs after down is
+	// set and fails what it finds registered, so re-checking down after
+	// registering leaves no gap: either failAll saw the record and is
+	// answering the caller, or it is still here and is withdrawn — to be
+	// refused at once rather than sit in a table nobody will ever fail,
+	// behind an egress nobody drains, for the caller's whole budget.
+	if p.down.Load() {
+		if _, ok := p.takePending(c.Corr); ok {
+			n.untrack(key)
+			return connector.ErrKindApp, "cluster: peer " + p.id + " down"
 		}
-		if serr := n.sys.Bus().Send(bus.Message{
-			Kind: bus.Reply, Op: op,
-			Payload: connector.ReplyPayload{Results: rep.Results, Err: rep.Err,
-				Kind: connector.ErrKind(rep.Kind)},
-			Src: core.ComponentAddress(comp), Dst: src, Corr: srcCorr,
-		}); serr != nil {
-			n.opts.Logf("cluster %s: dropped reply corr=%d: %v", n.id, srcCorr, serr)
-		}
-	})
+		return connector.ErrKindNone, ""
+	}
 	p.egress.enqueueCall(c, m.Deadline)
+	return connector.ErrKindNone, ""
+}
+
+// untrack forgets a caller-side in-flight request.
+func (n *Node) untrack(key callKey) {
+	n.imu.Lock()
+	delete(n.inflight, key)
+	n.imu.Unlock()
+}
+
+// settleForward completes one forwarded call with the reply its peer sent —
+// or the one made up for it when the call expired in the egress queue or its
+// link died: the forward span closes and the reply goes onto the bus toward
+// the original caller. A typed call's envelope is completed in place
+// (SetResults + Finish, the contract local serving uses) and rides back as
+// the request's own payload, so nothing is boxed for it; an envelope its
+// caller has abandoned is never pooled, so a late completion is harmless.
+func (n *Node) settleForward(p *peer, pc pendingCall, rep wire.Reply) {
+	// Untrack first: a cancel arriving after any completion must find
+	// nothing to revoke.
+	n.untrack(callKey{src: pc.src, corr: pc.srcCorr})
+	if pc.fwdStart != 0 {
+		n.sys.Recorder().Record(telemetry.Span{
+			Trace: pc.trace, ID: pc.fwdSpan, Parent: pc.parentSpan,
+			Start: pc.fwdStart, End: time.Now().UnixNano(),
+			Op: pc.op, Comp: pc.g.comp, Src: n.id, Dst: p.id,
+			Kind: telemetry.KindForward, Outcome: telemetry.Outcome(rep.Kind),
+		})
+	}
+	m := bus.Message{
+		Kind: bus.Reply, Op: pc.op,
+		Src: pc.g.addr, Dst: pc.src, Corr: pc.srcCorr,
+	}
+	if tc, ok := pc.payload.(connector.TypedCall); ok {
+		errMsg, kind := rep.Err, connector.ErrKind(rep.Kind)
+		if errMsg == "" {
+			if derr := tc.SetResults(rep.Results); derr != nil {
+				errMsg, kind = derr.Error(), connector.ErrKindApp
+			}
+		}
+		tc.Finish(errMsg, kind)
+		m.Payload = pc.payload
+	} else {
+		m.Payload = connector.ReplyPayload{Results: rep.Results, Err: rep.Err,
+			Kind: connector.ErrKind(rep.Kind)}
+	}
+	if serr := n.sys.Bus().Send(m); serr != nil {
+		n.opts.Logf("cluster %s: dropped reply corr=%d: %v", n.id, pc.srcCorr, serr)
+	}
 }
 
 // cancelForward revokes a forwarded call whose caller gave up (context
@@ -819,26 +918,11 @@ func (n *Node) cancelForward(m bus.Message) {
 	if !ok {
 		return // already replied, expired in egress, or never forwarded
 	}
-	ref.p.takePending(ref.corr)  // drop the continuation, suppress the late reply
+	ref.p.takePending(ref.corr)  // drop the record, suppress the late reply
 	ref.p.takeStreamIn(ref.corr) // and the stream record: late chunks find nothing
 	if !ref.p.down.Load() {
 		ref.p.egress.enqueueCancel(wire.Cancel{Corr: ref.corr})
 	}
-}
-
-// replyError answers a request locally with an error payload.
-func (n *Node) replyError(comp string, m bus.Message, reason string) {
-	n.replyErrorKind(comp, m, connector.ErrKindApp, reason)
-}
-
-// replyErrorKind answers a request locally with a typed error payload so
-// typed handles map it back to a sentinel without string matching.
-func (n *Node) replyErrorKind(comp string, m bus.Message, kind connector.ErrKind, reason string) {
-	_ = n.sys.Bus().Send(bus.Message{
-		Kind: bus.Reply, Op: m.Op,
-		Payload: connector.ReplyPayload{Err: reason, Kind: kind},
-		Src:     core.ComponentAddress(comp), Dst: m.Src, Corr: m.Corr,
-	})
 }
 
 // livePeer returns the linked, not-down peer with the given id, or nil.

@@ -433,7 +433,7 @@ system SlowDist {
 // TestClusterDeadlinePropagation: a caller-side context deadline crosses
 // the wire in the call frame and is enforced by the remote callee — the
 // caller returns in deadline-order time (not the 10s fallback), the callee
-// releases its own waiter slot instead of holding it for the fallback, and
+// releases its record of the call instead of holding it for the fallback, and
 // a request that expires while parked on the callee side is rejected before
 // it reaches the container.
 func TestClusterDeadlinePropagation(t *testing.T) {
@@ -479,13 +479,18 @@ func TestClusterDeadlinePropagation(t *testing.T) {
 		t.Fatalf("cancelled cross-node call took %v (fallback burn)", elapsed)
 	}
 
-	// 2. The callee observed the propagated deadline: its own local wait
-	// aborts at ~60ms and releases the waiter slot instead of pinning it
-	// for the 10s fallback while the handler sleeps on.
+	// 2. The callee observed the propagated deadline: the link's record of
+	// the abandoned call leaves its serve table — swept by its shipped
+	// deadline on the next beacon tick, or released by the handler's answer,
+	// whichever comes first — instead of staying for the 10s fallback. (An
+	// inbound call holds no waiter slot on the callee since the link became
+	// a bus participant, so the serve table is what this asserts; it used to
+	// be sys2.PendingCalls.)
+	n2 := h.Node("n2")
 	deadline := time.Now().Add(3 * time.Second)
-	for sys2.PendingCalls() != 0 {
+	for n2.ServedCalls() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("callee still holds %d waiter slots for an abandoned call", sys2.PendingCalls())
+			t.Fatalf("callee still holds %d served-call records for an abandoned call", n2.ServedCalls())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

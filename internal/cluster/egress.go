@@ -275,7 +275,7 @@ type encodeFailure struct {
 }
 
 // answerLocally settles, on this side of the link, a frame that will not be
-// written: a call's pending continuation and a stream open's consumer get a
+// written: a call's pending record and a stream open's consumer get a
 // typed error, a chunk's relay is aborted so the consumer sees an end rather
 // than a gap in the sequence, a dropped snapshot is logged (the replicator's
 // next round retries; ack lag shows the gap). Cancels, credits, ends and
@@ -284,8 +284,8 @@ func (e *egress) answerLocally(it *egressItem, kind uint8, reason string) {
 	p := e.p
 	switch it.kind {
 	case wire.FrameCall:
-		if cb, ok := p.takePending(it.call.Corr); ok {
-			cb(wire.Reply{Corr: it.call.Corr, Kind: kind,
+		if pc, ok := p.takePending(it.call.Corr); ok {
+			p.n.settleForward(p, pc, wire.Reply{Corr: it.call.Corr, Kind: kind,
 				Err: "cluster: " + it.call.Component + "." + it.call.Op + ": " + reason})
 		}
 	case wire.FrameStreamOpen:

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/adl"
+	"repro/internal/bus"
 	"repro/internal/connector"
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -38,6 +40,12 @@ func (l *livenessReader) Read(p []byte) (int, error) {
 // and streams (and their replies), migration and replication payloads (and
 // their acks), and ownership announcements. One goroutine reads, writers
 // serialize on encMu, and every received byte counts as liveness.
+//
+// Toward the local system the link is a bus participant, not a client: it
+// holds one direct endpoint (addr), puts each inbound call on the bus with
+// that address as Src and the wire correlation as Corr, and the serving
+// component's reply comes back to settleServed on the serve worker's
+// goroutine. No goroutine, context or waiter exists per inbound call.
 type peer struct {
 	n    *Node
 	id   string
@@ -47,6 +55,11 @@ type peer struct {
 	version uint8
 	// egress is the frame-coalescing writer every data frame goes through.
 	egress *egress
+	// addr is the link's bus address, unique to this incarnation of the
+	// link: the remote side's correlation counter restarts at 1 on every
+	// relink, so under a per-peer address a dead link's late reply could
+	// settle a new link's call.
+	addr bus.Address
 
 	encMu sync.Mutex
 	enc   *wire.Encoder
@@ -64,17 +77,46 @@ type peer struct {
 	batchFrames atomic.Uint64
 
 	pmu       sync.Mutex
-	pending   map[uint64]func(wire.Reply) // remote calls awaiting replies
-	migs      map[uint64]chan string      // migrations awaiting acks
-	serves    map[uint64]*serveCtl        // inbound calls/streams being served locally
-	streamsIn map[uint64]*streamIn        // forwarded stream opens awaiting chunks/end
-	relays    map[uint64]*core.Stream     // inbound streams being relayed locally
+	pending   map[uint64]pendingCall  // remote calls awaiting replies
+	migs      map[uint64]chan string  // migrations awaiting acks
+	served    map[uint64]servedCall   // inbound calls on the local bus awaiting their reply
+	serves    map[uint64]*serveCtl    // inbound streams being relayed locally
+	streamsIn map[uint64]*streamIn    // forwarded stream opens awaiting chunks/end
+	relays    map[uint64]*core.Stream // inbound streams being relayed locally
 }
 
-// serveCtl lets a FrameCancel (or peer death) revoke an inbound call while
-// it is being served: cancel aborts the local client call, revoked tells the
-// serve goroutine to suppress its reply — the caller has already settled and
-// forgotten the correlation.
+// pendingCall is the caller-side record of one forwarded unary call: what it
+// takes to re-emit the peer's reply as a bus reply toward the original
+// caller. Every completion path — reply frame, egress expiry, link death —
+// settles through it (Node.settleForward); a cancel just drops it.
+type pendingCall struct {
+	g       *gateway    // the gateway it entered through: component name and reply Src
+	src     bus.Address // original caller
+	srcCorr uint64      // original bus correlation id
+	op      string
+	// payload is the request's payload. A connector.TypedCall is completed
+	// in place by the reply and rides back as the same boxed pointer.
+	payload any
+	// Forward span, recorded at settle time; fwdStart == 0 when untraced.
+	trace      int64
+	fwdStart   int64
+	fwdSpan    uint32
+	parentSpan uint32
+}
+
+// servedCall is the callee-side record of one inbound call between its entry
+// onto the local bus and its reply: where a cancel for it must go, and when
+// its caller's budget runs out (unix nanos, 0 for none). Its presence is
+// what lets a reply out: a revoked corr has no record and is never answered.
+type servedCall struct {
+	dst      bus.Address
+	deadline int64
+}
+
+// serveCtl lets a FrameCancel (or peer death) revoke an inbound stream while
+// it is being relayed: cancel aborts the relay's context, revoked tells the
+// relay goroutine to suppress its end frame — the caller has already settled
+// and forgotten the correlation.
 type serveCtl struct {
 	cancel  context.CancelFunc
 	revoked atomic.Bool
@@ -83,8 +125,10 @@ type serveCtl struct {
 func newPeer(n *Node, id string, version uint8, conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, seen *atomic.Int64) *peer {
 	p := &peer{
 		n: n, id: id, version: version, conn: conn, enc: enc, dec: dec, lastSeen: seen,
-		pending:   map[uint64]func(wire.Reply){},
+		addr:      bus.Address(fmt.Sprintf("peer:%s#%d", id, n.linkSeq.Add(1))),
+		pending:   map[uint64]pendingCall{},
 		migs:      map[uint64]chan string{},
+		served:    map[uint64]servedCall{},
 		serves:    map[uint64]*serveCtl{},
 		streamsIn: map[uint64]*streamIn{},
 		relays:    map[uint64]*core.Stream{},
@@ -94,12 +138,18 @@ func newPeer(n *Node, id string, version uint8, conn net.Conn, enc *wire.Encoder
 	return p
 }
 
-// start launches the read pump, the gossip beacon and the egress writer.
-func (p *peer) start() {
+// start attaches the link's bus endpoint and launches the read pump, the
+// gossip beacon and the egress writer.
+func (p *peer) start() error {
+	// Mailbox of 1: settleServed declines nothing, so nothing queues.
+	if _, err := p.n.sys.Bus().AttachDirect(p.addr, 1, p.settleServed); err != nil {
+		return err
+	}
 	p.n.wg.Add(3)
 	go p.readLoop()
 	go p.heartbeatLoop()
 	go p.egress.flushLoop(p.n.ctx)
+	return nil
 }
 
 // send serializes one link-control frame write (data frames go through the
@@ -127,41 +177,68 @@ func (p *peer) countBatchFrame() {
 	p.batchFrames.Add(1)
 }
 
-// addPending registers a reply continuation for a remote call.
-func (p *peer) addPending(corr uint64, cb func(wire.Reply)) {
+// addPending registers the record of a forwarded call.
+func (p *peer) addPending(corr uint64, pc pendingCall) {
 	p.pmu.Lock()
-	p.pending[corr] = cb
+	p.pending[corr] = pc
 	p.pmu.Unlock()
 }
 
-// takePending removes and returns the continuation for corr.
-func (p *peer) takePending(corr uint64) (func(wire.Reply), bool) {
+// takePending removes and returns the record for corr.
+func (p *peer) takePending(corr uint64) (pendingCall, bool) {
 	p.pmu.Lock()
-	cb, ok := p.pending[corr]
+	pc, ok := p.pending[corr]
 	if ok {
 		delete(p.pending, corr)
 	}
 	p.pmu.Unlock()
-	return cb, ok
+	return pc, ok
 }
 
-// addServe registers the control handle of one inbound call being served.
+// takeServed removes and returns the record of one inbound call.
+func (p *peer) takeServed(corr uint64) (servedCall, bool) {
+	p.pmu.Lock()
+	sc, ok := p.served[corr]
+	if ok {
+		delete(p.served, corr)
+	}
+	p.pmu.Unlock()
+	return sc, ok
+}
+
+// servedCalls reports how many inbound calls are on the local bus awaiting
+// their reply.
+func (p *peer) servedCalls() int {
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	return len(p.served)
+}
+
+// addServe registers the control handle of one inbound stream being relayed.
 func (p *peer) addServe(corr uint64, ctl *serveCtl) {
 	p.pmu.Lock()
 	p.serves[corr] = ctl
 	p.pmu.Unlock()
 }
 
-// dropServe removes a serve control handle.
+// dropServe removes a relay control handle.
 func (p *peer) dropServe(corr uint64) {
 	p.pmu.Lock()
 	delete(p.serves, corr)
 	p.pmu.Unlock()
 }
 
-// handleCancel revokes one inbound call by correlation id. Best-effort: a
-// call that already replied (or never arrived) is silently ignored.
+// handleCancel revokes one inbound call or stream by correlation id.
+// Best-effort: one that already replied (or never arrived) is silently
+// ignored. A unary call's record leaves the table here, so whatever the
+// component answers from now on is suppressed, and the revocation itself is
+// the bus's: the same OpCancel control a local caller sends, which the
+// component records and answers the request unserved when it surfaces.
 func (p *peer) handleCancel(c wire.Cancel) {
+	if sc, ok := p.takeServed(c.Corr); ok {
+		p.revoke(c.Corr, sc)
+		return
+	}
 	p.pmu.Lock()
 	ctl := p.serves[c.Corr]
 	p.pmu.Unlock()
@@ -169,6 +246,15 @@ func (p *peer) handleCancel(c wire.Cancel) {
 		ctl.revoked.Store(true)
 		ctl.cancel()
 	}
+}
+
+// revoke tells the component serving an inbound call that its caller is
+// gone. Best-effort, like every cancel.
+func (p *peer) revoke(corr uint64, sc servedCall) {
+	_ = p.n.sys.Bus().Send(bus.Message{
+		Kind: bus.Control, Op: bus.OpCancel,
+		Src: p.addr, Dst: sc.dst, Corr: corr,
+	})
 }
 
 // addMig registers a migration ack channel.
@@ -186,20 +272,24 @@ func (p *peer) dropMig(corr uint64) {
 }
 
 // failAll resolves every outstanding call and migration with an error —
-// called exactly once, from peerDown.
+// called exactly once, from peerDown, after down is set: whoever registers
+// in one of these tables re-checks down afterwards, so an entry either is
+// seen here or is withdrawn by its owner.
 func (p *peer) failAll(reason string) {
 	p.pmu.Lock()
 	pending := p.pending
 	migs := p.migs
+	served := p.served
 	serves := p.serves
 	streams := p.streamsIn
-	p.pending = map[uint64]func(wire.Reply){}
+	p.pending = map[uint64]pendingCall{}
 	p.migs = map[uint64]chan string{}
+	p.served = map[uint64]servedCall{}
 	p.serves = map[uint64]*serveCtl{}
 	p.streamsIn = map[uint64]*streamIn{}
 	p.pmu.Unlock()
-	for corr, cb := range pending {
-		cb(wire.Reply{Corr: corr, Err: reason, Kind: wire.KindAppError})
+	for corr, pc := range pending {
+		p.n.settleForward(p, pc, wire.Reply{Corr: corr, Err: reason, Kind: wire.KindAppError})
 	}
 	for _, ch := range migs {
 		select {
@@ -208,9 +298,15 @@ func (p *peer) failAll(reason string) {
 		}
 	}
 	// Calls we were serving for the dead peer can never deliver their
-	// replies; abort them so they stop consuming local capacity. Relayed
-	// streams are covered here too: their serveCtls live in the same table,
-	// and revoking one cancels the relay context, reclaiming its producer.
+	// replies; revoke them so the ones still queued are never served. The
+	// link's endpoint goes with them: an answer already on its way finds no
+	// destination, and the address is never reused.
+	for corr, sc := range served {
+		p.revoke(corr, sc)
+	}
+	p.n.sys.Bus().Detach(p.addr)
+	// Relayed streams: revoking one cancels the relay context, reclaiming
+	// its producer.
 	for _, ctl := range serves {
 		ctl.revoked.Store(true)
 		ctl.cancel()
@@ -269,7 +365,7 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 		if err != nil {
 			return err
 		}
-		p.dispatchCall(c)
+		p.relayCall(c)
 	case wire.FrameReply:
 		r, err := wire.ParseReply(body, p.version)
 		if err != nil {
@@ -363,69 +459,102 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 	return nil
 }
 
-// dispatchCall serves one inbound remote call concurrently: a call may fan
-// out into further remote calls over this same link, whose replies the read
-// loop dispatches.
-func (p *peer) dispatchCall(c wire.Call) {
-	p.n.wg.Add(1)
-	go func() {
-		defer p.n.wg.Done()
-		p.serveCall(c)
-	}()
-}
-
 // dispatchReply resolves one inbound reply against the pending table.
 func (p *peer) dispatchReply(r wire.Reply) {
-	if cb, ok := p.takePending(r.Corr); ok {
-		cb(r)
+	if pc, ok := p.takePending(r.Corr); ok {
+		p.n.settleForward(p, pc, r)
 	} else {
 		p.n.opts.Logf("cluster %s: late reply corr=%d from %s", p.n.id, r.Corr, p.id)
 	}
 }
 
-// serveCall executes one remote invocation against the local system and
-// replies. The call enters through the compiled client-binding handle, so
-// the callee-side container services (auth with the shipped principal,
-// audit, transactions), woven aspects and meta-objects all apply exactly as
-// for a local call — and the caller's shipped deadline budget is enforced
-// here: when it runs out, the local wait aborts (releasing its waiter slot)
-// and the serving component rejects the request if it is still queued, so
-// an abandoned cross-node call stops consuming callee capacity.
-func (p *peer) serveCall(c wire.Call) {
-	ctx := p.n.ctx
-	var cancel context.CancelFunc
-	if c.DeadlineNanos > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(c.DeadlineNanos))
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-	// Register before invoking so a FrameCancel racing the call always finds
-	// the handle; cancelling the context releases the local waiter slot and
-	// revokes the request at the serving component (see core's cancel path).
-	ctl := &serveCtl{cancel: cancel}
-	p.addServe(c.Corr, ctl)
-	defer p.dropServe(c.Corr)
-	// Re-enter the platform edge as a mid-trace continuation: the serving
-	// node extends the caller's span tree (its serve span parents under the
-	// forwarded span id) instead of minting a second root.
-	ctx = core.WithTrace(ctx, c.Trace, c.Span)
+// relayCall puts one inbound remote call on the local bus, on the read
+// pump's goroutine (bus.Send never waits on a receiver). The call enters
+// through the component's compiled client binding (core.Client.Relay), so
+// presence, liveness and deadline-aware admission apply exactly as for a
+// local call, and so do the callee-side container services (auth with the
+// shipped principal, audit, transactions), woven aspects and meta-objects.
+// The caller's shipped budget becomes the request's absolute deadline —
+// the one enforcement mechanism the bus has: the deadline lane, the
+// component's check before service and the cancel plane all act on it. The
+// frame's trace context rides along, so the serving node extends the
+// caller's span tree (its serve span parents under the forwarded span id)
+// instead of minting a second root.
+func (p *peer) relayCall(c wire.Call) {
 	cl := p.n.sys.Client(c.Component)
-	if c.Principal != "" {
-		cl = cl.With(core.WithPrincipal(c.Principal))
+	m := bus.Message{
+		Kind: bus.Request, Op: c.Op,
+		Payload: connector.CallPayload{Principal: c.Principal, Args: c.Args},
+		Src:     p.addr, Corr: c.Corr,
+		Trace: c.Trace, Span: c.Span,
 	}
-	results, err := cl.Call(ctx, c.Op, c.Args...)
-	if ctl.revoked.Load() {
-		return // caller revoked the call and forgot the corr — no reply
+	var now int64
+	if c.DeadlineNanos > 0 {
+		now = time.Now().UnixNano()
+		m.Deadline = now + c.DeadlineNanos
 	}
-	rep := wire.Reply{Corr: c.Corr, Results: results}
-	if err != nil {
-		rep.Err = err.Error()
-		rep.Kind = replyKindOf(err)
+	// Register before sending so a FrameCancel or the reply racing the call
+	// always finds the record — and re-check down after registering (see
+	// failAll).
+	p.pmu.Lock()
+	p.served[c.Corr] = servedCall{dst: cl.Address(), deadline: m.Deadline}
+	p.pmu.Unlock()
+	if p.down.Load() {
+		p.takeServed(c.Corr)
+		return
+	}
+	if err := cl.Relay(m, now); err != nil {
+		if _, ok := p.takeServed(c.Corr); ok {
+			p.egress.enqueueReply(wire.Reply{Corr: c.Corr, Err: err.Error(), Kind: replyKindOf(err)})
+		}
+	}
+}
+
+// settleServed is the link's bus.DirectFunc: the reply to an inbound call
+// arrives here on the goroutine that sent it — the serve worker's, or
+// whoever answered in the component's stead — and is queued for the wire.
+// It runs under the link address's route lock: short critical sections and a
+// non-blocking wake, no call back into the bus. A reply whose record is gone
+// was revoked (cancel, lapsed budget) and is never answered.
+func (p *peer) settleServed(m bus.Message) bool {
+	if m.Kind != bus.Reply {
+		return true
+	}
+	if _, ok := p.takeServed(m.Corr); !ok {
+		return true
+	}
+	rep := wire.Reply{Corr: m.Corr}
+	if pl, ok := m.Payload.(connector.ReplyPayload); ok {
+		rep.Results, rep.Err, rep.Kind = pl.Results, pl.Err, uint8(pl.Kind)
+		if pl.Err != "" && pl.Kind == connector.ErrKindNone {
+			rep.Kind = wire.KindAppError // an error without identity (a filter reject, say)
+		}
 	}
 	// Replies coalesce with whatever else is outbound; a non-encodable
 	// result set is downgraded to an error reply inside the egress writer.
 	p.egress.enqueueReply(rep)
+	return true
+}
+
+// sweepServed answers inbound calls whose budget lapsed without a reply, on
+// the heartbeat tick. A lapsed request is shed silently wherever it queues
+// (the deadline lane, a resume flush) and a handler may outlive its caller,
+// so without the sweep the record — and the caller node's pending entry,
+// which only a reply releases — would stay for as long as the link lives.
+func (p *peer) sweepServed(now int64) {
+	var lapsed []uint64
+	p.pmu.Lock()
+	for corr, sc := range p.served {
+		if sc.deadline != 0 && sc.deadline < now {
+			lapsed = append(lapsed, corr)
+			delete(p.served, corr)
+		}
+	}
+	p.pmu.Unlock()
+	for _, corr := range lapsed {
+		p.egress.enqueueReply(wire.Reply{Corr: corr, Kind: wire.KindDeadline,
+			Err: "cluster: " + p.n.id + ": deadline exceeded while serving"})
+	}
 }
 
 // replyKindOf maps a serve-side error to the structured kind carried on
@@ -494,6 +623,7 @@ func (p *peer) heartbeatLoop() {
 			if p.down.Load() {
 				return
 			}
+			p.sweepServed(time.Now().UnixNano())
 			g := p.n.membership.localView()
 			if err := p.send(func(e *wire.Encoder) error { return e.EncodeGossip(g) }); err != nil {
 				p.n.peerDown(p, "heartbeat send: "+err.Error())

@@ -67,8 +67,8 @@ func (p *peer) takeStreamIn(corr uint64) (*streamIn, bool) {
 }
 
 // addRelay registers the serve-side relay stream so inbound credit frames
-// can find it; the relay's cancel handle lives in serves like any inbound
-// call, so FrameCancel and peer death revoke it through the same path.
+// can find it; the relay's cancel handle lives in serves, which FrameCancel
+// and peer death revoke.
 func (p *peer) addRelay(corr uint64, st *core.Stream) {
 	p.pmu.Lock()
 	p.relays[corr] = st
@@ -138,6 +138,12 @@ func (n *Node) forwardStreamOpen(comp string, m bus.Message, open connector.Stre
 	n.inflight[callKey{src: m.Src, corr: m.Corr}] = remoteRef{p: p, corr: corr}
 	n.imu.Unlock()
 	p.addStreamIn(corr, &streamIn{src: m.Src, corr: m.Corr, comp: comp, op: m.Op})
+	// The link may have died since it was picked; same re-check as forwardVia
+	// (endStreamIn is a no-op when failAll already settled the record).
+	if p.down.Load() {
+		n.endStreamIn(p, corr, connector.ErrKindApp, "cluster: peer "+p.id+" down")
+		return
+	}
 	// The budget is stamped at write time from the absolute deadline.
 	p.egress.enqueueStreamOpen(o, m.Deadline)
 }
@@ -238,10 +244,9 @@ func (p *peer) dispatchStreamOpen(o wire.StreamOpen) {
 // pumped back as chunk frames through the egress batcher. Credit arriving
 // from the remote consumer is granted to this relay (grantRelay), which
 // forwards it to the producer — so end-to-end backpressure is governed by
-// the real consumer. The relay registers a serveCtl like any inbound call:
-// a FrameCancel (or link death) revokes it, which cancels the relay context
-// and through it reclaims the local producer without waiting out the
-// deadline.
+// the real consumer. The relay registers a serveCtl: a FrameCancel (or link
+// death) revokes it, which cancels the relay context and through it reclaims
+// the local producer without waiting out the deadline.
 func (p *peer) serveStream(o wire.StreamOpen) {
 	ctx := p.n.ctx
 	var cancel context.CancelFunc

@@ -115,6 +115,10 @@ func (c *Client) With(opts ...CallOption) *Client {
 // Component returns the name of the component this handle is bound to.
 func (c *Client) Component() string { return c.b.name }
 
+// Address returns the component's canonical bus address — the one location
+// transparency keeps stable, compiled into the handle.
+func (c *Client) Address() bus.Address { return c.b.dst }
+
 // Client returns the canonical binding handle for a named component,
 // compiling it on first use. The handle is cached: every later Client call
 // for the same name returns the same handle via one atomic map load.
@@ -345,22 +349,15 @@ func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
 	return nil
 }
 
-// admit is the shared admission prologue of every call shape: liveness,
-// compiled-binding presence (with the uncached fallback), the done-context
-// check, the deadline-aware admission decision and the endpoint shard pick.
-// Kept in one place so the call shapes cannot drift.
+// admit is the shared admission prologue of every call shape: the
+// done-context check, the deadline derivation, the context-free admission
+// core (admitAt) and the endpoint shard pick. Kept in one place so the call
+// shapes cannot drift.
 //
 // The returned deadline (unix nanos, 0 when none) is what gets stamped into
 // the request: the context's when present, else now+budget when the handle
 // carries one, else zero (the system fallback bounds the caller's wait but
 // is not an explicit contract, so it is not imposed on the callee).
-//
-// The admission check (DESIGN.md §9) runs only for deadline-carrying calls
-// toward a locally hosted component: when the component's estimated queueing
-// delay — EWMA service time × backlog depth — already exceeds the remaining
-// budget, the call is shed with the bare ErrOverloaded sentinel before any
-// resource is committed: no waiter slot, no message, no goroutine, no
-// allocation.
 func (c *Client) admit(ctx context.Context, op string) (bus.Address, uint64, int64, traceRef, error) {
 	b := c.b
 	s := b.sys
@@ -373,11 +370,8 @@ func (c *Client) admit(ctx context.Context, op string) (bus.Address, uint64, int
 	if s.rec.Sampling() != 0 {
 		now = time.Now().UnixNano()
 	}
-	if !s.live.Load() {
-		return "", 0, 0, traceRef{}, ErrNotRunning
-	}
-	if !b.present.Load() && !b.resolveNow() {
-		return "", 0, 0, traceRef{}, fmt.Errorf("%w: %s", ErrUnknownComp, b.name)
+	if err := b.resolve(); err != nil {
+		return "", 0, 0, traceRef{}, err
 	}
 	addrs := s.clientAddrs.Load()
 	if addrs == nil {
@@ -395,15 +389,8 @@ func (c *Client) admit(ctx context.Context, op string) (bus.Address, uint64, int
 		}
 		dl = now + int64(c.budget)
 	}
-	if dl != 0 && !s.noOverload {
-		if local := b.local.Load(); local != nil {
-			if now == 0 {
-				now = time.Now().UnixNano()
-			}
-			if rem := dl - now; rem > 0 && !local.adm.Admit(local.depth(), rem) {
-				return "", 0, 0, traceRef{}, ErrOverloaded
-			}
-		}
+	if dl != 0 && !b.admitAt(dl, now) {
+		return "", 0, 0, traceRef{}, ErrOverloaded
 	}
 	// The trace root starts only for calls that pass admission: the shed
 	// path's zero-allocation, ~100ns contract stays untouched, and shed
@@ -411,6 +398,67 @@ func (c *Client) admit(ctx context.Context, op string) (bus.Address, uint64, int
 	tr := c.traceStart(ctx, now)
 	corr := s.clientCorr.Add(1)
 	return (*addrs)[corr&(clientEndpoints-1)], corr, dl, tr, nil
+}
+
+// resolve and admitAt are the context-free core of admission, shared by the
+// call shapes above and by Relay: whatever enters the system toward this
+// component — from a local caller or from a peer link — passes the same two
+// gates.
+//
+// resolve checks liveness and compiled-binding presence (with the uncached
+// fallback).
+func (b *clientBinding) resolve() error {
+	if !b.sys.live.Load() {
+		return ErrNotRunning
+	}
+	if !b.present.Load() && !b.resolveNow() {
+		return fmt.Errorf("%w: %s", ErrUnknownComp, b.name)
+	}
+	return nil
+}
+
+// admitAt is the deadline-aware admission decision (DESIGN.md §9). It runs
+// only for deadline-carrying calls toward a locally hosted component: when
+// the component's estimated queueing delay — EWMA service time × backlog
+// depth — already exceeds the remaining budget, the call is shed (the caller
+// reports the bare ErrOverloaded sentinel) before any resource is committed:
+// no waiter slot, no message, no goroutine, no allocation. now is the
+// caller's clock read in unix nanos, 0 when it has none yet.
+func (b *clientBinding) admitAt(dl, now int64) bool {
+	if b.sys.noOverload {
+		return true
+	}
+	local := b.local.Load()
+	if local == nil {
+		return true
+	}
+	if now == 0 {
+		now = time.Now().UnixNano()
+	}
+	rem := dl - now
+	return rem <= 0 || local.adm.Admit(local.depth(), rem)
+}
+
+// Relay enters a request that arrived from outside this process — over a
+// peer link — through the platform edge, without a context, a waiter or a
+// goroutine: it passes the same liveness, presence and admission gates as a
+// local call and goes onto the bus toward the handle's component. The caller
+// is a bus participant in its own right: m.Src and m.Corr name where the
+// reply goes, m.Deadline (unix nanos, 0 for none) and m.Trace/m.Span ride as
+// given; Dst is set here. now is the caller's clock read, 0 when it took
+// none. The error is synchronous refusal only — ErrNotRunning,
+// ErrUnknownComp, ErrOverloaded, or the bus's (mailbox full) — and nothing
+// was sent when it is non-nil.
+func (c *Client) Relay(m bus.Message, now int64) error {
+	b := c.b
+	if err := b.resolve(); err != nil {
+		return err
+	}
+	if m.Deadline != 0 && !b.admitAt(m.Deadline, now) {
+		return ErrOverloaded
+	}
+	m.Dst = b.dst
+	return b.sys.bus.Send(m)
 }
 
 // request assembles the admitted request message, deadline and trace

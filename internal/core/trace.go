@@ -13,11 +13,13 @@ import (
 // A trace starts at a compiled client-binding handle: the head-sampling
 // decision is made once, a trace id is minted, and the client span's id
 // rides in every downstream message as the packed word bus.Message.Span.
-// The distribution plane re-enters the platform edge when serving a
-// forwarded call (peer.serveCall → sys.Client(...).Call); WithTrace marks
-// that context as a mid-trace continuation so the serving node extends the
-// caller's tree instead of starting a second root — and instead of opening
-// a redundant client span of its own.
+// The distribution plane continues a trace on the serving node. A forwarded
+// unary call is put on the bus by the peer link with the frame's trace words
+// already in the message (Client.Relay), so no client span exists there at
+// all; a relayed stream open does re-enter through a client handle, and
+// WithTrace marks its context as a mid-trace continuation so the serving
+// node extends the caller's tree instead of starting a second root — and
+// instead of opening a redundant client span of its own.
 
 // traceRef is the per-call trace state threaded through a call shape: the
 // ids stamped into the request plus the client span's start timestamp.
@@ -41,8 +43,8 @@ type traceCtxVal struct {
 // WithTrace returns a context marked as a continuation of an in-flight
 // trace: calls made with it propagate the given context verbatim instead
 // of minting a root. span is the packed word from the incoming frame
-// (telemetry.PackSpan layout). Used by the cluster layer when serving
-// forwarded calls and stream opens.
+// (telemetry.PackSpan layout). Used by the cluster layer when relaying
+// forwarded stream opens.
 func WithTrace(ctx context.Context, trace, span int64) context.Context {
 	if trace == 0 {
 		return ctx

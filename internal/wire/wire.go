@@ -1404,6 +1404,10 @@ func ReadBatchFrame(b []byte) (FrameType, []byte, []byte, error) {
 type Decoder struct {
 	r    *bufio.Reader
 	body []byte
+	// hdr is the frame header scratch. It lives here because io.ReadFull
+	// takes it as a slice, which would move a local array to the heap on
+	// every frame.
+	hdr [headerSize]byte
 }
 
 // NewDecoder wraps r.
@@ -1419,7 +1423,7 @@ func (d *Decoder) Next() (FrameType, []byte, error) {
 		// its body has been consumed by now, so release the buffer.
 		d.body = nil
 	}
-	var hdr [headerSize]byte
+	hdr := &d.hdr
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return 0, nil, err
 	}

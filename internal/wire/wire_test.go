@@ -392,6 +392,47 @@ func TestDecoderRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
+// loopReader replays one byte stream forever without allocating.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	if l.off == len(l.data) {
+		l.off = 0
+	}
+	n := copy(p, l.data[l.off:])
+	l.off += n
+	return n, nil
+}
+
+// TestDecoderNextAllocs pins the read pump's per-frame cost: once the body
+// buffer has grown to the frame size, Next allocates nothing — the header
+// scratch lives in the Decoder, not on a heap-escaping stack slot.
+func TestDecoderNextAllocs(t *testing.T) {
+	var stream bytes.Buffer
+	enc := NewEncoder(&stream)
+	enc.SetVersion(MaxVersion)
+	enc.BeginBatch()
+	if err := enc.BatchAdd(FrameCall, callBody(sampleCall)); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(&loopReader{data: stream.Bytes()})
+	next := func() {
+		if ft, _, err := dec.Next(); err != nil || ft != FrameCall {
+			t.Fatalf("Next = %v, %v", ft, err)
+		}
+	}
+	next() // grows the body buffer
+	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
+		t.Fatalf("Decoder.Next allocates %.1f/frame in steady state, want 0", allocs)
+	}
+}
+
 func TestTruncatedBodies(t *testing.T) {
 	if _, _, err := ReadString([]byte{5, 'a'}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("string: want ErrTruncated, got %v", err)
