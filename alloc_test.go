@@ -11,11 +11,14 @@ package aas_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	aas "repro"
 
+	"repro/internal/aspects"
+	"repro/internal/bus"
 	"repro/internal/qos"
 	"repro/internal/telemetry"
 )
@@ -334,5 +337,142 @@ func TestStreamRecvAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("stream receive allocates %.1f/item, budget 1", allocs)
+	}
+}
+
+// mediatedStore answers get from a fixed table, so each reply boxes a fresh
+// string the way a real lookup does (the ledger benchmark's Store).
+type mediatedStore struct{ table map[string]string }
+
+func (s *mediatedStore) Handle(op string, args []any) ([]any, error) {
+	key, _ := args[0].(string)
+	return []any{s.table[key]}, nil
+}
+
+// startMediated builds the mediated call path of the ledger's local_reconfig
+// workload: Front.fetch → connector Link carrying two input filters → Store
+// behind one meta-object and two aspects.
+func startMediated(tb testing.TB) *aas.System {
+	tb.Helper()
+	reg := aas.NewRegistry()
+	reg.MustRegister("Front", "1.0", nil, func() any { return &clFront{} })
+	reg.MustRegister("Store", "1.0", nil, func() any {
+		return &mediatedStore{table: map[string]string{"k": "v:k:0001"}}
+	})
+	sys, err := aas.Load(benchClusterADL, aas.Options{Registry: reg.Registry})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(sys.Stop)
+	var seen atomic.Uint64
+	for _, f := range []aas.Filter{
+		aas.TransformFilter{FilterName: "stamp", Match: aas.FilterMatcher{Op: "get"},
+			Fn: func(*bus.Message) { seen.Add(1) }},
+		aas.ErrorFilter{FilterName: "deny-admin", Match: aas.FilterMatcher{Op: "admin*"}, Reason: "closed"},
+	} {
+		if err := sys.AttachFilter("Front", "get", aas.FilterInput, f); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := sys.InsertMetaObject("Store", &aas.MetaObject{Name: "meter", Props: aas.MetaModificatory,
+		Invoke: func(m *bus.Message, next func(*bus.Message) error) error {
+			seen.Add(1)
+			return next(m)
+		}}); err != nil {
+		tb.Fatal(err)
+	}
+	cut := aas.Pointcut{Component: "Store", Op: "get"}
+	for _, a := range []aas.Aspect{
+		{Name: "audit", Advice: []aas.Advice{{Pointcut: cut,
+			Before: func(*aas.Invocation) error { seen.Add(1); return nil }}}},
+		{Name: "guard", Advice: []aas.Advice{{Pointcut: cut,
+			Around: func(inv *aas.Invocation, next aspects.Handler) (any, error) { return next(inv) }}}},
+	} {
+		if err := sys.AttachAspect(a); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// TestMediatedCallAllocs pins the mediated call — client edge, Front's
+// serve and outcall, the connector both ways, Store's serve through its
+// meta-object and aspects, counted across every goroutine involved — at 12
+// allocations (29 before the connector became a direct bus participant and
+// the call shapes shared a pooled wait slot). AllocsPerRun rounds down, so
+// the budget is the measurement. What is left is the values themselves, two
+// of each, one per hop: the caller's argument list and boxed key, Store's
+// result list and boxed value, a CallPayload box per request, a ReplyPayload
+// box per serve (the connector passes the callee's on as it came), each
+// container result list boxed into the aspect chain's `any`, and the
+// aspect-invocation record per serve. Nothing is allocated to wait, to
+// mediate or to run the meta-object chain.
+func TestMediatedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys := startMediated(t)
+	front := sys.Client("Front")
+	ctx := context.Background()
+	key := string([]byte{'k'}) // not a constant: boxing it allocates, as a caller's key does
+	call := func() {
+		if res, err := front.Call(ctx, "fetch", key); err != nil || len(res) != 1 || res[0] != "v:k:0001" {
+			t.Fatalf("fetch = %v, %v", res, err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		call()
+	}
+	allocs := minAllocsPerRun(5, 200, call)
+	if allocs > 12 {
+		t.Fatalf("mediated call allocates %.1f/op, budget 12", allocs)
+	}
+	t.Logf("mediated call: %.1f allocs/op", allocs)
+}
+
+// TestUntypedCallAllocs pins Client.Call straight to a component (Store,
+// behind its meta-object and aspects) at 7 allocations: the argument list,
+// the CallPayload and ReplyPayload boxes, the aspect-invocation record, the
+// result list, its value and its box into `any`. It was 16 when the wait
+// made a channel and a timer (5) and the meta-object stage moved the message,
+// the result and two closures to the heap (4).
+func TestUntypedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys := startMediated(t)
+	store := sys.Client("Store")
+	ctx := context.Background()
+	call := func() {
+		if res, err := store.Call(ctx, "get", "k"); err != nil || len(res) != 1 || res[0] != "v:k:0001" {
+			t.Fatalf("get = %v, %v", res, err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		call()
+	}
+	allocs := minAllocsPerRun(5, 200, call)
+	if allocs > 7 {
+		t.Fatalf("untyped call allocates %.1f/op, budget 7", allocs)
+	}
+	t.Logf("untyped call: %.1f allocs/op", allocs)
+}
+
+// BenchmarkMediatedCall is the mediated path of TestMediatedCallAllocs as a
+// benchmark: profile it with -memprofilerate=1 to attribute what is left.
+func BenchmarkMediatedCall(b *testing.B) {
+	sys := startMediated(b)
+	front := sys.Client("Front")
+	ctx := context.Background()
+	key := string([]byte{'k'})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := front.Call(ctx, "fetch", key); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -343,18 +343,30 @@ func (b *Bus) Attach(addr Address, mailbox int) (*Endpoint, error) {
 // DirectFunc consumes a delivery inline instead of letting it queue on the
 // mailbox. It runs on the goroutine that delivers — the sender's, or
 // Resume's when the message was held, or the delay timer's — under the
-// destination's route lock, the same contract as Endpoint.SetExpiredFunc:
-// it must not block and must not call back into the bus. Returning false
-// declines the message, which then queues as on a plain endpoint.
+// destination's route lock, which serialises it against every other delivery
+// to that address: state only the function touches needs no lock of its own.
+//
+// Two rules keep that safe. It must never block: no channel operation that
+// can wait, no sleep, no I/O. And it may call Send only toward a route that
+// is not its own and whose own direct function, if it has one, does not
+// send: route locks then nest one way and one deep, and cannot form a cycle.
+// A connector forwards to a component, the cluster gateway or a peer link,
+// and replies to a component or a client endpoint; none of those sends from
+// its direct function. A direct function that sent to its own address, or
+// two that sent to each other, would deadlock.
+//
+// Returning false declines the message, which then queues as on a plain
+// endpoint, unmodified; that is how a direct function hands on what it
+// cannot finish inline.
 type DirectFunc func(m Message) bool
 
 // AttachDirect is Attach with a direct function: every delivery to addr is
 // offered to direct first, and only what it declines queues for Receive. A
 // paused channel still parks first — direct sees held messages in order on
 // Resume — so Pause, Resume, TransferHeld, Detach and the conservation
-// invariant are the same for direct and queued deliveries. A terminal
-// consumer (a reply waiter table, say) saves the mailbox hop and the
-// goroutine that would only move the message on.
+// invariant are the same for direct and queued deliveries. The consumer
+// saves the mailbox hop and the goroutine that would only move the message
+// on.
 func (b *Bus) AttachDirect(addr Address, mailbox int, direct DirectFunc) (*Endpoint, error) {
 	if mailbox < 1 {
 		mailbox = 4096

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,12 +98,13 @@ type Stats struct {
 	RuleDenials    uint64
 	FilterRejects  uint64
 	GlueViolations uint64
-	Deferred       uint64
+	Deferred       uint64 // verdicts that sent a request round the retry lane
 	ExpiredSwept   uint64 // pending entries reclaimed after their deadline lapsed
+	Pending        int    // mediated requests still awaiting a reply
 }
 
 // connStats is the atomic backing store for Stats, so monitors can snapshot
-// counters without stalling the mediation loop.
+// counters without taking the connector's route lock.
 type connStats struct {
 	mediated       atomic.Uint64
 	replies        atomic.Uint64
@@ -111,21 +113,38 @@ type connStats struct {
 	glueViolations atomic.Uint64
 	deferred       atomic.Uint64
 	expiredSwept   atomic.Uint64
+	pending        atomic.Int64
 }
 
 // Connector mediates one binding (or a set of bindings sharing the glue).
 //
-// The mediated hot path takes no locks and allocates nothing per call:
-// run-time exchangeable state (targets, rules, and the compiled filter
-// pipelines) is swapped atomically by the control plane and read with one
-// atomic load per message, while the correlation state (pending, corr, rr,
-// glue) is owned exclusively by the single mediation goroutine. The filter
-// stage in particular evaluates a precompiled chain — globs are parsed at
-// attach time, not per message.
+// A connector is a direct participant of the bus (bus.AttachDirect): handle,
+// the one mediation body, runs inside the sender's bus.Send, on the sender's
+// goroutine, under the route lock of the connector's own address. A request
+// is filtered, ruled, routed and forwarded before the caller's Send returns,
+// and the reply is settled and passed on inside the callee's Send — a
+// mediated call crosses no goroutine of the connector's. That lock already
+// serialises every delivery to the connector, so it is what owns the
+// correlation state (pending, corr, rr, glue, scratch); there is no mutex of
+// the connector's own. Run-time exchangeable state (targets, rules, and the
+// compiled filter pipelines) is swapped atomically by the control plane and
+// read with one atomic load per message; the filter stage evaluates a
+// precompiled chain — globs are parsed at attach time, not per message.
+//
+// Under the lock handle never blocks and only sends away from itself: to a
+// target (a component, the cluster gateway) or back to a caller, none of
+// whose own direct functions sends. What it cannot finish inline it declines
+// (bus.DirectFunc returns false), and the message queues on the connector's
+// mailbox: a request a filter or rule deferred — re-sending it to itself, as
+// the mediation goroutine used to, would deadlock on the lock handle runs
+// under — and anything that arrives before Start or after Stop. The one
+// goroutine a connector keeps is that retry lane: it takes what queued and
+// offers it to handle again through bus.Send.
 type Connector struct {
 	name string
 	kind adl.ConnectorKind
 	b    *bus.Bus
+	addr bus.Address
 	ep   *bus.Endpoint
 
 	// Atomically swapped by SetTargets/SetRules ("connectors may be
@@ -133,12 +152,16 @@ type Connector struct {
 	targets atomic.Pointer[[]bus.Address]
 	rules   atomic.Pointer[flo.Engine]
 
-	// Owned by the mediation goroutine (handle); no locking.
+	// Owned by the route lock of addr (handle and everything it calls).
 	rr         int
 	glue       *glueTracker
 	pending    map[uint64]pendingCall
 	corr       uint64
 	sinceSweep int // messages handled since the last expired-pending sweep
+	// scratch holds the message being mediated — first the one that arrived,
+	// then the reply being built — so the filter chains get a pointer that
+	// does not move a message to the heap per call.
+	scratch bus.Message
 
 	stats   connStats
 	filters *filters.Set
@@ -146,12 +169,16 @@ type Connector struct {
 	wg      sync.WaitGroup
 	cancel  context.CancelFunc
 	started atomic.Bool
+	running atomic.Bool // between Start and Stop: handle mediates, else declines
 }
 
 type pendingCall struct {
 	caller bus.Address
 	corr   uint64
 	op     string
+	// targets is where the request went (a subslice of the immutable target
+	// snapshot it was routed against): a caller's cancel follows it there.
+	targets []bus.Address
 	// awaiting counts outstanding replies (multicast gathers all).
 	awaiting int
 	gathered []any
@@ -187,15 +214,11 @@ func New(name string, kind adl.ConnectorKind, b *bus.Bus, targets []bus.Address,
 	if name == "" {
 		return nil, errors.New("connector: needs a name")
 	}
-	ep, err := b.Attach(Address(name), 8192)
-	if err != nil {
-		return nil, fmt.Errorf("connector %s: %w", name, err)
-	}
 	c := &Connector{
 		name:    name,
 		kind:    kind,
 		b:       b,
-		ep:      ep,
+		addr:    Address(name),
 		pending: map[uint64]pendingCall{},
 		filters: &filters.Set{},
 	}
@@ -204,6 +227,13 @@ func New(name string, kind adl.ConnectorKind, b *bus.Bus, targets []bus.Address,
 	for _, o := range opts {
 		o(c)
 	}
+	// Attached last: handle can be offered a message from here on (and
+	// declines it until Start).
+	ep, err := b.AttachDirect(c.addr, 8192, c.handle)
+	if err != nil {
+		return nil, fmt.Errorf("connector %s: %w", name, err)
+	}
+	c.ep = ep
 	return c, nil
 }
 
@@ -248,31 +278,49 @@ func (c *Connector) Stats() Stats {
 		GlueViolations: c.stats.glueViolations.Load(),
 		Deferred:       c.stats.deferred.Load(),
 		ExpiredSwept:   c.stats.expiredSwept.Load(),
+		Pending:        int(c.stats.pending.Load()),
 	}
 }
 
-// Start launches the mediation loop; it runs until ctx is cancelled or the
-// connector is detached. Start may be called once.
+// Start opens the connector for mediation and launches its retry lane; both
+// run until ctx is cancelled, Stop is called or the connector is detached.
+// Messages that arrived earlier queued and are mediated now. Start may be
+// called once.
 func (c *Connector) Start(ctx context.Context) {
 	if !c.started.CompareAndSwap(false, true) {
 		return
 	}
 	ctx, c.cancel = context.WithCancel(ctx)
+	c.running.Store(true)
 	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			m, err := c.ep.Receive(ctx)
-			if err != nil {
-				return
-			}
-			c.handle(m)
-		}
-	}()
+	go c.retry(ctx)
 }
 
-// Stop terminates the mediation loop and waits for it to exit.
+// retry is the lane for what handle declined: it takes a queued message and
+// sends it to the connector again, which offers it to handle under the route
+// lock like any other delivery. A request whose verdict is still Deferred
+// comes straight back, so the lane yields between offers — whatever will
+// change the verdict needs the processor more than the next attempt does.
+func (c *Connector) retry(ctx context.Context) {
+	defer c.wg.Done()
+	for {
+		m, err := c.ep.Receive(ctx)
+		if err != nil {
+			return
+		}
+		if err := c.b.Send(m); err != nil && m.Kind == bus.Request {
+			// Declined again with the mailbox full in the meantime: answer
+			// the caller instead of losing the request.
+			c.replyError(&m, err.Error())
+		}
+		runtime.Gosched()
+	}
+}
+
+// Stop closes the connector for mediation (later messages queue, as before
+// Start) and waits for the retry lane to exit.
 func (c *Connector) Stop() {
+	c.running.Store(false)
 	if c.cancel != nil {
 		c.cancel()
 	}
@@ -288,12 +336,12 @@ const sweepEvery = 256
 // deadline still settles normally.
 const pendingGraceNanos = int64(time.Second)
 
-// sweepExpiredLocked reclaims pending entries whose mediated request's
-// deadline lapsed long ago: governance shed the request without a reply
-// (mailbox expiry, flush-after-resume discard), so nothing will ever settle
-// them. The caller already timed out, so no reply is owed; a late reply to
-// a swept correlation id is harmlessly ignored. Runs on the mediation
-// goroutine.
+// sweepExpired reclaims pending entries whose mediated request's deadline
+// lapsed long ago: governance shed the request without a reply (mailbox
+// expiry, flush-after-resume discard), so nothing will ever settle them. The
+// caller already timed out, so no reply is owed; a late reply to a swept
+// correlation id is harmlessly ignored. A deadline-less entry is not the
+// sweep's: its caller revokes it with a cancel when it gives up.
 func (c *Connector) sweepExpired() {
 	c.sinceSweep++
 	if c.sinceSweep < sweepEvery || len(c.pending) == 0 {
@@ -303,45 +351,63 @@ func (c *Connector) sweepExpired() {
 	now := time.Now().UnixNano()
 	for corr, pc := range c.pending {
 		if pc.deadline != 0 && now > pc.deadline+pendingGraceNanos {
-			delete(c.pending, corr)
+			c.dropPending(corr)
 			c.stats.expiredSwept.Add(1)
 		}
 	}
 }
 
-func (c *Connector) handle(m bus.Message) {
+func (c *Connector) dropPending(corr uint64) {
+	delete(c.pending, corr)
+	c.stats.pending.Add(-1)
+}
+
+// handle is the connector's bus.DirectFunc and its whole mediation body. It
+// reports false to decline the message, which then queues for the retry lane
+// exactly as it arrived.
+func (c *Connector) handle(in bus.Message) bool {
+	if !c.running.Load() {
+		return false
+	}
 	c.sweepExpired()
-	switch m.Kind {
-	case bus.Request:
-		c.handleRequest(m)
-	case bus.Reply:
-		c.handleReply(m)
+	c.scratch = in
+	m := &c.scratch
+	done := true
+	switch {
+	case m.Kind == bus.Request:
+		done = c.handleRequest(m)
+	case m.Kind == bus.Reply:
+		c.settle(m.Corr, m.Payload)
+	case m.Kind == bus.Control && m.Op == bus.OpCancel:
+		c.handleCancel(m.Src, m.Corr)
 	default:
 		// Events pass through to all targets (pipe semantics).
+		fwd := *m
+		fwd.Src = c.addr
 		for _, tgt := range *c.targets.Load() {
-			fwd := m
-			fwd.Src = c.ep.Addr()
 			fwd.Dst = tgt
 			_ = c.b.Send(fwd)
 		}
 	}
+	c.scratch.Payload = nil // do not pin the last call's arguments
+	return done
 }
 
-func (c *Connector) handleRequest(m bus.Message) {
+// handleRequest mediates one request held in the scratch message; false
+// means a filter or rule deferred it.
+func (c *Connector) handleRequest(m *bus.Message) bool {
 	// 1. Composition filters on the input side.
-	res := c.filters.Eval(filters.Input, &m)
+	res := c.filters.Eval(filters.Input, m)
 	switch res.Outcome {
 	case filters.Rejected:
 		c.stats.filterRejects.Add(1)
 		c.replyError(m, res.Err.Error())
-		return
+		return true
 	case filters.DeferredMsg:
+		// Back of the mailbox: the wait filter's condition is re-evaluated
+		// when the retry lane offers the request again.
 		c.stats.deferred.Add(1)
-		// Requeue at the back of the mailbox: the wait filter's condition
-		// is re-evaluated on the next pass.
-		requeued := m
-		_ = c.b.Send(redirectToSelf(requeued, c.ep.Addr()))
-		return
+		return false
 	}
 
 	// 2. FLO interaction rules.
@@ -351,20 +417,19 @@ func (c *Connector) handleRequest(m bus.Message) {
 		case flo.Deny:
 			c.stats.ruleDenials.Add(1)
 			c.replyError(m, "interaction rule: "+dec.Reason)
-			return
+			return true
 		case flo.Deferred:
 			c.stats.deferred.Add(1)
-			_ = c.b.Send(redirectToSelf(m, c.ep.Addr()))
-			return
+			return false
 		}
 	}
 
-	// 3. Glue protocol automaton (mediation-goroutine state).
+	// 3. Glue protocol automaton.
 	if c.glue != nil {
 		if err := c.glue.step(m.Op); err != nil {
 			c.stats.glueViolations.Add(1)
 			c.replyError(m, err.Error())
-			return
+			return true
 		}
 	}
 
@@ -373,37 +438,41 @@ func (c *Connector) handleRequest(m bus.Message) {
 	targets := c.route()
 	if len(targets) == 0 {
 		c.replyError(m, "connector "+c.name+": no targets bound")
-		return
+		return true
 	}
 	c.corr++
 	corr := c.corr
 	c.pending[corr] = pendingCall{
-		caller: m.Src, corr: m.Corr, op: m.Op, awaiting: len(targets),
-		deadline: m.Deadline,
+		caller: m.Src, corr: m.Corr, op: m.Op, targets: targets,
+		awaiting: len(targets), deadline: m.Deadline,
 	}
+	c.stats.pending.Add(1)
 	c.stats.mediated.Add(1)
 
+	// The forwarded copy leaves the scratch free for a reply: a target that
+	// cannot be reached is settled from inside this loop.
+	fwd := *m
+	fwd.Src = c.addr
+	fwd.Corr = corr
 	if len(targets) > 1 {
 		// Fan-out shares one message across targets; a typed envelope is a
 		// single mutable response slot, so multicast must fall back to the
 		// boxed form — each callee then replies through its own payload
 		// instead of racing on the envelope.
-		if tc, ok := m.Payload.(TypedCall); ok {
-			m.Payload = CallPayload{Principal: tc.Principal(), Args: tc.Args()}
+		if tc, ok := fwd.Payload.(TypedCall); ok {
+			fwd.Payload = CallPayload{Principal: tc.Principal(), Args: tc.Args()}
 		}
 	}
 	for _, tgt := range targets {
-		fwd := m
-		fwd.Src = c.ep.Addr()
 		fwd.Dst = tgt
-		fwd.Corr = corr
 		if err := c.b.Send(fwd); err != nil {
 			c.settle(corr, ReplyPayload{Err: err.Error()})
 		}
 	}
+	return true
 }
 
-// route picks targets per kind; called from the mediation goroutine only.
+// route picks targets per kind.
 func (c *Connector) route() []bus.Address {
 	targets := *c.targets.Load()
 	switch c.kind {
@@ -424,62 +493,69 @@ func (c *Connector) route() []bus.Address {
 	}
 }
 
-func (c *Connector) handleReply(m bus.Message) {
-	payload, _ := m.Payload.(ReplyPayload)
-	c.settle(m.Corr, payload)
-}
-
 // settle resolves one awaited reply for the correlation id; for multicast
-// the last reply releases the gathered results. Runs on the mediation
-// goroutine, so the pending table needs no lock.
-func (c *Connector) settle(corr uint64, payload ReplyPayload) {
+// the last reply releases the gathered results. payload is the reply's
+// payload as it arrived: on the single-target path it rides through to the
+// caller in the box it came in.
+func (c *Connector) settle(corr uint64, payload any) {
 	pc, ok := c.pending[corr]
 	if !ok {
 		return
 	}
+	rp, _ := payload.(ReplyPayload)
 	pc.awaiting--
-	if payload.Err == "" && c.kind == adl.KindMulticast {
+	if rp.Err == "" && c.kind == adl.KindMulticast {
 		// Only multicast gathers; the rpc/pipe/balanced path must not
 		// allocate a gather slice per call.
-		pc.gathered = append(pc.gathered, payload.Results)
+		pc.gathered = append(pc.gathered, rp.Results)
+		if pc.awaiting > 0 {
+			c.pending[corr] = pc
+			return
+		}
+		payload = ReplyPayload{Results: []any{pc.gathered}}
 	}
-	if pc.awaiting > 0 && payload.Err == "" {
-		c.pending[corr] = pc
-		return
-	}
-	delete(c.pending, corr)
+	c.dropPending(corr)
 	c.stats.replies.Add(1)
-	caller := pc.caller
-	callerCorr := pc.corr
-	op := pc.op
 
-	out := payload
-	if payload.Err == "" && c.kind == adl.KindMulticast {
-		out = ReplyPayload{Results: []any{pc.gathered}}
-	}
-	reply := bus.Message{
-		Kind: bus.Reply, Op: op, Payload: out,
-		Src: c.ep.Addr(), Dst: caller, Corr: callerCorr,
+	c.scratch = bus.Message{
+		Kind: bus.Reply, Op: pc.op, Payload: payload,
+		Src: c.addr, Dst: pc.caller, Corr: pc.corr,
 	}
 	// Output-side filters see the reply before it leaves the connector.
-	if res := c.filters.Eval(filters.Output, &reply); res.Outcome == filters.Rejected {
-		reply.Payload = ReplyPayload{Err: res.Err.Error()}
+	if res := c.filters.Eval(filters.Output, &c.scratch); res.Outcome == filters.Rejected {
+		c.scratch.Payload = ReplyPayload{Err: res.Err.Error()}
 	}
-	_ = c.b.Send(reply)
+	_ = c.b.Send(c.scratch)
 }
 
-func (c *Connector) replyError(m bus.Message, reason string) {
-	reply := bus.Message{
+// handleCancel revokes the mediated request its caller names by the
+// correlation id the caller used: the pending entry goes, and the cancel
+// travels on to wherever the request went under the id the connector gave
+// it there — the pair a callee's revocation table is keyed by. The callee's
+// "cancelled before service" answer then finds no entry and is dropped.
+// Cancels are rare (a caller gave up), so the table is scanned, not indexed.
+func (c *Connector) handleCancel(caller bus.Address, callerCorr uint64) {
+	for corr, pc := range c.pending {
+		if pc.corr != callerCorr || pc.caller != caller {
+			continue
+		}
+		c.dropPending(corr)
+		for _, tgt := range pc.targets {
+			_ = c.b.Send(bus.Message{
+				Kind: bus.Control, Op: bus.OpCancel,
+				Src: c.addr, Dst: tgt, Corr: corr,
+			})
+		}
+		return
+	}
+}
+
+func (c *Connector) replyError(m *bus.Message, reason string) {
+	_ = c.b.Send(bus.Message{
 		Kind: bus.Reply, Op: m.Op,
 		Payload: ReplyPayload{Err: reason},
-		Src:     c.ep.Addr(), Dst: m.Src, Corr: m.Corr,
-	}
-	_ = c.b.Send(reply)
-}
-
-func redirectToSelf(m bus.Message, self bus.Address) bus.Message {
-	m.Dst = self
-	return m
+		Src:     c.addr, Dst: m.Src, Corr: m.Corr,
+	})
 }
 
 // glueTracker walks the protocol automaton, matching operations against
@@ -533,7 +609,7 @@ func (f Factory) Build(decl adl.ConnectorDecl, targets []bus.Address, aspects ..
 		// fails connector generation instead of silently matching nothing.
 		// Release the bus address on failure so a corrected Build can retry.
 		if err := filters.Superimpose(sp, c.filters); err != nil {
-			f.Bus.Detach(c.ep.Addr())
+			f.Bus.Detach(c.addr)
 			return nil, fmt.Errorf("connector %s: %w", decl.Name, err)
 		}
 	}

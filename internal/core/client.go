@@ -212,21 +212,21 @@ func (s *System) PendingCalls() int {
 func (c *Client) Call(ctx context.Context, op string, args ...any) ([]any, error) {
 	b := c.b
 	s := b.sys
-	w, corr, dl, tr, err := c.send(ctx, op, args)
+	src, corr, dl, tr, err := c.admit(ctx, op)
 	if err != nil {
 		return nil, err
 	}
-	// When the context carries a deadline it covers the wait entirely;
-	// otherwise arm a stoppable fallback timer (never time.After — high-QPS
-	// callers must not leak a pending timer per request until it fires).
-	var timerC <-chan time.Time
-	if _, ok := ctx.Deadline(); !ok {
-		timer := time.NewTimer(c.fallback())
-		defer timer.Stop()
-		timerC = timer.C
+	ws := waitSlots.Get().(*waitSlot)
+	s.clientWaiters.add(corr, ws.w)
+	if err := s.bus.Send(c.request(src, corr, dl, tr, op, args)); err != nil {
+		s.clientWaiters.take(corr)
+		waitSlots.Put(ws)
+		return nil, err
 	}
-	select {
-	case payload := <-w:
+	payload, end := ws.await(ctx, c.fallback())
+	switch end {
+	case waitReplied:
+		waitSlots.Put(ws)
 		if payload.Err != "" {
 			rerr := replyErrorKind(payload.Err, payload.Kind)
 			c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(rerr))
@@ -234,16 +234,12 @@ func (c *Client) Call(ctx context.Context, op string, args ...any) ([]any, error
 		}
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeOK)
 		return payload.Results, nil
-	case <-ctx.Done():
-		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
-		}
+	case waitCtxDone:
+		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(ctx.Err()))
 		return nil, fmt.Errorf("core: call %s.%s: %w", b.name, op, ctx.Err())
-	case <-timerC:
-		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
-		}
+	default:
+		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeDeadline)
 		return nil, c.timeoutError(op)
 	}
@@ -490,27 +486,13 @@ func (c *Client) send(ctx context.Context, op string, args []any) (chan connecto
 	return w, corr, dl, tr, nil
 }
 
-// sendCancel tells the callee — and any mediating gateway on the way, which
-// relays it across the peer link as a wire cancel frame — that the caller
-// abandoned corr, so queued or in-service work for it can be reclaimed
-// immediately. Best-effort: a lost cancel only costs the reclamation, never
-// correctness. Deadline expiry needs no cancel — the lapsed deadline itself
-// revokes the work at every queueing point — so only aborts before the
-// stamped deadline (early context cancellation, fallback timeouts on
-// deadline-less calls) send one.
+// sendCancel revokes corr for a future that has already taken its waiter
+// entry (see abandon for what the cancel does on its way).
 func (c *Client) sendCancel(corr uint64, dl int64) {
-	if dl != 0 && time.Now().UnixNano() >= dl {
-		return
-	}
 	s := c.b.sys
-	addrs := s.clientAddrs.Load()
-	if addrs == nil {
-		return
+	if addrs := s.clientAddrs.Load(); addrs != nil {
+		sendCancel(s.bus, (*addrs)[corr&(clientEndpoints-1)], c.b.dst, corr, dl)
 	}
-	_ = s.bus.Send(bus.Message{
-		Kind: bus.Control, Op: bus.OpCancel,
-		Src: (*addrs)[corr&(clientEndpoints-1)], Dst: c.b.dst, Corr: corr,
-	})
 }
 
 // fallback is the wait bound applied when the context has no deadline.

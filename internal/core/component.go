@@ -100,7 +100,10 @@ type runtimeComponent struct {
 	woven *aspects.Woven
 	// meta is the component's meta-object chain (interaction patterns, §2);
 	// serve executes its published snapshot around the woven invocation.
-	meta metaobj.Chain
+	// metaBase is that invocation as the chain's base: rc.invokeWoven, bound
+	// once so no method value is built per call.
+	meta     metaobj.Chain
+	metaBase func(*bus.Message) (any, error)
 
 	// streams tracks running stream producers keyed by (consumer, corr) so
 	// credit and cancel controls find them; abortStreams drains the table
@@ -158,6 +161,7 @@ func newRuntimeComponent(sys *System, decl adl.ComponentDecl, cont *container.Co
 		}
 	}
 	rc.woven = sys.weaver.WeaveFor(decl.Name, base)
+	rc.metaBase = rc.invokeWoven
 	return rc, nil
 }
 
@@ -327,11 +331,14 @@ func (rc *runtimeComponent) serve(m bus.Message) {
 	)
 	if rc.meta.Len() == 0 {
 		// Fast path: no meta-objects composed; invoke the woven chain
-		// directly. (Kept free of closures so res and err stay off the
-		// heap on the dominant path.)
+		// directly, without leasing a run from the chain.
 		res, err = rc.invokeWoven(&m)
 	} else {
-		res, err = rc.invokeThroughMeta(m)
+		// Wrappers may rewrite the message (modificatory), veto it by not
+		// calling next, and — because the base returns the invocation's error
+		// into the chain — observe, translate or suppress invocation failures.
+		// The chain's final error is authoritative for the reply.
+		res, err = rc.meta.Invoke(m, rc.metaBase)
 	}
 
 	if errors.Is(err, container.ErrNotActive) {
@@ -459,27 +466,13 @@ func (rc *runtimeComponent) depth() int64 {
 }
 
 // invokeWoven runs one message through the component's compiled aspect
-// pipeline into the container.
+// pipeline into the container. It is also the base the meta-object chain
+// ends at (rc.metaBase).
 func (rc *runtimeComponent) invokeWoven(m *bus.Message) (any, error) {
 	// The payload rides the invocation as-is: a boxed CallPayload or a typed
 	// call envelope — the woven base closure dispatches on the dynamic type.
 	inv := &aspects.Invocation{Component: rc.name, Op: m.Op, Args: m.Payload}
 	return rc.woven.Invoke(inv)
-}
-
-// invokeThroughMeta wraps the woven invocation in the component's
-// meta-object chain: wrappers may rewrite the message (modificatory), veto
-// it by not calling next, and — because the base returns the invocation's
-// error into the chain — observe, translate or suppress invocation
-// failures. The chain's final error is authoritative for the reply.
-func (rc *runtimeComponent) invokeThroughMeta(m bus.Message) (any, error) {
-	var res any
-	chainErr := rc.meta.Execute(&m, func(fm *bus.Message) error {
-		r, err := rc.invokeWoven(fm)
-		res = r
-		return err
-	})
-	return res, chainErr
 }
 
 // Call implements Caller: route the outcall through the bound connector and
@@ -493,49 +486,45 @@ func (rc *runtimeComponent) Call(service string, args ...any) ([]any, error) {
 // CallContext implements ContextCaller: Call governed by a context whose
 // deadline is stamped into the outgoing request (propagating down the call
 // chain, across peer links included) and whose cancellation releases the
-// reply-waiter slot immediately.
+// reply-waiter slot immediately. A caller that gives up — cancellation, or
+// the fallback timeout of a deadline-less call — revokes the request like
+// Client.Call does, so the connector it went through drops its pending entry
+// and the callee does not serve it.
 func (rc *runtimeComponent) CallContext(ctx context.Context, service string, args ...any) ([]any, error) {
 	dst, ok := (*rc.routes.Load())[service]
 	if !ok {
 		return nil, fmt.Errorf("core: component %s: required service %q is unbound", rc.name, service)
 	}
 	corr := rc.corr.Add(1)
-	w := make(chan connector.ReplyPayload, 1)
-	rc.waiters.add(corr, w)
+	ws := waitSlots.Get().(*waitSlot)
+	rc.waiters.add(corr, ws.w)
 
 	m := bus.Message{
 		Kind: bus.Request, Op: service,
 		Payload: connector.CallPayload{Args: args},
 		Src:     rc.ep.Addr(), Dst: dst, Corr: corr,
 	}
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline {
+	if deadline, ok := ctx.Deadline(); ok {
 		m.Deadline = deadline.UnixNano()
 	}
 	if err := rc.sys.bus.Send(m); err != nil {
 		rc.waiters.take(corr)
+		waitSlots.Put(ws)
 		return nil, err
 	}
-	// Stoppable timer (component outcalls are the inner hot path of every
-	// fan-out, so a leaked timer per call would pile up under load), armed
-	// only when the context does not already bound the wait.
-	var timerC <-chan time.Time
-	if !hasDeadline {
-		timer := time.NewTimer(rc.sys.callTimeout)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	select {
-	case payload := <-w:
+	payload, end := ws.await(ctx, rc.sys.callTimeout)
+	switch end {
+	case waitReplied:
+		waitSlots.Put(ws)
 		if payload.Err != "" {
 			return nil, replyErrorKind(payload.Err, payload.Kind)
 		}
 		return payload.Results, nil
-	case <-ctx.Done():
-		rc.waiters.take(corr)
+	case waitCtxDone:
+		abandon(rc.sys.bus, &rc.waiters, m.Src, dst, corr, m.Deadline)
 		return nil, fmt.Errorf("core: call %s.%s: %w", rc.name, service, ctx.Err())
-	case <-timerC:
-		rc.waiters.take(corr)
+	default:
+		abandon(rc.sys.bus, &rc.waiters, m.Src, dst, corr, m.Deadline)
 		return nil, fmt.Errorf("core: call %s.%s timed out", rc.name, service)
 	}
 }

@@ -306,3 +306,86 @@ func TestCancelStormWithDirectSettlement(t *testing.T) {
 		return st.Held == 0 && st.Sent == st.Delivered+st.Dropped
 	})
 }
+
+// TestMediatedCancelReleasesPending: an outcall its caller abandons is
+// revoked through the connector. The request parks behind a request-only
+// pause on the callee, the caller cancels: its CallContext sends the cancel
+// Client.Call would, the connector drops the pending entry and passes the
+// cancel on under its own correlation id — the one the callee knows the
+// request by — and the callee answers the request unserved when it
+// surfaces. The second half abandons a deadline-less outcall by the fallback
+// timeout, the entry the connector's sweep never reclaimed.
+func TestMediatedCancelReleasesPending(t *testing.T) {
+	sys := startKV(t, Options{CallTimeout: 50 * time.Millisecond})
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := sys.Connector("Front", "get")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := *sys.compView.Load()
+	front, store := view["Front"], view["Store"]
+	addr := ComponentAddress("Store")
+	served := func() int { return len(sys.Events().History(EvRequestServed)) }
+	servedBefore := served()
+
+	abandon := func(what string, ctx context.Context, cancel func(), want error) {
+		t.Helper()
+		sys.Bus().PauseRequests(addr)
+		done := make(chan error, 1)
+		go func() {
+			_, err := front.CallContext(ctx, "get", "k")
+			done <- err
+		}()
+		eventually(t, what+": the request to park on the callee", func() bool { return sys.Bus().HeldCount(addr) == 1 })
+		if n := conn.Stats().Pending; n != 1 {
+			t.Fatalf("%s: %d pending entries with one call in flight", what, n)
+		}
+		cancel()
+		if err := <-done; want != nil && !errors.Is(err, want) || err == nil {
+			t.Fatalf("%s: err = %v", what, err)
+		}
+		// The cancel ran inline inside the caller's own Send: by the time
+		// CallContext has returned, both tables have been updated.
+		if n := conn.Stats().Pending; n != 0 {
+			t.Fatalf("%s: the abandoned call left %d pending entries on the connector", what, n)
+		}
+		if n := store.cancels.n.Load(); n != 1 {
+			t.Fatalf("%s: callee recorded %d revocations, want 1", what, n)
+		}
+		if _, err := sys.Bus().Resume(addr); err != nil {
+			t.Fatal(err)
+		}
+		eventually(t, what+": the revoked request to be answered unserved", func() bool {
+			return store.cancels.n.Load() == 0
+		})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	abandon("cancel", ctx, cancel, context.Canceled)
+	abandon("fallback timeout", context.Background(), func() {}, nil)
+
+	failed := 0
+	for _, e := range sys.Events().History(EvRequestFailed) {
+		if e.Component == "Store" && strings.Contains(e.Detail, "canceled before service") {
+			failed++
+		}
+	}
+	if failed != 2 || served() != servedBefore {
+		t.Fatalf("%d requests answered unserved (want 2), %d served (want 0)", failed, served()-servedBefore)
+	}
+	if n := front.waiters.outstanding(); n != 0 {
+		t.Fatalf("%d reply waiters left on the caller", n)
+	}
+	eventually(t, "the bus ledger to balance", func() bool {
+		st := sys.Bus().Stats()
+		return st.Held == 0 && st.Sent == st.Delivered+st.Dropped
+	})
+	// The path still works, and a served call leaves nothing behind either.
+	if res, err := front.CallContext(context.Background(), "get", "k"); err != nil || res[0] != "v" {
+		t.Fatalf("call after the revocations: %v, %v", res, err)
+	}
+	if n := conn.Stats().Pending; n != 0 {
+		t.Fatalf("%d pending entries after a served call", n)
+	}
+}

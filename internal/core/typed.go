@@ -164,7 +164,7 @@ func ClientOfCodec[Req, Resp any](s *System, component string, codec Codec[Req, 
 		c:     s.Client(component),
 		codec: codec,
 		pool: &sync.Pool{New: func() any {
-			return &typedEnvelope[Req, Resp]{w: make(chan connector.ReplyPayload, 1)}
+			return &typedEnvelope[Req, Resp]{waitSlot: waitSlot{w: make(chan connector.ReplyPayload, 1)}}
 		}},
 	}
 }
@@ -202,13 +202,9 @@ type typedEnvelope[Req, Resp any] struct {
 	done    bool
 	errMsg  string
 	errKind connector.ErrKind
-	// w is the reply-waiter channel, registered per call and reused across
-	// pooled calls. It only ever receives the one signal the waiter table
-	// routes, so reuse cannot deliver a stale reply.
-	w chan connector.ReplyPayload
-	// timer is the lazily-created, reused fallback timer (go1.23+ timer
-	// semantics make Reset safe without draining).
-	timer *time.Timer
+	// The reply-waiter channel and fallback timer, registered per call and
+	// reused across pooled calls under the pooling protocol above.
+	waitSlot
 }
 
 var _ connector.TypedCall = (*typedEnvelope[int, int])(nil)
@@ -284,37 +280,19 @@ func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (
 		t.pool.Put(e)
 		return zero, err
 	}
-	var timerC <-chan time.Time
-	if _, ok := ctx.Deadline(); !ok {
-		if e.timer == nil {
-			e.timer = time.NewTimer(c.fallback())
-		} else {
-			e.timer.Reset(c.fallback())
-		}
-		timerC = e.timer.C
-	}
-	select {
-	case payload := <-e.w:
-		if timerC != nil {
-			e.timer.Stop()
-		}
+	payload, end := e.await(ctx, c.fallback())
+	switch end {
+	case waitReplied:
 		resp, cerr := t.collect(e, payload)
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(cerr))
 		return resp, cerr
-	case <-ctx.Done():
-		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
-		}
-		if timerC != nil {
-			e.timer.Stop()
-		}
+	case waitCtxDone:
+		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(ctx.Err()))
 		// Abandon the envelope: the serving side may still write it.
 		return zero, fmt.Errorf("core: call %s.%s: %w", b.name, op, ctx.Err())
-	case <-timerC:
-		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
-		}
+	default:
+		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeDeadline)
 		return zero, c.timeoutError(op)
 	}
@@ -358,8 +336,8 @@ func (t *TypedClient[Req, Resp]) collect(e *typedEnvelope[Req, Resp], payload co
 func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) *TypedFuture[Req, Resp] {
 	c := t.c
 	f := &TypedFuture[Req, Resp]{t: t, op: op, done: make(chan struct{})}
-	e := &typedEnvelope[Req, Resp]{w: make(chan connector.ReplyPayload, 1), codec: &t.codec,
-		principal: c.principal, req: req}
+	e := &typedEnvelope[Req, Resp]{waitSlot: waitSlot{w: make(chan connector.ReplyPayload, 1)},
+		codec: &t.codec, principal: c.principal, req: req}
 	f.e = e
 	s := c.b.sys
 	src, corr, dl, tr, err := c.admit(ctx, op)

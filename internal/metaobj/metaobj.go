@@ -17,10 +17,11 @@
 // (DESIGN.md §5), composition is the compile step: Insert and Remove
 // revalidate and reorder under the chain's writer mutex and publish the new
 // execution order as one immutable, generation-stamped snapshot behind an
-// atomic pointer. Execute loads one snapshot and walks it — no lock, no
-// per-execution copy — so a concurrent recomposition never tears the chain
-// mid-interaction, and a failed recomposition leaves the published chain
-// untouched.
+// atomic pointer. Execute and Invoke load one snapshot and walk it — no
+// lock, and the continuations handed to the wrappers are built once per
+// pooled run, not per execution — so a concurrent recomposition never tears
+// the chain mid-interaction, and a failed recomposition leaves the
+// published chain untouched.
 package metaobj
 
 import (
@@ -59,7 +60,9 @@ type MetaObject struct {
 	// Cond gates execution for Conditional wrappers.
 	Cond func(*bus.Message) bool
 	// Invoke wraps the rest of the chain. Implementations call next to
-	// continue; not calling it aborts the interaction.
+	// continue; not calling it aborts the interaction. next (and, for a
+	// chain run with Chain.Invoke, m) belongs to this execution: use neither
+	// once Invoke has returned.
 	Invoke func(m *bus.Message, next func(*bus.Message) error) error
 }
 
@@ -72,10 +75,96 @@ var (
 	ErrDuplicate         = errors.New("metaobj: duplicate wrapper")
 )
 
-// snapshot is one published execution order; it is immutable.
+// snapshot is one published execution order; it is immutable apart from
+// its pool of runs.
 type snapshot struct {
 	gen     uint64
 	ordered []*MetaObject
+	runs    sync.Pool // *run, each built for this order
+}
+
+// run is the private state of one execution of a snapshot: the base it ends
+// at, the base's result, and the continuations handed to the wrappers. The
+// continuations are closures over the run, built once when the run is, so
+// an execution leases a run instead of allocating a closure per wrapper and
+// a cell for the result. next[i] enters wrapper i; next[len(ordered)] calls
+// the base.
+type run struct {
+	next []func(*bus.Message) error
+	// Exactly one base is set while leased: plain for Execute, invoke (whose
+	// result lands in res) for Invoke.
+	plain  func(*bus.Message) error
+	invoke func(*bus.Message) (any, error)
+	res    any
+	m      bus.Message // Invoke's copy of the message
+	// open counts continuations a wrapper has entered and not yet left. A
+	// wrapper that returns while one is still running — it raced next
+	// against a timeout, say — leaves it above zero, and the run is then
+	// left to the collector instead of being leased to another execution.
+	open atomic.Int32
+}
+
+func newRun(ordered []*MetaObject) *run {
+	n := len(ordered)
+	r := &run{next: make([]func(*bus.Message) error, n+1)}
+	r.next[n] = func(m *bus.Message) error {
+		r.open.Add(1)
+		var err error
+		if r.plain != nil {
+			err = r.plain(m)
+		} else {
+			r.res, err = r.invoke(m)
+		}
+		r.open.Add(-1)
+		return err
+	}
+	for i := n - 1; i >= 1; i-- {
+		o, next := ordered[i], r.next[i+1]
+		r.next[i] = func(m *bus.Message) error {
+			r.open.Add(1)
+			err := step(o, m, next)
+			r.open.Add(-1)
+			return err
+		}
+	}
+	if n > 0 {
+		// Not counted: Execute enters it itself and returns after it does.
+		o, next := ordered[0], r.next[1]
+		r.next[0] = func(m *bus.Message) error { return step(o, m, next) }
+	}
+	return r
+}
+
+// step runs one wrapper: a conditional wrapper whose condition fails is
+// skipped, and a wrapper without the Modificatory property receives a
+// private copy while downstream continues with the original.
+func step(o *MetaObject, m *bus.Message, next func(*bus.Message) error) error {
+	if o.Props.Has(Conditional) && !o.Cond(m) {
+		return next(m)
+	}
+	if !o.Props.Has(Modificatory) {
+		cp := *m
+		return o.Invoke(&cp, func(*bus.Message) error { return next(m) })
+	}
+	return o.Invoke(m, next)
+}
+
+// lease takes a run of this snapshot out of the pool.
+func (s *snapshot) lease() *run {
+	if r, ok := s.runs.Get().(*run); ok {
+		return r
+	}
+	return newRun(s.ordered)
+}
+
+// release returns a finished run to the pool, unless a continuation of it
+// is still running somewhere.
+func (s *snapshot) release(r *run) {
+	r.plain, r.invoke, r.res = nil, nil, nil
+	r.m = bus.Message{}
+	if r.open.Load() == 0 {
+		s.runs.Put(r)
+	}
 }
 
 var emptySnapshot = &snapshot{}
@@ -278,24 +367,29 @@ func (c *Chain) Remove(name string) error {
 // front: it walks one immutable snapshot, so every interaction sees exactly
 // one composition generation even while wrappers are inserted or removed.
 func (c *Chain) Execute(m *bus.Message, base func(*bus.Message) error) error {
-	return execute(c.loadSnap().ordered, m, base)
-}
-
-func execute(chain []*MetaObject, m *bus.Message, base func(*bus.Message) error) error {
-	if len(chain) == 0 {
+	snap := c.loadSnap()
+	if len(snap.ordered) == 0 {
 		return base(m)
 	}
-	o := chain[0]
-	next := func(mm *bus.Message) error { return execute(chain[1:], mm, base) }
+	r := snap.lease()
+	r.plain = base
+	err := r.next[0](m)
+	snap.release(r)
+	return err
+}
 
-	if o.Props.Has(Conditional) && !o.Cond(m) {
-		return next(m)
-	}
-	if !o.Props.Has(Modificatory) {
-		// Non-modificatory wrappers see a private copy; downstream
-		// continues with the original.
-		cp := *m
-		return o.Invoke(&cp, func(*bus.Message) error { return next(m) })
-	}
-	return o.Invoke(m, next)
+// Invoke is Execute for a base that produces a result, which it returns
+// beside the chain's error. The chain works on its own copy of m. With a
+// base that is not built per call — a method value kept in a field — an
+// invocation through a chain of modificatory or conditional wrappers
+// allocates nothing.
+func (c *Chain) Invoke(m bus.Message, base func(*bus.Message) (any, error)) (any, error) {
+	snap := c.loadSnap()
+	r := snap.lease()
+	r.invoke = base
+	r.m = m
+	err := r.next[0](&r.m)
+	res := r.res
+	snap.release(r)
+	return res, err
 }
