@@ -169,7 +169,7 @@ var (
 )
 
 // WithPrincipal stamps every call of the derived handle with a security
-// principal (replaces the deprecated System.CallAs).
+// principal.
 func WithPrincipal(principal string) CallOption { return core.WithPrincipal(principal) }
 
 // WithDeadline gives every call of the derived handle a deadline budget used

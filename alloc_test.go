@@ -400,16 +400,14 @@ func startMediated(tb testing.TB) *aas.System {
 
 // TestMediatedCallAllocs pins the mediated call — client edge, Front's
 // serve and outcall, the connector both ways, Store's serve through its
-// meta-object and aspects, counted across every goroutine involved — at 12
-// allocations (29 before the connector became a direct bus participant and
-// the call shapes shared a pooled wait slot). AllocsPerRun rounds down, so
-// the budget is the measurement. What is left is the values themselves, two
-// of each, one per hop: the caller's argument list and boxed key, Store's
-// result list and boxed value, a CallPayload box per request, a ReplyPayload
-// box per serve (the connector passes the callee's on as it came), each
-// container result list boxed into the aspect chain's `any`, and the
-// aspect-invocation record per serve. Nothing is allocated to wait, to
-// mediate or to run the meta-object chain.
+// meta-object and aspects, counted across every goroutine involved — at 8
+// allocations. AllocsPerRun rounds down, so the budget is the measurement.
+// What is left is the values themselves: the caller's argument list and
+// boxed key, Store's result list and boxed value, and per serve (two of
+// them) the container's result list boxed into the aspect chain's `any` and
+// the aspect-invocation record. Both hops carry their arguments and results
+// in a pooled call envelope, so nothing is allocated to box a request or a
+// reply, to wait, to mediate or to run the meta-object chain.
 func TestMediatedCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -427,18 +425,17 @@ func TestMediatedCallAllocs(t *testing.T) {
 		call()
 	}
 	allocs := minAllocsPerRun(5, 200, call)
-	if allocs > 12 {
-		t.Fatalf("mediated call allocates %.1f/op, budget 12", allocs)
+	if allocs > 8 {
+		t.Fatalf("mediated call allocates %.1f/op, budget 8", allocs)
 	}
 	t.Logf("mediated call: %.1f allocs/op", allocs)
 }
 
 // TestUntypedCallAllocs pins Client.Call straight to a component (Store,
-// behind its meta-object and aspects) at 7 allocations: the argument list,
-// the CallPayload and ReplyPayload boxes, the aspect-invocation record, the
-// result list, its value and its box into `any`. It was 16 when the wait
-// made a channel and a timer (5) and the meta-object stage moved the message,
-// the result and two closures to the heap (4).
+// behind its meta-object and aspects) at 5 allocations: the argument list,
+// the aspect-invocation record, the result list, its value and its box into
+// `any`. The request and the reply ride the same pooled envelope a typed call
+// uses, so neither is boxed.
 func TestUntypedCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -455,8 +452,8 @@ func TestUntypedCallAllocs(t *testing.T) {
 		call()
 	}
 	allocs := minAllocsPerRun(5, 200, call)
-	if allocs > 7 {
-		t.Fatalf("untyped call allocates %.1f/op, budget 7", allocs)
+	if allocs > 5 {
+		t.Fatalf("untyped call allocates %.1f/op, budget 5", allocs)
 	}
 	t.Logf("untyped call: %.1f allocs/op", allocs)
 }

@@ -1,7 +1,6 @@
 // Benchmarks for the compiled client-binding call surface (DESIGN.md §7):
-// the synchronous handle call vs the deprecated System.Call shim (the handle
-// must be no slower — it skips per-call name resolution), the parallel
-// platform edge, asynchronous fan-out, and deadline-carrying calls.
+// the synchronous handle call, held (BenchmarkClientCall) and re-fetched by
+// name per call (BenchmarkE12_SystemCall), the parallel platform edge, asynchronous fan-out, and deadline-carrying calls.
 package aas_test
 
 import (
@@ -13,9 +12,9 @@ import (
 )
 
 // BenchmarkClientCall is the steady-state hot path: one compiled handle,
-// sequential synchronous calls. Compare with BenchmarkE12_SystemCall (the
-// deprecated shim) — cached resolution must not be slower and must not add
-// allocations.
+// sequential synchronous calls. Compare with BenchmarkE12_SystemCall, which
+// fetches the handle by name on every call — the fetch is one atomic map
+// load and must add no allocation.
 func BenchmarkClientCall(b *testing.B) {
 	sys, _ := startBenchSystem(b)
 	store := sys.Client("Store")

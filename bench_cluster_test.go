@@ -99,19 +99,19 @@ func startBenchClusterLinger(b *testing.B, linger time.Duration) *aas.ClusterHar
 }
 
 // BenchmarkClusterParallelRemoteCall measures the bare cross-node path:
-// System.Call resolves the remote view, the gateway forwards over TCP, the
+// the handle resolves through the remote view, the gateway forwards over TCP, the
 // peer serves and the reply crosses back.
 func BenchmarkClusterParallelRemoteCall(b *testing.B) {
 	h := startBenchCluster(b)
 	sys := h.System("n1")
-	if _, err := sys.Call("Store", "get", "warm"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "get", "warm"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Store", "get", "k"); err != nil {
+			if _, err := sys.Client("Store").Call(context.Background(), "get", "k"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -168,14 +168,14 @@ func BenchmarkClusterBatchedRemoteCall(b *testing.B) {
 func BenchmarkClusterParallelMediatedRemoteCall(b *testing.B) {
 	h := startBenchCluster(b)
 	sys := h.System("n1")
-	if _, err := sys.Call("Front", "fetch", "warm"); err != nil {
+	if _, err := sys.Client("Front").Call(context.Background(), "fetch", "warm"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Front", "fetch", "k"); err != nil {
+			if _, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -199,7 +199,7 @@ func BenchmarkClusterLiveMigration(b *testing.B) {
 				return
 			default:
 			}
-			_, _ = sys1.Call("Front", "fetch", fmt.Sprintf("k%d", i))
+			_, _ = sys1.Client("Front").Call(context.Background(), "fetch", fmt.Sprintf("k%d", i))
 		}
 	}()
 	systems := map[string]*aas.System{"n1": sys1, "n2": sys2}

@@ -1,6 +1,6 @@
 // Parallel benchmarks for the sharded software-bus data plane (E13) and the
 // sharded observation plane / region-scoped reconfiguration (E14): raw Send
-// throughput across GOMAXPROCS, connector-mediated calls, System.Call
+// throughput across GOMAXPROCS, connector-mediated calls, handle-call
 // fan-out, QoS recording and event emission from parallel workers, a mixed
 // workload that keeps reconfiguring (pause / redirect / resume) while
 // traffic flows, and traffic through an untouched region while a disjoint
@@ -150,16 +150,17 @@ func BenchmarkConnectorParallelCall(b *testing.B) {
 }
 
 // BenchmarkSystemCallParallel measures the platform edge: concurrent user
-// requests entering through System.Call and fanning out over the bus.
+// requests entering through a handle fetched by name and fanning out over
+// the bus.
 func BenchmarkSystemCallParallel(b *testing.B) {
 	sys, _ := startBenchSystem(b)
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Store", "get", "k"); err != nil {
+			if _, err := sys.Client("Store").Call(context.Background(), "get", "k"); err != nil {
 				b.Error(err)
 				return
 			}
@@ -193,7 +194,7 @@ func BenchmarkSystemCallParallelDistinctComps(b *testing.B) {
 	}
 	b.Cleanup(sys.Stop)
 	for i := 0; i < comps; i++ {
-		if _, err := sys.Call(fmt.Sprintf("Store%d", i), "put", "k", "v"); err != nil {
+		if _, err := sys.Client(fmt.Sprintf("Store%d", i)).Call(context.Background(), "put", "k", "v"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,7 +204,7 @@ func BenchmarkSystemCallParallelDistinctComps(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		target := fmt.Sprintf("Store%d", id.Add(1)%comps)
 		for pb.Next() {
-			if _, err := sys.Call(target, "get", "k"); err != nil {
+			if _, err := sys.Client(target).Call(context.Background(), "get", "k"); err != nil {
 				b.Error(err)
 				return
 			}
@@ -299,7 +300,7 @@ func BenchmarkRegionReconfigDisjointTraffic(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(sys.Stop)
-	if _, err := sys.Call("StoreA", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("StoreA").Call(context.Background(), "put", "k", "v"); err != nil {
 		b.Fatal(err)
 	}
 
@@ -338,7 +339,7 @@ func BenchmarkRegionReconfigDisjointTraffic(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("FrontA", "fetch", "k"); err != nil {
+			if _, err := sys.Client("FrontA").Call(context.Background(), "fetch", "k"); err != nil {
 				b.Error(err)
 				return
 			}
@@ -534,7 +535,7 @@ func startPipelineSystem(b *testing.B) *aas.System {
 		b.Fatal(err)
 	}
 	b.Cleanup(sys.Stop)
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		b.Fatal(err)
 	}
 	return sys
@@ -586,7 +587,7 @@ func BenchmarkPipelineCallParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Front", "fetch", "k"); err != nil {
+			if _, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil {
 				b.Error(err)
 				return
 			}
@@ -602,7 +603,7 @@ func BenchmarkPipelineCallBare(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Front", "fetch", "k"); err != nil {
+			if _, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil {
 				b.Error(err)
 				return
 			}
@@ -655,7 +656,7 @@ func BenchmarkPipelineInterchangeUnderLoad(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Front", "fetch", "k"); err != nil {
+			if _, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil {
 				b.Error(err)
 				return
 			}

@@ -516,14 +516,16 @@ func startBenchSystem(b *testing.B) (*aas.System, *aas.Registry) {
 	return sys, reg
 }
 
+// BenchmarkE12_SystemCall is the call by name: the handle is fetched from the
+// system's table on every call.
 func BenchmarkE12_SystemCall(b *testing.B) {
 	sys, _ := startBenchSystem(b)
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Call("Store", "get", "k"); err != nil {
+		if _, err := sys.Client("Store").Call(context.Background(), "get", "k"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,9 +29,13 @@ import (
 //     the 10s fallback), release its reply-waiter slot immediately, and the
 //     propagated deadline must reach the remote callee over the wire.
 //
-// The experiment asserts zero non-deadline errors, zero leaked waiter slots
-// and served-call records on both nodes (PendingCalls and ServedCalls drain
-// to zero), and reports how much faster a cancelled call returns than the
+// The storm clients retry in a tight loop without backoff, so when the host
+// stalls a few serves admission control sheds what piles up behind them
+// (ErrOverloaded, ~100 ns a call): that is the platform working, and it is
+// counted as shed. The experiment asserts zero lost fan-out calls, zero
+// errors that are neither deadline nor overload, zero leaked waiter slots and
+// served-call records on both nodes (PendingCalls and ServedCalls drain to
+// zero), and reports how much faster a cancelled call returns than the
 // fallback would allow.
 const e17ADL = `
 system AsyncDist {
@@ -131,7 +135,7 @@ func runE17() {
 		mu                 sync.Mutex
 		cancelReturn       []time.Duration
 		ok, cancelled      atomic.Uint64
-		unexpected         atomic.Uint64
+		shed, unexpected   atomic.Uint64
 		stormWG            sync.WaitGroup
 		stormDeadlineSteps = []time.Duration{200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
 	)
@@ -155,6 +159,8 @@ func runE17() {
 				case errors.Is(err, context.DeadlineExceeded):
 					cancelled.Add(1)
 					local = append(local, elapsed)
+				case errors.Is(err, aas.ErrOverloaded):
+					shed.Add(1)
 				default:
 					unexpected.Add(1)
 				}
@@ -168,8 +174,8 @@ func runE17() {
 	close(stop)
 	<-churnDone
 
-	fmt.Printf("\ncancellation storm (%d clients, deadlines %v): %d completed, %d cancelled, %d unexpected errors\n",
-		stormClients, stormDeadlineSteps, ok.Load(), cancelled.Load(), unexpected.Load())
+	fmt.Printf("\ncancellation storm (%d clients, deadlines %v): %d completed, %d cancelled, %d shed, %d unexpected errors\n",
+		stormClients, stormDeadlineSteps, ok.Load(), cancelled.Load(), shed.Load(), unexpected.Load())
 	if len(cancelReturn) > 0 {
 		sort.Slice(cancelReturn, func(i, j int) bool { return cancelReturn[i] < cancelReturn[j] })
 		p99 := cancelReturn[len(cancelReturn)*99/100]
@@ -193,7 +199,7 @@ func runE17() {
 	p1, p2 := held("n1"), held("n2")
 	fmt.Printf("reply-waiter slots outstanding after the storm: n1=%d n2=%d\n", p1, p2)
 	if fanoutErrs != 0 || unexpected.Load() != 0 || p1 != 0 || p2 != 0 {
-		log.Fatal("E17 FAILED: lost calls or leaked waiter slots under cancellation storm")
+		log.Fatal("E17 FAILED: lost fan-out calls, errors other than deadline and overload, or leaked waiter slots")
 	}
 	fmt.Println("zero lost fan-out calls, zero unexpected errors, zero leaked waiter slots")
 }

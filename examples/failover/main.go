@@ -247,7 +247,7 @@ func clusterAct() {
 	completed := 0
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if out, err := h.System("n1").Call("Front", "fetch", key); err != nil || out[0] != key {
+		if out, err := h.System("n1").Client("Front").Call(context.Background(), "fetch", key); err != nil || out[0] != key {
 			log.Fatalf("fetch %s: %v %v", key, out, err)
 		}
 		completed++
@@ -289,7 +289,7 @@ func clusterAct() {
 
 	// The follower promotes Store warm; service resumes with state intact.
 	for {
-		if out, err := h.System("n1").Call("Front", "fetch", "post-kill"); err == nil && out[0] == "post-kill" {
+		if out, err := h.System("n1").Client("Front").Call(context.Background(), "fetch", "post-kill"); err == nil && out[0] == "post-kill" {
 			completed++
 			break
 		}
@@ -298,7 +298,7 @@ func clusterAct() {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	out, err := h.System(follower).Call("Store", "count")
+	out, err := h.System(follower).Client("Store").Call(context.Background(), "count")
 	if err != nil {
 		log.Fatal(err)
 	}

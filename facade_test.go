@@ -54,7 +54,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 	defer sys.Stop()
 
-	res, err := sys.Call("Greeter", "greet", "world")
+	res, err := sys.Client("Greeter").Call(context.Background(), "greet", "world")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func TestClusterRemoteCallAndLiveMigration(t *testing.T) {
 	defer unsub()
 
 	// A remote call works before any migration.
-	if out, err := sys1.Call("Front", "fetch", "warmup"); err != nil || len(out) != 1 || out[0] != "warmup" {
+	if out, err := sys1.Client("Front").Call(context.Background(), "fetch", "warmup"); err != nil || len(out) != 1 || out[0] != "warmup" {
 		t.Fatalf("warmup call: %v %v", out, err)
 	}
 
@@ -172,7 +172,7 @@ func TestClusterRemoteCallAndLiveMigration(t *testing.T) {
 				default:
 				}
 				token := fmt.Sprintf("c%d-%d", c, i)
-				out, err := sys1.Call("Front", "fetch", token)
+				out, err := sys1.Client("Front").Call(context.Background(), "fetch", token)
 				if err != nil {
 					errs.Add(1)
 					t.Errorf("call %s: %v", token, err)
@@ -223,7 +223,7 @@ func TestClusterRemoteCallAndLiveMigration(t *testing.T) {
 	// State preserved across every hop: the get counter must equal exactly
 	// the number of successful fetches — fewer means state was dropped in a
 	// handoff, more means a request was served twice.
-	out, err := systems[owner].Call("Store", "count")
+	out, err := systems[owner].Client("Store").Call(context.Background(), "count")
 	if err != nil {
 		t.Fatalf("count: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestClusterRemoteCallAndLiveMigration(t *testing.T) {
 		t.Fatal("EvPeerDown for n2 never observed on n1's stream")
 	}
 	// Calls toward the dead peer fail fast with an error, not silence.
-	if _, err := sys1.Call("Front", "fetch", "after-kill"); err == nil {
+	if _, err := sys1.Client("Front").Call(context.Background(), "fetch", "after-kill"); err == nil {
 		t.Fatal("call to a component on a dead peer should fail")
 	}
 }
@@ -293,14 +293,14 @@ func TestClusterPeerDownFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := sys1.Call("Front", "fetch", "pre"); err != nil {
+	if _, err := sys1.Client("Front").Call(context.Background(), "fetch", "pre"); err != nil {
 		t.Fatalf("pre-failure call: %v", err)
 	}
 	h.Kill("n2")
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := sys1.Call("Front", "fetch", "post"); err == nil {
+		if _, err := sys1.Client("Front").Call(context.Background(), "fetch", "post"); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -377,7 +377,7 @@ func TestClusterThreeNodeAnnounce(t *testing.T) {
 			default:
 			}
 			token := fmt.Sprintf("t%d", i)
-			if out, err := sys1.Call("Front", "fetch", token); err != nil || out[0] != token {
+			if out, err := sys1.Client("Front").Call(context.Background(), "fetch", token); err != nil || out[0] != token {
 				errs.Add(1)
 				t.Errorf("call %s: %v %v", token, out, err)
 				return

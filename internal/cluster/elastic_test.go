@@ -55,7 +55,7 @@ func TestElasticSeedJoinConvergence(t *testing.T) {
 	}
 
 	// A remote call across a gossip-built link works like any other.
-	if out, err := h.System("n1").Call("Front", "fetch", "hello"); err != nil || out[0] != "hello" {
+	if out, err := h.System("n1").Client("Front").Call(context.Background(), "fetch", "hello"); err != nil || out[0] != "hello" {
 		t.Fatalf("call over gossip-discovered mesh: %v %v", out, err)
 	}
 
@@ -194,7 +194,7 @@ func TestElasticWarmStandbyFailover(t *testing.T) {
 				default:
 				}
 				token := fmt.Sprintf("c%d-%d", c, i)
-				if out, err := sys1.Call("Front", "fetch", token); err == nil && out[0] == token {
+				if out, err := sys1.Client("Front").Call(context.Background(), "fetch", token); err == nil && out[0] == token {
 					completed.Add(1)
 				} else {
 					t.Errorf("fetch %s: %v %v", token, out, err)
@@ -255,7 +255,7 @@ func TestElasticWarmStandbyFailover(t *testing.T) {
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		token := fmt.Sprintf("probe-%d", completed.Load())
-		if out, err := sys1.Call("Front", "fetch", token); err == nil && out[0] == token {
+		if out, err := sys1.Client("Front").Call(context.Background(), "fetch", token); err == nil && out[0] == token {
 			completed.Add(1)
 			break
 		}
@@ -271,7 +271,7 @@ func TestElasticWarmStandbyFailover(t *testing.T) {
 	// Zero mismatches: the restored counter equals every completed fetch —
 	// the pre-kill load survived through the standby, the post-kill probe
 	// landed on the promoted instance.
-	out, err := h.System(follower).Call("Store", "count")
+	out, err := h.System(follower).Client("Store").Call(context.Background(), "count")
 	if err != nil {
 		t.Fatalf("count after promotion: %v", err)
 	}
@@ -309,7 +309,7 @@ func TestElasticLossyFailoverEmitsStateLost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := h.System("n1").Call("Front", "fetch", "pre"); err != nil {
+	if _, err := h.System("n1").Client("Front").Call(context.Background(), "fetch", "pre"); err != nil {
 		t.Fatalf("pre-failure call: %v", err)
 	}
 
@@ -395,7 +395,7 @@ func TestElasticRebalanceAfterJoin(t *testing.T) {
 			}
 			svc := svcs[i%3]
 			token := fmt.Sprintf("t%d", i)
-			if out, err := h.System("n2").Call(svc, "ping", token); err != nil || out[0] != token {
+			if out, err := h.System("n2").Client(svc).Call(context.Background(), "ping", token); err != nil || out[0] != token {
 				errs.Add(1)
 				t.Errorf("%s ping: %v %v", svc, out, err)
 				return
@@ -425,7 +425,7 @@ func TestElasticRebalanceAfterJoin(t *testing.T) {
 	// Every node still answers for every service (location transparency
 	// after the moves).
 	for _, svc := range []string{"SvcA", "SvcB", "SvcC"} {
-		if out, err := h.System("n3").Call(svc, "ping", "final"); err != nil || out[0] != "final" {
+		if out, err := h.System("n3").Client(svc).Call(context.Background(), "ping", "final"); err != nil || out[0] != "final" {
 			t.Fatalf("%s after rebalance: %v %v", svc, out, err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestElasticPlannedLeaveEvacuates(t *testing.T) {
 
 	// Put some state into Store, then evacuate its host the planned way.
 	for i := 0; i < 10; i++ {
-		if _, err := sys1.Call("Front", "fetch", "x"); err != nil {
+		if _, err := sys1.Client("Front").Call(context.Background(), "fetch", "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,7 +470,7 @@ func TestElasticPlannedLeaveEvacuates(t *testing.T) {
 	if host == "" {
 		t.Fatal("Store vanished on planned leave")
 	}
-	out, err := h.System(host).Call("Store", "count")
+	out, err := h.System(host).Client("Store").Call(context.Background(), "count")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestElasticPlannedLeaveEvacuates(t *testing.T) {
 		t.Fatalf("count = %d after evacuation, want 10", got)
 	}
 	// Service continues from the caller's side.
-	if out, err := sys1.Call("Front", "fetch", "post"); err != nil || out[0] != "post" {
+	if out, err := sys1.Client("Front").Call(context.Background(), "fetch", "post"); err != nil || out[0] != "post" {
 		t.Fatalf("post-leave call: %v %v", out, err)
 	}
 }

@@ -567,6 +567,8 @@ func replyKindOf(err error) uint8 {
 		return wire.KindCancelled
 	case errors.Is(err, core.ErrUnknownComp):
 		return wire.KindNoSuchComponent
+	case errors.Is(err, core.ErrOverloaded):
+		return wire.KindOverloaded
 	default:
 		return wire.KindAppError
 	}

@@ -491,7 +491,7 @@ func TestInboundCallsPassAdmission(t *testing.T) {
 	short := cl.With(core.WithDeadline(15 * time.Millisecond))
 	eventually(t, "an inbound call to be shed by admission", func() bool {
 		_, err := short.Call(ctx, "get", "k")
-		return err != nil && strings.Contains(err.Error(), core.ErrOverloaded.Error())
+		return errors.Is(err, core.ErrOverloaded)
 	})
 	rejected := uint64(0)
 	for _, a := range n2.Telemetry().Admission {

@@ -49,6 +49,7 @@ const (
 	ErrKindDeadline        ErrKind = 2 // deadline exceeded
 	ErrKindCancelled       ErrKind = 3 // caller cancelled
 	ErrKindNoSuchComponent ErrKind = 4 // destination component does not exist
+	ErrKindOverloaded      ErrKind = 6 // shed by admission control at an edge
 )
 
 // ReplyPayload is the reply payload convention; Err is non-empty on
@@ -61,12 +62,14 @@ type ReplyPayload struct {
 	Kind ErrKind
 }
 
-// TypedCall is the preencoded request payload used by typed client handles
-// (core.ClientOf). The envelope carries the request and response as concrete
-// types, so the single-target mediation path moves a pointer instead of
-// boxing arguments, and the serving side can hand the request straight to a
-// typed component. Mediation stages that need the legacy form (multicast
-// gather, wire forwarding) fall back to Principal/Args.
+// TypedCall is the request payload of every call that waits for its reply:
+// the envelope of core's call engine, at a typed handle's (Req, Resp) or at
+// []any for the untyped handle and component outcalls. The envelope carries
+// the request and response as concrete types, so the single-target mediation
+// path moves a pointer instead of boxing arguments, and the serving side can
+// hand the request straight to a typed component. Mediation stages that need
+// the legacy form (multicast gather, wire forwarding) fall back to
+// Principal/Args.
 type TypedCall interface {
 	// Principal is the caller identity (CallPayload.Principal equivalent).
 	Principal() string
@@ -78,7 +81,8 @@ type TypedCall interface {
 	// form (uvarint count + tagged values) — the zero-rebox path for
 	// forwarding the call over a peer link.
 	AppendArgs(dst []byte) ([]byte, error)
-	// Req returns a pointer to the typed request value.
+	// Req returns a pointer to the typed request value, or nil when the call
+	// was made in the []any convention and Args is all there is.
 	Req() any
 	// Resp returns a pointer to the typed response value.
 	Resp() any

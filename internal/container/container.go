@@ -36,6 +36,8 @@ type TypedComponent interface {
 // component (or a given op) only speaks Handle. It is implemented by the
 // typed envelope in core and mirrored by connector.TypedCall.
 type TypedRequest interface {
+	// Req is nil when the call has no typed form (it was made in the []any
+	// convention): the component is then not offered HandleTyped.
 	Req() any
 	Resp() any
 	Args() []any
@@ -198,38 +200,7 @@ func (c *Container) Quiesce(ctx context.Context) error {
 
 // Invoke services one call through the container's interposition chain.
 func (c *Container) Invoke(principal, op string, args []any) ([]any, error) {
-	c.mu.Lock()
-	if c.state != Active {
-		st := c.state
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s is %s", ErrNotActive, c.desc.Name, st)
-	}
-	if c.desc.RequireAuth && principal == "" {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s.%s", ErrUnauthorized, c.desc.Name, op)
-	}
-	c.inflight++
-	c.calls++
-	comp := c.comp
-	c.mu.Unlock()
-
-	var pre []byte
-	if c.desc.Transactional {
-		snap, err := comp.(StateCapturer).Snapshot()
-		if err != nil {
-			c.finish(op, principal, err)
-			return nil, fmt.Errorf("container %s: pre-call snapshot: %w", c.desc.Name, err)
-		}
-		pre = snap
-	}
-
-	res, err := comp.Handle(op, args)
-	if err != nil && c.desc.Transactional {
-		if rerr := comp.(StateCapturer).Restore(pre); rerr != nil {
-			err = errors.Join(err, fmt.Errorf("rollback failed: %w", rerr))
-		}
-	}
-	c.finish(op, principal, err)
+	res, _, err := c.invoke(principal, op, nil, args)
 	return res, err
 }
 
@@ -238,9 +209,15 @@ func (c *Container) Invoke(principal, op string, args []any) ([]any, error) {
 // op typed, the response is written in place through call.Resp and typed is
 // true with nil results; otherwise the container falls back to Handle with
 // the materialized argument list and returns its boxed results (typed
-// false). Either way the admission, transaction, audit, and quiescence
-// accounting happen exactly once.
+// false).
 func (c *Container) InvokeTyped(principal, op string, call TypedRequest) (res []any, typed bool, err error) {
+	return c.invoke(principal, op, call, nil)
+}
+
+// invoke is the one interposition chain: the admission, transaction, audit
+// and quiescence accounting happen exactly once whichever way the component
+// is entered. call is nil for an untyped invocation of args.
+func (c *Container) invoke(principal, op string, call TypedRequest, args []any) (res []any, typed bool, err error) {
 	c.mu.Lock()
 	if c.state != Active {
 		st := c.state
@@ -266,14 +243,19 @@ func (c *Container) InvokeTyped(principal, op string, call TypedRequest) (res []
 		pre = snap
 	}
 
-	if tc, ok := comp.(TypedComponent); ok {
-		err = tc.HandleTyped(op, call.Req(), call.Resp())
-		if !errors.Is(err, ErrUntypedOp) {
-			typed = true
+	if call != nil {
+		if tc, ok := comp.(TypedComponent); ok {
+			if req := call.Req(); req != nil {
+				err = tc.HandleTyped(op, req, call.Resp())
+				typed = !errors.Is(err, ErrUntypedOp)
+			}
+		}
+		if !typed {
+			args = call.Args()
 		}
 	}
 	if !typed {
-		res, err = comp.Handle(op, call.Args())
+		res, err = comp.Handle(op, args)
 	}
 	if err != nil && c.desc.Transactional {
 		if rerr := comp.(StateCapturer).Restore(pre); rerr != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -21,7 +22,7 @@ import (
 func startKVWithTraffic(t *testing.T, n int) (sys *System, calls *atomic.Int64, errs *atomic.Int64, stop func()) {
 	t.Helper()
 	sys = startKV(t, Options{})
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	calls = &atomic.Int64{}
@@ -40,9 +41,9 @@ func startKVWithTraffic(t *testing.T, n int) (sys *System, calls *atomic.Int64, 
 				}
 				var err error
 				if i%2 == 0 {
-					_, err = sys.Call("Front", "fetch", "k")
+					_, err = sys.Client("Front").Call(context.Background(), "fetch", "k")
 				} else {
-					_, err = sys.Call("Store", "get", "k")
+					_, err = sys.Client("Store").Call(context.Background(), "get", "k")
 				}
 				calls.Add(1)
 				if err != nil {
@@ -88,7 +89,7 @@ func TestAspectInterchangeUnderTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// At least one call is guaranteed to run on this generation's chain.
-		if _, err := sys.Call("Store", "get", "k"); err != nil {
+		if _, err := sys.Client("Store").Call(context.Background(), "get", "k"); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.EnableAspect("pair", false); err != nil {
@@ -150,7 +151,7 @@ func TestFilterInterchangeUnderTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// At least one mediated call runs through this generation's chain.
-		if _, err := sys.Call("Front", "fetch", "k"); err != nil {
+		if _, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +202,7 @@ func TestMetaObjectInterchangeUnderTraffic(t *testing.T) {
 			t.Fatalf("order=%v err=%v", order, err)
 		}
 		// At least one interaction runs through the composed chain.
-		if _, err := sys.Call("Store", "get", "k"); err != nil {
+		if _, err := sys.Client("Store").Call(context.Background(), "get", "k"); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.RemoveMetaObject("Store", "trace"); err != nil {
@@ -345,10 +346,10 @@ func TestAdaptationValidationAndEvents(t *testing.T) {
 	}
 
 	// The attached pipeline still serves correctly end to end.
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := sys.Call("Front", "fetch", "k"); err != nil || res[0] != "v" {
+	if res, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil || res[0] != "v" {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
 }
@@ -388,10 +389,10 @@ system KV {
 	}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Call("Store", "get", "k"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "get", "k"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -415,7 +416,7 @@ func TestMetaObjectObservesInvocationErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sys.Call("Store", "get", "absent")
+	_, err := sys.Client("Store").Call(context.Background(), "get", "absent")
 	if err == nil || !strings.Contains(err.Error(), "translated:") {
 		t.Fatalf("wrapper did not observe and translate the invocation error: %v", err)
 	}
@@ -435,7 +436,7 @@ func TestMetaObjectObservesInvocationErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Call("Store", "get", "absent"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "get", "absent"); err != nil {
 		t.Fatalf("wrapper should have suppressed the error, got %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,11 +14,12 @@ import (
 )
 
 // This file is the first-class invocation surface of the platform edge: a
-// compiled client-binding handle replacing the per-call resolution of the
-// deprecated System.Call/CallAs. A Client is obtained once per component
+// compiled client-binding handle. A Client is obtained once per component
 // (System.Client), carries everything a call needs — destination address,
 // presence, principal, deadline budget — and exposes a context-aware call
 // family: Call (synchronous), Async (a *Future), Oneway (fire-and-forget).
+// Call and Async are the call engine of typed.go at the []any convention;
+// what is theirs alone is the admission prologue (admit) below.
 // Deadlines and cancellation thread end-to-end: the context's deadline is
 // stamped into bus.Message metadata, carried across peer links in the wire
 // call frame, and enforced on the remote callee, so an aborted cross-node
@@ -27,7 +27,7 @@ import (
 // timeout.
 
 // clientBinding is the compiled, shared half of a Client handle: the
-// resolution work System.Call used to redo on every invocation (component
+// resolution work a call by name would redo on every invocation (component
 // lookup across the local and remote views) done once and republished by the
 // same copy-on-write machinery that maintains those views. The destination
 // address never changes — location transparency keeps a component's canonical
@@ -71,10 +71,9 @@ type Client struct {
 type CallOption func(*Client)
 
 // WithPrincipal returns an option stamping every call of the derived handle
-// with the given security principal — the replacement for the deprecated
-// System.CallAs. The principal travels end-to-end, including across peer
-// links, so callee-side container authorization keeps working when the call
-// entered the system on another cluster node.
+// with the given security principal. The principal travels end-to-end,
+// including across peer links, so callee-side container authorization keeps
+// working when the call entered the system on another cluster node.
 func WithPrincipal(principal string) CallOption {
 	return func(c *Client) { c.principal = principal }
 }
@@ -128,9 +127,9 @@ func (c *Client) Address() bus.Address { return c.b.dst }
 // removal the same way — handles are bound to the name, not the instance.
 // Only handles for currently-resolvable components are cached, though:
 // unknown names get an uncached handle that re-resolves per call, so
-// probing arbitrary names (a misbehaving peer, per-request dynamic names
-// through the deprecated shims) cannot grow the handle table or tax the
-// refresh that runs inside reconfiguration critical sections.
+// probing arbitrary names (a misbehaving peer, per-request dynamic names)
+// cannot grow the handle table or tax the refresh that runs inside
+// reconfiguration critical sections.
 func (s *System) Client(component string) *Client {
 	if cl := (*s.clients.Load())[component]; cl != nil {
 		return cl
@@ -210,52 +209,13 @@ func (s *System) PendingCalls() int {
 // context without a deadline falls back to the handle's WithDeadline budget,
 // then to Options.CallTimeout.
 func (c *Client) Call(ctx context.Context, op string, args ...any) ([]any, error) {
-	b := c.b
-	s := b.sys
-	src, corr, dl, tr, err := c.admit(ctx, op)
-	if err != nil {
+	var a admitted
+	if err := c.admit(ctx, op, &a); err != nil {
 		return nil, err
 	}
-	ws := waitSlots.Get().(*waitSlot)
-	s.clientWaiters.add(corr, ws.w)
-	if err := s.bus.Send(c.request(src, corr, dl, tr, op, args)); err != nil {
-		s.clientWaiters.take(corr)
-		waitSlots.Put(ws)
-		return nil, err
-	}
-	payload, end := ws.await(ctx, c.fallback())
-	switch end {
-	case waitReplied:
-		waitSlots.Put(ws)
-		if payload.Err != "" {
-			rerr := replyErrorKind(payload.Err, payload.Kind)
-			c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(rerr))
-			return nil, rerr
-		}
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeOK)
-		return payload.Results, nil
-	case waitCtxDone:
-		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(ctx.Err()))
-		return nil, fmt.Errorf("core: call %s.%s: %w", b.name, op, ctx.Err())
-	default:
-		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeDeadline)
-		return nil, c.timeoutError(op)
-	}
-}
-
-// timeoutError is the caller-side timer error. A WithDeadline budget is an
-// explicit deadline contract (it was stamped into the request), so its
-// expiry carries context.DeadlineExceeded identity exactly like a context
-// deadline — whichever side notices first, errors.Is agrees. The plain
-// system fallback is a local liveness bound, not a deadline the callee
-// ever saw, and stays a plain error.
-func (c *Client) timeoutError(op string) error {
-	if c.budget > 0 {
-		return fmt.Errorf("core: call %s.%s: %w", c.b.name, op, context.DeadlineExceeded)
-	}
-	return fmt.Errorf("core: call %s.%s timed out", c.b.name, op)
+	res, err := invoke(ctx, &a, untyped, op, &args)
+	a.span(op, err)
+	return res, err
 }
 
 // Async invokes op without waiting: the returned Future resolves on Wait.
@@ -263,51 +223,11 @@ func (c *Client) timeoutError(op string) error {
 // effective deadline (context, budget or fallback) releases it — and
 // context cancellation releases it immediately, awaited or not.
 func (c *Client) Async(ctx context.Context, op string, args ...any) *Future {
-	f := &Future{component: c.b.name, op: op, done: make(chan struct{})}
-	w, corr, dl, tr, err := c.send(ctx, op, args)
-	if err != nil {
-		f.settle(nil, err)
-		return f
+	var a admitted
+	if err := c.admit(ctx, op, &a); err != nil {
+		return failedFuture[[]any, []any](err)
 	}
-	s := c.b.sys
-	f.cl, f.tr = c, tr
-	f.w = w
-	f.take = func() bool { _, ok := s.clientWaiters.take(corr); return ok }
-	// Bound the slot: whoever owns the take wins — the replier (normal
-	// completion), the fallback timer (timeout), or the context hook
-	// (cancellation and deadline). Mirroring Call, the timer is armed only
-	// when the context carries no deadline, so deadline expiry always
-	// resolves through the hook and keeps context.DeadlineExceeded
-	// identity.
-	// Either callback that loses the take race still runs cleanup: the
-	// reply arrived (the replier owns the slot) but nobody Waited, and
-	// without the cleanup an un-awaited future would pin its
-	// context.AfterFunc registration — and through it the future — for the
-	// context's whole lifetime.
-	var timer *time.Timer
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		timer = time.AfterFunc(c.fallback(), func() {
-			if f.take() {
-				c.sendCancel(corr, dl)
-				f.settle(nil, c.timeoutError(f.op))
-			} else {
-				f.cleanup()
-			}
-		})
-	}
-	var hook func() bool
-	if ctx.Done() != nil {
-		hook = context.AfterFunc(ctx, func() {
-			if f.take() {
-				c.sendCancel(corr, dl)
-				f.settle(nil, fmt.Errorf("core: call %s.%s: %w", f.component, f.op, ctx.Err()))
-			} else {
-				f.cleanup()
-			}
-		})
-	}
-	f.arm(timer, hook)
-	return f
+	return invokeAsync(ctx, &a, untyped, op, &args)
 }
 
 // Oneway sends op without expecting a result: no reply-waiter slot is
@@ -321,12 +241,14 @@ func (c *Client) Async(ctx context.Context, op string, args ...any) *Future {
 // endpoint or parks on a route whose component is gone, and both shapes are
 // detected here.
 func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
-	src, corr, dl, tr, err := c.admit(ctx, op)
-	if err != nil {
+	var a admitted
+	if err := c.admit(ctx, op, &a); err != nil {
 		return err
 	}
 	b := c.b
-	if err := b.sys.bus.Send(c.request(src, corr, dl, tr, op, args)); err != nil {
+	// Nothing completes a one-way request, so it carries no envelope: the
+	// arguments ride boxed.
+	if err := b.sys.bus.Send(a.request(op, connector.CallPayload{Principal: c.principal, Args: args})); err != nil {
 		if errors.Is(err, bus.ErrUnknownDst) {
 			return fmt.Errorf("%w: %s", ErrNoSuchComponent, b.name)
 		}
@@ -341,20 +263,79 @@ func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
 	// A one-way call has no reply edge, so its root span closes at the
 	// send: the record marks where the trace entered the system, and the
 	// serving side's span (parented to it) carries the service story.
-	c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeOK)
+	a.span(op, nil)
 	return nil
 }
 
-// admit is the shared admission prologue of every call shape: the
-// done-context check, the deadline derivation, the context-free admission
-// core (admitAt) and the endpoint shard pick. Kept in one place so the call
-// shapes cannot drift.
-//
-// The returned deadline (unix nanos, 0 when none) is what gets stamped into
-// the request: the context's when present, else now+budget when the handle
-// carries one, else zero (the system fallback bounds the caller's wait but
-// is not an explicit contract, so it is not imposed on the callee).
-func (c *Client) admit(ctx context.Context, op string) (bus.Address, uint64, int64, traceRef, error) {
+// admitted is one call past its caller's admission prologue: what the call
+// engine (invoke, invokeAsync) needs to know about who is calling. The
+// platform edge (Client.admit) and a component's outcall
+// (runtimeComponent.admit) each fill one in; nothing after the prologue asks
+// which of them it was.
+type admitted struct {
+	sys *System
+	// waiters is the table the reply is correlated in — the client edge's or
+	// the calling component's — and src the address that table is served at.
+	waiters  *replyWaiters
+	src, dst bus.Address
+	corr     uint64
+	// dl is the deadline stamped into the request (unix nanos, 0 for none):
+	// the context's when it has one, else now+budget when the handle carries
+	// one, else zero — the system fallback bounds the caller's wait but is
+	// not an explicit contract, so it is not imposed on the callee.
+	dl int64
+	tr traceRef
+	// edge is the handle, when a handle made the call: it carries the
+	// principal and closes the client-edge span. nil for a component outcall,
+	// which has neither.
+	edge *Client
+	// name is what errors call the call: "<name>.<op>".
+	name string
+	// budget is the handle's WithDeadline budget, 0 for none. With a budget,
+	// it bounds the wait when the context carries no deadline, and because it
+	// was stamped into the request its expiry carries
+	// context.DeadlineExceeded identity exactly like a context deadline —
+	// whichever side notices first, errors.Is agrees. Without one the bound
+	// is the system fallback: a local liveness bound, not a deadline the
+	// callee ever saw, whose expiry stays a plain error.
+	budget time.Duration
+}
+
+// fallback is the wait bound applied when the context has no deadline.
+func (a *admitted) fallback() time.Duration {
+	if a.budget > 0 {
+		return a.budget
+	}
+	return a.sys.callTimeout
+}
+
+// principal is the caller identity the request carries.
+func (a *admitted) principal() string {
+	if a.edge != nil {
+		return a.edge.principal
+	}
+	return ""
+}
+
+// ctxDeadline opens every admission prologue: a context that is already done
+// is refused before anything is sent, and a context deadline is returned in
+// unix nanos (0 for none).
+func ctxDeadline(ctx context.Context, name, op string) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("core: call %s.%s: %w", name, op, err)
+	}
+	if d, ok := ctx.Deadline(); ok {
+		return d.UnixNano(), nil
+	}
+	return 0, nil
+}
+
+// admit is the admission prologue of every call shape at the platform edge:
+// liveness and presence, the done-context check, the deadline derivation, the
+// context-free admission core (admitAt) and the endpoint shard pick. Kept in
+// one place so the call shapes cannot drift. It fills in a — the caller's,
+// so that nothing is copied — only when it admits the call.
+func (c *Client) admit(ctx context.Context, op string, a *admitted) error {
 	b := c.b
 	s := b.sys
 	// The one clock read of the prologue, taken at call entry when tracing
@@ -367,33 +348,37 @@ func (c *Client) admit(ctx context.Context, op string) (bus.Address, uint64, int
 		now = time.Now().UnixNano()
 	}
 	if err := b.resolve(); err != nil {
-		return "", 0, 0, traceRef{}, err
+		return err
 	}
 	addrs := s.clientAddrs.Load()
 	if addrs == nil {
-		return "", 0, 0, traceRef{}, ErrNotRunning
+		return ErrNotRunning
 	}
-	if err := ctx.Err(); err != nil {
-		return "", 0, 0, traceRef{}, fmt.Errorf("core: call %s.%s: %w", b.name, op, err)
+	dl, err := ctxDeadline(ctx, b.name, op)
+	if err != nil {
+		return err
 	}
-	var dl int64
-	if d, ok := ctx.Deadline(); ok {
-		dl = d.UnixNano()
-	} else if c.budget > 0 {
+	if dl == 0 && c.budget > 0 {
 		if now == 0 {
 			now = time.Now().UnixNano()
 		}
 		dl = now + int64(c.budget)
 	}
 	if dl != 0 && !b.admitAt(dl, now) {
-		return "", 0, 0, traceRef{}, ErrOverloaded
+		return ErrOverloaded
 	}
 	// The trace root starts only for calls that pass admission: the shed
 	// path's zero-allocation, ~100ns contract stays untouched, and shed
 	// rates are observable through the snapshot's admission section anyway.
 	tr := c.traceStart(ctx, now)
 	corr := s.clientCorr.Add(1)
-	return (*addrs)[corr&(clientEndpoints-1)], corr, dl, tr, nil
+	*a = admitted{
+		sys: s, waiters: &s.clientWaiters,
+		src: (*addrs)[corr&(clientEndpoints-1)], dst: b.dst, corr: corr,
+		dl: dl, tr: tr,
+		edge: c, name: b.name, budget: c.budget,
+	}
+	return nil
 }
 
 // resolve and admitAt are the context-free core of admission, shared by the
@@ -459,48 +444,24 @@ func (c *Client) Relay(m bus.Message, now int64) error {
 
 // request assembles the admitted request message, deadline and trace
 // context stamped.
-func (c *Client) request(src bus.Address, corr uint64, dl int64, tr traceRef, op string, args []any) bus.Message {
+func (a *admitted) request(op string, payload any) bus.Message {
 	return bus.Message{
 		Kind: bus.Request, Op: op,
-		Payload: connector.CallPayload{Principal: c.principal, Args: args},
-		Src:     src, Dst: c.b.dst, Corr: corr,
-		Trace: tr.trace, Span: tr.span,
-		Deadline: dl,
+		Payload: payload,
+		Src:     a.src, Dst: a.dst, Corr: a.corr,
+		Trace: a.tr.trace, Span: a.tr.span,
+		Deadline: a.dl,
 	}
 }
 
-// send admits the call, registers the reply waiter and puts the request on
-// the bus. On error the waiter slot is already released.
-func (c *Client) send(ctx context.Context, op string, args []any) (chan connector.ReplyPayload, uint64, int64, traceRef, error) {
-	src, corr, dl, tr, err := c.admit(ctx, op)
-	if err != nil {
-		return nil, 0, 0, traceRef{}, err
+// span closes the client-edge span of a traced call with its outcome. It is
+// the last thing a handle's call does before the outcome is the caller's —
+// the surfaces call it, not the engine under them, so that the span brackets
+// the whole call.
+func (a *admitted) span(op string, err error) {
+	if a.edge != nil {
+		a.edge.recordEdgeSpan(a.tr, op, telemetry.KindClient, outcomeOf(err))
 	}
-	s := c.b.sys
-	w := make(chan connector.ReplyPayload, 1)
-	s.clientWaiters.add(corr, w)
-	if err := s.bus.Send(c.request(src, corr, dl, tr, op, args)); err != nil {
-		s.clientWaiters.take(corr)
-		return nil, 0, 0, traceRef{}, err
-	}
-	return w, corr, dl, tr, nil
-}
-
-// sendCancel revokes corr for a future that has already taken its waiter
-// entry (see abandon for what the cancel does on its way).
-func (c *Client) sendCancel(corr uint64, dl int64) {
-	s := c.b.sys
-	if addrs := s.clientAddrs.Load(); addrs != nil {
-		sendCancel(s.bus, (*addrs)[corr&(clientEndpoints-1)], c.b.dst, corr, dl)
-	}
-}
-
-// fallback is the wait bound applied when the context has no deadline.
-func (c *Client) fallback() time.Duration {
-	if c.budget > 0 {
-		return c.budget
-	}
-	return c.b.sys.callTimeout
 }
 
 // ErrNoSuchComponent is the structured identity of a call addressed to a
@@ -515,6 +476,8 @@ func errKindOf(err error) connector.ErrKind {
 	switch {
 	case err == nil:
 		return connector.ErrKindNone
+	case errors.Is(err, ErrOverloaded):
+		return connector.ErrKindOverloaded
 	case errors.Is(err, context.DeadlineExceeded):
 		return connector.ErrKindDeadline
 	case errors.Is(err, context.Canceled):
@@ -535,7 +498,7 @@ func errKindOf(err error) connector.ErrKind {
 // their text.
 func replyErrorKind(msg string, kind connector.ErrKind) error {
 	switch kind {
-	case connector.ErrKindDeadline, connector.ErrKindCancelled, connector.ErrKindNoSuchComponent:
+	case connector.ErrKindDeadline, connector.ErrKindCancelled, connector.ErrKindNoSuchComponent, connector.ErrKindOverloaded:
 		return &kindedError{msg: msg, kind: kind}
 	}
 	return errors.New(msg)
@@ -557,99 +520,12 @@ func (e *kindedError) Is(target error) bool {
 		return target == context.Canceled
 	case connector.ErrKindNoSuchComponent:
 		return target == ErrUnknownComp
+	case connector.ErrKindOverloaded:
+		return target == ErrOverloaded
 	}
 	return false
 }
 
-// Future is one in-flight asynchronous call. A Future resolves exactly once
-// — to the reply, a timeout, or the context's cancellation error — and every
-// Wait after resolution returns the same outcome. Futures are safe for
-// concurrent Wait.
-type Future struct {
-	component, op string
-	w             chan connector.ReplyPayload
-	take          func() bool
-
-	// cl and tr close the client-edge span when the future settles; cl is
-	// nil when the call failed before a request was sent.
-	cl *Client
-	tr traceRef
-
-	// cleanupMu guards the timer/hook handoff: Async arms them after the
-	// send, but the very callbacks they run (or the reply, via Wait)
-	// can settle the future first — a near-expired deadline makes that
-	// race real, not theoretical. settle and arm therefore exchange the
-	// pair under the lock with a nil-swap, each prepared to run second.
-	cleanupMu sync.Mutex
-	timer     *time.Timer
-	stopHook  func() bool
-
-	settleOnce sync.Once
-	done       chan struct{}
-	results    []any
-	err        error
-}
-
-// settle resolves the future exactly once. done closes before cleanup so a
-// concurrent arm that misses the swap still observes the resolution and
-// cleans up itself.
-func (f *Future) settle(results []any, err error) {
-	f.settleOnce.Do(func() {
-		f.results, f.err = results, err
-		if f.cl != nil {
-			f.cl.recordEdgeSpan(f.tr, f.op, telemetry.KindClient, outcomeOf(err))
-		}
-		close(f.done)
-		f.cleanup()
-	})
-}
-
-// arm installs the bounding timer and context hook. If the future settled
-// before (or while) they were installed, they are released immediately.
-func (f *Future) arm(timer *time.Timer, hook func() bool) {
-	f.cleanupMu.Lock()
-	f.timer, f.stopHook = timer, hook
-	f.cleanupMu.Unlock()
-	select {
-	case <-f.done:
-		f.cleanup()
-	default:
-	}
-}
-
-// cleanup releases the timer and context hook at most once (nil-swap under
-// the lock makes it idempotent and race-free against arm).
-func (f *Future) cleanup() {
-	f.cleanupMu.Lock()
-	timer, hook := f.timer, f.stopHook
-	f.timer, f.stopHook = nil, nil
-	f.cleanupMu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
-	if hook != nil {
-		hook()
-	}
-}
-
-// Wait blocks until the call resolves and returns its outcome. The deadline
-// and cancellation paths release the reply-waiter slot immediately; a reply
-// that raced a cancellation and arrived first is still returned.
-func (f *Future) Wait() ([]any, error) {
-	select {
-	case <-f.done:
-	case payload := <-f.w:
-		if payload.Err != "" {
-			f.settle(nil, replyErrorKind(payload.Err, payload.Kind))
-		} else {
-			f.settle(payload.Results, nil)
-		}
-	}
-	<-f.done
-	return f.results, f.err
-}
-
-// Done returns a channel closed when the future has resolved through Wait,
-// a timeout or a cancellation. A reply that arrives while nobody waits does
-// not close it — call Wait to collect.
-func (f *Future) Done() <-chan struct{} { return f.done }
+// Future is one in-flight asynchronous untyped call (Client.Async): the
+// engine's future at the []any convention.
+type Future = TypedFuture[[]any, []any]

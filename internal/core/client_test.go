@@ -69,8 +69,7 @@ func startSlow(t *testing.T, delay time.Duration, opts Options) (*System, *atomi
 // ---- tests ------------------------------------------------------------------
 
 // TestClientHandleCompiledOnce: the canonical handle is compiled on first
-// use, cached, and shared by the deprecated shims; calls through it behave
-// like the old surface.
+// use and cached; calls through it reach the component.
 func TestClientHandleCompiledOnce(t *testing.T) {
 	sys := startKV(t, Options{})
 	store := sys.Client("Store")
@@ -245,7 +244,7 @@ func TestClientUnknownNamesNotCached(t *testing.T) {
 }
 
 // TestClientWithPrincipal: the derived handle ships its principal into the
-// container's authorization exactly as CallAs did.
+// container's authorization.
 func TestClientWithPrincipal(t *testing.T) {
 	cfg, err := adl.Parse(`
 system Auth {
@@ -357,7 +356,16 @@ func TestClientAsyncFanoutAndOneway(t *testing.T) {
 func TestClientAsyncExpiringDeadlineStorm(t *testing.T) {
 	sys, _ := startSlow(t, 5*time.Millisecond, Options{})
 	slow := sys.Client("Slow")
+	rc := sys.comps["Slow"]
 	for i := 0; i < 300; i++ {
+		// A worker on another P can pop a request inside its microsecond
+		// budget and serve it for 5 ms. Let those finish before offering the
+		// next: a budgeted call that would queue behind serveWorkers others
+		// is shed by admission (ErrOverloaded), which is not the expiry this
+		// test is about.
+		for rc.depth() >= serveWorkers {
+			time.Sleep(time.Millisecond)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%3)*time.Microsecond)
 		f := slow.Async(ctx, "work", i)
 		// Wait resolves through whichever owner won the slot — the context

@@ -367,36 +367,36 @@ func (rc *runtimeComponent) serve(m bus.Message) {
 		Kind: bus.Reply, Op: m.Op,
 		Src: rc.ep.Addr(), Dst: m.Src, Corr: m.Corr,
 	}
-	if tc, ok := m.Payload.(connector.TypedCall); ok {
-		// Typed completion happens in place: the envelope already carries
-		// the response (or receives the aspect-replaced results here), and
-		// the reply message moves the same pointer back as a pure signal —
-		// nothing is boxed on the return path either.
-		if err == nil && res != typedServed {
-			results, _ := res.([]any)
-			if derr := tc.SetResults(results); derr != nil {
-				err = fmt.Errorf("core: %s.%s: %w", rc.name, m.Op, derr)
-			}
-		}
-		if err != nil {
-			tc.Finish(err.Error(), errKindOf(err))
-			rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: ended,
-				Component: rc.name, Detail: m.Op + ": " + err.Error()})
-		} else {
-			tc.Finish("", connector.ErrKindNone)
-			rc.sys.events.Emit(Event{Kind: EvRequestServed, At: ended,
-				Component: rc.name, Detail: m.Op})
-		}
-		reply.Payload = m.Payload
-	} else if err != nil {
-		reply.Payload = connector.ReplyPayload{Err: err.Error(), Kind: errKindOf(err)}
-		rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: ended,
-			Component: rc.name, Detail: m.Op + ": " + err.Error()})
-	} else {
+	tc, enveloped := m.Payload.(connector.TypedCall)
+	if enveloped && err == nil && res != typedServed {
+		// The component answered through Handle, or an aspect replaced the
+		// results: decode them into the envelope's response.
 		results, _ := res.([]any)
-		reply.Payload = connector.ReplyPayload{Results: results}
+		if derr := tc.SetResults(results); derr != nil {
+			err = fmt.Errorf("core: %s.%s: %w", rc.name, m.Op, derr)
+		}
+	}
+	errText := ""
+	if err != nil {
+		errText = err.Error()
+		rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: ended,
+			Component: rc.name, Detail: m.Op + ": " + errText})
+	} else {
 		rc.sys.events.Emit(Event{Kind: EvRequestServed, At: ended,
 			Component: rc.name, Detail: m.Op})
+	}
+	if enveloped {
+		// Completion happens in place: the envelope carries the response and
+		// the reply message moves the same pointer back as a pure signal —
+		// nothing is boxed on the return path either.
+		tc.Finish(errText, errKindOf(err))
+		reply.Payload = m.Payload
+	} else {
+		rp := connector.ReplyPayload{Err: errText, Kind: errKindOf(err)}
+		if err == nil {
+			rp.Results, _ = res.([]any)
+		}
+		reply.Payload = rp
 	}
 	_ = rc.sys.bus.Send(reply)
 	rc.recordServerSpan(&m, started.UnixNano(), endNs, outcomeOf(err))
@@ -491,40 +491,29 @@ func (rc *runtimeComponent) Call(service string, args ...any) ([]any, error) {
 // Client.Call does, so the connector it went through drops its pending entry
 // and the callee does not serve it.
 func (rc *runtimeComponent) CallContext(ctx context.Context, service string, args ...any) ([]any, error) {
-	dst, ok := (*rc.routes.Load())[service]
-	if !ok {
-		return nil, fmt.Errorf("core: component %s: required service %q is unbound", rc.name, service)
-	}
-	corr := rc.corr.Add(1)
-	ws := waitSlots.Get().(*waitSlot)
-	rc.waiters.add(corr, ws.w)
-
-	m := bus.Message{
-		Kind: bus.Request, Op: service,
-		Payload: connector.CallPayload{Args: args},
-		Src:     rc.ep.Addr(), Dst: dst, Corr: corr,
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		m.Deadline = deadline.UnixNano()
-	}
-	if err := rc.sys.bus.Send(m); err != nil {
-		rc.waiters.take(corr)
-		waitSlots.Put(ws)
+	var a admitted
+	if err := rc.admit(ctx, service, &a); err != nil {
 		return nil, err
 	}
-	payload, end := ws.await(ctx, rc.sys.callTimeout)
-	switch end {
-	case waitReplied:
-		waitSlots.Put(ws)
-		if payload.Err != "" {
-			return nil, replyErrorKind(payload.Err, payload.Kind)
-		}
-		return payload.Results, nil
-	case waitCtxDone:
-		abandon(rc.sys.bus, &rc.waiters, m.Src, dst, corr, m.Deadline)
-		return nil, fmt.Errorf("core: call %s.%s: %w", rc.name, service, ctx.Err())
-	default:
-		abandon(rc.sys.bus, &rc.waiters, m.Src, dst, corr, m.Deadline)
-		return nil, fmt.Errorf("core: call %s.%s timed out", rc.name, service)
+	return invoke(ctx, &a, untyped, service, &args) // an outcall owns no span to close
+}
+
+// admit is the admission prologue of an outcall: the route the requirement
+// is bound to, the done-context check and the deadline. The reply comes back
+// to the component's own address and waiter table.
+func (rc *runtimeComponent) admit(ctx context.Context, service string, a *admitted) error {
+	dst, ok := (*rc.routes.Load())[service]
+	if !ok {
+		return fmt.Errorf("core: component %s: required service %q is unbound", rc.name, service)
 	}
+	dl, err := ctxDeadline(ctx, rc.name, service)
+	if err != nil {
+		return err
+	}
+	*a = admitted{
+		sys: rc.sys, waiters: &rc.waiters,
+		src: rc.ep.Addr(), dst: dst, corr: rc.corr.Add(1),
+		dl: dl, name: rc.name,
+	}
+	return nil
 }

@@ -146,10 +146,10 @@ func startKV(t *testing.T, opts Options) *System {
 
 func TestEndToEndCallThroughConnector(t *testing.T) {
 	sys := startKV(t, Options{})
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Call("Front", "fetch", "k")
+	res, err := sys.Client("Front").Call(context.Background(), "fetch", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +160,14 @@ func TestEndToEndCallThroughConnector(t *testing.T) {
 
 func TestCallUnknownComponent(t *testing.T) {
 	sys := startKV(t, Options{})
-	if _, err := sys.Call("Ghost", "x"); !errors.Is(err, ErrUnknownComp) {
+	if _, err := sys.Client("Ghost").Call(context.Background(), "x"); !errors.Is(err, ErrUnknownComp) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestComponentErrorPropagates(t *testing.T) {
 	sys := startKV(t, Options{})
-	_, err := sys.Call("Front", "fetch", "missing")
+	_, err := sys.Client("Front").Call(context.Background(), "fetch", "missing")
 	if err == nil || !strings.Contains(err.Error(), "missing key") {
 		t.Fatalf("err = %v", err)
 	}
@@ -175,8 +175,8 @@ func TestComponentErrorPropagates(t *testing.T) {
 
 func TestIntrospection(t *testing.T) {
 	sys := startKV(t, Options{})
-	_, _ = sys.Call("Store", "put", "k", "v")
-	_, _ = sys.Call("Front", "fetch", "k")
+	_, _ = sys.Client("Store").Call(context.Background(), "put", "k", "v")
+	_, _ = sys.Client("Front").Call(context.Background(), "fetch", "k")
 	m := sys.Introspect()
 	if m.System != "KV" || len(m.Components) != 2 || len(m.Connectors) != 1 {
 		t.Fatalf("model = %+v", m)
@@ -209,7 +209,7 @@ func TestHotSwapStrongKeepsState(t *testing.T) {
 	}
 	sys := startKV(t, Options{Registry: reg})
 	for i := 0; i < 10; i++ {
-		if _, err := sys.Call("Store", "put", fmt.Sprintf("k%d", i), "v"); err != nil {
+		if _, err := sys.Client("Store").Call(context.Background(), "put", fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,14 +224,14 @@ func TestHotSwapStrongKeepsState(t *testing.T) {
 	if rep.StateBytes == 0 {
 		t.Error("strong swap should report transferred state size")
 	}
-	res, err := sys.Call("Front", "fetch", "k3")
+	res, err := sys.Client("Front").Call(context.Background(), "fetch", "k3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0] != "v" || res[1] != "v2" {
 		t.Fatalf("after swap res = %v (want state kept, new impl tag)", res)
 	}
-	n, err := sys.Call("Store", "len")
+	n, err := sys.Client("Store").Call(context.Background(), "len")
 	if err != nil || n[0].(int) != 10 {
 		t.Fatalf("len = %v err=%v", n, err)
 	}
@@ -249,7 +249,7 @@ func TestHotSwapUnderLoadNoLostCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := startKV(t, Options{Registry: reg})
-	_, _ = sys.Call("Store", "put", "k", "v")
+	_, _ = sys.Client("Store").Call(context.Background(), "put", "k", "v")
 
 	const callers = 4
 	const perCaller = 200
@@ -260,7 +260,7 @@ func TestHotSwapUnderLoadNoLostCalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perCaller; i++ {
-				if _, err := sys.Call("Front", "fetch", "k"); err != nil {
+				if _, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil {
 					errs <- err
 				}
 			}
@@ -323,15 +323,15 @@ func TestRebind(t *testing.T) {
 	}
 	defer sys.Stop()
 
-	_, _ = sys.Call("Store", "put", "k", "from-store1")
-	res, _ := sys.Call("Front", "fetch", "k")
+	_, _ = sys.Client("Store").Call(context.Background(), "put", "k", "from-store1")
+	res, _ := sys.Client("Front").Call(context.Background(), "fetch", "k")
 	if res[0] != "from-store1" {
 		t.Fatalf("res = %v", res)
 	}
 	if err := sys.Rebind("Front", "get", "Store2"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = sys.Call("Front", "fetch", "k")
+	res, err = sys.Client("Front").Call(context.Background(), "fetch", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +362,8 @@ func TestAspectWeavingAtRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = sys.Call("Store", "put", "k", "v")
-	_, _ = sys.Call("Front", "fetch", "k") // hits Store through the connector
+	_, _ = sys.Client("Store").Call(context.Background(), "put", "k", "v")
+	_, _ = sys.Client("Front").Call(context.Background(), "fetch", "k") // hits Store through the connector
 	mu.Lock()
 	got := count
 	mu.Unlock()
@@ -376,7 +376,7 @@ func TestEventStream(t *testing.T) {
 	sys := startKV(t, Options{})
 	ch, cancel := sys.Events().Subscribe(64)
 	defer cancel()
-	_, _ = sys.Call("Store", "put", "k", "v")
+	_, _ = sys.Client("Store").Call(context.Background(), "put", "k", "v")
 	deadline := time.After(2 * time.Second)
 	for {
 		select {
@@ -408,7 +408,7 @@ func TestTriggersCriteriaBased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = sys.Call("Store", "put", "k", "v")
+	_, _ = sys.Client("Store").Call(context.Background(), "put", "k", "v")
 	sys.StartTriggers(10 * time.Millisecond)
 	select {
 	case <-fired:
@@ -440,7 +440,7 @@ func TestEventTriggerDurraStyle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = sys.Call("Store", "get", "missing") // fails
+	_, _ = sys.Client("Store").Call(context.Background(), "get", "missing") // fails
 	select {
 	case comp := <-recovered:
 		if comp != "Store" {
@@ -460,7 +460,7 @@ func TestWatchContractEmitsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = sys.Call("Store", "put", "k", "v")
+	_, _ = sys.Client("Store").Call(context.Background(), "put", "k", "v")
 	sys.StartTriggers(5 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -493,7 +493,7 @@ func TestReconfigureAddRemoveComponent(t *testing.T) {
 	if rep.Steps != 1 || rep.RolledBack {
 		t.Fatalf("report = %+v", rep)
 	}
-	if _, err := sys.Call("Cache", "put", "a", "b"); err != nil {
+	if _, err := sys.Client("Cache").Call(context.Background(), "put", "a", "b"); err != nil {
 		t.Fatalf("new component not serving: %v", err)
 	}
 
@@ -502,7 +502,7 @@ func TestReconfigureAddRemoveComponent(t *testing.T) {
 	if _, err := sys.Reconfigure(oldCfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Call("Cache", "put", "a", "b"); !errors.Is(err, ErrUnknownComp) {
+	if _, err := sys.Client("Cache").Call(context.Background(), "put", "a", "b"); !errors.Is(err, ErrUnknownComp) {
 		t.Fatalf("removed component still serving: %v", err)
 	}
 	if len(sys.Events().History(EvReconfigCommitted)) != 2 {
@@ -530,14 +530,14 @@ func TestReconfigureGuardRollsBack(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The added component must be gone (rolled back).
-	if _, err := sys.Call("Cache", "put", "a", "b"); !errors.Is(err, ErrUnknownComp) {
+	if _, err := sys.Client("Cache").Call(context.Background(), "put", "a", "b"); !errors.Is(err, ErrUnknownComp) {
 		t.Fatalf("rollback incomplete: %v", err)
 	}
 	if len(sys.Events().History(EvReconfigRolledBack)) != 1 {
 		t.Error("rollback event missing")
 	}
 	// The original system still works.
-	if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -567,7 +567,7 @@ func TestStartStopIdempotence(t *testing.T) {
 	}
 	sys.Stop()
 	sys.Stop() // second stop is a no-op
-	if _, err := sys.Call("Store", "put", "k", "v"); !errors.Is(err, ErrNotRunning) {
+	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("err = %v", err)
 	}
 }

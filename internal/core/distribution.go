@@ -178,8 +178,8 @@ func (s *System) MigrateOut(component string, to netsim.NodeID, ship func(Handof
 	rc.stop()
 	s.bus.Detach(addr)
 	s.mu.Lock()
-	// Remote view before component view: CallAs reads compView first and
-	// remoteView second, so publishing in the reverse order would open a
+	// Remote view before component view: a handle's resolveNow reads compView
+	// first and remoteView second, so publishing in the reverse order would open a
 	// window where the component resolves through neither snapshot and a
 	// concurrent call spuriously fails with ErrUnknownComp.
 	s.setRemoteLocked(component)
@@ -318,7 +318,7 @@ func (s *System) AdoptComponent(decl adl.ComponentDecl, state []byte, hasState b
 		s.cfg = &next
 	}
 	// Component view before remote view (the mirror of MigrateOut's commit
-	// order): a concurrent CallAs must find the component in at least one
+	// order): a concurrent call must find the component in at least one
 	// snapshot at every instant.
 	s.publishCompsLocked()
 	s.dropRemoteLocked(decl.Name)

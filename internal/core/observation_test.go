@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestTriggerCooldownSuppressesRefire(t *testing.T) {
 	}
 	sys.StartTriggers(5 * time.Millisecond)
 	for i := 0; i < 50; i++ {
-		if _, err := sys.Call("Store", "put", "k", "v"); err != nil {
+		if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +126,7 @@ func TestTriggerActionFailureKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = sys.Call("Store", "get", "missing") // fails, fires the trigger
+	_, _ = sys.Client("Store").Call(context.Background(), "get", "missing") // fails, fires the trigger
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {

@@ -87,17 +87,17 @@ func TestReconfigureRegionScopedDisjointTrafficProceeds(t *testing.T) {
 	}
 	t.Cleanup(sys.Stop)
 
-	if _, err := sys.Call("StoreA", "put", "k", "va"); err != nil {
+	if _, err := sys.Client("StoreA").Call(context.Background(), "put", "k", "va"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Call("StoreB", "put", "k", "vb"); err != nil {
+	if _, err := sys.Client("StoreB").Call(context.Background(), "put", "k", "vb"); err != nil {
 		t.Fatal(err)
 	}
 
 	// Occupy StoreB so the region cannot quiesce until the gate opens.
 	inflight := make(chan error, 1)
 	go func() {
-		_, err := sys.Call("FrontB", "fetch", "k")
+		_, err := sys.Client("FrontB").Call(context.Background(), "fetch", "k")
 		inflight <- err
 	}()
 	select {
@@ -157,7 +157,7 @@ func TestReconfigureRegionScopedDisjointTrafficProceeds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				if res, err := sys.Call("FrontA", "fetch", "k"); err != nil {
+				if res, err := sys.Client("FrontA").Call(context.Background(), "fetch", "k"); err != nil {
 					errs <- err
 				} else if res[0] != "va" {
 					t.Errorf("res = %v", res)
@@ -175,7 +175,7 @@ func TestReconfigureRegionScopedDisjointTrafficProceeds(t *testing.T) {
 	// region resumes, served by the new implementation.
 	parked := make(chan []any, 1)
 	go func() {
-		res, err := sys.Call("FrontB", "fetch", "k")
+		res, err := sys.Client("FrontB").Call(context.Background(), "fetch", "k")
 		if err != nil {
 			t.Error(err)
 			parked <- nil

@@ -42,12 +42,9 @@ var ErrStreamClosed = errors.New("core: stream closed")
 // A Stream is owned by one consumer: Recv must not be called concurrently.
 // Close is safe to call at any time and from other goroutines.
 type Stream struct {
-	sys    *System
-	c      *Client
-	corr   uint64
+	a      admitted // the open: where the producer is, and what revokes it
 	op     string
-	dl     int64 // stamped open deadline (unix nanos, 0 = none)
-	manual bool  // credit flows only through Grant (cluster relay mode)
+	manual bool // credit flows only through Grant (cluster relay mode)
 
 	mu       sync.Mutex
 	buf      []any // ring, len(buf) == credit window
@@ -144,7 +141,7 @@ func (s *Stream) Recv(ctx context.Context) (any, error) {
 		select {
 		case <-s.notify:
 		case <-ctx.Done():
-			return nil, fmt.Errorf("core: stream %s.%s: %w", s.c.b.name, s.op, ctx.Err())
+			return nil, fmt.Errorf("core: stream %s.%s: %w", s.a.name, s.op, ctx.Err())
 		}
 	}
 }
@@ -163,13 +160,9 @@ func (s *Stream) Grant(n int) {
 // Best-effort like cancel: lost credit only costs throughput, never
 // correctness (the stream's deadline still bounds it).
 func (s *Stream) sendCredit(n int) {
-	addrs := s.sys.clientAddrs.Load()
-	if addrs == nil {
-		return
-	}
-	_ = s.sys.bus.Send(bus.Message{
+	_ = s.a.sys.bus.Send(bus.Message{
 		Kind: bus.Control, Op: bus.OpStreamCredit,
-		Src: (*addrs)[s.corr&(clientEndpoints-1)], Dst: s.c.b.dst, Corr: s.corr, Payload: n,
+		Src: s.a.src, Dst: s.a.dst, Corr: s.a.corr, Payload: n,
 	})
 }
 
@@ -190,9 +183,9 @@ func (s *Stream) Close() error {
 	case s.notify <- struct{}{}:
 	default:
 	}
-	s.sys.clientStreams.take(s.corr)
+	s.a.sys.clientStreams.take(s.a.corr)
 	if !ended {
-		s.c.sendCancel(s.corr, s.dl)
+		s.a.revoke()
 	}
 	return nil
 }
@@ -236,8 +229,8 @@ func (c *Client) streamOpen(ctx context.Context, op string, args []any, window i
 	if window > maxStreamWindow {
 		window = maxStreamWindow
 	}
-	src, corr, dl, tr, err := c.admit(ctx, op)
-	if err != nil {
+	var a admitted
+	if err := c.admit(ctx, op, &a); err != nil {
 		return nil, err
 	}
 	s := c.b.sys
@@ -246,27 +239,21 @@ func (c *Client) streamOpen(ctx context.Context, op string, args []any, window i
 		grantAt = 1
 	}
 	st := &Stream{
-		sys: s, c: c, corr: corr, op: op, dl: dl, manual: manual,
+		a: a, op: op, manual: manual,
 		buf: make([]any, window), grantAt: grantAt,
 		notify: make(chan struct{}, 1),
 	}
-	s.clientStreams.add(corr, st)
-	m := bus.Message{
-		Kind: bus.Request, Op: op,
-		Payload: connector.StreamOpenPayload{Principal: c.principal, Args: args, Window: window},
-		Src:     src, Dst: c.b.dst, Corr: corr,
-		Deadline: dl,
-		Trace:    tr.trace, Span: tr.span,
-	}
+	s.clientStreams.add(a.corr, st)
+	m := a.request(op, connector.StreamOpenPayload{Principal: c.principal, Args: args, Window: window})
 	if err := s.bus.Send(m); err != nil {
-		s.clientStreams.take(corr)
-		c.recordEdgeSpan(tr, op, telemetry.KindStream, outcomeOf(err))
+		s.clientStreams.take(a.corr)
+		c.recordEdgeSpan(a.tr, op, telemetry.KindStream, outcomeOf(err))
 		return nil, err
 	}
 	// A stream's client span covers the open edge: the handle may live
 	// arbitrarily long, so the span closes once the open is on the bus and
 	// the per-item path stays untraced.
-	c.recordEdgeSpan(tr, op, telemetry.KindStream, telemetry.OutcomeOK)
+	c.recordEdgeSpan(a.tr, op, telemetry.KindStream, telemetry.OutcomeOK)
 	return st, nil
 }
 
@@ -376,7 +363,7 @@ func (t *TypedStream[Item]) Recv(ctx context.Context) (Item, error) {
 	err = t.decode(t.scratch[:], &item)
 	t.scratch[0] = nil
 	if err != nil {
-		return item, fmt.Errorf("core: stream %s.%s: %w", t.s.c.b.name, t.s.op, err)
+		return item, fmt.Errorf("core: stream %s.%s: %w", t.s.a.name, t.s.op, err)
 	}
 	return item, nil
 }

@@ -498,29 +498,6 @@ func (s *System) Stop() {
 	}
 }
 
-// Call invokes op on a named component from outside the system.
-//
-// Deprecated: obtain a compiled binding handle with Client and use
-// Client.Call with a context — it skips per-call name resolution and
-// supports cancellation, deadlines and async invocation. This shim is kept
-// for source compatibility and simply routes through the handle.
-func (s *System) Call(component, op string, args ...any) ([]any, error) {
-	return s.Client(component).Call(context.Background(), op, args...)
-}
-
-// CallAs is Call with an explicit principal.
-//
-// Deprecated: use Client(component).With(WithPrincipal(principal)).Call —
-// the derived handle carries the principal end-to-end, including across
-// cluster links.
-func (s *System) CallAs(principal, component, op string, args ...any) ([]any, error) {
-	cl := s.Client(component)
-	if principal != "" {
-		cl = cl.With(WithPrincipal(principal))
-	}
-	return cl.Call(context.Background(), op, args...)
-}
-
 // Name returns the architecture name of the running system.
 func (s *System) Name() string { return s.name }
 

@@ -112,14 +112,12 @@ func (c *Client) recordEdgeSpan(tr traceRef, op string, kind telemetry.Kind, out
 
 // outcomeOf classifies a call-shape error into a span outcome. The kind
 // numbering is shared (connector.ErrKind values are telemetry.Outcome
-// values), so classified errors map directly; ErrOverloaded — shed before
-// any kind machinery runs — gets its own outcome.
+// values), so classified errors map directly; the system fallback's expiry,
+// which has no kind because the callee never saw a deadline, is a deadline to
+// whoever reads the trace.
 func outcomeOf(err error) telemetry.Outcome {
-	if err == nil {
-		return telemetry.OutcomeOK
-	}
-	if errors.Is(err, ErrOverloaded) {
-		return telemetry.OutcomeOverload
+	if errors.Is(err, errFallbackElapsed) {
+		return telemetry.OutcomeDeadline
 	}
 	return telemetry.Outcome(errKindOf(err))
 }

@@ -7,17 +7,17 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/connector"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// This file implements typed client handles: the zero-alloc invocation
-// surface layered on the compiled client bindings of client.go. A
+// This file implements the call engine (invoke, invokeAsync, TypedFuture) and
+// the typed client handles that are its general instantiation: the zero-alloc
+// invocation surface layered on the compiled client bindings of client.go. A
 // TypedClient carries a codec compiled once at handle creation — encode Req,
 // decode Resp, materialize the legacy []any form — and a pool of reusable
-// call envelopes. A call moves one envelope pointer through the bus instead
+// call envelopes. The untyped handle and a component's outcall run the same
+// engine at the []any convention (the untyped instantiation below). A call moves one envelope pointer through the bus instead
 // of boxing arguments, the serving side writes the response in place through
 // container.TypedComponent, and the reply is a pure completion signal. The
 // handle shares its binding with the untyped Client, so it survives swaps,
@@ -132,12 +132,34 @@ func deriveCodec[Req, Resp any]() (Codec[Req, Resp], error) {
 // principal and deadline budget all behave identically — and adds a compiled
 // codec plus an envelope pool. Safe for concurrent use.
 type TypedClient[Req, Resp any] struct {
-	c     *Client
-	codec Codec[Req, Resp]
-	// pool recycles call envelopes; shared across With-derived handles so a
-	// per-principal variant does not warm its own pool.
-	pool *sync.Pool
+	c *Client
+	// via is shared across With-derived handles, so a per-principal variant
+	// does not warm its own pool.
+	via *envelopes[Req, Resp]
 }
+
+// envelopes is what instantiates the call engine at one (Req, Resp): the
+// codec, and the pool the synchronous calls lease their envelopes from.
+type envelopes[Req, Resp any] struct {
+	codec Codec[Req, Resp]
+	pool  sync.Pool
+}
+
+func newEnvelopes[Req, Resp any](codec Codec[Req, Resp]) *envelopes[Req, Resp] {
+	via := &envelopes[Req, Resp]{codec: codec}
+	via.pool.New = func() any { return via.fresh() }
+	return via
+}
+
+// untyped instantiates the engine at the []any convention itself: the
+// argument list is the request and the result list the response, so the
+// codec has nothing to convert. It serves Client.Call, Client.Async and every
+// component outcall.
+var untyped = newEnvelopes(Codec[[]any, []any]{
+	AppendReq:  func(dst []byte, req *[]any) ([]byte, error) { return wire.AppendValues(dst, *req) },
+	ReqArgs:    func(req *[]any) []any { return *req },
+	DecodeResp: func(results []any, resp *[]any) error { *resp = results; return nil },
+})
 
 // ClientOf returns a typed handle for a named component, deriving the
 // default codec for Req and Resp: a core.TypedRequest / core.TypedResponse
@@ -160,19 +182,13 @@ func ClientOfCodec[Req, Resp any](s *System, component string, codec Codec[Req, 
 	if codec.AppendReq == nil || codec.ReqArgs == nil || codec.DecodeResp == nil {
 		panic(fmt.Sprintf("core: ClientOfCodec %s: codec has nil functions", component))
 	}
-	return &TypedClient[Req, Resp]{
-		c:     s.Client(component),
-		codec: codec,
-		pool: &sync.Pool{New: func() any {
-			return &typedEnvelope[Req, Resp]{waitSlot: waitSlot{w: make(chan connector.ReplyPayload, 1)}}
-		}},
-	}
+	return &TypedClient[Req, Resp]{c: s.Client(component), via: newEnvelopes(codec)}
 }
 
 // With derives a typed handle with call options applied (principal, deadline
 // budget), sharing the compiled binding, codec and envelope pool.
 func (t *TypedClient[Req, Resp]) With(opts ...CallOption) *TypedClient[Req, Resp] {
-	return &TypedClient[Req, Resp]{c: t.c.With(opts...), codec: t.codec, pool: t.pool}
+	return &TypedClient[Req, Resp]{c: t.c.With(opts...), via: t.via}
 }
 
 // Component returns the name of the component this handle is bound to.
@@ -181,18 +197,50 @@ func (t *TypedClient[Req, Resp]) Component() string { return t.c.Component() }
 // Untyped returns the untyped Client sharing this handle's binding.
 func (t *TypedClient[Req, Resp]) Untyped() *Client { return t.c }
 
-// typedEnvelope is one in-flight typed call: request and response live
-// inline, so the serving side reads and writes them through pointers and the
-// round trip moves no boxed values. The envelope implements
-// connector.TypedCall (and thereby container.TypedRequest).
+// Call invokes op synchronously with a typed request and returns the typed
+// response. Context semantics are identical to Client.Call: the deadline is
+// stamped into the request, carried across peer links and enforced on the
+// callee; cancellation releases the reply-waiter slot immediately.
+func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (Resp, error) {
+	var a admitted
+	if err := t.c.admit(ctx, op, &a); err != nil {
+		// The overload-shed path exits here, before the envelope lease: a
+		// rejected typed call touches nothing poolable and allocates nothing.
+		var zero Resp
+		return zero, err
+	}
+	resp, err := invoke(ctx, &a, t.via, op, &req)
+	a.span(op, err)
+	return resp, err
+}
+
+// Async invokes op without waiting; the returned TypedFuture resolves on
+// Wait. The reply-waiter slot is bounded even if Wait is never called — the
+// effective deadline (context, budget or fallback) releases it — and context
+// cancellation releases it immediately, awaited or not.
+func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) *TypedFuture[Req, Resp] {
+	var a admitted
+	if err := t.c.admit(ctx, op, &a); err != nil {
+		return failedFuture[Req, Resp](err)
+	}
+	return invokeAsync(ctx, &a, t.via, op, &req)
+}
+
+// typedEnvelope is one in-flight call: request and response live inline, so
+// the serving side reads and writes them through pointers and the round trip
+// moves no boxed values. The envelope implements connector.TypedCall (and
+// thereby container.TypedRequest).
 //
-// Pooling protocol: an envelope returns to the pool only on the clean
-// reply-receipt path. The timeout and cancellation paths abandon it to the
-// garbage collector — the serving side may still hold the pointer and write
-// the response, and a pooled envelope must never race a late writer or leave
-// a stale reply in its channel for the next call to read.
+// Pooling protocol: only a synchronous call's envelope is pooled, and it
+// returns to the pool only on the clean reply-receipt path. The timeout and
+// cancellation paths abandon it to the garbage collector — the serving side
+// may still hold the pointer and write the response, and a pooled envelope
+// must never race a late writer or leave a stale reply in its channel for the
+// next call to read. A future's envelope is freshly allocated and never
+// pooled: concurrent Waits select on its channel, so recycling it could leak
+// a signal across calls.
 type typedEnvelope[Req, Resp any] struct {
-	codec     *Codec[Req, Resp]
+	via       *envelopes[Req, Resp]
 	principal string
 	req       Req
 	resp      Resp
@@ -213,22 +261,30 @@ var _ connector.TypedCall = (*typedEnvelope[int, int])(nil)
 func (e *typedEnvelope[Req, Resp]) Principal() string { return e.principal }
 
 // Args implements connector.TypedCall.
-func (e *typedEnvelope[Req, Resp]) Args() []any { return e.codec.ReqArgs(&e.req) }
+func (e *typedEnvelope[Req, Resp]) Args() []any { return e.via.codec.ReqArgs(&e.req) }
 
 // AppendArgs implements connector.TypedCall.
 func (e *typedEnvelope[Req, Resp]) AppendArgs(dst []byte) ([]byte, error) {
-	return e.codec.AppendReq(dst, &e.req)
+	return e.via.codec.AppendReq(dst, &e.req)
 }
 
-// Req implements connector.TypedCall.
-func (e *typedEnvelope[Req, Resp]) Req() any { return &e.req }
+// Req implements connector.TypedCall. The []any instantiation has no typed
+// form — its request is the argument list Args already returns — and says so
+// with nil, so it is served through Component.Handle and never offered to a
+// TypedComponent, whose HandleTyped may assert the request type it expects.
+func (e *typedEnvelope[Req, Resp]) Req() any {
+	if _, untyped := any(&e.req).(*[]any); untyped {
+		return nil
+	}
+	return &e.req
+}
 
 // Resp implements connector.TypedCall.
 func (e *typedEnvelope[Req, Resp]) Resp() any { return &e.resp }
 
 // SetResults implements connector.TypedCall.
 func (e *typedEnvelope[Req, Resp]) SetResults(results []any) error {
-	return e.codec.DecodeResp(results, &e.resp)
+	return e.via.codec.DecodeResp(results, &e.resp)
 }
 
 // Finish implements connector.TypedCall.
@@ -237,190 +293,154 @@ func (e *typedEnvelope[Req, Resp]) Finish(err string, kind connector.ErrKind) {
 	e.done = true
 }
 
-// get leases an envelope from the pool, reset for a new call.
-func (t *TypedClient[Req, Resp]) get(req *Req) *typedEnvelope[Req, Resp] {
-	e := t.pool.Get().(*typedEnvelope[Req, Resp])
-	var zero Resp
-	e.codec = &t.codec
-	e.principal = t.c.principal
-	e.req = *req
-	e.resp = zero
-	e.done = false
-	e.errMsg = ""
-	e.errKind = connector.ErrKindNone
-	return e
+// fresh makes an envelope with its own reply channel.
+func (via *envelopes[Req, Resp]) fresh() *typedEnvelope[Req, Resp] {
+	return &typedEnvelope[Req, Resp]{via: via, waitSlot: waitSlot{w: make(chan connector.ReplyPayload, 1)}}
 }
 
-// Call invokes op synchronously with a typed request and returns the typed
-// response. Context semantics are identical to Client.Call: the deadline is
-// stamped into the request, carried across peer links and enforced on the
-// callee; cancellation releases the reply-waiter slot immediately.
-func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (Resp, error) {
-	var zero Resp
-	c := t.c
-	b := c.b
-	s := b.sys
-	src, corr, dl, tr, err := c.admit(ctx, op)
-	if err != nil {
-		// The overload-shed path exits here, before the envelope lease: a
-		// rejected typed call touches nothing poolable and allocates nothing.
-		return zero, err
-	}
-	e := t.get(&req)
-	s.clientWaiters.add(corr, e.w)
-	m := bus.Message{
-		Kind: bus.Request, Op: op,
-		Payload: e,
-		Src:     src, Dst: b.dst, Corr: corr,
-		Trace: tr.trace, Span: tr.span,
-		Deadline: dl,
-	}
-	if err := s.bus.Send(m); err != nil {
-		s.clientWaiters.take(corr)
-		t.pool.Put(e)
-		return zero, err
-	}
-	payload, end := e.await(ctx, c.fallback())
-	switch end {
-	case waitReplied:
-		resp, cerr := t.collect(e, payload)
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(cerr))
-		return resp, cerr
-	case waitCtxDone:
-		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(ctx.Err()))
-		// Abandon the envelope: the serving side may still write it.
-		return zero, fmt.Errorf("core: call %s.%s: %w", b.name, op, ctx.Err())
-	default:
-		abandon(s.bus, &s.clientWaiters, src, b.dst, corr, dl)
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeDeadline)
-		return zero, c.timeoutError(op)
-	}
-}
-
-// collect turns a received reply signal into the call outcome and recycles
-// the envelope. The typed fast path reads the completion Finish wrote in
-// place; the legacy path (untyped component, aspect-replaced results,
-// remote or mediated reply) decodes the boxed payload through the codec.
-func (t *TypedClient[Req, Resp]) collect(e *typedEnvelope[Req, Resp], payload connector.ReplyPayload) (Resp, error) {
+// collect turns a received reply signal into the call outcome. The in-place
+// path reads the completion Finish wrote; otherwise the reply came boxed — a
+// connector refused or gathered a multicast, the gateway answered for a peer
+// — and its results are decoded through the codec.
+func (e *typedEnvelope[Req, Resp]) collect(payload connector.ReplyPayload) (Resp, error) {
 	var zero Resp
 	if e.done {
 		if e.errMsg != "" {
-			err := replyErrorKind(e.errMsg, e.errKind)
-			t.pool.Put(e)
-			return zero, err
+			return zero, replyErrorKind(e.errMsg, e.errKind)
 		}
-		resp := e.resp
-		t.pool.Put(e)
-		return resp, nil
+		return e.resp, nil
 	}
 	if payload.Err != "" {
-		err := replyErrorKind(payload.Err, payload.Kind)
-		t.pool.Put(e)
+		return zero, replyErrorKind(payload.Err, payload.Kind)
+	}
+	if err := e.via.codec.DecodeResp(payload.Results, &e.resp); err != nil {
 		return zero, err
 	}
-	derr := t.codec.DecodeResp(payload.Results, &e.resp)
-	resp := e.resp
-	t.pool.Put(e)
-	if derr != nil {
-		return zero, derr
-	}
-	return resp, nil
+	return e.resp, nil
 }
 
-// Async invokes op without waiting; the returned TypedFuture resolves on
-// Wait. Slot-bounding mirrors Client.Async: the effective deadline or the
-// context hook releases the reply waiter even if Wait is never called. The
-// future's envelope is freshly allocated and never pooled — concurrent Waits
-// select on its channel, so recycling it could leak a signal across calls.
-func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) *TypedFuture[Req, Resp] {
-	c := t.c
-	f := &TypedFuture[Req, Resp]{t: t, op: op, done: make(chan struct{})}
-	e := &typedEnvelope[Req, Resp]{waitSlot: waitSlot{w: make(chan connector.ReplyPayload, 1)},
-		codec: &t.codec, principal: c.principal, req: req}
-	f.e = e
-	s := c.b.sys
-	src, corr, dl, tr, err := c.admit(ctx, op)
-	if err != nil {
-		f.settle(nil, err)
+// invoke is the synchronous call engine, the one body behind
+// TypedClient.Call, Client.Call and a component's outcall: lease an envelope,
+// register its channel for the reply, send, wait, and either collect the
+// reply and recycle the envelope or give the call up. The lease resets what
+// the last call left in the envelope. Closing the client span is left to the
+// surface (admitted.span).
+func invoke[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], op string, req *Req) (Resp, error) {
+	var zero Resp
+	e := via.pool.Get().(*typedEnvelope[Req, Resp])
+	e.principal, e.req, e.resp = a.principal(), *req, zero
+	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
+	a.waiters.add(a.corr, e.w)
+	if err := a.sys.bus.Send(a.request(op, e)); err != nil {
+		a.waiters.take(a.corr)
+		via.pool.Put(e)
+		return zero, err
+	}
+	payload, cause := e.await(ctx, a.fallback())
+	if cause != nil {
+		// The envelope is left to the collector: the serving side may still
+		// write it.
+		a.abandon()
+		return zero, a.lapse(op, cause)
+	}
+	resp, err := e.collect(payload)
+	via.pool.Put(e)
+	return resp, err
+}
+
+// invokeAsync is the asynchronous call engine: the same send, with a future
+// in place of the wait. Whoever takes the waiter entry owns the outcome — the
+// replier (normal completion, collected by Wait), the fallback timer
+// (timeout), or the context hook (cancellation and deadline). Mirroring
+// invoke, the timer is armed only when the context carries no deadline, so
+// deadline expiry always resolves through the hook and keeps
+// context.DeadlineExceeded identity.
+func invokeAsync[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], op string, req *Req) *TypedFuture[Req, Resp] {
+	e := via.fresh()
+	e.principal, e.req = a.principal(), *req
+	f := &TypedFuture[Req, Resp]{a: *a, op: op, e: e, done: make(chan struct{})}
+	a.waiters.add(a.corr, e.w)
+	if err := a.sys.bus.Send(a.request(op, e)); err != nil {
+		a.waiters.take(a.corr)
+		f.settle(err)
 		return f
 	}
-	f.cl, f.tr = c, tr
-	s.clientWaiters.add(corr, e.w)
-	m := bus.Message{
-		Kind: bus.Request, Op: op,
-		Payload: e,
-		Src:     src, Dst: c.b.dst, Corr: corr,
-		Trace: tr.trace, Span: tr.span,
-		Deadline: dl,
-	}
-	if err := s.bus.Send(m); err != nil {
-		s.clientWaiters.take(corr)
-		f.settle(nil, err)
-		return f
-	}
-	f.take = func() bool { _, ok := s.clientWaiters.take(corr); return ok }
 	var timer *time.Timer
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		timer = time.AfterFunc(c.fallback(), func() {
-			if f.take() {
-				c.sendCancel(corr, dl)
-				f.settle(nil, c.timeoutError(f.op))
-			} else {
-				f.cleanup()
-			}
-		})
+		timer = time.AfterFunc(a.fallback(), func() { f.lapse(errFallbackElapsed) })
 	}
 	var hook func() bool
 	if ctx.Done() != nil {
-		hook = context.AfterFunc(ctx, func() {
-			if f.take() {
-				c.sendCancel(corr, dl)
-				f.settle(nil, fmt.Errorf("core: call %s.%s: %w", c.b.name, f.op, ctx.Err()))
-			} else {
-				f.cleanup()
-			}
-		})
+		hook = context.AfterFunc(ctx, func() { f.lapse(ctx.Err()) })
 	}
 	f.arm(timer, hook)
 	return f
 }
 
-// TypedFuture is one in-flight asynchronous typed call; it resolves exactly
-// once and is safe for concurrent Wait. Lifecycle (settle/arm/cleanup)
-// mirrors core.Future.
+// TypedFuture is one in-flight asynchronous call. It resolves exactly once —
+// to the reply, a timeout, or the context's cancellation error — and every
+// Wait after resolution returns the same outcome. Safe for concurrent Wait.
 type TypedFuture[Req, Resp any] struct {
-	t    *TypedClient[Req, Resp]
-	op   string
-	e    *typedEnvelope[Req, Resp]
-	take func() bool
+	a  admitted
+	op string
+	e  *typedEnvelope[Req, Resp] // nil when the call failed admission
 
-	// cl and tr close the client-edge span on settle (cl nil when the call
-	// failed before a request was sent).
-	cl *Client
-	tr traceRef
-
+	// cleanupMu guards the timer/hook handoff: invokeAsync arms them after
+	// the send, but the very callbacks they run (or the reply, via Wait)
+	// can settle the future first — a near-expired deadline makes that
+	// race real, not theoretical. settle and arm therefore exchange the
+	// pair under the lock with a nil-swap, each prepared to run second.
 	cleanupMu sync.Mutex
 	timer     *time.Timer
 	stopHook  func() bool
 
-	settleOnce sync.Once
-	done       chan struct{}
-	resp       *Resp
-	err        error
+	// done is closed, under cleanupMu, by the one settle that wins; err is
+	// written before it, and the response is the envelope's.
+	done chan struct{}
+	err  error
 }
 
-func (f *TypedFuture[Req, Resp]) settle(resp *Resp, err error) {
-	f.settleOnce.Do(func() {
-		f.resp, f.err = resp, err
-		if f.cl != nil {
-			f.cl.recordEdgeSpan(f.tr, f.op, telemetry.KindClient, outcomeOf(err))
-		}
-		close(f.done)
+// failedFuture is the future of a call that was refused admission.
+func failedFuture[Req, Resp any](err error) *TypedFuture[Req, Resp] {
+	f := &TypedFuture[Req, Resp]{done: make(chan struct{})}
+	f.settle(err)
+	return f
+}
+
+// lapse is the timer's and the context hook's callback: if the waiter entry
+// is still there the call is given up. Either callback that loses the take
+// race still runs cleanup: the reply arrived (the replier owns the slot) but
+// nobody Waited, and without the cleanup an un-awaited future would pin its
+// context.AfterFunc registration — and through it the future — for the
+// context's whole lifetime.
+func (f *TypedFuture[Req, Resp]) lapse(cause error) {
+	if !f.a.abandon() {
 		f.cleanup()
-	})
+		return
+	}
+	f.settle(f.a.lapse(f.op, cause))
 }
 
+// settle resolves the future exactly once. done closes before cleanup so a
+// concurrent arm that misses the swap still observes the resolution and
+// cleans up itself.
+func (f *TypedFuture[Req, Resp]) settle(err error) {
+	f.cleanupMu.Lock()
+	select {
+	case <-f.done:
+		f.cleanupMu.Unlock()
+		return
+	default:
+	}
+	f.err = err
+	f.a.span(f.op, err)
+	close(f.done)
+	f.cleanupMu.Unlock()
+	f.cleanup()
+}
+
+// arm installs the bounding timer and context hook. If the future settled
+// before (or while) they were installed, they are released immediately.
 func (f *TypedFuture[Req, Resp]) arm(timer *time.Timer, hook func() bool) {
 	f.cleanupMu.Lock()
 	f.timer, f.stopHook = timer, hook
@@ -432,6 +452,8 @@ func (f *TypedFuture[Req, Resp]) arm(timer *time.Timer, hook func() bool) {
 	}
 }
 
+// cleanup releases the timer and context hook at most once (nil-swap under
+// the lock makes it idempotent and race-free against arm).
 func (f *TypedFuture[Req, Resp]) cleanup() {
 	f.cleanupMu.Lock()
 	timer, hook := f.timer, f.stopHook
@@ -445,33 +467,27 @@ func (f *TypedFuture[Req, Resp]) cleanup() {
 	}
 }
 
-// Wait blocks until the call resolves and returns its typed outcome.
+// Wait blocks until the call resolves and returns its outcome. The deadline
+// and cancellation paths release the reply-waiter slot immediately; a reply
+// that raced a cancellation and arrived first is still returned.
 func (f *TypedFuture[Req, Resp]) Wait() (Resp, error) {
-	select {
-	case <-f.done:
-	case payload := <-f.e.w:
-		e := f.e
-		if e.done {
-			if e.errMsg != "" {
-				f.settle(nil, replyErrorKind(e.errMsg, e.errKind))
-			} else {
-				f.settle(&e.resp, nil)
-			}
-		} else if payload.Err != "" {
-			f.settle(nil, replyErrorKind(payload.Err, payload.Kind))
-		} else if derr := f.t.codec.DecodeResp(payload.Results, &e.resp); derr != nil {
-			f.settle(nil, derr)
-		} else {
-			f.settle(&e.resp, nil)
+	if f.e != nil {
+		select {
+		case <-f.done:
+		case payload := <-f.e.w:
+			_, err := f.e.collect(payload)
+			f.settle(err)
 		}
 	}
 	<-f.done
-	if f.err != nil || f.resp == nil {
+	if f.err != nil {
 		var zero Resp
 		return zero, f.err
 	}
-	return *f.resp, f.err
+	return f.e.resp, nil
 }
 
-// Done returns a channel closed when the future has resolved.
+// Done returns a channel closed when the future has resolved through Wait,
+// a timeout or a cancellation. A reply that arrives while nobody waits does
+// not close it — call Wait to collect.
 func (f *TypedFuture[Req, Resp]) Done() <-chan struct{} { return f.done }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -81,39 +83,30 @@ func (w *replyWaiters) take(corr uint64) (chan connector.ReplyPayload, bool) {
 	return ch, ok
 }
 
-// waitSlot is what a synchronous caller parks on: the reply channel its
-// waiter-table entry points at, and the fallback timer that bounds the wait
-// when the call's context carries no deadline (created on first use, reset
-// afterwards — go1.23 timers need no drain). Client.Call and a component's
-// CallContext lease one from waitSlots; a typed envelope embeds its own. A
-// slot goes back to where it was leased from only on the clean reply path:
-// its channel then held exactly the one signal the waiter table routed and
-// is empty again. A caller that gave up abandons the slot to the collector —
-// a reply may still be on its way into the channel, and the next call must
-// not read it.
+// waitSlot is what a synchronous caller parks on, embedded in its call
+// envelope: the reply channel the waiter-table entry points at, and the
+// fallback timer that bounds the wait when the call's context carries no
+// deadline (created on first use, reset afterwards — go1.23 timers need no
+// drain). It is reused with the envelope, under the envelope's pooling
+// protocol: after a clean reply the channel held exactly the one signal the
+// waiter table routed and is empty again.
 type waitSlot struct {
 	w     chan connector.ReplyPayload
 	timer *time.Timer
 }
 
-var waitSlots = sync.Pool{New: func() any {
-	return &waitSlot{w: make(chan connector.ReplyPayload, 1)}
-}}
-
-// waitEnd says how a wait ended.
-type waitEnd uint8
-
-const (
-	waitReplied  waitEnd = iota
-	waitCtxDone          // the call's context was cancelled or hit its deadline
-	waitTimedOut         // the fallback elapsed (context without a deadline)
-)
+// errFallbackElapsed is the cause of a wait its fallback timer ended; the
+// other cause is the context's own error. It stays private: the system
+// fallback's expiry reads "timed out" and has no identity a caller can match
+// (see lapse), but its span closes as a deadline (outcomeOf).
+var errFallbackElapsed = errors.New("timed out")
 
 // await parks the caller until the reply arrives, ctx is done or — armed only
-// when ctx has no deadline of its own to cover the wait — fallback elapses.
-// The timer is stoppable and reused, never time.After: a high-QPS caller
-// must not leave a pending timer behind per request.
-func (ws *waitSlot) await(ctx context.Context, fallback time.Duration) (connector.ReplyPayload, waitEnd) {
+// when ctx has no deadline of its own to cover the wait — fallback elapses;
+// a non-nil error is the cause of a wait that ended without a reply. The
+// timer is stoppable and reused, never time.After: a high-QPS caller must not
+// leave a pending timer behind per request.
+func (ws *waitSlot) await(ctx context.Context, fallback time.Duration) (connector.ReplyPayload, error) {
 	var timerC <-chan time.Time
 	if _, ok := ctx.Deadline(); !ok {
 		if ws.timer == nil {
@@ -128,37 +121,52 @@ func (ws *waitSlot) await(ctx context.Context, fallback time.Duration) (connecto
 		if timerC != nil {
 			ws.timer.Stop()
 		}
-		return payload, waitReplied
+		return payload, nil
 	case <-ctx.Done():
 		if timerC != nil {
 			ws.timer.Stop()
 		}
-		return connector.ReplyPayload{}, waitCtxDone
+		return connector.ReplyPayload{}, ctx.Err()
 	case <-timerC:
-		return connector.ReplyPayload{}, waitTimedOut
+		return connector.ReplyPayload{}, errFallbackElapsed
 	}
 }
 
-// abandon is what a synchronous caller does when it stops waiting for corr:
-// it takes its waiter entry back and, if the entry was still there (no reply
-// beat it), tells dst that src gave up, so queued or in-service work for the
-// call can be reclaimed at once — by the callee, and by whatever mediates on
-// the way: a connector drops its pending entry and passes the cancel on
-// under its own correlation id, the gateway relays it as a wire cancel
-// frame. Best-effort: a lost cancel only costs the reclamation, never
-// correctness. Deadline expiry needs no cancel — the lapsed deadline dl
-// (unix nanos, 0 for none) itself revokes the work at every queueing point.
-func abandon(b *bus.Bus, waiters *replyWaiters, src, dst bus.Address, corr uint64, dl int64) {
-	if _, ok := waiters.take(corr); ok {
-		sendCancel(b, src, dst, corr, dl)
+// abandon is what a caller does when it stops waiting: it takes its waiter
+// entry back and, if the entry was still there (no reply beat it), revokes the
+// request. It reports whether it was.
+func (a *admitted) abandon() bool {
+	_, ok := a.waiters.take(a.corr)
+	if ok {
+		a.revoke()
 	}
+	return ok
 }
 
-// sendCancel sends the revocation abandon describes, for callers that have
-// already taken their waiter entry (futures).
-func sendCancel(b *bus.Bus, src, dst bus.Address, corr uint64, dl int64) {
-	if dl != 0 && time.Now().UnixNano() >= dl {
+// revoke tells dst that the caller gave up on the call, so queued or
+// in-service work for it can be reclaimed at once: by the callee, and by
+// whatever mediates on the way — a connector drops its pending entry and
+// passes the cancel on under its own correlation id, the gateway relays it as
+// a wire cancel frame. Best-effort: a lost cancel only costs the reclamation,
+// never correctness. Deadline expiry needs no cancel — the lapsed deadline
+// itself revokes the work at every queueing point.
+func (a *admitted) revoke() {
+	if a.dl != 0 && time.Now().UnixNano() >= a.dl {
 		return
 	}
-	_ = b.Send(bus.Message{Kind: bus.Control, Op: bus.OpCancel, Src: src, Dst: dst, Corr: corr})
+	_ = a.sys.bus.Send(bus.Message{Kind: bus.Control, Op: bus.OpCancel, Src: a.src, Dst: a.dst, Corr: a.corr})
+}
+
+// lapse is the error of a call whose wait ended without a reply — cause is
+// the context's error or errFallbackElapsed (see admitted.budget for which
+// identity the timer's expiry carries).
+func (a *admitted) lapse(op string, cause error) error {
+	switch {
+	case cause != errFallbackElapsed: // the context's own error
+	case a.budget > 0:
+		cause = context.DeadlineExceeded
+	default:
+		return fmt.Errorf("core: call %s.%s %w", a.name, op, cause) // "… timed out"
+	}
+	return fmt.Errorf("core: call %s.%s: %w", a.name, op, cause)
 }

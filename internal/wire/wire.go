@@ -459,6 +459,7 @@ const (
 	KindDeadline        = 2 // deadline exceeded
 	KindCancelled       = 3 // caller cancelled
 	KindNoSuchComponent = 4 // destination component does not exist
+	KindOverloaded      = 6 // shed by the callee node's admission control
 )
 
 // Reply answers a Call; Err is non-empty on failure.

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -352,5 +353,137 @@ system Mig {
 	}
 	if wr, fr := h.Node("n1").BatchStats(); wr == 0 || fr < wr {
 		t.Fatalf("batched link saw no writes: writes=%d frames=%d", wr, fr)
+	}
+}
+
+// countingGreeter is typedGreeter counting what each entry point served.
+// HandleTyped keeps typedGreeter's unguarded assertions, as user components
+// may: offered an untyped call's argument list it would panic.
+type countingGreeter struct {
+	typedGreeter
+	handled, typed atomic.Int64
+}
+
+func (g *countingGreeter) Handle(op string, args []any) ([]any, error) {
+	g.handled.Add(1)
+	return g.typedGreeter.Handle(op, args)
+}
+
+func (g *countingGreeter) HandleTyped(op string, req, resp any) error {
+	g.typed.Add(1)
+	return g.typedGreeter.HandleTyped(op, req, resp)
+}
+
+// greetFront forwards hello to its required service greet.
+type greetFront struct{ caller aas.Caller }
+
+func (f *greetFront) SetCaller(c aas.Caller) { f.caller = c }
+func (f *greetFront) Handle(op string, args []any) ([]any, error) {
+	return f.caller.Call("greet", args...)
+}
+
+// TestUntypedCallNeverReachesHandleTyped: the untyped handle and the
+// component outcall are the typed call's engine at []any, and their envelope
+// says it has no typed form. A TypedComponent is therefore served an untyped
+// call through Handle — straight from a handle, through a connector from
+// another component's outcall, and as a future — while the typed handle
+// beside them is still served in place.
+func TestUntypedCallNeverReachesHandleTyped(t *testing.T) {
+	g := &countingGreeter{typedGreeter: typedGreeter{Greeting: "Hello"}}
+	reg := aas.NewRegistry()
+	reg.MustRegister("Greeter", "1.0", nil, func() any { return g })
+	reg.MustRegister("Front", "1.0", nil, func() any { return &greetFront{} })
+	sys, err := aas.Load(`
+system Hello {
+  component Front {
+    provide hello(name) -> (message)
+    require greet(name) -> (message)
+  }
+  component Greeter {
+    provide greet(name) -> (message)
+  }
+  connector Link { kind rpc }
+  bind Front.greet -> Greeter.greet via Link
+}
+`, aas.Options{Registry: reg.Registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	ctx := context.Background()
+	const want = "Hello, world!"
+
+	if res, err := sys.Client("Greeter").Call(ctx, "greet", "world"); err != nil || res[0] != want {
+		t.Fatalf("direct: %v %v", res, err)
+	}
+	if res, err := sys.Client("Front").Call(ctx, "hello", "world"); err != nil || res[0] != want {
+		t.Fatalf("through the connector: %v %v", res, err)
+	}
+	if res, err := sys.Client("Greeter").Async(ctx, "greet", "world").Wait(); err != nil || res[0] != want {
+		t.Fatalf("async: %v %v", res, err)
+	}
+	// Front's own serve is the fourth Handle-served request; it is not g's.
+	if h, ty := g.handled.Load(), g.typed.Load(); h != 3 || ty != 0 {
+		t.Fatalf("untyped calls: %d served by Handle (want 3), %d offered to HandleTyped (want 0)", h, ty)
+	}
+	if out, err := aas.ClientOf[string, string](sys, "Greeter").Call(ctx, "greet", "world"); err != nil || out != want {
+		t.Fatalf("typed: %q %v", out, err)
+	}
+	if h, ty := g.handled.Load(), g.typed.Load(); h != 3 || ty != 1 {
+		t.Fatalf("typed call: Handle %d (want 3), HandleTyped %d (want 1)", h, ty)
+	}
+}
+
+// TestUntypedRemoteCallUnshippableArgument: an untyped call to a component
+// on another node whose argument the wire value codec cannot encode is
+// refused at the gateway, at once — the caller does not wait out its
+// fallback, and nothing stays registered for it.
+func TestUntypedRemoteCallUnshippableArgument(t *testing.T) {
+	mkReg := func(string) *registry.Registry {
+		reg := aas.NewRegistry()
+		reg.MustRegister("Echo", "1.0", nil, func() any { return tagged{"echo"} })
+		return reg.Registry
+	}
+	h, err := aas.StartCluster(context.Background(), aas.ClusterSpec{
+		ADL: `
+system Far {
+  component Echo {
+    provide get(k) -> (v)
+  }
+}
+`,
+		Nodes:     []string{"n1", "n2"},
+		Placement: map[string]string{"Echo": "n2"},
+		Registry:  mkReg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	sys1 := h.System("n1")
+	echo := sys1.Client("Echo")
+	ctx := context.Background()
+	if res, err := echo.Call(ctx, "get", "k"); err != nil || res[0] != "echo" {
+		t.Fatalf("shippable call: %v %v", res, err)
+	}
+	start := time.Now()
+	_, err = echo.Call(ctx, "get", struct{ X int }{1}) // no deadline: the fallback is 10 s
+	if err == nil || !strings.Contains(err.Error(), wire.ErrUnsupportedType.Error()) {
+		t.Fatalf("err = %v, want the codec's unsupported-type refusal", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("refusal took %v", d)
+	}
+	if n := sys1.PendingCalls(); n != 0 {
+		t.Fatalf("%d reply waiters left", n)
+	}
+	if _, err := echo.Async(ctx, "get", make(chan int)).Wait(); err == nil {
+		t.Fatal("async call with an unshippable argument succeeded")
+	}
+	if res, err := echo.Call(ctx, "get", "k"); err != nil || res[0] != "echo" {
+		t.Fatalf("call after the refusals: %v %v", res, err)
 	}
 }
