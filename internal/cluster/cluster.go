@@ -409,11 +409,12 @@ func (n *Node) ShedStats() (shed uint64) {
 	return n.shedGateway.Load()
 }
 
-// ServedCalls reports how many calls this node is serving for its peers: the
-// inbound calls its links have put on the local bus and not yet seen
-// answered, revoked or expired. It is the callee-side counterpart of
-// core.System.PendingCalls — an inbound call holds no waiter slot, only its
-// link's record — and like it returns to zero at quiescence; a leak here is
+// ServedCalls reports how many calls and streams this node is serving for its
+// peers: the inbound requests its links have put on the local bus and not yet
+// seen answered (replied to, or ended), revoked or expired. It is the
+// callee-side counterpart of core.System.PendingCalls and PendingStreams — an
+// inbound call or stream holds no waiter slot and no stream handle, only its
+// link's record — and like them returns to zero at quiescence; a leak here is
 // a bug.
 func (n *Node) ServedCalls() int {
 	n.mu.Lock()
@@ -716,19 +717,16 @@ func (n *Node) detachGateway(g *gateway) {
 	}
 }
 
-// forwardDirect is the gateway's bus.DirectFunc: a unary request that can go
-// onto the owning peer's link as it stands is forwarded here, inside the
-// caller's bus.Send. Everything else is declined and queues for gatewayLoop:
-// controls, stream opens, and every request forward refuses — those must be
-// answered with a bus.Send of their own, which the direct contract forbids
-// (the same split runtimeComponent.deliverDirect makes). It runs under the
-// gateway address's route lock; forward takes short locks, reads the clock
-// and queues one egress item.
+// forwardDirect is the gateway's bus.DirectFunc: a request — a unary call or
+// a stream open — that can go onto the owning peer's link as it stands is
+// forwarded here, inside the caller's bus.Send. Everything else is declined
+// and queues for gatewayLoop: controls, and every request forward refuses —
+// those must be answered with a bus.Send of their own, which the direct
+// contract forbids (the same split runtimeComponent.deliverDirect makes). It
+// runs under the gateway address's route lock; forward takes short locks,
+// reads the clock and queues one egress item.
 func (n *Node) forwardDirect(g *gateway, m *bus.Message) bool {
 	if m.Kind != bus.Request {
-		return false
-	}
-	if _, ok := m.Payload.(connector.StreamOpenPayload); ok {
 		return false
 	}
 	kind, _ := n.forward(g, m)
@@ -758,10 +756,6 @@ func (n *Node) gatewayLoop(g *gateway, ctx context.Context) {
 		if m.Kind != bus.Request {
 			continue // stray replies/events toward a remote address are meaningless here
 		}
-		if open, ok := m.Payload.(connector.StreamOpenPayload); ok {
-			n.forwardStreamOpen(g.comp, m, open)
-			continue
-		}
 		// A request the direct path refused. Try again — the refusal may have
 		// been momentary — and answer it here if it is refused again.
 		if kind, reason := n.forward(g, &m); kind != connector.ErrKindNone {
@@ -772,20 +766,45 @@ func (n *Node) gatewayLoop(g *gateway, ctx context.Context) {
 			// a sentinel without string matching.
 			_ = n.sys.Bus().Send(bus.Message{
 				Kind: bus.Reply, Op: m.Op,
-				Payload: connector.ReplyPayload{Err: reason, Kind: kind},
+				Payload: answerPayload(m.Payload, wire.Reply{Err: reason, Kind: uint8(kind)}),
 				Src:     g.addr, Dst: m.Src, Corr: m.Corr,
 			})
 		}
 	}
 }
 
-// forward ships one unary bus request over the wire and records what it
-// takes to re-emit the peer's reply as a bus reply toward the original
-// caller — from the caller's perspective the remote component answered from
-// its usual address. It sends nothing on the bus itself, so it runs on the
-// caller's goroutine inside forwardDirect as well as on the gateway loop's.
-// A request it cannot ship is refused with the error kind and text the
-// caller is owed, and nothing has changed.
+// answerPayload is the bus payload that answers the request payload req with
+// what rep says, in the shape req's sender expects. A typed call's envelope
+// is completed in place (SetResults + Finish, the contract local serving
+// uses) and rides back as the request's own payload, so nothing is boxed for
+// it; an envelope its caller has abandoned is never pooled, so a late
+// completion is harmless. A stream open is answered by its end. Everything
+// else gets a reply payload.
+func answerPayload(req any, rep wire.Reply) any {
+	switch pl := req.(type) {
+	case connector.TypedCall:
+		errMsg, kind := rep.Err, connector.ErrKind(rep.Kind)
+		if errMsg == "" {
+			if derr := pl.SetResults(rep.Results); derr != nil {
+				errMsg, kind = derr.Error(), connector.ErrKindApp
+			}
+		}
+		pl.Finish(errMsg, kind)
+		return req
+	case connector.StreamOpenPayload:
+		return connector.StreamEndPayload{Err: rep.Err, Kind: connector.ErrKind(rep.Kind)}
+	default:
+		return connector.ReplyPayload{Results: rep.Results, Err: rep.Err, Kind: connector.ErrKind(rep.Kind)}
+	}
+}
+
+// forward ships one bus request — a unary call or a stream open — over the
+// wire and records what it takes to re-emit the peer's answer as bus replies
+// toward the original caller — from the caller's perspective the remote
+// component answered from its usual address. It sends nothing on the bus
+// itself, so it runs on the caller's goroutine inside forwardDirect as well as
+// on the gateway loop's. A request it cannot ship is refused with the error
+// kind and text the caller is owed, and nothing has changed.
 func (n *Node) forward(g *gateway, m *bus.Message) (connector.ErrKind, string) {
 	p := n.livePeer(n.Owner(g.comp))
 	if p == nil {
@@ -808,6 +827,7 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 			fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op)
 	}
 	c := wire.Call{Component: comp, Op: m.Op}
+	stream, window := false, 0 // a stream open, and its credit window
 	switch pl := m.Payload.(type) {
 	case connector.CallPayload:
 		c.Principal, c.Args = pl.Principal, pl.Args
@@ -819,6 +839,9 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 			return connector.ErrKindApp, fmt.Sprintf("cluster: %s.%s: %v", comp, m.Op, aerr)
 		}
 		c.Principal, c.RawArgs = pl.Principal(), raw
+	case connector.StreamOpenPayload:
+		c.Principal, c.Args = pl.Principal, pl.Args
+		stream, window = true, pl.Window
 	}
 	pc := pendingCall{g: g, src: m.Src, srcCorr: m.Corr, op: m.Op, payload: m.Payload}
 	// Trace propagation: the gateway opens a forward span parented under the
@@ -850,7 +873,14 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 		}
 		return connector.ErrKindNone, ""
 	}
-	p.egress.enqueueCall(c, m.Deadline)
+	if stream {
+		p.egress.enqueueStreamOpen(wire.StreamOpen{
+			Corr: c.Corr, Component: comp, Op: m.Op, Principal: c.Principal,
+			Window: uint32(window), Args: c.Args, Trace: c.Trace, Span: c.Span,
+		}, m.Deadline)
+	} else {
+		p.egress.enqueueCall(c, m.Deadline)
+	}
 	return connector.ErrKindNone, ""
 }
 
@@ -861,52 +891,45 @@ func (n *Node) untrack(key callKey) {
 	n.imu.Unlock()
 }
 
-// settleForward completes one forwarded call with the reply its peer sent —
-// or the one made up for it when the call expired in the egress queue or its
-// link died: the forward span closes and the reply goes onto the bus toward
-// the original caller. A typed call's envelope is completed in place
-// (SetResults + Finish, the contract local serving uses) and rides back as
-// the request's own payload, so nothing is boxed for it; an envelope its
-// caller has abandoned is never pooled, so a late completion is harmless.
+// closeForwardSpan records the forward span of a traced forwarded request as
+// it leaves the pending table.
+func (n *Node) closeForwardSpan(p *peer, pc *pendingCall, outcome telemetry.Outcome) {
+	if pc.fwdStart == 0 {
+		return
+	}
+	n.sys.Recorder().Record(telemetry.Span{
+		Trace: pc.trace, ID: pc.fwdSpan, Parent: pc.parentSpan,
+		Start: pc.fwdStart, End: time.Now().UnixNano(),
+		Op: pc.op, Comp: pc.g.comp, Src: n.id, Dst: p.id,
+		Kind: telemetry.KindForward, Outcome: outcome,
+	})
+}
+
+// settleForward completes one forwarded call with the reply its peer sent,
+// or one forwarded stream with its end — or with the answer made up for it
+// when the request expired in the egress queue, its link died or a chunk
+// could not be handed on: the forward span closes and the answer goes onto
+// the bus toward the original caller in the shape it expects (answerPayload).
 func (n *Node) settleForward(p *peer, pc pendingCall, rep wire.Reply) {
 	// Untrack first: a cancel arriving after any completion must find
 	// nothing to revoke.
 	n.untrack(callKey{src: pc.src, corr: pc.srcCorr})
-	if pc.fwdStart != 0 {
-		n.sys.Recorder().Record(telemetry.Span{
-			Trace: pc.trace, ID: pc.fwdSpan, Parent: pc.parentSpan,
-			Start: pc.fwdStart, End: time.Now().UnixNano(),
-			Op: pc.op, Comp: pc.g.comp, Src: n.id, Dst: p.id,
-			Kind: telemetry.KindForward, Outcome: telemetry.Outcome(rep.Kind),
-		})
-	}
+	n.closeForwardSpan(p, &pc, telemetry.Outcome(rep.Kind))
 	m := bus.Message{
-		Kind: bus.Reply, Op: pc.op,
+		Kind: bus.Reply, Op: pc.op, Payload: answerPayload(pc.payload, rep),
 		Src: pc.g.addr, Dst: pc.src, Corr: pc.srcCorr,
-	}
-	if tc, ok := pc.payload.(connector.TypedCall); ok {
-		errMsg, kind := rep.Err, connector.ErrKind(rep.Kind)
-		if errMsg == "" {
-			if derr := tc.SetResults(rep.Results); derr != nil {
-				errMsg, kind = derr.Error(), connector.ErrKindApp
-			}
-		}
-		tc.Finish(errMsg, kind)
-		m.Payload = pc.payload
-	} else {
-		m.Payload = connector.ReplyPayload{Results: rep.Results, Err: rep.Err,
-			Kind: connector.ErrKind(rep.Kind)}
 	}
 	if serr := n.sys.Bus().Send(m); serr != nil {
 		n.opts.Logf("cluster %s: dropped reply corr=%d: %v", n.id, pc.srcCorr, serr)
 	}
 }
 
-// cancelForward revokes a forwarded call whose caller gave up (context
-// cancel or deadline expiry). The caller-side waiter entry is dropped
-// immediately and a FrameCancel rides to the callee so its serving slot and
-// waiter table are reclaimed right away too. No reply flows back: by the
-// time a cancel reaches the gateway the caller has already settled.
+// cancelForward revokes a forwarded call or stream whose caller gave up
+// (context cancel, deadline expiry, a closed stream handle). The caller-side
+// record is dropped immediately — a late reply, chunk or end finds nothing —
+// and a FrameCancel rides to the callee so its serving slot, or its stream
+// producer, is reclaimed right away too. No answer flows back: by the time a
+// cancel reaches the gateway the caller has already settled.
 func (n *Node) cancelForward(m bus.Message) {
 	key := callKey{src: m.Src, corr: m.Corr}
 	n.imu.Lock()
@@ -916,10 +939,11 @@ func (n *Node) cancelForward(m bus.Message) {
 	}
 	n.imu.Unlock()
 	if !ok {
-		return // already replied, expired in egress, or never forwarded
+		return // already answered, expired in egress, or never forwarded
 	}
-	ref.p.takePending(ref.corr)  // drop the record, suppress the late reply
-	ref.p.takeStreamIn(ref.corr) // and the stream record: late chunks find nothing
+	if pc, ok := ref.p.takePending(ref.corr); ok {
+		n.closeForwardSpan(ref.p, &pc, telemetry.OutcomeCancelled)
+	}
 	if !ref.p.down.Load() {
 		ref.p.egress.enqueueCancel(wire.Cancel{Corr: ref.corr})
 	}

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/connector"
 	"repro/internal/wire"
 )
 
@@ -275,26 +274,35 @@ type encodeFailure struct {
 }
 
 // answerLocally settles, on this side of the link, a frame that will not be
-// written: a call's pending record and a stream open's consumer get a
-// typed error, a chunk's relay is aborted so the consumer sees an end rather
-// than a gap in the sequence, a dropped snapshot is logged (the replicator's
-// next round retries; ack lag shows the gap). Cancels, credits, ends and
-// acks are best-effort and need no answer.
+// written: a call's or a stream open's pending record gets a typed error
+// answer; a chunk's stream is given up the way a cancel gives it up — the
+// record is taken, the producer revoked — and the consumer sees a typed end
+// rather than a gap in the sequence; a dropped snapshot is logged (the
+// replicator's next round retries; ack lag shows the gap). Cancels, credits,
+// ends and acks are best-effort and need no answer.
 func (e *egress) answerLocally(it *egressItem, kind uint8, reason string) {
 	p := e.p
 	switch it.kind {
 	case wire.FrameCall:
-		if pc, ok := p.takePending(it.call.Corr); ok {
-			p.n.settleForward(p, pc, wire.Reply{Corr: it.call.Corr, Kind: kind,
-				Err: "cluster: " + it.call.Component + "." + it.call.Op + ": " + reason})
-		}
+		e.failPending(it.call.Corr, it.call.Component, it.call.Op, kind, reason)
 	case wire.FrameStreamOpen:
-		o := &it.streamOpen
-		p.n.endStreamIn(p, o.Corr, connector.ErrKind(kind), "cluster: "+o.Component+"."+o.Op+": "+reason)
+		e.failPending(it.streamOpen.Corr, it.streamOpen.Component, it.streamOpen.Op, kind, reason)
 	case wire.FrameStreamChunk:
-		p.abortRelayEncode(it.streamChunk.Corr)
+		corr := it.streamChunk.Corr
+		if sc, ok := p.takeServed(corr); ok {
+			p.revoke(corr, sc)
+			p.answer(corr, sc, wire.KindAppError, "cluster: stream item not wire-encodable")
+		}
 	case wire.FrameReplicate:
 		p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %s",
 			p.n.id, it.replicate.Component, it.replicate.Seq, p.id, reason)
+	}
+}
+
+// failPending settles the record of a request frame that was never written.
+func (e *egress) failPending(corr uint64, comp, op string, kind uint8, reason string) {
+	if pc, ok := e.p.takePending(corr); ok {
+		e.p.n.settleForward(e.p, pc, wire.Reply{Corr: corr, Kind: kind,
+			Err: "cluster: " + comp + "." + op + ": " + reason})
 	}
 }

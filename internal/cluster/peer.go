@@ -42,10 +42,15 @@ func (l *livenessReader) Read(p []byte) (int, error) {
 // serialize on encMu, and every received byte counts as liveness.
 //
 // Toward the local system the link is a bus participant, not a client: it
-// holds one direct endpoint (addr), puts each inbound call on the bus with
-// that address as Src and the wire correlation as Corr, and the serving
-// component's reply comes back to settleServed on the serve worker's
-// goroutine. No goroutine, context or waiter exists per inbound call.
+// holds one direct endpoint (addr), puts each inbound call and stream open on
+// the bus with that address as Src and the wire correlation as Corr, and what
+// the serving component answers — a reply, a stream's items and its end —
+// comes back to settleServed on the goroutine that sent it. No goroutine,
+// context, waiter or buffer exists per inbound call or stream.
+//
+// Three correlation tables are all the link remembers: pending (what this
+// node forwarded and the peer has yet to answer), served (what the peer
+// forwarded and this node has yet to answer) and migs.
 type peer struct {
 	n    *Node
 	id   string
@@ -76,26 +81,27 @@ type peer struct {
 	batchWrites atomic.Uint64
 	batchFrames atomic.Uint64
 
-	pmu       sync.Mutex
-	pending   map[uint64]pendingCall  // remote calls awaiting replies
-	migs      map[uint64]chan string  // migrations awaiting acks
-	served    map[uint64]servedCall   // inbound calls on the local bus awaiting their reply
-	serves    map[uint64]*serveCtl    // inbound streams being relayed locally
-	streamsIn map[uint64]*streamIn    // forwarded stream opens awaiting chunks/end
-	relays    map[uint64]*core.Stream // inbound streams being relayed locally
+	pmu     sync.Mutex
+	pending map[uint64]pendingCall // forwarded calls awaiting replies, forwarded streams awaiting their end
+	migs    map[uint64]chan string // migrations awaiting acks
+	served  map[uint64]servedCall  // inbound calls and streams on the local bus awaiting their reply or end
 }
 
-// pendingCall is the caller-side record of one forwarded unary call: what it
-// takes to re-emit the peer's reply as a bus reply toward the original
-// caller. Every completion path — reply frame, egress expiry, link death —
-// settles through it (Node.settleForward); a cancel just drops it.
+// pendingCall is the caller-side record of one forwarded call or stream open:
+// what it takes to re-emit the peer's answer — the reply, or a stream's
+// chunks and end — as bus replies toward the original caller. Every
+// completion path — reply or end frame, egress expiry, link death — settles
+// through it (Node.settleForward); chunks look it up without taking it; a
+// cancel just drops it.
 type pendingCall struct {
 	g       *gateway    // the gateway it entered through: component name and reply Src
 	src     bus.Address // original caller
 	srcCorr uint64      // original bus correlation id
 	op      string
-	// payload is the request's payload. A connector.TypedCall is completed
-	// in place by the reply and rides back as the same boxed pointer.
+	// payload is the request's payload, which says what shape the answer
+	// takes. A connector.TypedCall is completed in place by the reply and rides
+	// back as the same boxed pointer; a connector.StreamOpenPayload is answered
+	// by chunks and settled by a stream end.
 	payload any
 	// Forward span, recorded at settle time; fwdStart == 0 when untraced.
 	trace      int64
@@ -104,34 +110,25 @@ type pendingCall struct {
 	parentSpan uint32
 }
 
-// servedCall is the callee-side record of one inbound call between its entry
-// onto the local bus and its reply: where a cancel for it must go, and when
-// its caller's budget runs out (unix nanos, 0 for none). Its presence is
-// what lets a reply out: a revoked corr has no record and is never answered.
+// servedCall is the callee-side record of one inbound call or stream between
+// its entry onto the local bus and its reply or end: where a cancel or a
+// credit grant for it must go, when its caller's budget runs out (unix nanos,
+// 0 for none), and whether the caller is owed a reply frame or a stream end.
+// Its presence is what lets an answer out: a revoked corr has no record and
+// nothing more is written for it.
 type servedCall struct {
 	dst      bus.Address
 	deadline int64
-}
-
-// serveCtl lets a FrameCancel (or peer death) revoke an inbound stream while
-// it is being relayed: cancel aborts the relay's context, revoked tells the
-// relay goroutine to suppress its end frame — the caller has already settled
-// and forgotten the correlation.
-type serveCtl struct {
-	cancel  context.CancelFunc
-	revoked atomic.Bool
+	stream   bool
 }
 
 func newPeer(n *Node, id string, version uint8, conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, seen *atomic.Int64) *peer {
 	p := &peer{
 		n: n, id: id, version: version, conn: conn, enc: enc, dec: dec, lastSeen: seen,
-		addr:      bus.Address(fmt.Sprintf("peer:%s#%d", id, n.linkSeq.Add(1))),
-		pending:   map[uint64]pendingCall{},
-		migs:      map[uint64]chan string{},
-		served:    map[uint64]servedCall{},
-		serves:    map[uint64]*serveCtl{},
-		streamsIn: map[uint64]*streamIn{},
-		relays:    map[uint64]*core.Stream{},
+		addr:    bus.Address(fmt.Sprintf("peer:%s#%d", id, n.linkSeq.Add(1))),
+		pending: map[uint64]pendingCall{},
+		migs:    map[uint64]chan string{},
+		served:  map[uint64]servedCall{},
 	}
 	p.egress = newEgress(p)
 	p.lastSeen.Store(time.Now().UnixNano())
@@ -195,7 +192,16 @@ func (p *peer) takePending(corr uint64) (pendingCall, bool) {
 	return pc, ok
 }
 
-// takeServed removes and returns the record of one inbound call.
+// lookupPending returns the record for corr without removing it: a stream's
+// chunks pass through it, only its end takes it.
+func (p *peer) lookupPending(corr uint64) (pendingCall, bool) {
+	p.pmu.Lock()
+	pc, ok := p.pending[corr]
+	p.pmu.Unlock()
+	return pc, ok
+}
+
+// takeServed removes and returns the record of one inbound call or stream.
 func (p *peer) takeServed(corr uint64) (servedCall, bool) {
 	p.pmu.Lock()
 	sc, ok := p.served[corr]
@@ -206,55 +212,67 @@ func (p *peer) takeServed(corr uint64) (servedCall, bool) {
 	return sc, ok
 }
 
-// servedCalls reports how many inbound calls are on the local bus awaiting
-// their reply.
+// lookupServed returns the record of one inbound call or stream without
+// removing it.
+func (p *peer) lookupServed(corr uint64) (servedCall, bool) {
+	p.pmu.Lock()
+	sc, ok := p.served[corr]
+	p.pmu.Unlock()
+	return sc, ok
+}
+
+// servedCalls reports how many inbound calls and streams are on the local bus
+// awaiting their reply or end.
 func (p *peer) servedCalls() int {
 	p.pmu.Lock()
 	defer p.pmu.Unlock()
 	return len(p.served)
 }
 
-// addServe registers the control handle of one inbound stream being relayed.
-func (p *peer) addServe(corr uint64, ctl *serveCtl) {
-	p.pmu.Lock()
-	p.serves[corr] = ctl
-	p.pmu.Unlock()
-}
-
-// dropServe removes a relay control handle.
-func (p *peer) dropServe(corr uint64) {
-	p.pmu.Lock()
-	delete(p.serves, corr)
-	p.pmu.Unlock()
-}
-
 // handleCancel revokes one inbound call or stream by correlation id.
-// Best-effort: one that already replied (or never arrived) is silently
-// ignored. A unary call's record leaves the table here, so whatever the
+// Best-effort: one that already replied or ended (or never arrived) is
+// silently ignored. The record leaves the table here, so whatever the
 // component answers from now on is suppressed, and the revocation itself is
 // the bus's: the same OpCancel control a local caller sends, which the
-// component records and answers the request unserved when it surfaces.
+// component records — answering a still-queued request unserved when it
+// surfaces — and which reclaims a running stream producer.
 func (p *peer) handleCancel(c wire.Cancel) {
 	if sc, ok := p.takeServed(c.Corr); ok {
 		p.revoke(c.Corr, sc)
-		return
-	}
-	p.pmu.Lock()
-	ctl := p.serves[c.Corr]
-	p.pmu.Unlock()
-	if ctl != nil {
-		ctl.revoked.Store(true)
-		ctl.cancel()
 	}
 }
 
-// revoke tells the component serving an inbound call that its caller is
-// gone. Best-effort, like every cancel.
+// revoke tells the component serving an inbound call or stream that its
+// caller is gone. Best-effort, like every cancel.
 func (p *peer) revoke(corr uint64, sc servedCall) {
 	_ = p.n.sys.Bus().Send(bus.Message{
 		Kind: bus.Control, Op: bus.OpCancel,
 		Src: p.addr, Dst: sc.dst, Corr: corr,
 	})
+}
+
+// handleCredit passes a remote consumer's credit grant on to the producer as
+// the bus's own OpStreamCredit control, from the address the producer knows
+// its consumer by — so the window that throttles the producer is the real
+// consumer's. Credit for a stream that already ended (or is no stream) is
+// dropped: credit is best-effort, like cancel.
+func (p *peer) handleCredit(c wire.StreamCredit) {
+	if sc, ok := p.lookupServed(c.Corr); ok && sc.stream && c.Credit > 0 {
+		_ = p.n.sys.Bus().Send(bus.Message{
+			Kind: bus.Control, Op: bus.OpStreamCredit,
+			Src: p.addr, Dst: sc.dst, Corr: c.Corr, Payload: int(c.Credit),
+		})
+	}
+}
+
+// answer writes the frame that settles an inbound corr whose record the
+// caller has taken: a stream end for a stream, a reply otherwise.
+func (p *peer) answer(corr uint64, sc servedCall, kind uint8, reason string) {
+	if sc.stream {
+		p.egress.enqueueStreamEnd(wire.StreamEnd{Corr: corr, Err: reason, Kind: kind})
+	} else {
+		p.egress.enqueueReply(wire.Reply{Corr: corr, Err: reason, Kind: kind})
+	}
 }
 
 // addMig registers a migration ack channel.
@@ -271,23 +289,20 @@ func (p *peer) dropMig(corr uint64) {
 	p.pmu.Unlock()
 }
 
-// failAll resolves every outstanding call and migration with an error —
-// called exactly once, from peerDown, after down is set: whoever registers
-// in one of these tables re-checks down afterwards, so an entry either is
-// seen here or is withdrawn by its owner.
+// failAll resolves every outstanding call, stream and migration with an
+// error — called exactly once, from peerDown, after down is set: whoever
+// registers in one of these tables re-checks down afterwards, so an entry
+// either is seen here or is withdrawn by its owner.
 func (p *peer) failAll(reason string) {
 	p.pmu.Lock()
 	pending := p.pending
 	migs := p.migs
 	served := p.served
-	serves := p.serves
-	streams := p.streamsIn
 	p.pending = map[uint64]pendingCall{}
 	p.migs = map[uint64]chan string{}
 	p.served = map[uint64]servedCall{}
-	p.serves = map[uint64]*serveCtl{}
-	p.streamsIn = map[uint64]*streamIn{}
 	p.pmu.Unlock()
+	// Callers get an error reply, consumers of forwarded streams an error end.
 	for corr, pc := range pending {
 		p.n.settleForward(p, pc, wire.Reply{Corr: corr, Err: reason, Kind: wire.KindAppError})
 	}
@@ -297,23 +312,14 @@ func (p *peer) failAll(reason string) {
 		default:
 		}
 	}
-	// Calls we were serving for the dead peer can never deliver their
-	// replies; revoke them so the ones still queued are never served. The
-	// link's endpoint goes with them: an answer already on its way finds no
-	// destination, and the address is never reused.
+	// What we were serving for the dead peer can never deliver its answer;
+	// revoke it so queued requests are never served and running stream
+	// producers are reclaimed. The link's endpoint goes with them: an answer
+	// already on its way finds no destination, and the address is never reused.
 	for corr, sc := range served {
 		p.revoke(corr, sc)
 	}
 	p.n.sys.Bus().Detach(p.addr)
-	// Relayed streams: revoking one cancels the relay context, reclaiming
-	// its producer.
-	for _, ctl := range serves {
-		ctl.revoked.Store(true)
-		ctl.cancel()
-	}
-	// Streams forwarded over this link can never deliver another chunk;
-	// settle their consumers with an error end.
-	p.failStreamsIn(streams, reason)
 }
 
 // readLoop dispatches inbound frames until the link dies. Liveness is
@@ -365,7 +371,10 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 		if err != nil {
 			return err
 		}
-		p.relayCall(c)
+		p.relay(c.Component, c.DeadlineNanos, bus.Message{
+			Kind: bus.Request, Op: c.Op, Corr: c.Corr, Trace: c.Trace, Span: c.Span,
+			Payload: connector.CallPayload{Principal: c.Principal, Args: c.Args},
+		})
 	case wire.FrameReply:
 		r, err := wire.ParseReply(body, p.version)
 		if err != nil {
@@ -383,7 +392,10 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 		if err != nil {
 			return err
 		}
-		p.dispatchStreamOpen(o)
+		p.relay(o.Component, o.DeadlineNanos, bus.Message{
+			Kind: bus.Request, Op: o.Op, Corr: o.Corr, Trace: o.Trace, Span: o.Span,
+			Payload: connector.StreamOpenPayload{Principal: o.Principal, Window: int(o.Window), Args: o.Args},
+		})
 	case wire.FrameStreamChunk:
 		c, err := wire.ParseStreamChunk(body)
 		if err != nil {
@@ -395,13 +407,14 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 		if err != nil {
 			return err
 		}
-		p.grantRelay(c)
+		p.handleCredit(c)
 	case wire.FrameStreamEnd:
 		s, err := wire.ParseStreamEnd(body)
 		if err != nil {
 			return err
 		}
-		p.n.endStreamIn(p, s.Corr, connector.ErrKind(s.Kind), s.Err)
+		// A stream's end settles its record the way a call's reply does.
+		p.dispatchReply(wire.Reply{Corr: s.Corr, Err: s.Err, Kind: s.Kind})
 	case wire.FrameReplicate:
 		r, err := wire.ParseReplicate(body)
 		if err != nil {
@@ -468,92 +481,114 @@ func (p *peer) dispatchReply(r wire.Reply) {
 	}
 }
 
-// relayCall puts one inbound remote call on the local bus, on the read
-// pump's goroutine (bus.Send never waits on a receiver). The call enters
-// through the component's compiled client binding (core.Client.Relay), so
-// presence, liveness and deadline-aware admission apply exactly as for a
-// local call, and so do the callee-side container services (auth with the
-// shipped principal, audit, transactions), woven aspects and meta-objects.
-// The caller's shipped budget becomes the request's absolute deadline —
-// the one enforcement mechanism the bus has: the deadline lane, the
-// component's check before service and the cancel plane all act on it. The
-// frame's trace context rides along, so the serving node extends the
-// caller's span tree (its serve span parents under the forwarded span id)
-// instead of minting a second root.
-func (p *peer) relayCall(c wire.Call) {
-	cl := p.n.sys.Client(c.Component)
-	m := bus.Message{
-		Kind: bus.Request, Op: c.Op,
-		Payload: connector.CallPayload{Principal: c.Principal, Args: c.Args},
-		Src:     p.addr, Corr: c.Corr,
-		Trace: c.Trace, Span: c.Span,
-	}
+// relay puts one inbound request — a remote call, or a stream open, which is
+// a call answered more than once — on the local bus, on the read pump's
+// goroutine (bus.Send never waits on a receiver). m arrives with the frame's
+// op, payload, wire corr and trace words; the link's address becomes its Src.
+// The request enters through the component's compiled client binding
+// (core.Client.Relay), so presence, liveness and deadline-aware admission
+// apply exactly as for a local request, and so do the callee-side container
+// services (auth with the shipped principal, audit, transactions), woven
+// aspects and meta-objects. The caller's shipped budget becomes the request's
+// absolute deadline — the one enforcement mechanism the bus has: the deadline
+// lane, the component's check before service, a stream producer's context and
+// the cancel plane all act on it. The frame's trace context rides along, so
+// the serving node extends the caller's span tree (its serve span parents
+// under the forwarded span id) instead of minting a second root.
+func (p *peer) relay(comp string, budget int64, m bus.Message) {
+	cl := p.n.sys.Client(comp)
+	m.Src = p.addr
 	var now int64
-	if c.DeadlineNanos > 0 {
+	if budget > 0 {
 		now = time.Now().UnixNano()
-		m.Deadline = now + c.DeadlineNanos
+		m.Deadline = now + budget
 	}
-	// Register before sending so a FrameCancel or the reply racing the call
-	// always finds the record — and re-check down after registering (see
-	// failAll).
+	_, stream := m.Payload.(connector.StreamOpenPayload)
+	sc := servedCall{dst: cl.Address(), deadline: m.Deadline, stream: stream}
+	// Register before sending so a FrameCancel or the answer racing the
+	// request always finds the record — and re-check down after registering
+	// (see failAll).
 	p.pmu.Lock()
-	p.served[c.Corr] = servedCall{dst: cl.Address(), deadline: m.Deadline}
+	p.served[m.Corr] = sc
 	p.pmu.Unlock()
 	if p.down.Load() {
-		p.takeServed(c.Corr)
+		p.takeServed(m.Corr)
 		return
 	}
 	if err := cl.Relay(m, now); err != nil {
-		if _, ok := p.takeServed(c.Corr); ok {
-			p.egress.enqueueReply(wire.Reply{Corr: c.Corr, Err: err.Error(), Kind: replyKindOf(err)})
+		if _, ok := p.takeServed(m.Corr); ok {
+			p.answer(m.Corr, sc, replyKindOf(err), err.Error())
 		}
 	}
 }
 
-// settleServed is the link's bus.DirectFunc: the reply to an inbound call
-// arrives here on the goroutine that sent it — the serve worker's, or
-// whoever answered in the component's stead — and is queued for the wire.
-// It runs under the link address's route lock: short critical sections and a
-// non-blocking wake, no call back into the bus. A reply whose record is gone
-// was revoked (cancel, lapsed budget) and is never answered.
+// settleServed is the link's bus.DirectFunc: whatever answers an inbound
+// request arrives here on the goroutine that sent it — the serve worker's,
+// the stream handler's, or whoever answered in the component's stead — and is
+// queued for the wire. A reply or a stream end takes the record; a stream
+// item passes while the record stands, its pooled envelope released here as
+// the client edge does for a local consumer. It runs under the link address's
+// route lock: short critical sections and a non-blocking wake, no call back
+// into the bus. An answer whose record is gone was revoked (cancel, lapsed
+// budget) and is never written.
 func (p *peer) settleServed(m bus.Message) bool {
 	if m.Kind != bus.Reply {
+		return true
+	}
+	if item, ok := m.Payload.(*connector.StreamItem); ok {
+		if _, ok := p.lookupServed(m.Corr); ok {
+			// Chunks coalesce with whatever else is outbound; one the value
+			// codec cannot ship ends the stream inside the egress writer.
+			p.egress.enqueueStreamChunk(wire.StreamChunk{Corr: m.Corr, Seq: item.Seq, Item: item.Item})
+		}
+		item.Release()
 		return true
 	}
 	if _, ok := p.takeServed(m.Corr); !ok {
 		return true
 	}
-	rep := wire.Reply{Corr: m.Corr}
-	if pl, ok := m.Payload.(connector.ReplyPayload); ok {
-		rep.Results, rep.Err, rep.Kind = pl.Results, pl.Err, uint8(pl.Kind)
+	switch pl := m.Payload.(type) {
+	case connector.StreamEndPayload:
+		// The queue preserves enqueue order: the end cannot overtake its chunks.
+		p.egress.enqueueStreamEnd(wire.StreamEnd{Corr: m.Corr, Err: pl.Err, Kind: uint8(pl.Kind)})
+	case connector.ReplyPayload:
+		rep := wire.Reply{Corr: m.Corr, Results: pl.Results, Err: pl.Err, Kind: uint8(pl.Kind)}
 		if pl.Err != "" && pl.Kind == connector.ErrKindNone {
 			rep.Kind = wire.KindAppError // an error without identity (a filter reject, say)
 		}
+		// Replies coalesce with whatever else is outbound; a non-encodable
+		// result set is downgraded to an error reply inside the egress writer.
+		p.egress.enqueueReply(rep)
+	default:
+		p.egress.enqueueReply(wire.Reply{Corr: m.Corr})
 	}
-	// Replies coalesce with whatever else is outbound; a non-encodable
-	// result set is downgraded to an error reply inside the egress writer.
-	p.egress.enqueueReply(rep)
 	return true
 }
 
-// sweepServed answers inbound calls whose budget lapsed without a reply, on
-// the heartbeat tick. A lapsed request is shed silently wherever it queues
-// (the deadline lane, a resume flush) and a handler may outlive its caller,
-// so without the sweep the record — and the caller node's pending entry,
-// which only a reply releases — would stay for as long as the link lives.
+// sweepServed answers inbound requests whose budget lapsed without an answer,
+// on the heartbeat tick: a call with a deadline reply, a stream with a
+// deadline end. A lapsed request is shed silently wherever it queues (the
+// deadline lane, a resume flush) and a handler may outlive its caller, so
+// without the sweep the record — and the caller node's pending entry, which
+// only an answer releases — would stay for as long as the link lives. (A
+// running stream producer needs no revoking: its context carries the same
+// deadline.)
 func (p *peer) sweepServed(now int64) {
-	var lapsed []uint64
+	type lapse struct {
+		corr uint64
+		sc   servedCall
+	}
+	var lapsed []lapse
 	p.pmu.Lock()
 	for corr, sc := range p.served {
 		if sc.deadline != 0 && sc.deadline < now {
-			lapsed = append(lapsed, corr)
+			lapsed = append(lapsed, lapse{corr, sc})
 			delete(p.served, corr)
 		}
 	}
 	p.pmu.Unlock()
-	for _, corr := range lapsed {
-		p.egress.enqueueReply(wire.Reply{Corr: corr, Kind: wire.KindDeadline,
-			Err: "cluster: " + p.n.id + ": deadline exceeded while serving"})
+	for _, l := range lapsed {
+		p.answer(l.corr, l.sc, wire.KindDeadline, "cluster: "+p.n.id+": deadline exceeded while serving")
 	}
 }
 

@@ -10,6 +10,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"slices"
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/connector"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/wire"
@@ -61,13 +63,17 @@ func forwardedCalls(n *Node) int {
 }
 
 // assertQuiescent checks the acceptance invariants at rest on every node: no
-// waiter slot, no forwarded or served record, and the bus ledger balanced.
+// waiter slot, no forwarded or served record, no stream handle and no stream
+// producer, and the bus ledger balanced.
 func assertQuiescent(t *testing.T, h *Harness) {
 	t.Helper()
 	for _, id := range h.Nodes() {
 		n := h.Node(id)
 		eventually(t, id+" to hold no call record", func() bool {
 			return n.System().PendingCalls() == 0 && forwardedCalls(n) == 0 && n.ServedCalls() == 0
+		})
+		eventually(t, id+" to hold no stream", func() bool {
+			return n.System().ActiveStreams() == 0 && n.System().PendingStreams() == 0
 		})
 		eventually(t, id+"'s bus ledger to balance", func() bool {
 			st := n.System().Bus().Stats()
@@ -105,6 +111,17 @@ func (g *gatedStore) Handle(op string, args []any) ([]any, error) {
 		<-ch
 	}
 	return []any{key}, nil
+}
+
+// streamStore is a gatedStore that also streams, the way stream_test.go's
+// feedComp does.
+type streamStore struct {
+	gatedStore
+	feed feedComp
+}
+
+func (s *streamStore) HandleStream(op string, args []any, sink container.StreamSink) error {
+	return s.feed.HandleStream(op, args, sink)
 }
 
 // logLines collects what a node's Logf is handed.
@@ -171,19 +188,48 @@ func storeCluster(t *testing.T, st any, opts func(string) core.Options) (*Harnes
 	return h, logs
 }
 
-// goroutinesIn lists the ids of the live goroutines, other than the tests'
-// own, with a frame (or a creator) whose name contains frame.
-func goroutinesIn(frame string) []string {
+// goroutineStacks returns the stack of every live goroutine, other than the
+// tests' own, with a frame (or a creator) whose name contains frame.
+func goroutineStacks(frame string) []string {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	var ids []string
+	var stacks []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		if strings.Contains(g, frame) && !strings.Contains(g, "testing.tRunner") {
-			ids = append(ids, strings.Fields(g)[1]) // "goroutine 12 [select]:"
+			stacks = append(stacks, g)
 		}
+	}
+	return stacks
+}
+
+// goroutinesIn lists the ids of the goroutines goroutineStacks finds.
+func goroutinesIn(frame string) []string {
+	var ids []string
+	for _, g := range goroutineStacks(frame) {
+		ids = append(ids, strings.Fields(g)[1]) // "goroutine 12 [select]:"
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// platformGoroutines lists, sorted, the function that started each goroutine
+// running platform code: what is running, by where it came from rather than
+// by id. A serve worker is one whether the component's start or a busy worker
+// started it.
+func platformGoroutines() []string {
+	var creators []string
+	for _, g := range goroutineStacks("repro/internal/") {
+		creator := "?"
+		if i := strings.LastIndex(g, "created by "); i >= 0 {
+			creator = strings.Fields(g[i+len("created by "):])[0]
+		}
+		if strings.HasSuffix(creator, "core.(*runtimeComponent).start") || strings.HasSuffix(creator, "core.(*runtimeComponent).work") {
+			creator = "serve worker"
+		}
+		creators = append(creators, creator)
+	}
+	sort.Strings(creators)
+	return creators
 }
 
 // TestRemoteCallStartsNoGoroutine: a steady-state remote unary call starts
@@ -270,6 +316,22 @@ func TestPeerDownBetweenPickAndRegisterFailsFast(t *testing.T) {
 	}
 }
 
+// awaitRejection waits for the component to reject a request unserved for the
+// given reason.
+func awaitRejection(t *testing.T, events <-chan core.Event, reason string) {
+	t.Helper()
+	for deadline := time.After(5 * time.Second); ; {
+		select {
+		case e := <-events:
+			if e.Kind == core.EvRequestFailed && strings.Contains(e.Detail, reason) {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("no request was rejected at the component with %q", reason)
+		}
+	}
+}
+
 // TestCancelBeforeServiceIsNeverAnswered: a call revoked while it still
 // queues at the serving component is answered by nobody. The cancel frame
 // becomes the bus's own OpCancel, the component's revocation set rejects the
@@ -306,15 +368,7 @@ func TestCancelBeforeServiceIsNeverAnswered(t *testing.T) {
 	}
 	// The component consumed its revocation entry: the request surfaced and
 	// was rejected unserved.
-	rejected := false
-	for deadline := time.After(5 * time.Second); !rejected; {
-		select {
-		case e := <-events:
-			rejected = e.Kind == core.EvRequestFailed && strings.Contains(e.Detail, "canceled before service")
-		case <-deadline:
-			t.Fatal("the revoked request was never rejected at the component")
-		}
-	}
+	awaitRejection(t, events, "canceled before service")
 	if got := st.served.Load(); got != base {
 		t.Fatalf("revoked request reached the handler (%d extra serves)", got-base)
 	}
@@ -454,19 +508,16 @@ func TestPeerDownRevokesQueuedInboundCalls(t *testing.T) {
 	assertQuiescent(t, h)
 }
 
-// TestInboundCallsPassAdmission: a peer link's calls enter through the
-// component's compiled binding, not around it. With the component saturated,
-// an inbound call whose shipped budget cannot cover the estimated wait is
-// shed by deadline-aware admission and the caller gets ErrOverloaded's text
-// back.
-func TestInboundCallsPassAdmission(t *testing.T) {
-	st := &gatedStore{}
-	h, _ := storeCluster(t, st, nil)
-	sys1, n2 := h.System("n1"), h.Node("n2")
-	cl := sys1.Client("Store")
+// saturate makes st's component one that deadline-aware admission sheds
+// short-budget requests from: the estimator learns a 20 ms service time, then
+// 32 deadline-less calls — never shed themselves — block in their handlers
+// and hold the depth the estimator multiplies by. release unblocks them and
+// waits for their replies.
+func saturate(t *testing.T, st *gatedStore, cl *core.Client, callee *Node) (release func()) {
+	t.Helper()
 	ctx := context.Background()
 	slow := st.gate("slow")
-	go func() { // a 20 ms service time for the estimator to learn
+	go func() {
 		for range 16 {
 			time.Sleep(20 * time.Millisecond)
 			slow <- struct{}{}
@@ -478,15 +529,35 @@ func TestInboundCallsPassAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Deadline-less calls are never shed; blocked in their handlers they hold
-	// the depth the estimator multiplies by.
 	const backlog = 32
 	block := st.gate("block")
 	futs := make([]*core.Future, backlog)
 	for i := range futs {
 		futs[i] = cl.Async(ctx, "get", "block")
 	}
-	eventually(t, "the backlog to build on n2", func() bool { return n2.ServedCalls() == backlog })
+	eventually(t, "the backlog to build on the callee", func() bool { return callee.ServedCalls() == backlog })
+	return func() {
+		close(block)
+		for _, f := range futs {
+			if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestInboundCallsPassAdmission: a peer link's calls enter through the
+// component's compiled binding, not around it. With the component saturated,
+// an inbound call whose shipped budget cannot cover the estimated wait is
+// shed by deadline-aware admission and the caller gets ErrOverloaded's text
+// back.
+func TestInboundCallsPassAdmission(t *testing.T) {
+	st := &gatedStore{}
+	h, _ := storeCluster(t, st, nil)
+	sys1, n2 := h.System("n1"), h.Node("n2")
+	cl := sys1.Client("Store")
+	ctx := context.Background()
+	release := saturate(t, st, cl, n2)
 
 	short := cl.With(core.WithDeadline(15 * time.Millisecond))
 	eventually(t, "an inbound call to be shed by admission", func() bool {
@@ -502,12 +573,7 @@ func TestInboundCallsPassAdmission(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("n2's admission estimator rejected nothing")
 	}
-	close(block)
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	release()
 	assertQuiescent(t, h)
 }
 
@@ -661,4 +727,284 @@ func TestRelinkIsolatesOldLinkReplies(t *testing.T) {
 		break
 	}
 	eventually(t, "the served-call table to empty", func() bool { return n.ServedCalls() == 0 })
+}
+
+// TestRelayedStreamLifecycle pins, for a stream relayed over a peer link, the
+// guarantees the unary tests above pin for a call — a stream open takes the
+// call's path (one served record on the callee, one pending record on the
+// caller, the bus's own cancel and credit controls), so it owes the same ones.
+func TestRelayedStreamLifecycle(t *testing.T) {
+	storeAddr := core.ComponentAddress("Store")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	// drain consumes st until it ends and returns the terminal error.
+	drain := func(st *core.Stream) error {
+		for {
+			if _, err := st.Recv(ctx); err != nil {
+				return err
+			}
+		}
+	}
+
+	t.Run("cancel before service is never answered", func(t *testing.T) {
+		st := &streamStore{}
+		h, logs := storeCluster(t, st, nil)
+		sys1, sys2, n2 := h.System("n1"), h.System("n2"), h.Node("n2")
+		events, unsub := sys2.Events().Subscribe(256)
+		defer unsub()
+		sys2.Bus().PauseRequests(storeAddr)
+
+		s, err := sys1.Client("Store").Stream(context.Background(), "pump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eventually(t, "the open to cross the wire and park", func() bool { return n2.ServedCalls() == 1 })
+		_, framesBefore := n2.BatchStats()
+		s.Close()
+		eventually(t, "the cancel to cross the wire", func() bool { return n2.ServedCalls() == 0 })
+		if _, err := sys2.Bus().Resume(storeAddr); err != nil {
+			t.Fatal(err)
+		}
+		awaitRejection(t, events, "canceled before service")
+		if got := st.feed.entered.Load(); got != 0 {
+			t.Fatalf("revoked open reached the handler (%d entries)", got)
+		}
+		assertQuiescent(t, h)
+		if _, frames := n2.BatchStats(); frames != framesBefore {
+			t.Fatalf("callee wrote %d data frames for a revoked stream, want none", frames-framesBefore)
+		}
+		if n := logs.count("late reply"); n != 0 {
+			t.Fatalf("caller saw %d late answers for a revoked stream", n)
+		}
+	})
+
+	t.Run("link death mid-stream reclaims the producer and ends the consumer", func(t *testing.T) {
+		st := &streamStore{}
+		h, _ := storeCluster(t, st, nil)
+		sys1, sys2, n2 := h.System("n1"), h.System("n2"), h.Node("n2")
+		s, err := sys1.Client("Store").With(core.WithStreamWindow(8)).Stream(context.Background(), "pump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i := 0; i < 20; i++ {
+			if _, err := s.Recv(ctx); err != nil {
+				t.Fatalf("recv %d: %v", i, err)
+			}
+		}
+		t0 := time.Now()
+		n2.Block("n1") // the link dies on n2; n1 sees the connection close
+		if err := drain(s); err == io.EOF || ctx.Err() != nil || !strings.Contains(err.Error(), "peer n2 down") {
+			t.Fatalf("stream over a dead link ended with %v, want the link's failure", err)
+		}
+		eventually(t, "the producer to be reclaimed", func() bool { return sys2.ActiveStreams() == 0 })
+		if took := time.Since(t0); took > 2*time.Second {
+			t.Fatalf("a dead link's stream took %v to settle on both nodes, want at once", took)
+		}
+		if st.feed.cancelled.Load() != 1 {
+			t.Fatalf("the handler saw %d cancels, want 1", st.feed.cancelled.Load())
+		}
+		assertQuiescent(t, h)
+	})
+
+	t.Run("a queued open whose budget lapses is swept with a deadline stream end", func(t *testing.T) {
+		st := &streamStore{}
+		h, _ := storeCluster(t, st, nil)
+		sys1, sys2, n1, n2 := h.System("n1"), h.System("n2"), h.Node("n1"), h.Node("n2")
+		sys2.Bus().PauseRequests(storeAddr)
+
+		// End to end: the consumer waits under Recv's context, not the open's
+		// budget, so the identity of what ends its wait is the sweep's.
+		s, err := sys1.Client("Store").With(core.WithDeadline(60*time.Millisecond)).Stream(context.Background(), "pump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := drain(s); !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "while serving") {
+			t.Fatalf("lapsed open ended with %v, want the sweep's deadline end", err)
+		}
+		eventually(t, "the sweep to release both nodes' records", func() bool {
+			return n2.ServedCalls() == 0 && forwardedCalls(n1) == 0
+		})
+
+		// On the wire: what the sweep writes for a stream corr is a stream end
+		// frame, not a reply frame. The ghost answers every beacon with a
+		// cancel for a corr nobody holds, so its link outlives FailAfter.
+		conn, dec := ghostLink(t, n2)
+		defer conn.Close()
+		body, err := wire.AppendStreamOpen(nil, wire.StreamOpen{Corr: 7, Component: "Store", Op: "pump",
+			DeadlineNanos: int64(40 * time.Millisecond), Window: 4}, wire.MaxVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(rawFrame(wire.MaxVersion, wire.FrameStreamOpen, body)); err != nil {
+			t.Fatal(err)
+		}
+		for swept := false; !swept; {
+			ft, body, err := dec.Next()
+			if err != nil {
+				t.Fatalf("waiting for the stream end: %v", err)
+			}
+			switch ft {
+			case wire.FrameGossip:
+				if _, err := conn.Write(rawFrame(wire.MaxVersion, wire.FrameCancel, wire.AppendCancel(nil, wire.Cancel{Corr: 1 << 40}))); err != nil {
+					t.Fatal(err)
+				}
+			case wire.FrameStreamEnd:
+				end, err := wire.ParseStreamEnd(body)
+				if err != nil || end.Corr != 7 || end.Kind != wire.KindDeadline {
+					t.Fatalf("stream end on the wire: %+v %v, want corr 7 with the deadline kind", end, err)
+				}
+				swept = true
+			case wire.FrameReply:
+				t.Fatal("the sweep answered a stream open with a reply frame")
+			}
+		}
+		conn.Close()
+		eventually(t, "the ghost's link to go", func() bool { return len(n2.Peers()) == 1 })
+
+		if _, err := sys2.Bus().Resume(storeAddr); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		if got := st.feed.entered.Load(); got != 0 {
+			t.Fatalf("expired parked opens reached the handler (%d entries)", got)
+		}
+		assertQuiescent(t, h)
+	})
+
+	t.Run("an un-encodable item yields a typed end and a reclaimed producer", func(t *testing.T) {
+		st := &streamStore{}
+		h, _ := storeCluster(t, st, nil)
+		sys1, sys2 := h.System("n1"), h.System("n2")
+		s, err := sys1.Client("Store").Stream(context.Background(), "bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := drain(s); err == io.EOF || ctx.Err() != nil || !strings.Contains(err.Error(), "not wire-encodable") {
+			t.Fatalf("stream with an unshippable item ended with %v, want the typed end naming it", err)
+		}
+		eventually(t, "the producer to be reclaimed", func() bool { return sys2.ActiveStreams() == 0 })
+		if st.feed.cancelled.Load() != 1 {
+			t.Fatalf("the handler saw %d cancels, want 1", st.feed.cancelled.Load())
+		}
+		assertQuiescent(t, h)
+	})
+
+	t.Run("credit after end is dropped", func(t *testing.T) {
+		h, _ := storeCluster(t, &streamStore{}, nil)
+		sys1, sys2, n1, n2 := h.System("n1"), h.System("n2"), h.Node("n1"), h.Node("n2")
+		s, err := sys1.Client("Store").Stream(context.Background(), "list", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		// The wire corr n1 minted last toward n2 is the open's.
+		n1.mu.Lock()
+		corr := n1.peers["n2"].corr.Load()
+		n1.mu.Unlock()
+		if err := drain(s); err != io.EOF {
+			t.Fatalf("stream ended with %v, want io.EOF", err)
+		}
+		assertQuiescent(t, h)
+		n2.mu.Lock()
+		p := n2.peers["n1"]
+		n2.mu.Unlock()
+		sent := sys2.Bus().Stats().Sent
+		p.handleCredit(wire.StreamCredit{Corr: corr, Credit: 4})
+		if got := sys2.Bus().Stats().Sent; got != sent {
+			t.Fatalf("credit for an ended stream put %d messages on the callee's bus, want none", got-sent)
+		}
+	})
+
+	t.Run("a callee-side admission shed of the open arrives as ErrOverloaded", func(t *testing.T) {
+		st := &streamStore{}
+		h, _ := storeCluster(t, st, nil)
+		sys1, n2 := h.System("n1"), h.Node("n2")
+		cl := sys1.Client("Store")
+		bg := context.Background()
+		release := saturate(t, &st.gatedStore, cl, n2)
+
+		short := cl.With(core.WithDeadline(15 * time.Millisecond))
+		eventually(t, "an inbound stream open to be shed by admission", func() bool {
+			s, err := short.Stream(bg, "pump")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			return errors.Is(drain(s), core.ErrOverloaded)
+		})
+		release()
+		assertQuiescent(t, h)
+	})
+}
+
+// TestRemoteStreamStartsNoGoroutine: a remote stream runs on no goroutine of
+// its own on either node. Eight streams open with their producers parked on
+// credit leave exactly the goroutines eight unary calls parked in their
+// handlers leave — the serve workers the handlers run on — and nothing
+// started by the link; and while they flow the callee's client edge holds no
+// stream of its own in between.
+func TestRemoteStreamStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const parked = 8
+	st := &streamStore{}
+	h, _ := storeCluster(t, st, nil)
+	sys1, sys2, n2 := h.System("n1"), h.System("n2"), h.Node("n2")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	idle := platformGoroutines()
+
+	block := st.gate("block")
+	base := st.served.Load()
+	futs := make([]*core.Future, parked)
+	for i := range futs {
+		futs[i] = sys1.Client("Store").Async(ctx, "get", "block")
+	}
+	eventually(t, "the calls to park in their handlers", func() bool { return st.served.Load() == base+parked })
+	unary := platformGoroutines()
+	close(block)
+	for _, f := range futs {
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eventually(t, "the serve pool to return to its floor", func() bool { return slices.Equal(platformGoroutines(), idle) })
+
+	cl := sys1.Client("Store").With(core.WithStreamWindow(4))
+	streams := make([]*core.Stream, parked)
+	for i := range streams {
+		s, err := cl.Stream(ctx, "pump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		streams[i] = s
+		for j := 0; j < 10; j++ {
+			if _, err := s.Recv(ctx); err != nil {
+				t.Fatalf("stream %d recv %d: %v", i, j, err)
+			}
+			if got := sys2.PendingStreams(); got != 0 {
+				t.Fatalf("callee's client edge holds %d streams while a relayed one flows, want none", got)
+			}
+		}
+	}
+	// Nobody consumes any more: every producer runs its window out and parks.
+	eventually(t, "the producers to park on credit", func() bool {
+		if sys2.ActiveStreams() != parked || n2.ServedCalls() != parked {
+			return false
+		}
+		before := sys2.Bus().Stats().Sent
+		time.Sleep(20 * time.Millisecond)
+		return sys2.Bus().Stats().Sent == before
+	})
+	if streaming := platformGoroutines(); !slices.Equal(streaming, unary) {
+		t.Fatalf("%d parked remote streams run on other goroutines than %d parked remote calls:\nstreams: %v\ncalls:   %v",
+			parked, parked, streaming, unary)
+	}
+	for _, s := range streams {
+		s.Close()
+	}
+	assertQuiescent(t, h)
 }

@@ -1,8 +1,11 @@
-// Tests for cross-node server streams (wire v5): ordering and chunk
-// batching over a live TCP link, end-to-end credit keeping a producer
-// bounded behind a slow remote consumer, cancellation reclaiming the remote
-// producer without waiting out the deadline, the typed fast-fail toward a
-// pre-v5 peer, and a stream crossing a live migration of its producer.
+// Tests for cross-node server streams: ordering and chunk batching over a
+// live TCP link, end-to-end credit keeping a producer bounded behind a slow
+// remote consumer, cancellation reclaiming the remote producer without
+// waiting out the deadline (also when the cancel shares a batch with its
+// open), a chunk the consumer cannot be handed ending the stream instead of
+// leaving a gap, and a stream crossing a live migration of its producer. The
+// lifecycle guarantees a relayed stream shares with a relayed call are in
+// serve_test.go.
 package cluster
 
 import (
@@ -10,10 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bus"
+	"repro/internal/connector"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -29,16 +35,44 @@ system StreamCluster {
 }
 `
 
-// feedComp serves bounded and unbounded streams; sent counts successful
-// pushes (the producer side of the flow-control bound the tests assert).
-type feedComp struct{ sent atomic.Uint64 }
+// feedComp serves bounded ("list") and unbounded ("pump") streams, and one
+// that pushes an item the wire codec cannot ship before it pumps on ("bad");
+// sent counts successful pushes (the producer side of the flow-control bound
+// the tests assert),
+// entered and cancelled the handlers that started and the ones whose sink
+// failed with the cancel identity.
+type feedComp struct {
+	sent               atomic.Uint64
+	entered, cancelled atomic.Int64
+}
 
 func (f *feedComp) Handle(op string, args []any) ([]any, error) {
 	return nil, fmt.Errorf("feed: unknown op %s", op)
 }
 
 func (f *feedComp) HandleStream(op string, args []any, sink container.StreamSink) error {
+	f.entered.Add(1)
+	err := f.stream(op, args, sink)
+	if errors.Is(err, context.Canceled) {
+		f.cancelled.Add(1)
+	}
+	return err
+}
+
+func (f *feedComp) stream(op string, args []any, sink container.StreamSink) error {
 	switch op {
+	case "bad":
+		if err := sink.Send(struct{}{}); err != nil {
+			return err
+		}
+		fallthrough
+	case "pump":
+		for i := 0; ; i++ {
+			if err := sink.Send(i); err != nil {
+				return err
+			}
+			f.sent.Add(1)
+		}
 	case "list":
 		n := args[0].(int)
 		for i := 0; i < n; i++ {
@@ -48,13 +82,6 @@ func (f *feedComp) HandleStream(op string, args []any, sink container.StreamSink
 			f.sent.Add(1)
 		}
 		return nil
-	case "pump":
-		for i := 0; ; i++ {
-			if err := sink.Send(i); err != nil {
-				return err
-			}
-			f.sent.Add(1)
-		}
 	}
 	return container.ErrUnstreamableOp
 }
@@ -130,6 +157,7 @@ func TestClusterStream(t *testing.T) {
 	if sys1.PendingStreams() != 0 {
 		t.Fatalf("n1 stream table leaked: %d", sys1.PendingStreams())
 	}
+	assertQuiescent(t, h)
 }
 
 // TestClusterStreamSlowConsumer: the remote consumer's credit window is the
@@ -169,6 +197,8 @@ func TestClusterStreamSlowConsumer(t *testing.T) {
 			t.Fatalf("post-stall recv %d: %v", i, err)
 		}
 	}
+	st.Close()
+	assertQuiescent(t, h)
 }
 
 // TestClusterStreamCancelReclaimsProducer: closing the consumer's handle
@@ -200,6 +230,91 @@ func TestClusterStreamCancelReclaimsProducer(t *testing.T) {
 	if sys1.PendingStreams() != 0 {
 		t.Fatalf("n1 stream table leaked: %d", sys1.PendingStreams())
 	}
+	assertQuiescent(t, h)
+}
+
+// TestStreamCancelRacingOpenReclaimsProducer: a stream closed the moment it
+// is opened puts its cancel in the same egress batch as its open, so the
+// serving node's read pump dispatches one right after the other. The open
+// registers its record on the read pump, before the next frame is looked at,
+// so the cancel always finds it: no producer is left running — deadline-less,
+// it would park on credit until the link died — and every handler that did
+// start saw the cancel.
+func TestStreamCancelRacingOpenReclaimsProducer(t *testing.T) {
+	h, f := startStreamCluster(t)
+	sys1, sys2, n2 := h.System("n1"), h.System("n2"), h.Node("n2")
+	cl := sys1.Client("Feed")
+	for i := 0; i < 200; i++ {
+		st, err := cl.Stream(context.Background(), "pump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+	eventually(t, "every producer to be reclaimed", func() bool {
+		return sys2.ActiveStreams() == 0 && n2.ServedCalls() == 0
+	})
+	if entered, cancelled := f.entered.Load(), f.cancelled.Load(); cancelled != entered {
+		t.Fatalf("%d handlers started, %d observed the cancel", entered, cancelled)
+	}
+	assertQuiescent(t, h)
+}
+
+// TestStreamChunkDropEndsStream: a chunk the caller node cannot hand to its
+// consumer ends the stream. The consumer here stands behind a mediator that
+// holds items back — a direct endpoint that declines them into a mailbox of
+// one, as a connector does with what it cannot mediate yet — so the second
+// chunk finds the mailbox full for longer than the read loop will wait. The
+// node must not drop it and carry on (a silent gap, and a credit that never
+// comes back): it takes the record, revokes the producer across the link and
+// ends the consumer with a typed end naming the drop.
+func TestStreamChunkDropEndsStream(t *testing.T) {
+	h, f := startStreamCluster(t)
+	sys1, sys2 := h.System("n1"), h.System("n2")
+	const consumer = bus.Address("conn:held")
+	ends := make(chan connector.StreamEndPayload, 1)
+	ep, err := sys1.Bus().AttachDirect(consumer, 1, func(m bus.Message) bool {
+		end, ok := m.Payload.(connector.StreamEndPayload)
+		if ok {
+			ends <- end
+		}
+		return ok
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys1.Bus().Detach(consumer)
+	if err := sys1.Bus().Send(bus.Message{
+		Kind: bus.Request, Op: "pump", Src: consumer, Dst: core.ComponentAddress("Feed"), Corr: 1,
+		Payload: connector.StreamOpenPayload{Window: 8},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case end := <-ends:
+		if end.Kind != connector.ErrKindApp || !strings.Contains(end.Err, "dropped") {
+			t.Fatalf("consumer's end = %+v, want an application-kind end naming the drop", end)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the consumer never saw an end: the dropped chunk left a silent gap")
+	}
+	eventually(t, "the producer to be reclaimed", func() bool { return sys2.ActiveStreams() == 0 })
+	if f.entered.Load() != 1 || f.cancelled.Load() != 1 {
+		t.Fatalf("%d handlers started, %d observed the cancel, want 1 and 1", f.entered.Load(), f.cancelled.Load())
+	}
+	// What the mediator held is the first item, and nothing after the gap.
+	held, _ := ep.TryReceive()
+	if item, ok := held.Payload.(*connector.StreamItem); !ok || item.Seq != 1 {
+		t.Fatalf("mediator holds %+v, want the stream's first item", held.Payload)
+	}
+	if m, ok := ep.TryReceive(); ok {
+		t.Fatalf("mediator was handed %+v after the dropped item", m.Payload)
+	}
+	// Not assertQuiescent: a send the bus refuses with ErrMailboxFull is
+	// counted as sent and as nothing else, so n1's ledger cannot balance here.
+	eventually(t, "both nodes to hold no record of the stream", func() bool {
+		return forwardedCalls(h.Node("n1")) == 0 && h.Node("n2").ServedCalls() == 0 && sys1.PendingStreams() == 0
+	})
 }
 
 // TestClusterStreamAcrossMigration: a live migration of the producer's
@@ -258,4 +373,5 @@ func TestClusterStreamAcrossMigration(t *testing.T) {
 	if _, err := st2.Recv(ctx); err != io.EOF {
 		t.Fatalf("reopened terminal: want io.EOF, got %v", err)
 	}
+	assertQuiescent(t, h)
 }

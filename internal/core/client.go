@@ -370,7 +370,7 @@ func (c *Client) admit(ctx context.Context, op string, a *admitted) error {
 	// The trace root starts only for calls that pass admission: the shed
 	// path's zero-allocation, ~100ns contract stays untouched, and shed
 	// rates are observable through the snapshot's admission section anyway.
-	tr := c.traceStart(ctx, now)
+	tr := c.traceStart(now)
 	corr := s.clientCorr.Add(1)
 	*a = admitted{
 		sys: s, waiters: &s.clientWaiters,

@@ -42,9 +42,8 @@ var ErrStreamClosed = errors.New("core: stream closed")
 // A Stream is owned by one consumer: Recv must not be called concurrently.
 // Close is safe to call at any time and from other goroutines.
 type Stream struct {
-	a      admitted // the open: where the producer is, and what revokes it
-	op     string
-	manual bool // credit flows only through Grant (cluster relay mode)
+	a  admitted // the open: where the producer is, and what revokes it
+	op string
 
 	mu       sync.Mutex
 	buf      []any // ring, len(buf) == credit window
@@ -103,10 +102,9 @@ func (s *Stream) finish(msg string, kind connector.ErrKind) {
 // Recv returns the next item, blocking until one arrives, the stream ends,
 // or ctx is done. Buffered items drain before the terminal state is
 // reported, so no delivered item is lost to the end racing the consumer. A
-// clean end returns io.EOF. In the default (auto-credit) mode each consumed
-// window quarter is granted back to the producer, which is what keeps the
-// flow moving — a consumer that stops calling Recv stalls the producer by
-// design.
+// clean end returns io.EOF. Each consumed window quarter is granted back to
+// the producer, which is what keeps the flow moving — a consumer that stops
+// calling Recv stalls the producer by design.
 func (s *Stream) Recv(ctx context.Context) (any, error) {
 	for {
 		s.mu.Lock()
@@ -116,11 +114,9 @@ func (s *Stream) Recv(ctx context.Context) (any, error) {
 			s.head = (s.head + 1) % len(s.buf)
 			s.count--
 			grant := 0
-			if !s.manual {
-				s.consumed++
-				if s.consumed >= s.grantAt {
-					grant, s.consumed = s.consumed, 0
-				}
+			s.consumed++
+			if s.consumed >= s.grantAt {
+				grant, s.consumed = s.consumed, 0
 			}
 			s.mu.Unlock()
 			if grant > 0 {
@@ -146,19 +142,11 @@ func (s *Stream) Recv(ctx context.Context) (any, error) {
 	}
 }
 
-// Grant extends the producer's credit window by n items. It is the manual
-// counterpart of the auto-grant Recv performs: the cluster gateway relays a
-// remote consumer's credit through it, so the end-to-end window is governed
-// by the real consumer, not by the relay's drain rate.
-func (s *Stream) Grant(n int) {
-	if n > 0 {
-		s.sendCredit(n)
-	}
-}
-
-// sendCredit puts a credit control message toward the producer on the bus.
-// Best-effort like cancel: lost credit only costs throughput, never
-// correctness (the stream's deadline still bounds it).
+// sendCredit puts a credit control message toward the producer on the bus —
+// or toward the gateway standing at its address, which relays the grant over
+// the peer link, so the window that throttles a remote producer is this
+// consumer's. Best-effort like cancel: lost credit only costs throughput,
+// never correctness (the stream's deadline still bounds it).
 func (s *Stream) sendCredit(n int) {
 	_ = s.a.sys.bus.Send(bus.Message{
 		Kind: bus.Control, Op: bus.OpStreamCredit,
@@ -207,22 +195,7 @@ func (s *Stream) Received() uint64 {
 // call. The credit window defaults to DefaultStreamWindow (see
 // WithStreamWindow).
 func (c *Client) Stream(ctx context.Context, op string, args ...any) (*Stream, error) {
-	w := c.window
-	if w == 0 {
-		w = DefaultStreamWindow
-	}
-	return c.streamOpen(ctx, op, args, w, false)
-}
-
-// StreamManual opens a server stream whose credit is granted only through
-// Stream.Grant — Recv replenishes nothing. This is the relay mode the
-// cluster gateway uses to thread a remote consumer's window through to the
-// producer; application code almost always wants Stream.
-func (c *Client) StreamManual(ctx context.Context, window int, op string, args ...any) (*Stream, error) {
-	return c.streamOpen(ctx, op, args, window, true)
-}
-
-func (c *Client) streamOpen(ctx context.Context, op string, args []any, window int, manual bool) (*Stream, error) {
+	window := c.window
 	if window < 1 {
 		window = DefaultStreamWindow
 	}
@@ -239,7 +212,7 @@ func (c *Client) streamOpen(ctx context.Context, op string, args []any, window i
 		grantAt = 1
 	}
 	st := &Stream{
-		a: a, op: op, manual: manual,
+		a: a, op: op,
 		buf: make([]any, window), grantAt: grantAt,
 		notify: make(chan struct{}, 1),
 	}

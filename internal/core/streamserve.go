@@ -145,10 +145,6 @@ func (rc *runtimeComponent) serveStream(m *bus.Message, open connector.StreamOpe
 		rc.endStreamUnserved(m, "deadline exceeded before service", connector.ErrKindDeadline)
 		return
 	}
-	if rc.cancels.take(m.Src, m.Corr) {
-		rc.endStreamUnserved(m, "canceled before service", connector.ErrKindCancelled)
-		return
-	}
 	window := open.Window
 	if window < 1 {
 		window = 1
@@ -175,6 +171,16 @@ func (rc *runtimeComponent) serveStream(m *bus.Message, open connector.StreamOpe
 	}
 	key := streamKey{src: m.Src, corr: m.Corr}
 	rc.addStream(key, p)
+	// The producer is registered before the revocation set is consulted, and
+	// a cancel is recorded there before the producer it revokes is looked up
+	// (deliverDirect): whichever order the two run in, one sees the other, so
+	// a cancel that lands while the open is being taken up is never lost.
+	if rc.cancels.take(m.Src, m.Corr) {
+		rc.dropStream(key)
+		cancel()
+		rc.endStreamUnserved(m, "canceled before service", connector.ErrKindCancelled)
+		return
+	}
 	err := rc.cont.InvokeStream(open.Principal, m.Op, open.Args, p)
 	rc.dropStream(key)
 	cancel()

@@ -245,6 +245,28 @@ func TestStreamCancelReclaimsProducer(t *testing.T) {
 	}
 }
 
+// TestStreamCloseRacingOpenReclaimsProducer: a stream closed the moment it is
+// opened has its cancel land anywhere around the serve worker taking the open
+// up — before it (rejected unserved), after the producer is registered
+// (aborted), or in between, where the worker has already looked for a
+// revocation and the cancel finds no producer yet. Deadline-less, a producer
+// that slipped through would park on credit for good.
+func TestStreamCloseRacingOpenReclaimsProducer(t *testing.T) {
+	sys, _ := startFeed(t)
+	cl := sys.Client("Feed")
+	for i := 0; i < 500; i++ {
+		st, err := cl.Stream(context.Background(), "pump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+	waitStreamsReclaimed(t, sys, 2*time.Second)
+	if sys.PendingStreams() != 0 {
+		t.Fatalf("stream table leaked: %d", sys.PendingStreams())
+	}
+}
+
 // TestStreamDeadline: an expired stream deadline aborts the producer and
 // surfaces as context.DeadlineExceeded at Recv.
 func TestStreamDeadline(t *testing.T) {
