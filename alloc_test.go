@@ -182,12 +182,18 @@ func TestAdmittedDeadlineCallAllocs(t *testing.T) {
 // typed call with a deadline budget to a component on the other node of a
 // two-node cluster, counted across both nodes (they share this process) —
 // gateway, egress, wire codec, the peer link's bus endpoint, the serve and
-// the way back. The budget is 18; the path measures 13 here (14 by sites:
-// on the caller node the raw argument buffer and ParseReply's three, on the
-// callee node ParseCall's five, the CallPayload box and the serve's four —
-// the one-byte key and the short names share tiny-allocator blocks). Nothing is
-// allocated just to wait: no goroutine, context, timer, waiter channel or
-// continuation closure per call on either node.
+// the way back. Arguments and results cross both nodes as bytes, so what is
+// left is what somebody asked for by interface: eight sites (DESIGN.md §8) —
+// on the caller node the response string; on the callee node the argument
+// list the Handle([]any) convention wants (the slice, the key string, its
+// box), the aspects.Invocation, the result list boxed into the advice chain's
+// any, and the handler's own result slice and box. It measures 5 here, where
+// the key and the value are the one-byte "k" (a one-byte string is not
+// allocated) and the smallest boxes share tiny-allocator blocks; the budget is
+// that plus one. The ledger's remote_unary, with 5-byte keys and 16-byte
+// values, reads the eight. Nothing is allocated just to wait or to carry: no
+// goroutine, context, timer, waiter channel, continuation closure, boxed
+// payload or argument buffer per call on either node.
 func TestRemoteTypedCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -215,8 +221,8 @@ func TestRemoteTypedCallAllocs(t *testing.T) {
 			t.Fatalf("get = %q, %v", v, err)
 		}
 	})
-	if allocs > 18 {
-		t.Fatalf("remote typed call allocates %.1f/op across both nodes, budget 18", allocs)
+	if allocs > 6 {
+		t.Fatalf("remote typed call allocates %.1f/op across both nodes, budget 6", allocs)
 	}
 	t.Logf("remote typed call: %.1f allocs/op", allocs)
 }

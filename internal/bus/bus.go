@@ -164,7 +164,9 @@ var (
 )
 
 // Stats are cumulative bus counters. Conservation invariant when idle:
-// Sent == Delivered + Dropped + Held.
+// Sent == Delivered + Dropped + Held. A Send the bus refuses (ErrMailboxFull)
+// was not sent and counts nowhere; a message the bus accepted and then could
+// not deliver — a delayed one that met a full mailbox on arrival — is Dropped.
 type Stats struct {
 	Sent      uint64
 	Delivered uint64
@@ -509,6 +511,12 @@ func (b *Bus) deliver(m Message) error {
 	}
 	err := b.deliverRouteLocked(r, &m)
 	r.mu.Unlock()
+	if err != nil {
+		// Refused: the sender keeps the message, so it was not sent after all.
+		// Un-counted here, on the refusal path, rather than counted late on
+		// every path.
+		b.stats.sent.Add(^uint64(0))
+	}
 	return err
 }
 
@@ -522,10 +530,14 @@ func (b *Bus) sendDelayed(r *route, m Message, delay time.Duration) {
 		r.mu.Lock()
 		err := b.deliverRouteLocked(r, &m)
 		r.mu.Unlock()
+		if err != nil {
+			// Send accepted this message long ago; nobody is left to hand it
+			// back to. A late delivery failure is counted, not returned.
+			b.stats.dropped.Add(1)
+		}
 		if b.stats.inFlight.Add(-1) == 0 {
 			b.notifyIdle()
 		}
-		_ = err // late delivery failures are counted, not returned
 	})
 }
 

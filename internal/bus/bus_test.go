@@ -288,6 +288,80 @@ func TestMailboxFull(t *testing.T) {
 	}
 }
 
+// TestRefusedSendKeepsTheLedgerBalanced: a Send refused with ErrMailboxFull
+// was not sent — it used to count as Sent and as nothing else, after which
+// Sent == Delivered + Dropped + Held never balanced again. The same on the two
+// other roads into a full mailbox: a Resume that cannot flush everything
+// leaves the rest Held, and a delayed message refused on arrival, which
+// nobody can be handed back, is Dropped.
+func TestRefusedSendKeepsTheLedgerBalanced(t *testing.T) {
+	balanced := func(b *Bus, want Stats) {
+		t.Helper()
+		st := b.Stats()
+		if st.Sent != st.Delivered+st.Dropped+st.Held {
+			t.Fatalf("ledger does not balance: %+v", st)
+		}
+		if st.Sent != want.Sent || st.Delivered != want.Delivered || st.Dropped != want.Dropped || st.Held != want.Held {
+			t.Fatalf("ledger %+v, want sent=%d delivered=%d dropped=%d held=%d",
+				st, want.Sent, want.Delivered, want.Dropped, want.Held)
+		}
+	}
+	ev := Message{Kind: Event, Src: "s", Dst: "tiny"}
+
+	b := New()
+	if _, err := b.Attach("tiny", 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := b.Send(ev); (i >= 2) != errors.Is(err, ErrMailboxFull) {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	balanced(b, Stats{Sent: 2, Delivered: 2})
+
+	// Resume into a mailbox that takes only part of what parked.
+	b = New()
+	tiny, err := b.Attach("tiny", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Pause("tiny")
+	for i := 0; i < 5; i++ {
+		if err := b.Send(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	balanced(b, Stats{Sent: 5, Held: 5})
+	if n, err := b.Resume("tiny"); n != 2 || !errors.Is(err, ErrMailboxFull) {
+		t.Fatalf("resume flushed %d, %v", n, err)
+	}
+	balanced(b, Stats{Sent: 5, Delivered: 2, Held: 3})
+	for i := 0; i < 2; i++ {
+		if _, ok := tiny.TryReceive(); !ok {
+			t.Fatal("mailbox empty")
+		}
+	}
+	b.Pause("tiny") // what stayed parked is flushed by the next resume
+	if n, err := b.Resume("tiny"); n != 2 || !errors.Is(err, ErrMailboxFull) {
+		t.Fatalf("second resume flushed %d, %v", n, err)
+	}
+	balanced(b, Stats{Sent: 5, Delivered: 4, Held: 1})
+
+	// A delayed message that finds the mailbox full when it lands.
+	sim := clock.NewSim(origin)
+	b = New(WithClock(sim), WithDelay(func(_, _ Address) time.Duration { return time.Millisecond }))
+	if _, err := b.Attach("tiny", 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := b.Send(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Advance(time.Millisecond)
+	balanced(b, Stats{Sent: 3, Delivered: 2, Dropped: 1})
+}
+
 func TestReceiveContextCancel(t *testing.T) {
 	b := New()
 	dst := attach(t, b, "dst")

@@ -785,7 +785,10 @@ func answerPayload(req any, rep wire.Reply) any {
 	case connector.TypedCall:
 		errMsg, kind := rep.Err, connector.ErrKind(rep.Kind)
 		if errMsg == "" {
-			if derr := pl.SetResults(rep.Results); derr != nil {
+			// A reply off the wire carries its result block raw, and the
+			// envelope decodes it into the shape its caller wants — here, on
+			// the read pump, while the bytes are still the frame's.
+			if derr := pl.SetRawResults(rep.RawResults); derr != nil {
 				errMsg, kind = derr.Error(), connector.ErrKindApp
 			}
 		}
@@ -794,7 +797,10 @@ func answerPayload(req any, rep wire.Reply) any {
 	case connector.StreamOpenPayload:
 		return connector.StreamEndPayload{Err: rep.Err, Kind: connector.ErrKind(rep.Kind)}
 	default:
-		return connector.ReplyPayload{Results: rep.Results, Err: rep.Err, Kind: connector.ErrKind(rep.Kind)}
+		// The block was validated by the read pump; an answer made up on this
+		// node carries none, and decodes to no results.
+		results, _, _ := wire.ReadValues(rep.RawResults)
+		return connector.ReplyPayload{Results: results, Err: rep.Err, Kind: connector.ErrKind(rep.Kind)}
 	}
 }
 
@@ -826,22 +832,22 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 		return connector.ErrKindDeadline,
 			fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op)
 	}
-	c := wire.Call{Component: comp, Op: m.Op}
-	stream, window := false, 0 // a stream open, and its credit window
+	// The frame, as the egress will queue it. Its argument block is encoded
+	// there, into memory the egress owns: a typed call's preencoded form is
+	// spliced verbatim — no []any boxing at the gateway, no buffer per call.
+	it := egressItem{kind: wire.FrameCall, comp: comp, op: m.Op, absDeadline: m.Deadline}
+	var (
+		call connector.TypedCall
+		args []any
+	)
 	switch pl := m.Payload.(type) {
 	case connector.CallPayload:
-		c.Principal, c.Args = pl.Principal, pl.Args
+		it.text, args = pl.Principal, pl.Args
 	case connector.TypedCall:
-		// Typed fast path: splice the handle's preencoded argument bytes
-		// into the frame verbatim — no []any boxing at the gateway.
-		raw, aerr := pl.AppendArgs(nil)
-		if aerr != nil {
-			return connector.ErrKindApp, fmt.Sprintf("cluster: %s.%s: %v", comp, m.Op, aerr)
-		}
-		c.Principal, c.RawArgs = pl.Principal(), raw
+		it.text, call = pl.Principal(), pl
 	case connector.StreamOpenPayload:
-		c.Principal, c.Args = pl.Principal, pl.Args
-		stream, window = true, pl.Window
+		it.kind, it.num = wire.FrameStreamOpen, uint64(uint32(pl.Window))
+		it.text, args = pl.Principal, pl.Args
 	}
 	pc := pendingCall{g: g, src: m.Src, srcCorr: m.Corr, op: m.Op, payload: m.Payload}
 	// Trace propagation: the gateway opens a forward span parented under the
@@ -851,35 +857,39 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 		pc.trace, pc.parentSpan = m.Trace, telemetry.SpanID(m.Span)
 		pc.fwdSpan = telemetry.NextSpanID()
 		pc.fwdStart = time.Now().UnixNano()
-		c.Trace = m.Trace
-		c.Span = telemetry.PackSpan(pc.fwdSpan, pc.parentSpan)
+		it.trace = m.Trace
+		it.span = telemetry.PackSpan(pc.fwdSpan, pc.parentSpan)
 	}
-	c.Corr = p.corr.Add(1)
+	it.corr = p.corr.Add(1)
 	key := callKey{src: m.Src, corr: m.Corr}
 	n.imu.Lock()
-	n.inflight[key] = remoteRef{p: p, corr: c.Corr}
+	n.inflight[key] = remoteRef{p: p, corr: it.corr}
 	n.imu.Unlock()
-	p.addPending(c.Corr, pc)
-	// The link may have died since it was picked. failAll runs after down is
-	// set and fails what it finds registered, so re-checking down after
-	// registering leaves no gap: either failAll saw the record and is
-	// answering the caller, or it is still here and is withdrawn — to be
-	// refused at once rather than sit in a table nobody will ever fail,
-	// behind an egress nobody drains, for the caller's whole budget.
-	if p.down.Load() {
-		if _, ok := p.takePending(c.Corr); ok {
+	p.addPending(it.corr, pc)
+	// withdraw takes the registration back when the request cannot go out after
+	// all, so that it is refused at once — before its caller's Send returns and
+	// the caller could observe a registered call — rather than sit in a table
+	// nobody will ever fail. Whoever took the record first (failAll, see below)
+	// is answering the caller instead.
+	withdraw := func(reason string) (connector.ErrKind, string) {
+		if _, ok := p.takePending(it.corr); ok {
 			n.untrack(key)
-			return connector.ErrKindApp, "cluster: peer " + p.id + " down"
+			return connector.ErrKindApp, reason
 		}
 		return connector.ErrKindNone, ""
 	}
-	if stream {
-		p.egress.enqueueStreamOpen(wire.StreamOpen{
-			Corr: c.Corr, Component: comp, Op: m.Op, Principal: c.Principal,
-			Window: uint32(window), Args: c.Args, Trace: c.Trace, Span: c.Span,
-		}, m.Deadline)
-	} else {
-		p.egress.enqueueCall(c, m.Deadline)
+	// The link may have died since it was picked. failAll runs after down is
+	// set and fails what it finds registered, so re-checking down after
+	// registering leaves no gap: either failAll saw the record and is
+	// answering the caller, or it is still here, behind an egress nobody
+	// drains, and is withdrawn.
+	if p.down.Load() {
+		return withdraw("cluster: peer " + p.id + " down")
+	}
+	// Arguments the codec cannot ship are found out here, as the frame is
+	// queued, not by the writer later.
+	if err := p.egress.enqueueRequest(&it, call, args); err != nil {
+		return withdraw(fmt.Sprintf("cluster: %s.%s: %v", comp, m.Op, err))
 	}
 	return connector.ErrKindNone, ""
 }
@@ -945,7 +955,7 @@ func (n *Node) cancelForward(m bus.Message) {
 		n.closeForwardSpan(ref.p, &pc, telemetry.OutcomeCancelled)
 	}
 	if !ref.p.down.Load() {
-		ref.p.egress.enqueueCancel(wire.Cancel{Corr: ref.corr})
+		ref.p.egress.enqueue(&egressItem{kind: wire.FrameCancel, corr: ref.corr})
 	}
 }
 

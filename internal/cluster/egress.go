@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/connector"
 	"repro/internal/wire"
 )
 
@@ -25,47 +26,74 @@ const (
 	batchMaxFrames = 128
 )
 
-// egressItem is one queued outbound frame. Calls carry the caller's
-// absolute deadline so the relative budget on the wire is stamped at write
-// time — a call that sat in the queue ships with its true remaining credit,
-// and one that expired there fails locally without crossing the wire.
+// egressItem is one queued outbound frame, kept small because every frame is
+// copied into the queue: the frame's kind, its correlation, and the few words
+// its kind needs. Value lists ride beside the queue, not in it — a request's
+// argument block and a reply's result block are encoded when the frame is
+// queued, into the arena that is swapped with the queue (off:end is the item's
+// span of it), so what cannot be encoded is refused or downgraded there and
+// the writer only splices bytes. Requests carry the caller's absolute deadline
+// so the relative budget on the wire is stamped at write time — a call that
+// sat in the queue ships with its true remaining credit, and one that expired
+// there fails locally without crossing the wire.
 type egressItem struct {
-	kind         wire.FrameType // which of the frame fields below is set
-	call         wire.Call
-	reply        wire.Reply
-	cancel       wire.Cancel
-	streamOpen   wire.StreamOpen
-	streamChunk  wire.StreamChunk
-	streamCredit wire.StreamCredit
-	streamEnd    wire.StreamEnd
-	replicate    wire.Replicate
-	replicateAck wire.ReplicateAck
-	absDeadline  int64 // unix nanos, 0 = none; calls and stream opens only
+	kind    wire.FrameType
+	errKind uint8 // reply, stream end
+	corr    uint64
+	// num is the one number a stream or replication frame carries besides its
+	// correlation: an open's window, a credit's grant, a chunk's or a
+	// snapshot's sequence.
+	num         uint64
+	off, end    int   // span of the arena; empty for a reply without results
+	absDeadline int64 // unix nanos, 0 = none; calls and stream opens only
+	trace, span int64 // calls and stream opens
+	// comp and op name a request's target (comp also a replication frame's
+	// component); text is its principal — or the error of a reply, a stream
+	// end or a replication ack.
+	comp, op, text string
+	// val is what is too dynamic or too large for the arena: a stream chunk's
+	// item, encoded at write time (one the codec cannot ship ends its stream,
+	// which takes a bus send the enqueuing side may not make), and a
+	// replication snapshot's state.
+	val any
 }
 
-// appendBody encodes the frame the item carries.
-func (it *egressItem) appendBody(dst []byte, version uint8) ([]byte, error) {
+// appendBody encodes the frame the item carries; budget is a request's
+// remaining deadline budget.
+func (it *egressItem) appendBody(dst, arena []byte, budget int64, version uint8) ([]byte, error) {
 	switch it.kind {
 	case wire.FrameCall:
-		return wire.AppendCall(dst, it.call, version)
+		return wire.AppendCall(dst, wire.Call{Corr: it.corr, Component: it.comp, Op: it.op, Principal: it.text,
+			DeadlineNanos: budget, RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span}, version)
 	case wire.FrameReply:
-		return wire.AppendReply(dst, it.reply, version)
+		r := wire.Reply{Corr: it.corr, Err: it.text, Kind: it.errKind}
+		if it.end > it.off {
+			r.RawResults = arena[it.off:it.end]
+		}
+		return wire.AppendReply(dst, r, version)
 	case wire.FrameCancel:
-		return wire.AppendCancel(dst, it.cancel), nil
+		return wire.AppendCancel(dst, wire.Cancel{Corr: it.corr}), nil
 	case wire.FrameStreamOpen:
-		return wire.AppendStreamOpen(dst, it.streamOpen, version)
+		return wire.AppendStreamOpen(dst, wire.StreamOpen{Corr: it.corr, Component: it.comp, Op: it.op, Principal: it.text,
+			DeadlineNanos: budget, Window: uint32(it.num), RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span}, version)
 	case wire.FrameStreamChunk:
-		return wire.AppendStreamChunk(dst, it.streamChunk)
+		return wire.AppendStreamChunk(dst, wire.StreamChunk{Corr: it.corr, Seq: it.num, Item: it.val})
 	case wire.FrameStreamCredit:
-		return wire.AppendStreamCredit(dst, it.streamCredit), nil
+		return wire.AppendStreamCredit(dst, wire.StreamCredit{Corr: it.corr, Credit: uint32(it.num)}), nil
 	case wire.FrameStreamEnd:
-		return wire.AppendStreamEnd(dst, it.streamEnd), nil
+		return wire.AppendStreamEnd(dst, wire.StreamEnd{Corr: it.corr, Err: it.text, Kind: it.errKind}), nil
 	case wire.FrameReplicate:
-		return wire.AppendReplicate(dst, it.replicate), nil
+		state, _ := it.val.([]byte)
+		return wire.AppendReplicate(dst, wire.Replicate{Corr: it.corr, Component: it.comp, Seq: it.num, State: state}), nil
 	default:
-		return wire.AppendReplicateAck(dst, it.replicateAck), nil
+		return wire.AppendReplicateAck(dst, wire.ReplicateAck{Corr: it.corr, Component: it.comp, Seq: it.num, Err: it.text}), nil
 	}
 }
+
+// arenaRetain caps the arena capacity the egress keeps between batches, like
+// the wire codec's own scratch: one huge argument block must not pin its
+// buffer for the life of the link.
+const arenaRetain = 1 << 20
 
 // egress is the coalescing writer of one peer link.
 type egress struct {
@@ -73,7 +101,12 @@ type egress struct {
 
 	mu    sync.Mutex
 	q     []egressItem
-	spare []egressItem // recycled backing array for q
+	arena []byte // the encoded value lists of q's items
+
+	// The drained queue and arena of the last batch, recycled at the next swap;
+	// the flush loop's alone.
+	spareQ     []egressItem
+	spareArena []byte
 
 	wake chan struct{} // cap 1: coalesces enqueue signals
 }
@@ -82,64 +115,65 @@ func newEgress(p *peer) *egress {
 	return &egress{p: p, wake: make(chan struct{}, 1)}
 }
 
-// enqueueCall queues an outbound remote call.
-func (e *egress) enqueueCall(c wire.Call, absDeadline int64) {
-	e.enqueue(egressItem{kind: wire.FrameCall, call: c, absDeadline: absDeadline})
-}
-
-// enqueueReply queues an outbound reply.
-func (e *egress) enqueueReply(r wire.Reply) {
-	e.enqueue(egressItem{kind: wire.FrameReply, reply: r})
-}
-
-// enqueueCancel queues an outbound call revocation. Cancels coalesce with
-// the rest of the traffic; a cancel overtaking its own call is impossible
-// because the queue preserves enqueue order.
-func (e *egress) enqueueCancel(c wire.Cancel) {
-	e.enqueue(egressItem{kind: wire.FrameCancel, cancel: c})
-}
-
-// enqueueStreamOpen queues an outbound stream open. Like a call it carries
-// the caller's absolute deadline, so the relative budget is stamped at write
-// time and an open that expired in the queue fails locally.
-func (e *egress) enqueueStreamOpen(o wire.StreamOpen, absDeadline int64) {
-	e.enqueue(egressItem{kind: wire.FrameStreamOpen, streamOpen: o, absDeadline: absDeadline})
-}
-
-// enqueueStreamChunk queues one outbound stream item. Chunks coalesce with
-// calls and replies into the same batch writes — this is what collapses a
-// stream's per-item wire cost to a fraction of a syscall.
-func (e *egress) enqueueStreamChunk(c wire.StreamChunk) {
-	e.enqueue(egressItem{kind: wire.FrameStreamChunk, streamChunk: c})
-}
-
-// enqueueStreamCredit queues one outbound credit grant.
-func (e *egress) enqueueStreamCredit(c wire.StreamCredit) {
-	e.enqueue(egressItem{kind: wire.FrameStreamCredit, streamCredit: c})
-}
-
-// enqueueStreamEnd queues one outbound terminal end frame. The queue
-// preserves enqueue order, so an end can never overtake its own chunks.
-func (e *egress) enqueueStreamEnd(s wire.StreamEnd) {
-	e.enqueue(egressItem{kind: wire.FrameStreamEnd, streamEnd: s})
-}
-
-// enqueueReplicate queues one outbound warm-standby snapshot. Replication
-// traffic coalesces with calls and replies — shipping a snapshot costs a
-// fraction of a syscall when the link is busy.
-func (e *egress) enqueueReplicate(r wire.Replicate) {
-	e.enqueue(egressItem{kind: wire.FrameReplicate, replicate: r})
-}
-
-// enqueueReplicateAck queues one outbound replication acknowledgement.
-func (e *egress) enqueueReplicateAck(a wire.ReplicateAck) {
-	e.enqueue(egressItem{kind: wire.FrameReplicateAck, replicateAck: a})
-}
-
-func (e *egress) enqueue(it egressItem) {
+// enqueue queues one outbound frame that needs nothing encoded ahead: a
+// cancel (which cannot overtake its own call — the queue preserves enqueue
+// order), a stream chunk, credit grant or end (an end cannot overtake its
+// chunks either), a replication snapshot or its ack. All of them coalesce
+// with calls and replies into the same batch writes, which is what collapses
+// a stream item's wire cost to a fraction of a syscall.
+func (e *egress) enqueue(it *egressItem) {
 	e.mu.Lock()
+	e.q = append(e.q, *it)
+	e.mu.Unlock()
+	e.signal()
+}
+
+// enqueueRequest queues a call or a stream open, encoding its argument block
+// — the typed call's own preencoded form, or args — into the arena. A block
+// that cannot be encoded is the error, and nothing was queued.
+func (e *egress) enqueueRequest(it *egressItem, call connector.TypedCall, args []any) error {
+	e.mu.Lock()
+	var (
+		arena []byte
+		err   error
+	)
+	if call != nil {
+		arena, err = call.AppendArgs(e.arena)
+	} else {
+		arena, err = wire.AppendValues(e.arena, args)
+	}
+	if err != nil {
+		e.mu.Unlock()
+		return err
+	}
+	it.off, it.end = len(e.arena), len(arena)
+	e.arena = arena
+	e.q = append(e.q, *it)
+	e.mu.Unlock()
+	e.signal()
+	return nil
+}
+
+// enqueueReply queues the reply to an inbound call. Results the codec cannot
+// ship become an error reply in place.
+func (e *egress) enqueueReply(corr uint64, results []any, errText string, kind uint8) {
+	it := egressItem{kind: wire.FrameReply, corr: corr, text: errText, errKind: kind}
+	e.mu.Lock()
+	if len(results) > 0 {
+		if arena, err := wire.AppendValues(e.arena, results); err != nil {
+			it.text, it.errKind = "cluster: "+err.Error(), wire.KindAppError
+		} else {
+			it.off, it.end = len(e.arena), len(arena)
+			e.arena = arena
+		}
+	}
 	e.q = append(e.q, it)
 	e.mu.Unlock()
+	e.signal()
+}
+
+// signal wakes the flush loop.
+func (e *egress) signal() {
 	select {
 	case e.wake <- struct{}{}:
 	default:
@@ -147,8 +181,8 @@ func (e *egress) enqueue(it egressItem) {
 }
 
 // flushLoop drains the queue until the node closes or the link dies. Each
-// wake-up swaps the queue against an empty recycled array and writes the
-// whole swath as one batch; anything enqueued during that write is picked
+// wake-up swaps the queue and its arena against the recycled pair and writes
+// the whole swath as one batch; anything enqueued during that write is picked
 // up by the next inner iteration without waiting for another wake.
 func (e *egress) flushLoop(ctx context.Context) {
 	defer e.p.n.wg.Done()
@@ -171,20 +205,25 @@ func (e *egress) flushLoop(ctx context.Context) {
 		}
 		for {
 			e.mu.Lock()
-			batch := e.q
-			e.q = e.spare[:0]
-			// Detach spare immediately: the array just handed to e.q now
-			// belongs to producers, and spare must never alias it — on the
+			batch, arena := e.q, e.arena
+			e.q, e.arena = e.spareQ[:0], e.spareArena[:0]
+			// Detach the spares immediately: the arrays just handed over now
+			// belong to producers, and a spare must never alias them — on the
 			// next swap it would hand writeBatch and the producers the same
 			// backing array.
-			e.spare = nil
+			e.spareQ, e.spareArena = nil, nil
 			e.mu.Unlock()
+			if len(batch) > 0 {
+				e.writeBatch(batch, arena)
+			}
+			// Recycle the drained pair for the next swap.
+			e.spareQ = batch[:0]
+			if cap(arena) <= arenaRetain {
+				e.spareArena = arena[:0]
+			}
 			if len(batch) == 0 {
-				e.spare = batch[:0] // recycle the drained array for the next swap
 				break
 			}
-			e.writeBatch(batch)
-			e.spare = batch[:0]
 		}
 		if e.p.down.Load() {
 			return
@@ -193,56 +232,42 @@ func (e *egress) flushLoop(ctx context.Context) {
 }
 
 // writeBatch ships one swath of queued frames as batch writes, force-flushed
-// at the batch caps (the encoder sends a batch of one as the bare frame).
-// Deadline credit is re-derived per call here and expired calls fail
-// locally. A frame whose body cannot be encoded (bad value type, oversized)
-// is a data problem, not a link problem: it is left out of the write and
-// answered locally, the link stays up.
-func (e *egress) writeBatch(items []egressItem) {
+// at the batch caps (the encoder sends a batch of one as the bare frame). A
+// request's deadline credit is derived here, and one that expired in the queue
+// is not written. A frame that is left out — expired, or its body refused by
+// the codec (a bad chunk item, an oversized frame) — is a data problem, not a
+// link problem: it is answered locally once the write is done, the link stays
+// up.
+func (e *egress) writeBatch(items []egressItem, arena []byte) {
 	p := e.p
 	now := time.Now().UnixNano()
 
-	// Pre-scan calls and stream opens: stamp remaining budgets, shed the
-	// expired ones.
-	live := items[:0]
-	for i := range items {
-		it := &items[i]
-		if it.absDeadline != 0 {
-			rem := it.absDeadline - now
-			if rem <= 0 {
-				p.n.shedGateway.Add(1)
-				e.answerLocally(it, wire.KindDeadline, "deadline exceeded in egress queue")
-				continue
-			}
-			if it.kind == wire.FrameCall {
-				it.call.DeadlineNanos = rem
-			} else {
-				it.streamOpen.DeadlineNanos = rem
-			}
-		}
-		live = append(live, *it)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	var failed []encodeFailure
+	var unsent []unsentFrame
 	var werr error
 	p.encMu.Lock()
 	_ = p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	enc := p.enc
 	enc.BeginBatch()
-	for i := range live {
-		it := &live[i]
-		body := func(dst []byte) ([]byte, error) { return it.appendBody(dst, p.version) }
+	for i := range items {
+		it := &items[i]
+		var budget int64
+		if it.absDeadline != 0 {
+			if budget = it.absDeadline - now; budget <= 0 {
+				p.n.shedGateway.Add(1)
+				unsent = append(unsent, unsentFrame{it, wire.KindDeadline, "deadline exceeded in egress queue"})
+				continue
+			}
+		}
+		body := func(dst []byte) ([]byte, error) { return it.appendBody(dst, arena, budget, p.version) }
 		err := enc.BatchAdd(it.kind, body)
 		if err != nil && it.kind == wire.FrameReply {
-			// Results the codec cannot ship become an error reply in place.
-			it.reply = wire.Reply{Corr: it.reply.Corr, Err: "cluster: " + err.Error(), Kind: wire.KindAppError}
+			// A reply too large to frame becomes an error reply in place.
+			it.off, it.end = 0, 0
+			it.text, it.errKind = "cluster: "+err.Error(), wire.KindAppError
 			err = enc.BatchAdd(it.kind, body)
 		}
 		if err != nil {
-			failed = append(failed, encodeFailure{it, err})
+			unsent = append(unsent, unsentFrame{it, wire.KindAppError, err.Error()})
 			continue
 		}
 		p.countBatchFrame()
@@ -259,18 +284,19 @@ func (e *egress) writeBatch(items []egressItem) {
 	}
 	p.encMu.Unlock()
 
-	for _, f := range failed {
-		e.answerLocally(f.it, wire.KindAppError, f.err.Error())
+	for _, u := range unsent {
+		e.answerLocally(u.it, u.kind, u.reason)
 	}
 	if werr != nil {
 		p.n.peerDown(p, "egress write: "+werr.Error())
 	}
 }
 
-// encodeFailure is a frame whose body could not be encoded, and why.
-type encodeFailure struct {
-	it  *egressItem
-	err error
+// unsentFrame is a frame that was left out of the write, and why.
+type unsentFrame struct {
+	it     *egressItem
+	kind   uint8
+	reason string
 }
 
 // answerLocally settles, on this side of the link, a frame that will not be
@@ -283,26 +309,19 @@ type encodeFailure struct {
 func (e *egress) answerLocally(it *egressItem, kind uint8, reason string) {
 	p := e.p
 	switch it.kind {
-	case wire.FrameCall:
-		e.failPending(it.call.Corr, it.call.Component, it.call.Op, kind, reason)
-	case wire.FrameStreamOpen:
-		e.failPending(it.streamOpen.Corr, it.streamOpen.Component, it.streamOpen.Op, kind, reason)
+	case wire.FrameCall, wire.FrameStreamOpen:
+		// The request frame was never written: settle its record.
+		if pc, ok := p.takePending(it.corr); ok {
+			p.n.settleForward(p, pc, wire.Reply{Corr: it.corr, Kind: kind,
+				Err: "cluster: " + it.comp + "." + it.op + ": " + reason})
+		}
 	case wire.FrameStreamChunk:
-		corr := it.streamChunk.Corr
-		if sc, ok := p.takeServed(corr); ok {
-			p.revoke(corr, sc)
-			p.answer(corr, sc, wire.KindAppError, "cluster: stream item not wire-encodable")
+		if sc, ok := p.takeServed(it.corr); ok {
+			p.revoke(it.corr, sc)
+			p.answer(it.corr, sc, wire.KindAppError, "cluster: stream item not wire-encodable")
 		}
 	case wire.FrameReplicate:
 		p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %s",
-			p.n.id, it.replicate.Component, it.replicate.Seq, p.id, reason)
-	}
-}
-
-// failPending settles the record of a request frame that was never written.
-func (e *egress) failPending(corr uint64, comp, op string, kind uint8, reason string) {
-	if pc, ok := e.p.takePending(corr); ok {
-		e.p.n.settleForward(e.p, pc, wire.Reply{Corr: corr, Kind: kind,
-			Err: "cluster: " + comp + "." + op + ": " + reason})
+			p.n.id, it.comp, it.num, p.id, reason)
 	}
 }

@@ -269,9 +269,9 @@ func (p *peer) handleCredit(c wire.StreamCredit) {
 // caller has taken: a stream end for a stream, a reply otherwise.
 func (p *peer) answer(corr uint64, sc servedCall, kind uint8, reason string) {
 	if sc.stream {
-		p.egress.enqueueStreamEnd(wire.StreamEnd{Corr: corr, Err: reason, Kind: kind})
+		p.egress.enqueue(&egressItem{kind: wire.FrameStreamEnd, corr: corr, text: reason, errKind: kind})
 	} else {
-		p.egress.enqueueReply(wire.Reply{Corr: corr, Err: reason, Kind: kind})
+		p.egress.enqueueReply(corr, nil, reason, kind)
 	}
 }
 
@@ -367,16 +367,25 @@ func (p *peer) dispatchBatch(body []byte) error {
 func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 	switch t {
 	case wire.FrameCall:
-		c, err := wire.ParseCall(body, p.version)
+		// Nothing of the call is materialized here: the names resolve against
+		// the handle table and the component's declared operations, and the
+		// argument block — walked and validated by the parse, so a malformed
+		// one takes the link down here and never surfaces on a serve worker —
+		// is copied into the envelope the serving side completes in place.
+		c, err := wire.ParseCallRaw(body)
 		if err != nil {
 			return err
 		}
-		p.relay(c.Component, c.DeadlineNanos, bus.Message{
-			Kind: bus.Request, Op: c.Op, Corr: c.Corr, Trace: c.Trace, Span: c.Span,
-			Payload: connector.CallPayload{Principal: c.Principal, Args: c.Args},
+		cl := p.n.sys.ClientNamed(c.Component)
+		p.relay(cl, c.DeadlineNanos, bus.Message{
+			Kind: bus.Request, Op: cl.OpName(c.Op), Corr: c.Corr, Trace: c.Trace, Span: c.Span,
+			Payload: core.LeaseRelay(c.Corr, string(c.Principal), c.RawArgs),
 		})
 	case wire.FrameReply:
-		r, err := wire.ParseReply(body, p.version)
+		// The result block stays bytes (validated like a call's arguments)
+		// until whoever the reply is for decodes it, on this goroutine, before
+		// the next frame reuses the buffer.
+		r, err := wire.ParseReplyRaw(body)
 		if err != nil {
 			return err
 		}
@@ -392,7 +401,7 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 		if err != nil {
 			return err
 		}
-		p.relay(o.Component, o.DeadlineNanos, bus.Message{
+		p.relay(p.n.sys.Client(o.Component), o.DeadlineNanos, bus.Message{
 			Kind: bus.Request, Op: o.Op, Corr: o.Corr, Trace: o.Trace, Span: o.Span,
 			Payload: connector.StreamOpenPayload{Principal: o.Principal, Window: int(o.Window), Args: o.Args},
 		})
@@ -495,8 +504,7 @@ func (p *peer) dispatchReply(r wire.Reply) {
 // the cancel plane all act on it. The frame's trace context rides along, so
 // the serving node extends the caller's span tree (its serve span parents
 // under the forwarded span id) instead of minting a second root.
-func (p *peer) relay(comp string, budget int64, m bus.Message) {
-	cl := p.n.sys.Client(comp)
+func (p *peer) relay(cl *core.Client, budget int64, m bus.Message) {
 	m.Src = p.addr
 	var now int64
 	if budget > 0 {
@@ -527,7 +535,9 @@ func (p *peer) relay(comp string, budget int64, m bus.Message) {
 // the stream handler's, or whoever answered in the component's stead — and is
 // queued for the wire. A reply or a stream end takes the record; a stream
 // item passes while the record stands, its pooled envelope released here as
-// the client edge does for a local consumer. It runs under the link address's
+// the client edge does for a local consumer. A relayed call's reply is the
+// envelope the call went out in: its outcome is read into the egress reply and
+// the envelope released. It runs under the link address's
 // route lock: short critical sections and a non-blocking wake, no call back
 // into the bus. An answer whose record is gone was revoked (cancel, lapsed
 // budget) and is never written.
@@ -535,34 +545,54 @@ func (p *peer) settleServed(m bus.Message) bool {
 	if m.Kind != bus.Reply {
 		return true
 	}
-	if item, ok := m.Payload.(*connector.StreamItem); ok {
+	switch pl := m.Payload.(type) {
+	case *connector.StreamItem:
 		if _, ok := p.lookupServed(m.Corr); ok {
 			// Chunks coalesce with whatever else is outbound; one the value
 			// codec cannot ship ends the stream inside the egress writer.
-			p.egress.enqueueStreamChunk(wire.StreamChunk{Corr: m.Corr, Seq: item.Seq, Item: item.Item})
+			p.egress.enqueue(&egressItem{kind: wire.FrameStreamChunk, corr: m.Corr, num: pl.Seq, val: pl.Item})
 		}
-		item.Release()
-		return true
-	}
-	if _, ok := p.takeServed(m.Corr); !ok {
-		return true
-	}
-	switch pl := m.Payload.(type) {
+		pl.Release()
+	case *core.RelayCall:
+		// A relayed call comes back in the envelope it went out in, completed
+		// in place. This is the one place the envelope returns to its pool,
+		// and it does whenever the answer arrives, record standing or not: the
+		// serve that sent it is done writing. (An envelope whose answer never
+		// arrives is the collector's — see core.LeaseRelay.)
+		if pl.Tag() != m.Corr {
+			p.n.opts.Logf("cluster %s: reply corr=%d from %s carries the envelope of corr=%d", p.n.id, m.Corr, p.id, pl.Tag())
+			return true
+		}
+		if _, ok := p.takeServed(m.Corr); ok {
+			results, errText, kind := pl.Outcome()
+			p.egress.enqueueReply(m.Corr, results, errText, replyKind(errText, kind))
+		}
+		core.ReleaseRelay(pl)
 	case connector.StreamEndPayload:
-		// The queue preserves enqueue order: the end cannot overtake its chunks.
-		p.egress.enqueueStreamEnd(wire.StreamEnd{Corr: m.Corr, Err: pl.Err, Kind: uint8(pl.Kind)})
-	case connector.ReplyPayload:
-		rep := wire.Reply{Corr: m.Corr, Results: pl.Results, Err: pl.Err, Kind: uint8(pl.Kind)}
-		if pl.Err != "" && pl.Kind == connector.ErrKindNone {
-			rep.Kind = wire.KindAppError // an error without identity (a filter reject, say)
+		if _, ok := p.takeServed(m.Corr); ok {
+			// The queue preserves enqueue order: the end cannot overtake its chunks.
+			p.egress.enqueue(&egressItem{kind: wire.FrameStreamEnd, corr: m.Corr, text: pl.Err, errKind: uint8(pl.Kind)})
 		}
-		// Replies coalesce with whatever else is outbound; a non-encodable
-		// result set is downgraded to an error reply inside the egress writer.
-		p.egress.enqueueReply(rep)
+	case connector.ReplyPayload:
+		// Somebody answered in the component's stead, boxed.
+		if _, ok := p.takeServed(m.Corr); ok {
+			p.egress.enqueueReply(m.Corr, pl.Results, pl.Err, replyKind(pl.Err, pl.Kind))
+		}
 	default:
-		p.egress.enqueueReply(wire.Reply{Corr: m.Corr})
+		if _, ok := p.takeServed(m.Corr); ok {
+			p.egress.enqueueReply(m.Corr, nil, "", wire.KindNone)
+		}
 	}
 	return true
+}
+
+// replyKind is the kind byte of a reply: an error without identity (a filter
+// reject, say) ships as an application error.
+func replyKind(errText string, kind connector.ErrKind) uint8 {
+	if errText != "" && kind == connector.ErrKindNone {
+		return wire.KindAppError
+	}
+	return uint8(kind)
 }
 
 // sweepServed answers inbound requests whose budget lapsed without an answer,

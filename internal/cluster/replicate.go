@@ -145,9 +145,7 @@ func (r *Replicator) ReplicateNow() int {
 		st.lastErr = ""
 		seq := st.seq
 		r.mu.Unlock()
-		p.egress.enqueueReplicate(wire.Replicate{
-			Corr: p.corr.Add(1), Component: comp, Seq: seq, State: state,
-		})
+		p.egress.enqueue(&egressItem{kind: wire.FrameReplicate, corr: p.corr.Add(1), comp: comp, num: seq, val: state})
 		r.shipped.Add(1)
 		shipped++
 	}
@@ -275,7 +273,7 @@ func (n *Node) handleReplicate(p *peer, r wire.Replicate) {
 		}
 	}
 	n.smu.Unlock()
-	p.egress.enqueueReplicateAck(wire.ReplicateAck{Corr: r.Corr, Component: r.Component, Seq: r.Seq})
+	p.egress.enqueue(&egressItem{kind: wire.FrameReplicateAck, corr: r.Corr, comp: r.Component, num: r.Seq})
 }
 
 // handleReplicateAck routes a follower's ack to the replicator.

@@ -45,7 +45,7 @@ func (n *Node) creditForward(m bus.Message) {
 	if !ok || ref.p.down.Load() {
 		return
 	}
-	ref.p.egress.enqueueStreamCredit(wire.StreamCredit{Corr: ref.corr, Credit: uint32(credit)})
+	ref.p.egress.enqueue(&egressItem{kind: wire.FrameStreamCredit, corr: ref.corr, num: uint64(uint32(credit))})
 }
 
 // deliverStreamChunk re-emits one inbound chunk as a local bus push toward
@@ -78,7 +78,7 @@ func (n *Node) deliverStreamChunk(p *peer, c wire.StreamChunk) {
 	// Whoever takes the record settles the stream; a cancel or an end that
 	// got there first leaves nothing to do.
 	if pc, ok := p.takePending(c.Corr); ok {
-		p.egress.enqueueCancel(wire.Cancel{Corr: c.Corr})
+		p.egress.enqueue(&egressItem{kind: wire.FrameCancel, corr: c.Corr})
 		n.settleForward(p, pc, wire.Reply{Corr: c.Corr, Kind: wire.KindAppError,
 			Err: fmt.Sprintf("cluster: %s.%s: stream item %d dropped at %s: %v", pc.g.comp, pc.op, c.Seq, n.id, err)})
 	}

@@ -90,6 +90,11 @@ type TypedCall interface {
 	// used when the serving side answered through the legacy Handle path or
 	// an aspect replaced the results.
 	SetResults(results []any) error
+	// SetRawResults is SetResults for a result list still in
+	// wire.AppendValues form, as a peer link's read pump hands it over
+	// (validated, and aliasing a buffer that is reused once the call
+	// returns): a typed response is decoded straight from the bytes.
+	SetRawResults(raw []byte) error
 	// Finish completes the call in place: empty err means success with the
 	// response already written through Resp.
 	Finish(err string, kind ErrKind)

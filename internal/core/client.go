@@ -47,6 +47,12 @@ type clientBinding struct {
 	// admission check (DESIGN.md §9) reads it with one atomic load to reach
 	// the component's backlog and service-time estimator without any lookup.
 	local atomic.Pointer[runtimeComponent]
+	// ops interns the operation names the component's declaration provides,
+	// for a caller that holds an operation's name as bytes (OpName). Built on
+	// first use and dropped whenever the views are republished, so it follows
+	// a redeclaration; bounded by the architecture, never by what callers ask
+	// for.
+	ops atomic.Pointer[map[string]string]
 }
 
 // Client is a first-class binding handle to one named component. Handles are
@@ -137,6 +143,43 @@ func (s *System) Client(component string) *Client {
 	return s.compileClient(component)
 }
 
+// ClientNamed is Client for a caller that holds the component's name as bytes
+// — a peer link's read pump. A name in the handle table resolves without
+// allocating.
+func (s *System) ClientNamed(component []byte) *Client {
+	if cl := (*s.clients.Load())[string(component)]; cl != nil {
+		return cl
+	}
+	return s.compileClient(string(component))
+}
+
+// OpName returns op as a string. An operation the component's declaration
+// provides comes out of the binding's intern table and costs nothing; any
+// other name is converted, and allocates like any conversion.
+func (c *Client) OpName(op []byte) string {
+	ops := c.b.ops.Load()
+	if ops == nil {
+		ops = c.b.internOps()
+	}
+	if name, ok := (*ops)[string(op)]; ok {
+		return name
+	}
+	return string(op)
+}
+
+// internOps builds the binding's operation table from the architecture.
+func (b *clientBinding) internOps() *map[string]string {
+	b.sys.mu.Lock()
+	decl, _ := b.sys.cfg.Component(b.name)
+	b.sys.mu.Unlock()
+	ops := make(map[string]string, len(decl.Provides))
+	for _, sig := range decl.Provides {
+		ops[sig.Name] = sig.Name
+	}
+	b.ops.Store(&ops)
+	return &ops
+}
+
 // compileClient is the slow path of Client: materialize and publish the
 // canonical handle under s.mu (or hand out an uncached one for a name that
 // does not resolve).
@@ -190,6 +233,7 @@ func (s *System) refreshClientsLocked() {
 	for _, cl := range *s.clients.Load() {
 		cl.b.present.Store(s.resolvableLocked(cl.b.name))
 		cl.b.local.Store(s.comps[cl.b.name])
+		cl.b.ops.Store(nil)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/connector"
 	"repro/internal/registry"
+	"repro/internal/wire"
 )
 
 // The call engine (invoke, invokeAsync) has three instantiations — the typed
@@ -271,6 +272,61 @@ func (env *lifecycleEnv) abandoned(t *testing.T, sh callShape, call callFn,
 	}
 }
 
+// lifecycleResp is a response type with its own decoder (TypedResponse).
+type lifecycleResp struct {
+	R string
+	N int
+}
+
+func (r *lifecycleResp) FromResults(results []any) error {
+	r.N = len(results)
+	r.R, _ = results[0].(string)
+	return nil
+}
+
+// answerRaw takes Target's address over with a stand-in that answers every
+// call in place from a raw result block: results(first argument), encoded.
+// It reports how many calls it answered.
+func (env *lifecycleEnv) answerRaw(t *testing.T, results func(what any) []any) *atomic.Int64 {
+	t.Helper()
+	addr := ComponentAddress("Target")
+	env.sys.Bus().Detach(addr)
+	ep, err := env.sys.Bus().Attach(addr, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.Cleanup(func() { cancel(); <-done })
+	answered := &atomic.Int64{}
+	go func() {
+		defer close(done)
+		for {
+			m, err := ep.Receive(ctx)
+			if err != nil {
+				return
+			}
+			tc, ok := m.Payload.(connector.TypedCall)
+			if !ok {
+				continue
+			}
+			raw, err := wire.AppendValues(nil, results(tc.Args()[0]))
+			if err == nil {
+				err = tc.SetRawResults(raw)
+			}
+			if err != nil {
+				tc.Finish(err.Error(), connector.ErrKindApp)
+			} else {
+				tc.Finish("", connector.ErrKindNone)
+			}
+			answered.Add(1)
+			_ = env.sys.Bus().Send(bus.Message{Kind: bus.Reply, Op: m.Op, Payload: m.Payload,
+				Src: addr, Dst: m.Src, Corr: m.Corr})
+		}
+	}()
+	return answered
+}
+
 func TestCallLifecycle(t *testing.T) {
 	const short = 30 * time.Millisecond
 	rows := []struct {
@@ -354,6 +410,44 @@ func TestCallLifecycle(t *testing.T) {
 					t.Fatalf("err = %v, want a plain timeout", err)
 				}
 			})
+		}},
+		{name: "reply off a peer link", run: func(t *testing.T, env *lifecycleEnv, sh callShape, call callFn) {
+			// Target has moved to another node, as far as this system can
+			// tell: a stand-in for its gateway holds the address and answers
+			// the way the cluster does when the peer's reply arrives — the
+			// envelope completed in place from the result block as the read
+			// pump validated it, raw.
+			answer := env.answerRaw(t, func(what any) []any {
+				if what == "seven" {
+					return []any{7}
+				}
+				return []any{what}
+			})
+			for i := 0; i < 3; i++ {
+				if got, err := call(context.Background(), "echo"); err != nil || got != "echo" {
+					t.Fatalf("call %d = %q, %v", i, got, err)
+				}
+			}
+			if sh.name == "typed/call" {
+				// A scalar response is read straight off the bytes; one of the
+				// wrong type on the wire takes the boxed route and fails with
+				// the error a boxed reply fails with.
+				_, err := call(context.Background(), "seven")
+				var boxed string
+				want := typedTarget(env, 0).via.codec.DecodeResp([]any{7}, &boxed)
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("mistyped raw result fails with %v, boxed with %v", err, want)
+				}
+				// A TypedResponse decodes itself from the list: the fallback.
+				got, err := ClientOf[string, lifecycleResp](env.sys, "Target").Call(context.Background(), "do", "echo")
+				if err != nil || got.R != "echo" || got.N != 1 {
+					t.Fatalf("TypedResponse off the wire = %+v, %v", got, err)
+				}
+			}
+			if n := answer.Load(); n < 3 {
+				t.Fatalf("the stand-in answered %d calls", n)
+			}
+			env.quiesced(t, sh)
 		}},
 		{name: "send failure", run: func(t *testing.T, env *lifecycleEnv, sh callShape, call callFn) {
 			env.sys.Bus().Detach(sh.dst(env))

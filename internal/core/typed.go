@@ -68,9 +68,10 @@ func scalarOK(v any) bool {
 // deriveCodec compiles the default codec for Req/Resp: a TypedRequest /
 // TypedResponse implementation wins, a wire-native scalar gets the
 // single-argument plan, and struct{} means "no arguments" / "no results".
-func deriveCodec[Req, Resp any]() (Codec[Req, Resp], error) {
+// scalarResp reports that the response took the scalar plan, which a reply
+// off the wire can be decoded into without boxing (SetRawResults).
+func deriveCodec[Req, Resp any]() (c Codec[Req, Resp], scalarResp bool, err error) {
 	var (
-		c     Codec[Req, Resp]
 		zreq  Req
 		zresp Resp
 	)
@@ -84,8 +85,8 @@ func deriveCodec[Req, Resp any]() (Codec[Req, Resp], error) {
 		}
 	case scalarOK(any(zreq)):
 		c.AppendReq = func(dst []byte, req *Req) ([]byte, error) {
-			dst = binary.AppendUvarint(dst, 1)
-			return wire.AppendValue(dst, any(*req))
+			// Through the pointer: boxing *req would allocate per call.
+			return wire.AppendScalar(binary.AppendUvarint(dst, 1), req)
 		}
 		c.ReqArgs = func(req *Req) []any { return []any{any(*req)} }
 	case func() bool { _, ok := any(zreq).(struct{}); return ok }():
@@ -94,7 +95,7 @@ func deriveCodec[Req, Resp any]() (Codec[Req, Resp], error) {
 		}
 		c.ReqArgs = func(*Req) []any { return nil }
 	default:
-		return c, fmt.Errorf("core: no codec derivable for request type %T (implement core.TypedRequest)", zreq)
+		return c, false, fmt.Errorf("core: no codec derivable for request type %T (implement core.TypedRequest)", zreq)
 	}
 
 	switch {
@@ -103,6 +104,7 @@ func deriveCodec[Req, Resp any]() (Codec[Req, Resp], error) {
 			return any(resp).(TypedResponse).FromResults(results)
 		}
 	case scalarOK(any(zresp)):
+		scalarResp = true
 		c.DecodeResp = func(results []any, resp *Resp) error {
 			if len(results) != 1 {
 				return fmt.Errorf("core: typed call: want 1 result, got %d", len(results))
@@ -122,9 +124,9 @@ func deriveCodec[Req, Resp any]() (Codec[Req, Resp], error) {
 			return nil
 		}
 	default:
-		return c, fmt.Errorf("core: no codec derivable for response type %T (implement core.TypedResponse)", zresp)
+		return c, false, fmt.Errorf("core: no codec derivable for response type %T (implement core.TypedResponse)", zresp)
 	}
-	return c, nil
+	return c, scalarResp, nil
 }
 
 // TypedClient is a typed, allocation-free binding handle to one named
@@ -142,7 +144,12 @@ type TypedClient[Req, Resp any] struct {
 // codec, and the pool the synchronous calls lease their envelopes from.
 type envelopes[Req, Resp any] struct {
 	codec Codec[Req, Resp]
-	pool  sync.Pool
+	// scalarResp: Resp took deriveCodec's scalar plan, so SetRawResults may
+	// read it straight off the wire.
+	scalarResp bool
+	// argsOnly: the request has no typed form (see typedEnvelope.Req).
+	argsOnly bool
+	pool     sync.Pool
 }
 
 func newEnvelopes[Req, Resp any](codec Codec[Req, Resp]) *envelopes[Req, Resp] {
@@ -159,7 +166,73 @@ var untyped = newEnvelopes(Codec[[]any, []any]{
 	AppendReq:  func(dst []byte, req *[]any) ([]byte, error) { return wire.AppendValues(dst, *req) },
 	ReqArgs:    func(req *[]any) []any { return *req },
 	DecodeResp: func(results []any, resp *[]any) error { *resp = results; return nil },
-})
+}).withArgsOnly()
+
+// withArgsOnly marks an instantiation whose request is an argument list and
+// nothing more.
+func (via *envelopes[Req, Resp]) withArgsOnly() *envelopes[Req, Resp] {
+	via.argsOnly = true
+	return via
+}
+
+// relayed instantiates the engine's envelope for a call that arrived over a
+// peer link (LeaseRelay): the request is the argument block as it crossed the
+// wire — validated by the link's read pump, so decoding it cannot fail — and
+// stays bytes until somebody wants values: Args decodes a fresh list per
+// call, AppendArgs re-splices the block when the request is forwarded on (its
+// component migrated away while it queued). Results follow the []any
+// convention, as for any untyped caller.
+var relayed = newEnvelopes(Codec[[]byte, []any]{
+	AppendReq: func(dst []byte, req *[]byte) ([]byte, error) { return append(dst, *req...), nil },
+	ReqArgs: func(req *[]byte) []any {
+		args, _, _ := wire.ReadValues(*req)
+		return args
+	},
+	DecodeResp: untyped.codec.DecodeResp,
+}).withArgsOnly()
+
+// RelayCall is the envelope of a relayed call.
+type RelayCall = typedEnvelope[[]byte, []any]
+
+// LeaseRelay leases the envelope for one call entering from a peer link and
+// copies the argument block into it (args aliases the link's read buffer).
+// tag is the lease's identity — the link's wire correlation — which whoever
+// releases the envelope checks it against. The envelope goes onto the bus as
+// the request's payload; the serving side completes it in place and it comes
+// back as the reply's payload, to be released by the one site that receives
+// replies for the link (ReleaseRelay). An envelope that never comes back (its
+// request was shed, its record revoked) is left to the collector: a serve
+// worker may still be writing it.
+func LeaseRelay(tag uint64, principal string, args []byte) *RelayCall {
+	e := relayed.pool.Get().(*RelayCall)
+	e.tag, e.principal = tag, principal
+	e.req = append(e.req[:0], args...)
+	return e
+}
+
+// Tag returns the identity the envelope was leased under.
+func (e *typedEnvelope[Req, Resp]) Tag() uint64 { return e.tag }
+
+// Outcome returns what the serving side completed the call with.
+func (e *typedEnvelope[Req, Resp]) Outcome() (resp Resp, errMsg string, kind connector.ErrKind) {
+	return e.resp, e.errMsg, e.errKind
+}
+
+// ReleaseRelay returns a completed relay envelope to the pool. The caller
+// must be the only holder: the reply that carried it back has been received,
+// so the serving side is done writing it.
+func ReleaseRelay(e *RelayCall) {
+	e.resp = nil
+	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
+	if cap(e.req) > relayRetain {
+		e.req = nil
+	}
+	relayed.pool.Put(e)
+}
+
+// relayRetain caps the argument buffer a pooled relay envelope keeps: one
+// oversized block must not live on in the pool.
+const relayRetain = 64 << 10
 
 // ClientOf returns a typed handle for a named component, deriving the
 // default codec for Req and Resp: a core.TypedRequest / core.TypedResponse
@@ -169,11 +242,13 @@ var untyped = newEnvelopes(Codec[[]any, []any]{
 // work, and a miscoded handle must fail at the call site that compiled it,
 // not on first use. Use ClientOfCodec to supply a custom codec.
 func ClientOf[Req, Resp any](s *System, component string) *TypedClient[Req, Resp] {
-	codec, err := deriveCodec[Req, Resp]()
+	codec, scalarResp, err := deriveCodec[Req, Resp]()
 	if err != nil {
 		panic(err)
 	}
-	return ClientOfCodec(s, component, codec)
+	t := ClientOfCodec(s, component, codec)
+	t.via.scalarResp = scalarResp
+	return t
 }
 
 // ClientOfCodec returns a typed handle using the supplied codec. The codec's
@@ -240,7 +315,10 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 // pooled: concurrent Waits select on its channel, so recycling it could leak
 // a signal across calls.
 type typedEnvelope[Req, Resp any] struct {
-	via       *envelopes[Req, Resp]
+	via *envelopes[Req, Resp]
+	// tag identifies the lease of a relayed call (LeaseRelay); unused by the
+	// calls the engine makes itself.
+	tag       uint64
 	principal string
 	req       Req
 	resp      Resp
@@ -268,12 +346,13 @@ func (e *typedEnvelope[Req, Resp]) AppendArgs(dst []byte) ([]byte, error) {
 	return e.via.codec.AppendReq(dst, &e.req)
 }
 
-// Req implements connector.TypedCall. The []any instantiation has no typed
-// form — its request is the argument list Args already returns — and says so
-// with nil, so it is served through Component.Handle and never offered to a
-// TypedComponent, whose HandleTyped may assert the request type it expects.
+// Req implements connector.TypedCall. The []any and relayed instantiations
+// have no typed form — their request is the argument list Args already returns
+// — and say so with nil, so they are served through Component.Handle and never
+// offered to a TypedComponent, whose HandleTyped may assert the request type
+// it expects.
 func (e *typedEnvelope[Req, Resp]) Req() any {
-	if _, untyped := any(&e.req).(*[]any); untyped {
+	if e.via.argsOnly {
 		return nil
 	}
 	return &e.req
@@ -284,6 +363,25 @@ func (e *typedEnvelope[Req, Resp]) Resp() any { return &e.resp }
 
 // SetResults implements connector.TypedCall.
 func (e *typedEnvelope[Req, Resp]) SetResults(results []any) error {
+	return e.via.codec.DecodeResp(results, &e.resp)
+}
+
+// SetRawResults implements connector.TypedCall. A scalar response whose one
+// result is on the wire under its own type is read in place; every other
+// shape — and every mismatch, so that the error is the one SetResults gives —
+// takes the boxed route.
+func (e *typedEnvelope[Req, Resp]) SetRawResults(raw []byte) error {
+	if e.via.scalarResp {
+		if count, n := binary.Uvarint(raw); n > 0 && count == 1 {
+			if _, ok := wire.ReadScalar(raw[n:], &e.resp); ok {
+				return nil
+			}
+		}
+	}
+	results, _, err := wire.ReadValues(raw)
+	if err != nil {
+		return err
+	}
 	return e.via.codec.DecodeResp(results, &e.resp)
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -99,7 +100,12 @@ func FuzzParseHello(f *testing.F) {
 	fuzzParser(f, ParseHello, infallible(AppendHello), sampleHello, Hello{Node: "n", System: "S"})
 }
 
+// deepSeed is the shape TestValueDepthBound pins, small: a value list nested
+// far past MaxDepth, which unbounded recursion would follow to the end.
+var deepSeed = nestedList(1024)
+
 func FuzzParseCall(f *testing.F) {
+	f.Add(callWithArgs(deepSeed))
 	fuzzParser(f,
 		func(b []byte) (Call, error) { return ParseCall(b, MaxVersion) },
 		func(c Call) ([]byte, error) { return AppendCall(nil, c, MaxVersion) },
@@ -108,10 +114,53 @@ func FuzzParseCall(f *testing.F) {
 }
 
 func FuzzParseReply(f *testing.F) {
+	f.Add(replyWithResults(deepSeed))
 	fuzzParser(f,
 		func(b []byte) (Reply, error) { return ParseReply(b, MaxVersion) },
 		func(r Reply) ([]byte, error) { return AppendReply(nil, r, MaxVersion) },
 		sampleReply, Reply{Corr: 9, Err: "core: deadline exceeded", Kind: KindDeadline})
+}
+
+// FuzzSkipValues is differential: the validating walker accepts exactly the
+// value lists ReadValues accepts, consumes the same length, and allocates
+// nothing to do it. That agreement is what lets a read pump validate a block
+// with the one and a serve worker decode it later with the other.
+func FuzzSkipValues(f *testing.F) {
+	for _, args := range [][]any{nil, sampleCall.Args, {nil, true, int64(-1), uint64(1), 2.5, []byte{1},
+		sampleCall.DeadlineNanos, []any{"nested", []any{}}}} {
+		b, err := AppendValues(nil, args)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add(deepSeed)
+	f.Add(nestedList(MaxDepth))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			rest []byte
+			err  error
+		)
+		// The allocation counter is process-wide and the fuzz engine allocates
+		// now and then: a nonzero reading is taken again, as in allocBounded.
+		allocs := 1.0
+		for attempt := 0; attempt < 5 && allocs != 0; attempt++ {
+			allocs = testing.AllocsPerRun(1, func() { rest, err = SkipValues(data) })
+		}
+		if allocs != 0 && err == nil {
+			t.Fatalf("SkipValues allocated %.0f times on %x", allocs, data)
+		}
+		_, want, werr := ReadValues(data)
+		for _, class := range []error{nil, ErrTruncated, ErrTooDeep, ErrUnsupportedType} {
+			if errors.Is(err, class) != errors.Is(werr, class) {
+				t.Fatalf("SkipValues says %v, ReadValues says %v on %x", err, werr, data)
+			}
+		}
+		if err == nil && len(rest) != len(want) {
+			t.Fatalf("SkipValues left %d bytes, ReadValues %d on %x", len(rest), len(want), data)
+		}
+	})
 }
 
 func FuzzParseCancel(f *testing.F) {

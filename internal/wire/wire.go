@@ -187,10 +187,20 @@ var (
 	// ErrUnsupportedType reports a call argument or result the value codec
 	// cannot ship; the caller turns it into a call error, never a panic.
 	ErrUnsupportedType = errors.New("wire: unsupported value type")
+	// ErrTooDeep reports a value whose []any nesting exceeds MaxDepth. Both
+	// directions refuse it, so nothing encodable is undecodable; off the wire
+	// it is a protocol error like any other.
+	ErrTooDeep = errors.New("wire: value nested too deep")
 )
 
 // ---------------------------------------------------------------------------
 // Value codec: a tag byte per value, uvarint lengths, recursion for slices.
+
+// MaxDepth bounds how deep []any values may nest. The decoder recurses per
+// level and a level costs two bytes on the wire, so without a bound one
+// MaxFrame-sized body of nested one-element slices overflows the goroutine
+// stack — which is fatal to the process, not a panic a caller could recover.
+const MaxDepth = 32
 
 // Value tags.
 const (
@@ -208,8 +218,14 @@ const (
 
 // AppendValue appends the encoding of v to dst. Supported types: nil, bool,
 // int, int64, uint64, float64, string, []byte, time.Duration and []any of
-// the same; anything else returns ErrUnsupportedType.
+// the same, nested at most MaxDepth deep (ErrTooDeep); anything else returns
+// ErrUnsupportedType.
 func AppendValue(dst []byte, v any) ([]byte, error) {
+	return appendValue(dst, v, 0)
+}
+
+// appendValue is AppendValue below depth enclosing slices.
+func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, tNil), nil
@@ -240,11 +256,14 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 		dst = append(dst, tDuration)
 		return binary.AppendVarint(dst, int64(x)), nil
 	case []any:
+		if depth == MaxDepth {
+			return dst, ErrTooDeep
+		}
 		dst = append(dst, tSlice)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		var err error
 		for _, el := range x {
-			if dst, err = AppendValue(dst, el); err != nil {
+			if dst, err = appendValue(dst, el, depth+1); err != nil {
 				return dst, err
 			}
 		}
@@ -257,6 +276,11 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 // ReadValue decodes one value from b and returns it with the remaining
 // bytes.
 func ReadValue(b []byte) (any, []byte, error) {
+	return readValue(b, 0)
+}
+
+// readValue is ReadValue below depth enclosing slices.
+func readValue(b []byte, depth int) (any, []byte, error) {
 	if len(b) == 0 {
 		return nil, b, ErrTruncated
 	}
@@ -314,13 +338,16 @@ func ReadValue(b []byte) (any, []byte, error) {
 		if count > uint64(len(b)) { // each element costs at least one byte
 			return nil, b, ErrTruncated
 		}
+		if depth == MaxDepth {
+			return nil, b, ErrTooDeep
+		}
 		out := make([]any, 0, count)
 		for i := uint64(0); i < count; i++ {
 			var (
 				el  any
 				err error
 			)
-			if el, b, err = ReadValue(b); err != nil {
+			if el, b, err = readValue(b, depth+1); err != nil {
 				return nil, b, err
 			}
 			out = append(out, el)
@@ -371,6 +398,171 @@ func ReadValues(b []byte) ([]any, []byte, error) {
 	return out, b, nil
 }
 
+// SkipValues walks a counted value list without materializing it and returns
+// the bytes that follow. It accepts exactly what ReadValues accepts and
+// consumes the same length, allocating nothing: it is how a read pump
+// validates an argument or result block it hands on as bytes, so that a
+// malformed block is refused where it arrived and a later ReadValues of the
+// same bytes cannot fail.
+func SkipValues(b []byte) ([]byte, error) {
+	count, n := binary.Uvarint(b)
+	if n <= 0 {
+		return b, ErrTruncated
+	}
+	b = b[n:]
+	if count > uint64(len(b)) {
+		return b, ErrTruncated
+	}
+	// left[d] is how many values are still to come at nesting depth d.
+	var left [MaxDepth + 1]uint64
+	left[0] = count
+	for depth := 0; ; {
+		if left[depth] == 0 {
+			if depth == 0 {
+				return b, nil
+			}
+			depth--
+			continue
+		}
+		left[depth]--
+		if len(b) == 0 {
+			return b, ErrTruncated
+		}
+		tag := b[0]
+		b = b[1:]
+		size := 0 // bytes of the value after its tag
+		switch tag {
+		case tNil:
+		case tBool:
+			size = 1
+		case tInt, tInt64, tDuration:
+			if _, size = binary.Varint(b); size <= 0 {
+				return b, ErrTruncated
+			}
+		case tUint64:
+			if _, size = binary.Uvarint(b); size <= 0 {
+				return b, ErrTruncated
+			}
+		case tFloat64:
+			size = 8
+		case tString, tBytes:
+			_, rest, err := readRaw(b)
+			if err != nil {
+				return b, err
+			}
+			size = len(b) - len(rest)
+		case tSlice:
+			count, n := binary.Uvarint(b)
+			if n <= 0 {
+				return b, ErrTruncated
+			}
+			if size = n; count > uint64(len(b)-n) {
+				return b[n:], ErrTruncated
+			}
+			if depth == MaxDepth {
+				return b[n:], ErrTooDeep
+			}
+			depth++
+			left[depth] = count
+		default:
+			return b, fmt.Errorf("%w: tag %d", ErrUnsupportedType, tag)
+		}
+		if len(b) < size {
+			return b, ErrTruncated
+		}
+		b = b[size:]
+	}
+}
+
+// AppendScalar appends the encoding of the value p points at — p is a
+// *string, *int, *int64, *uint64, *float64, *bool, *[]byte or
+// *time.Duration — exactly as AppendValue encodes the value itself. Going
+// through the pointer is the point: a typed handle holds its request in
+// place, and boxing it for AppendValue would allocate on every call.
+func AppendScalar(dst []byte, p any) ([]byte, error) {
+	switch x := p.(type) {
+	case *bool:
+		if *x {
+			return append(dst, tBool, 1), nil
+		}
+		return append(dst, tBool, 0), nil
+	case *int:
+		return binary.AppendVarint(append(dst, tInt), int64(*x)), nil
+	case *int64:
+		return binary.AppendVarint(append(dst, tInt64), *x), nil
+	case *uint64:
+		return binary.AppendUvarint(append(dst, tUint64), *x), nil
+	case *float64:
+		return binary.BigEndian.AppendUint64(append(dst, tFloat64), math.Float64bits(*x)), nil
+	case *string:
+		return AppendString(append(dst, tString), *x), nil
+	case *[]byte:
+		return AppendBytes(append(dst, tBytes), *x), nil
+	case *time.Duration:
+		return binary.AppendVarint(append(dst, tDuration), int64(*x)), nil
+	default:
+		return dst, fmt.Errorf("%w: %T", ErrUnsupportedType, p)
+	}
+}
+
+// ReadScalar decodes one value from b into what p points at (the pointer
+// types AppendScalar takes) and returns the remaining bytes. It reports false,
+// having written nothing, unless the value on the wire is of exactly p's
+// type: the caller then decodes the generic way and reports what it found.
+func ReadScalar(b []byte, p any) ([]byte, bool) {
+	if len(b) == 0 {
+		return b, false
+	}
+	tag, b := b[0], b[1:]
+	switch x := p.(type) {
+	case *bool:
+		if tag == tBool && len(b) >= 1 {
+			*x = b[0] != 0
+			return b[1:], true
+		}
+	case *int:
+		if v, n := binary.Varint(b); tag == tInt && n > 0 {
+			*x = int(v)
+			return b[n:], true
+		}
+	case *int64:
+		if v, n := binary.Varint(b); tag == tInt64 && n > 0 {
+			*x = v
+			return b[n:], true
+		}
+	case *uint64:
+		if v, n := binary.Uvarint(b); tag == tUint64 && n > 0 {
+			*x = v
+			return b[n:], true
+		}
+	case *float64:
+		if tag == tFloat64 && len(b) >= 8 {
+			*x = math.Float64frombits(binary.BigEndian.Uint64(b))
+			return b[8:], true
+		}
+	case *string:
+		if tag == tString {
+			if s, rest, err := ReadString(b); err == nil {
+				*x = s
+				return rest, true
+			}
+		}
+	case *[]byte:
+		if tag == tBytes {
+			if v, rest, err := ReadBytes(b); err == nil {
+				*x = v
+				return rest, true
+			}
+		}
+	case *time.Duration:
+		if v, n := binary.Varint(b); tag == tDuration && n > 0 {
+			*x = time.Duration(v)
+			return b[n:], true
+		}
+	}
+	return b, false
+}
+
 // AppendString appends a uvarint-length-prefixed string.
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -386,6 +578,16 @@ func ReadString(b []byte) (string, []byte, error) {
 	return string(b[n : n+int(l)]), b[n+int(l):], nil
 }
 
+// readRaw reads a length-prefixed field without copying it: the field
+// aliases b.
+func readRaw(b []byte) ([]byte, []byte, error) {
+	l, n := binary.Uvarint(b)
+	if n <= 0 || uint64(len(b)-n) < l {
+		return nil, b, ErrTruncated
+	}
+	return b[n : n+int(l)], b[n+int(l):], nil
+}
+
 // AppendBytes appends a uvarint-length-prefixed byte slice.
 func AppendBytes(dst, p []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(p)))
@@ -394,13 +596,11 @@ func AppendBytes(dst, p []byte) []byte {
 
 // ReadBytes decodes a length-prefixed byte slice (copied out of b).
 func ReadBytes(b []byte) ([]byte, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return nil, b, ErrTruncated
+	p, rest, err := readRaw(b)
+	if err != nil {
+		return nil, b, err
 	}
-	out := make([]byte, l)
-	copy(out, b[n:n+int(l)])
-	return out, b[n+int(l):], nil
+	return append(make([]byte, 0, len(p)), p...), rest, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +640,8 @@ type Call struct {
 	// AppendValues form (uvarint count + tagged values). AppendCall splices
 	// it verbatim instead of re-encoding Args — the preencoded fast path a
 	// typed client handle uses so its arguments are marshalled exactly once.
-	// Encode-side only; ParseCall always decodes into Args.
+	// ParseCall always decodes into Args; ParseCallRaw is the receiving side
+	// of the fast path (see RawCall).
 	RawArgs []byte
 	// Trace and Span carry the call's trace context: Trace is the 64-bit
 	// trace id (0 = untraced), Span packs the sender's span id over its
@@ -471,6 +672,11 @@ type Reply struct {
 	// matching.
 	Kind    uint8
 	Results []any
+	// RawResults, when non-nil, is the result list in AppendValues form and
+	// stands in for Results, the way Call.RawArgs stands in for Args:
+	// AppendReply splices it verbatim, and ParseReplyRaw leaves the validated
+	// block here — aliasing the frame body — instead of decoding it.
+	RawResults []byte
 }
 
 // Migrate ships one quiesced component to a peer.
@@ -644,39 +850,74 @@ func AppendCall(dst []byte, c Call, _ uint8) ([]byte, error) {
 	return appendTrace(dst, c.Trace, c.Span), nil
 }
 
-// ParseCall decodes a Call body. An untraced call's trailer still rides but
-// holds zeros.
-func ParseCall(b []byte, _ uint8) (Call, error) {
-	var (
-		c   Call
-		err error
-	)
+// RawCall is a Call body parsed without materializing anything: the names
+// and the argument block alias the frame body, so they are valid only until
+// the decoder reads its next frame. RawArgs has been walked by SkipValues — a
+// later ReadValues of it cannot fail.
+type RawCall struct {
+	Corr                     uint64
+	Component, Op, Principal []byte
+	DeadlineNanos            int64
+	RawArgs                  []byte
+	Trace, Span              int64
+}
+
+// parseCallHeader reads a call body up to its argument list, which it
+// returns as the rest.
+func parseCallHeader(b []byte, h *RawCall) (rest []byte, err error) {
 	corr, n := binary.Uvarint(b)
 	if n <= 0 {
-		return c, ErrTruncated
+		return b, ErrTruncated
 	}
-	c.Corr = corr
-	b = b[n:]
-	if c.Component, b, err = ReadString(b); err != nil {
-		return c, err
+	h.Corr = corr
+	if h.Component, b, err = readRaw(b[n:]); err != nil {
+		return b, err
 	}
-	if c.Op, b, err = ReadString(b); err != nil {
-		return c, err
+	if h.Op, b, err = readRaw(b); err != nil {
+		return b, err
 	}
-	if c.Principal, b, err = ReadString(b); err != nil {
-		return c, err
+	if h.Principal, b, err = readRaw(b); err != nil {
+		return b, err
 	}
 	dl, n := binary.Varint(b)
 	if n <= 0 {
-		return c, ErrTruncated
+		return b, ErrTruncated
 	}
-	c.DeadlineNanos = dl
-	b = b[n:]
+	h.DeadlineNanos = dl
+	return b[n:], nil
+}
+
+// ParseCall decodes a Call body. An untraced call's trailer still rides but
+// holds zeros.
+func ParseCall(b []byte, _ uint8) (c Call, err error) {
+	var h RawCall
+	b, err = parseCallHeader(b, &h)
+	c.Corr, c.Component, c.Op, c.Principal = h.Corr, string(h.Component), string(h.Op), string(h.Principal)
+	c.DeadlineNanos = h.DeadlineNanos
+	if err != nil {
+		return c, err
+	}
 	if c.Args, b, err = ReadValues(b); err != nil {
 		return c, err
 	}
 	c.Trace, c.Span, err = parseTrace(b)
 	return c, err
+}
+
+// ParseCallRaw decodes a Call body for a receiver that hands the arguments
+// on as bytes: same header, same acceptance, but the argument list is walked
+// and validated in place instead of decoded. It allocates nothing.
+func ParseCallRaw(b []byte) (h RawCall, err error) {
+	if b, err = parseCallHeader(b, &h); err != nil {
+		return h, err
+	}
+	rest, err := SkipValues(b)
+	if err != nil {
+		return h, err
+	}
+	h.RawArgs = b[:len(b)-len(rest)]
+	h.Trace, h.Span, err = parseTrace(rest)
+	return h, err
 }
 
 // traceTrailerSize is the fixed encoding of the trace-context trailer: trace
@@ -705,30 +946,51 @@ func AppendReply(dst []byte, r Reply, _ uint8) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, r.Corr)
 	dst = AppendString(dst, r.Err)
 	dst = append(dst, r.Kind)
+	if r.RawResults != nil {
+		return append(dst, r.RawResults...), nil
+	}
 	return AppendValues(dst, r.Results)
 }
 
-// ParseReply decodes a Reply body.
-func ParseReply(b []byte, _ uint8) (Reply, error) {
-	var (
-		r   Reply
-		err error
-	)
+// parseReplyHeader reads a reply body up to its result list, which it
+// returns as the rest.
+func parseReplyHeader(b []byte) (corr uint64, errText string, kind uint8, rest []byte, err error) {
 	corr, n := binary.Uvarint(b)
 	if n <= 0 {
-		return r, ErrTruncated
+		return 0, "", 0, b, ErrTruncated
 	}
-	r.Corr = corr
-	b = b[n:]
-	if r.Err, b, err = ReadString(b); err != nil {
-		return r, err
+	if errText, b, err = ReadString(b[n:]); err != nil {
+		return corr, "", 0, b, err
 	}
 	if len(b) < 1 {
-		return r, ErrTruncated
+		return corr, errText, 0, b, ErrTruncated
 	}
-	r.Kind = b[0]
-	r.Results, _, err = ReadValues(b[1:])
+	return corr, errText, b[0], b[1:], nil
+}
+
+// ParseReply decodes a Reply body.
+func ParseReply(b []byte, _ uint8) (r Reply, err error) {
+	if r.Corr, r.Err, r.Kind, b, err = parseReplyHeader(b); err != nil {
+		return r, err
+	}
+	r.Results, _, err = ReadValues(b)
 	return r, err
+}
+
+// ParseReplyRaw decodes a Reply body leaving the result list as validated
+// bytes in RawResults (see RawCall): a successful reply costs no allocation
+// here, and whoever the reply is for decodes the block into the shape it
+// wants.
+func ParseReplyRaw(b []byte) (r Reply, err error) {
+	if r.Corr, r.Err, r.Kind, b, err = parseReplyHeader(b); err != nil {
+		return r, err
+	}
+	rest, err := SkipValues(b)
+	if err != nil {
+		return r, err
+	}
+	r.RawResults = b[:len(b)-len(rest)]
+	return r, nil
 }
 
 // Cancel revokes an in-flight call by correlation id. The sender has already
@@ -766,6 +1028,8 @@ type StreamOpen struct {
 	// Window is the initial credit window in items (>= 1).
 	Window uint32
 	Args   []any
+	// RawArgs, when non-nil, is spliced in place of Args, as on Call.
+	RawArgs []byte
 	// Trace and Span carry the stream's trace context, exactly as on Call.
 	Trace int64
 	Span  int64
@@ -781,7 +1045,9 @@ func AppendStreamOpen(dst []byte, o StreamOpen, _ uint8) ([]byte, error) {
 	dst = binary.AppendVarint(dst, o.DeadlineNanos)
 	dst = binary.AppendUvarint(dst, uint64(o.Window))
 	var err error
-	if dst, err = AppendValues(dst, o.Args); err != nil {
+	if o.RawArgs != nil {
+		dst = append(dst, o.RawArgs...)
+	} else if dst, err = AppendValues(dst, o.Args); err != nil {
 		return dst, err
 	}
 	return appendTrace(dst, o.Trace, o.Span), nil
