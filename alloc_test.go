@@ -20,6 +20,7 @@ import (
 	"repro/internal/aspects"
 	"repro/internal/bus"
 	"repro/internal/qos"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 )
 
@@ -182,16 +183,17 @@ func TestAdmittedDeadlineCallAllocs(t *testing.T) {
 // typed call with a deadline budget to a component on the other node of a
 // two-node cluster, counted across both nodes (they share this process) —
 // gateway, egress, wire codec, the peer link's bus endpoint, the serve and
-// the way back. Arguments and results cross both nodes as bytes, so what is
-// left is what somebody asked for by interface: eight sites (DESIGN.md §8) —
-// on the caller node the response string; on the callee node the argument
-// list the Handle([]any) convention wants (the slice, the key string, its
-// box), the aspects.Invocation, the result list boxed into the advice chain's
-// any, and the handler's own result slice and box. It measures 5 here, where
-// the key and the value are the one-byte "k" (a one-byte string is not
+// the way back. Arguments and results cross both nodes as bytes, and a
+// TypedComponent serves the call typed from them, so against one what is
+// left is three sites (DESIGN.md §8): the response string on the caller
+// node, the key string and the aspects.Invocation on the callee node
+// (TestRemoteTypedStoreCallAllocs). This store only implements Handle, so
+// the callee also builds what the Handle([]any) convention wants — the
+// argument list, its key's box, the result list boxed into the advice
+// chain's any, the handler's own result slice and box. It measures 5 here,
+// where the key and the value are the one-byte "k" (a one-byte string is not
 // allocated) and the smallest boxes share tiny-allocator blocks; the budget is
-// that plus one. The ledger's remote_unary, with 5-byte keys and 16-byte
-// values, reads the eight. Nothing is allocated just to wait or to carry: no
+// that plus one. Nothing is allocated just to wait or to carry: no
 // goroutine, context, timer, waiter channel, continuation closure, boxed
 // payload or argument buffer per call on either node.
 func TestRemoteTypedCallAllocs(t *testing.T) {
@@ -225,6 +227,65 @@ func TestRemoteTypedCallAllocs(t *testing.T) {
 		t.Fatalf("remote typed call allocates %.1f/op across both nodes, budget 6", allocs)
 	}
 	t.Logf("remote typed call: %.1f allocs/op", allocs)
+}
+
+// clTypedStore is clStore serving get typed as well.
+type clTypedStore struct{ clStore }
+
+func (s *clTypedStore) HandleTyped(op string, req, resp any) error {
+	key, ok := req.(*string)
+	out, okOut := resp.(*string)
+	if !ok || !okOut {
+		return aas.ErrUntypedOp
+	}
+	s.gets.Add(1)
+	*out = *key
+	return nil
+}
+
+// TestRemoteTypedStoreCallAllocs is TestRemoteTypedCallAllocs against a
+// TypedComponent, with the ledger's 5-byte keys: the relayed call is served
+// typed from the argument bytes and the reply written from the response slot,
+// so the three sites left are the callee's key string, its
+// aspects.Invocation and the caller's response string. It measures 3; the
+// budget is that plus one.
+func TestRemoteTypedStoreCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	h, err := aas.StartCluster(context.Background(), aas.ClusterSpec{
+		ADL:       benchClusterADL,
+		Nodes:     []string{"n1", "n2"},
+		Placement: map[string]string{"Front": "n1", "Store": "n2"},
+		Registry: func(string) *registry.Registry {
+			reg := benchClusterRegistry("")
+			if err := reg.Register(registry.Entry{Name: "Store", Version: registry.Version{Major: 2},
+				New: func() any { return &clTypedStore{} }}); err != nil {
+				panic(err)
+			}
+			return reg
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ctx := context.Background()
+	store := aas.ClientOf[string, string](h.System("n1"), "Store").With(aas.WithDeadline(5 * time.Second))
+	for i := 0; i < 256; i++ {
+		if _, err := store.Call(ctx, "get", "k0001"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := minAllocsPerRun(5, 200, func() {
+		if v, err := store.Call(ctx, "get", "k0001"); err != nil || v != "k0001" {
+			t.Fatalf("get = %q, %v", v, err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("remote typed call to a TypedComponent allocates %.1f/op across both nodes, budget 4", allocs)
+	}
+	t.Logf("remote typed call to a TypedComponent: %.1f allocs/op", allocs)
 }
 
 // TestMonitorRecordAllocs pins the QoS hot counter at zero allocations.

@@ -844,7 +844,7 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 	case connector.CallPayload:
 		it.text, args = pl.Principal, pl.Args
 	case connector.TypedCall:
-		it.text, call = pl.Principal(), pl
+		it.text, it.respTag, call = pl.Principal(), pl.RespTag(), pl
 	case connector.StreamOpenPayload:
 		it.kind, it.num = wire.FrameStreamOpen, uint64(uint32(pl.Window))
 		it.text, args = pl.Principal, pl.Args

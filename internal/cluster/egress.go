@@ -39,6 +39,7 @@ const (
 type egressItem struct {
 	kind    wire.FrameType
 	errKind uint8 // reply, stream end
+	respTag uint8 // call
 	corr    uint64
 	// num is the one number a stream or replication frame carries besides its
 	// correlation: an open's window, a credit's grant, a chunk's or a
@@ -64,7 +65,7 @@ func (it *egressItem) appendBody(dst, arena []byte, budget int64, version uint8)
 	switch it.kind {
 	case wire.FrameCall:
 		return wire.AppendCall(dst, wire.Call{Corr: it.corr, Component: it.comp, Op: it.op, Principal: it.text,
-			DeadlineNanos: budget, RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span}, version)
+			DeadlineNanos: budget, RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span, RespTag: it.respTag}, version)
 	case wire.FrameReply:
 		r := wire.Reply{Corr: it.corr, Err: it.text, Kind: it.errKind}
 		if it.end > it.off {
@@ -168,6 +169,17 @@ func (e *egress) enqueueReply(corr uint64, results []any, errText string, kind u
 		}
 	}
 	e.q = append(e.q, it)
+	e.mu.Unlock()
+	e.signal()
+}
+
+// enqueueScalarReply queues the reply to an inbound call served typed: the
+// one scalar v points at (a *T of s) is encoded straight into the arena.
+func (e *egress) enqueueScalarReply(corr uint64, s wire.Scalar, v any) {
+	e.mu.Lock()
+	arena := s.AppendSole(e.arena, v)
+	e.q = append(e.q, egressItem{kind: wire.FrameReply, corr: corr, off: len(e.arena), end: len(arena)})
+	e.arena = arena
 	e.mu.Unlock()
 	e.signal()
 }

@@ -379,7 +379,7 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 		cl := p.n.sys.ClientNamed(c.Component)
 		p.relay(cl, c.DeadlineNanos, bus.Message{
 			Kind: bus.Request, Op: cl.OpName(c.Op), Corr: c.Corr, Trace: c.Trace, Span: c.Span,
-			Payload: core.LeaseRelay(c.Corr, string(c.Principal), c.RawArgs),
+			Payload: core.LeaseRelay(c.Corr, string(c.Principal), c.RawArgs, c.RespTag),
 		})
 	case wire.FrameReply:
 		// The result block stays bytes (validated like a call's arguments)
@@ -564,8 +564,13 @@ func (p *peer) settleServed(m bus.Message) bool {
 			return true
 		}
 		if _, ok := p.takeServed(m.Corr); ok {
-			results, errText, kind := pl.Outcome()
-			p.egress.enqueueReply(m.Corr, results, errText, replyKind(errText, kind))
+			res, errText, kind := pl.Outcome()
+			if s, v := res.Slot.Held(); s != 0 && errText == "" {
+				// Served typed: the value goes from its slot into the arena.
+				p.egress.enqueueScalarReply(m.Corr, s, v)
+			} else {
+				p.egress.enqueueReply(m.Corr, res.Results, errText, replyKind(errText, kind))
+			}
 		}
 		core.ReleaseRelay(pl)
 	case connector.StreamEndPayload:

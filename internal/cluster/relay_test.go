@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/registry"
@@ -220,11 +221,30 @@ func newParkingStore(gates ...string) *parkingStore {
 
 func (s *parkingStore) Handle(op string, args []any) ([]any, error) {
 	key, _ := args[0].(string)
+	s.park(key)
+	return []any{key}, nil
+}
+
+func (s *parkingStore) park(key string) {
 	if part := strings.Split(key, "-"); part[0] == "park" {
 		s.parked.Add(1)
 		<-s.gates[part[1]]
 	}
-	return []any{key}, nil
+}
+
+// typedParkingStore also serves get typed, parking the same way before it
+// writes the response in place.
+type typedParkingStore struct{ *parkingStore }
+
+func (s typedParkingStore) HandleTyped(op string, req, resp any) error {
+	key, ok := req.(*string)
+	out, okOut := resp.(*string)
+	if !ok || !okOut {
+		return container.ErrUntypedOp
+	}
+	s.park(*key)
+	*out = *key
+	return nil
 }
 
 // echoFlow calls get with a fresh key per call from workers goroutines until
@@ -237,6 +257,22 @@ type echoFlow struct {
 }
 
 func startEchoFlow(t *testing.T, cl *core.Client, workers int) *echoFlow {
+	return startFlow(t, workers, func(key string) (any, error) {
+		res, err := cl.Call(context.Background(), "get", key)
+		if err != nil || len(res) != 1 {
+			return res, err
+		}
+		return res[0], nil
+	})
+}
+
+// startTypedEchoFlow is startEchoFlow through a typed handle.
+func startTypedEchoFlow(t *testing.T, cl *core.TypedClient[string, string], workers int) *echoFlow {
+	return startFlow(t, workers, func(key string) (any, error) { return cl.Call(context.Background(), "get", key) })
+}
+
+// startFlow runs an echo flow of get calls.
+func startFlow(t *testing.T, workers int, get func(key string) (any, error)) *echoFlow {
 	f := &echoFlow{}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -251,12 +287,12 @@ func startEchoFlow(t *testing.T, cl *core.Client, workers int) *echoFlow {
 				default:
 				}
 				key := fmt.Sprintf("fresh-%d-%d", w, i)
-				res, err := cl.Call(context.Background(), "get", key)
+				res, err := get(key)
 				switch {
 				case err != nil:
 					f.failed.Add(1)
 					time.Sleep(time.Millisecond) // a link is down: do not spin
-				case len(res) != 1 || res[0] != key:
+				case res != key:
 					t.Errorf("call %s answered %v: another call's envelope", key, res)
 					return
 				default:
@@ -370,6 +406,60 @@ func TestRelayEnvelopeRecycle(t *testing.T) {
 
 		flow.more(t, 100)
 		flow.stop()
+		mistagged(t, logs)
+		assertQuiescent(t, h)
+	})
+
+	// The same for handlers serving typed, whose late write is into the
+	// envelope's response slot: fresh calls, typed and untyped, lease
+	// envelopes all along, and a slot released early is one they reuse.
+	t.Run("typed handlers revoked and swept while parked", func(t *testing.T) {
+		st := newParkingStore("cancel", "sweep", "held")
+		h, logs := relayCluster(t, []string{"n1", "n2"}, func() any { return typedParkingStore{st} })
+		n2 := h.Node("n2")
+		str := core.ClientOf[string, string](h.System("n1"), "Store")
+		flow, typedFlow := startEchoFlow(t, h.System("n1").Client("Store"), 1), startTypedEchoFlow(t, str, 1)
+		flow.more(t, 50)
+		typedFlow.more(t, 50)
+		park := func(cl *core.TypedClient[string, string], ctx context.Context, gate string) []*core.TypedFuture[string, string] {
+			t.Helper()
+			from := st.parked.Load()
+			futs := make([]*core.TypedFuture[string, string], each)
+			for i := range futs {
+				futs[i] = cl.Async(ctx, "get", fmt.Sprintf("park-%s-%d", gate, i))
+			}
+			eventually(t, gate+": the handlers to park", func() bool { return st.parked.Load() == from+each })
+			return futs
+		}
+		ended := func(futs []*core.TypedFuture[string, string], want error) {
+			t.Helper()
+			for i, f := range futs {
+				if got, err := f.Wait(); !errors.Is(err, want) {
+					t.Fatalf("parked call %d ended with %q, %v, want %v", i, got, err, want)
+				}
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := park(str, ctx, "cancel")
+		cancel()
+		ended(cancelled, context.Canceled)
+		swept := park(str.With(core.WithDeadline(60*time.Millisecond)), context.Background(), "sweep")
+		ended(swept, context.DeadlineExceeded)
+		eventually(t, "the revoked and swept records to go", func() bool { return n2.ServedCalls() <= 2 })
+		held := park(str, context.Background(), "held")
+		close(st.gates["cancel"])
+		close(st.gates["sweep"])
+		flow.more(t, 100)
+		typedFlow.more(t, 100)
+		close(st.gates["held"])
+		for i, f := range held {
+			if got, err := f.Wait(); err != nil || got != fmt.Sprintf("park-held-%d", i) {
+				t.Fatalf("call park-held-%d answered %q, %v", i, got, err)
+			}
+		}
+		flow.stop()
+		typedFlow.stop()
 		mistagged(t, logs)
 		assertQuiescent(t, h)
 	})

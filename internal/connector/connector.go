@@ -86,6 +86,9 @@ type TypedCall interface {
 	Req() any
 	// Resp returns a pointer to the typed response value.
 	Resp() any
+	// RespTag is the wire value tag of the response shape a callee across a
+	// peer link may serve the call typed into (wire.Call.RespTag), 0 for none.
+	RespTag() uint8
 	// SetResults decodes an untyped result list into the typed response —
 	// used when the serving side answered through the legacy Handle path or
 	// an aspect replaced the results.

@@ -360,7 +360,7 @@ type TypedStreamClient[Req, Item any] struct {
 // the codec exactly like ClientOf (and panicking under the same
 // conditions: a Req or Item type the derivation does not cover).
 func StreamClientOf[Req, Item any](s *System, component string) *TypedStreamClient[Req, Item] {
-	codec, _, err := deriveCodec[Req, Item]()
+	codec, _, _, err := deriveCodec[Req, Item]()
 	if err != nil {
 		panic(err)
 	}

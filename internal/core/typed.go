@@ -55,26 +55,19 @@ type Codec[Req, Resp any] struct {
 	DecodeResp func(results []any, resp *Resp) error
 }
 
-// scalarOK reports whether v's dynamic type is one the wire value codec
-// ships natively — the set a derived scalar codec supports.
-func scalarOK(v any) bool {
-	switch v.(type) {
-	case string, int, int64, uint64, float64, bool, []byte, time.Duration:
-		return true
-	}
-	return false
-}
-
 // deriveCodec compiles the default codec for Req/Resp: a TypedRequest /
 // TypedResponse implementation wins, a wire-native scalar gets the
 // single-argument plan, and struct{} means "no arguments" / "no results".
-// scalarResp reports that the response took the scalar plan, which a reply
-// off the wire can be decoded into without boxing (SetRawResults).
-func deriveCodec[Req, Resp any]() (c Codec[Req, Resp], scalarResp bool, err error) {
+// req and resp report the sides that took the scalar plan (0 for the
+// others): a reply off the wire can be decoded into a scalar Resp without
+// boxing (SetRawResults), and a call whose both sides are scalars can be
+// served typed across a peer link (RespTag).
+func deriveCodec[Req, Resp any]() (c Codec[Req, Resp], req, resp wire.Scalar, err error) {
 	var (
 		zreq  Req
 		zresp Resp
 	)
+	req, resp = wire.ScalarOf(&zreq), wire.ScalarOf(&zresp)
 	switch {
 	case func() bool { _, ok := any(&zreq).(TypedRequest); return ok }():
 		c.AppendReq = func(dst []byte, req *Req) ([]byte, error) {
@@ -83,11 +76,8 @@ func deriveCodec[Req, Resp any]() (c Codec[Req, Resp], scalarResp bool, err erro
 		c.ReqArgs = func(req *Req) []any {
 			return any(req).(TypedRequest).CallArgs()
 		}
-	case scalarOK(any(zreq)):
-		c.AppendReq = func(dst []byte, req *Req) ([]byte, error) {
-			// Through the pointer: boxing *req would allocate per call.
-			return wire.AppendScalar(binary.AppendUvarint(dst, 1), req)
-		}
+	case req != 0:
+		c.AppendReq = func(dst []byte, r *Req) ([]byte, error) { return req.AppendSole(dst, r), nil }
 		c.ReqArgs = func(req *Req) []any { return []any{any(*req)} }
 	case func() bool { _, ok := any(zreq).(struct{}); return ok }():
 		c.AppendReq = func(dst []byte, _ *Req) ([]byte, error) {
@@ -95,7 +85,7 @@ func deriveCodec[Req, Resp any]() (c Codec[Req, Resp], scalarResp bool, err erro
 		}
 		c.ReqArgs = func(*Req) []any { return nil }
 	default:
-		return c, false, fmt.Errorf("core: no codec derivable for request type %T (implement core.TypedRequest)", zreq)
+		return c, 0, 0, fmt.Errorf("core: no codec derivable for request type %T (implement core.TypedRequest)", zreq)
 	}
 
 	switch {
@@ -103,8 +93,7 @@ func deriveCodec[Req, Resp any]() (c Codec[Req, Resp], scalarResp bool, err erro
 		c.DecodeResp = func(results []any, resp *Resp) error {
 			return any(resp).(TypedResponse).FromResults(results)
 		}
-	case scalarOK(any(zresp)):
-		scalarResp = true
+	case resp != 0:
 		c.DecodeResp = func(results []any, resp *Resp) error {
 			if len(results) != 1 {
 				return fmt.Errorf("core: typed call: want 1 result, got %d", len(results))
@@ -124,9 +113,9 @@ func deriveCodec[Req, Resp any]() (c Codec[Req, Resp], scalarResp bool, err erro
 			return nil
 		}
 	default:
-		return c, false, fmt.Errorf("core: no codec derivable for response type %T (implement core.TypedResponse)", zresp)
+		return c, 0, 0, fmt.Errorf("core: no codec derivable for response type %T (implement core.TypedResponse)", zresp)
 	}
-	return c, scalarResp, nil
+	return c, req, resp, nil
 }
 
 // TypedClient is a typed, allocation-free binding handle to one named
@@ -144,16 +133,19 @@ type TypedClient[Req, Resp any] struct {
 // codec, and the pool the synchronous calls lease their envelopes from.
 type envelopes[Req, Resp any] struct {
 	codec Codec[Req, Resp]
-	// scalarResp: Resp took deriveCodec's scalar plan, so SetRawResults may
-	// read it straight off the wire.
-	scalarResp bool
-	// argsOnly: the request has no typed form (see typedEnvelope.Req).
-	argsOnly bool
-	pool     sync.Pool
+	// resp is the scalar Resp is when it took deriveCodec's scalar plan, so
+	// SetRawResults may read it straight off the wire; respTag states it on a
+	// forwarded call when the request took that plan too (see deriveCodec).
+	resp    wire.Scalar
+	respTag uint8
+	// typed, when set, stands in for typedForm's default, for an
+	// instantiation whose Req is not the request a TypedComponent takes.
+	typed func(e *typedEnvelope[Req, Resp]) (req, resp any, respTag uint8)
+	pool  sync.Pool
 }
 
-func newEnvelopes[Req, Resp any](codec Codec[Req, Resp]) *envelopes[Req, Resp] {
-	via := &envelopes[Req, Resp]{codec: codec}
+func newEnvelopes[Req, Resp any](codec Codec[Req, Resp], typed func(*typedEnvelope[Req, Resp]) (any, any, uint8)) *envelopes[Req, Resp] {
+	via := &envelopes[Req, Resp]{codec: codec, typed: typed}
 	via.pool.New = func() any { return via.fresh() }
 	return via
 }
@@ -166,47 +158,76 @@ var untyped = newEnvelopes(Codec[[]any, []any]{
 	AppendReq:  func(dst []byte, req *[]any) ([]byte, error) { return wire.AppendValues(dst, *req) },
 	ReqArgs:    func(req *[]any) []any { return *req },
 	DecodeResp: func(results []any, resp *[]any) error { *resp = results; return nil },
-}).withArgsOnly()
-
-// withArgsOnly marks an instantiation whose request is an argument list and
-// nothing more.
-func (via *envelopes[Req, Resp]) withArgsOnly() *envelopes[Req, Resp] {
-	via.argsOnly = true
-	return via
-}
+}, func(*typedEnvelope[[]any, []any]) (any, any, uint8) {
+	return nil, nil, 0 // the request is an argument list and nothing more
+})
 
 // relayed instantiates the engine's envelope for a call that arrived over a
 // peer link (LeaseRelay): the request is the argument block as it crossed the
 // wire — validated by the link's read pump, so decoding it cannot fail — and
 // stays bytes until somebody wants values: Args decodes a fresh list per
 // call, AppendArgs re-splices the block when the request is forwarded on (its
-// component migrated away while it queued). Results follow the []any
-// convention, as for any untyped caller.
-var relayed = newEnvelopes(Codec[[]byte, []any]{
-	AppendReq: func(dst []byte, req *[]byte) ([]byte, error) { return append(dst, *req...), nil },
-	ReqArgs: func(req *[]byte) []any {
-		args, _, _ := wire.ReadValues(*req)
+// component migrated away while it queued). When the caller was a scalar
+// typed handle the call also has a typed form, in the envelope's slots (see
+// LeaseRelay); otherwise, and whenever it was not served typed, results
+// follow the []any convention, as for any untyped caller.
+var relayed = newEnvelopes(Codec[relayReq, RelayResult]{
+	AppendReq: func(dst []byte, req *relayReq) ([]byte, error) { return append(dst, req.args...), nil },
+	ReqArgs: func(req *relayReq) []any {
+		args, _, _ := wire.ReadValues(req.args)
 		return args
 	},
-	DecodeResp: untyped.codec.DecodeResp,
-}).withArgsOnly()
+	DecodeResp: func(results []any, resp *RelayResult) error {
+		resp.Results = results
+		resp.Slot.Release()
+		return nil
+	},
+}, func(e *RelayCall) (any, any, uint8) {
+	_, req := e.req.arg.Held()
+	tag, resp := e.resp.Slot.Held()
+	return req, resp, uint8(tag)
+})
+
+// relayReq is the request of a relayed call: its argument block and, when
+// the call can be served typed, the block's one scalar.
+type relayReq struct {
+	args []byte
+	arg  wire.Slot
+}
+
+// RelayResult is the response of a relayed call: the value a TypedComponent
+// wrote through Resp, while Slot still holds it, or Results in the []any
+// convention — decoding results into the envelope (SetResults) empties the
+// slot, so the serve outcome, not whether Resp was asked for, decides.
+type RelayResult struct {
+	Results []any
+	Slot    wire.Slot // of the caller's response tag
+}
 
 // RelayCall is the envelope of a relayed call.
-type RelayCall = typedEnvelope[[]byte, []any]
+type RelayCall = typedEnvelope[relayReq, RelayResult]
 
 // LeaseRelay leases the envelope for one call entering from a peer link and
 // copies the argument block into it (args aliases the link's read buffer).
 // tag is the lease's identity — the link's wire correlation — which whoever
-// releases the envelope checks it against. The envelope goes onto the bus as
-// the request's payload; the serving side completes it in place and it comes
-// back as the reply's payload, to be released by the one site that receives
-// replies for the link (ReleaseRelay). An envelope that never comes back (its
-// request was shed, its record revoked) is left to the collector: a serve
-// worker may still be writing it.
-func LeaseRelay(tag uint64, principal string, args []byte) *RelayCall {
+// releases the envelope checks it against. When the frame's response tag
+// names a scalar and the block is exactly one scalar, the call has a typed
+// form — the argument read into a slot of its own type, a response slot of
+// the tagged type, which also carries the tag on if the call is forwarded
+// again — and a TypedComponent is offered it, as it is a local scalar typed
+// handle's call. The envelope goes onto the bus as the request's payload; the
+// serving side completes it in place and it comes back as the reply's
+// payload, to be released by the one site that receives replies for the link
+// (ReleaseRelay). An envelope that never comes back (its request was shed,
+// its record revoked) is left to the collector: a serve worker may still be
+// writing it.
+func LeaseRelay(tag uint64, principal string, args []byte, respTag uint8) *RelayCall {
 	e := relayed.pool.Get().(*RelayCall)
 	e.tag, e.principal = tag, principal
-	e.req = append(e.req[:0], args...)
+	e.req.args = append(e.req.args[:0], args...)
+	if e.resp.Slot.Hold(wire.Scalar(respTag)) != nil && !e.req.arg.HoldSole(e.req.args) {
+		e.resp.Slot.Release()
+	}
 	return e
 }
 
@@ -222,10 +243,12 @@ func (e *typedEnvelope[Req, Resp]) Outcome() (resp Resp, errMsg string, kind con
 // must be the only holder: the reply that carried it back has been received,
 // so the serving side is done writing it.
 func ReleaseRelay(e *RelayCall) {
-	e.resp = nil
+	e.req.arg.Release()
+	e.resp.Slot.Release()
+	e.resp.Results = nil
 	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
-	if cap(e.req) > relayRetain {
-		e.req = nil
+	if cap(e.req.args) > relayRetain {
+		e.req.args = nil
 	}
 	relayed.pool.Put(e)
 }
@@ -242,12 +265,14 @@ const relayRetain = 64 << 10
 // work, and a miscoded handle must fail at the call site that compiled it,
 // not on first use. Use ClientOfCodec to supply a custom codec.
 func ClientOf[Req, Resp any](s *System, component string) *TypedClient[Req, Resp] {
-	codec, scalarResp, err := deriveCodec[Req, Resp]()
+	codec, req, resp, err := deriveCodec[Req, Resp]()
 	if err != nil {
 		panic(err)
 	}
 	t := ClientOfCodec(s, component, codec)
-	t.via.scalarResp = scalarResp
+	if t.via.resp = resp; req != 0 {
+		t.via.respTag = uint8(resp)
+	}
 	return t
 }
 
@@ -257,7 +282,7 @@ func ClientOfCodec[Req, Resp any](s *System, component string, codec Codec[Req, 
 	if codec.AppendReq == nil || codec.ReqArgs == nil || codec.DecodeResp == nil {
 		panic(fmt.Sprintf("core: ClientOfCodec %s: codec has nil functions", component))
 	}
-	return &TypedClient[Req, Resp]{c: s.Client(component), via: newEnvelopes(codec)}
+	return &TypedClient[Req, Resp]{c: s.Client(component), via: newEnvelopes(codec, nil)}
 }
 
 // With derives a typed handle with call options applied (principal, deadline
@@ -346,20 +371,28 @@ func (e *typedEnvelope[Req, Resp]) AppendArgs(dst []byte) ([]byte, error) {
 	return e.via.codec.AppendReq(dst, &e.req)
 }
 
-// Req implements connector.TypedCall. The []any and relayed instantiations
-// have no typed form — their request is the argument list Args already returns
-// — and say so with nil, so they are served through Component.Handle and never
-// offered to a TypedComponent, whose HandleTyped may assert the request type
-// it expects.
-func (e *typedEnvelope[Req, Resp]) Req() any {
-	if e.via.argsOnly {
-		return nil
-	}
-	return &e.req
-}
+// Req implements connector.TypedCall. The []any instantiation has no typed
+// form — its request is the argument list Args already returns — and neither
+// has a relayed call whose caller was not a scalar typed handle: they say so
+// with nil, so they are served through Component.Handle and never offered to
+// a TypedComponent, whose HandleTyped may assert the request type it expects.
+func (e *typedEnvelope[Req, Resp]) Req() any { req, _, _ := e.typedForm(); return req }
 
 // Resp implements connector.TypedCall.
-func (e *typedEnvelope[Req, Resp]) Resp() any { return &e.resp }
+func (e *typedEnvelope[Req, Resp]) Resp() any { _, resp, _ := e.typedForm(); return resp }
+
+// RespTag implements connector.TypedCall: a handle whose request and
+// response both took the scalar plan states its response's tag, and a
+// relayed call carries on the tag it arrived with.
+func (e *typedEnvelope[Req, Resp]) RespTag() uint8 { _, _, tag := e.typedForm(); return tag }
+
+// typedForm is what Req, Resp and RespTag answer.
+func (e *typedEnvelope[Req, Resp]) typedForm() (req, resp any, respTag uint8) {
+	if f := e.via.typed; f != nil {
+		return f(e)
+	}
+	return &e.req, &e.resp, e.via.respTag
+}
 
 // SetResults implements connector.TypedCall.
 func (e *typedEnvelope[Req, Resp]) SetResults(results []any) error {
@@ -371,12 +404,8 @@ func (e *typedEnvelope[Req, Resp]) SetResults(results []any) error {
 // shape — and every mismatch, so that the error is the one SetResults gives —
 // takes the boxed route.
 func (e *typedEnvelope[Req, Resp]) SetRawResults(raw []byte) error {
-	if e.via.scalarResp {
-		if count, n := binary.Uvarint(raw); n > 0 && count == 1 {
-			if _, ok := wire.ReadScalar(raw[n:], &e.resp); ok {
-				return nil
-			}
-		}
+	if s := e.via.resp; s != 0 && s.ReadSole(raw, &e.resp) {
+		return nil
 	}
 	results, _, err := wire.ReadValues(raw)
 	if err != nil {

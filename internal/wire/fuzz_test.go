@@ -110,7 +110,11 @@ func FuzzParseCall(f *testing.F) {
 		func(b []byte) (Call, error) { return ParseCall(b, MaxVersion) },
 		func(c Call) ([]byte, error) { return AppendCall(nil, c, MaxVersion) },
 		sampleCall, Call{Corr: 1, Component: "C", Op: "op", Args: []any{nil, true, int64(-1), uint64(1), 2.5,
-			[]byte{1}, sampleCall.DeadlineNanos, []any{"nested", []any{}}}})
+			[]byte{1}, sampleCall.DeadlineNanos, []any{"nested", []any{}}}},
+		// The optional response-tag byte after the trailer: a scalar's tag, and
+		// one that names no scalar.
+		Call{Corr: 2, Component: "C", Op: "get", Args: []any{"k"}, RespTag: tString},
+		Call{Corr: 3, Component: "C", Op: "get", Args: []any{"k"}, RespTag: 0xFF})
 }
 
 func FuzzParseReply(f *testing.F) {

@@ -130,9 +130,18 @@ func TestRawParsesMatchEager(t *testing.T) {
 		t.Fatalf("raw args: %v, %d left", err, len(rest))
 	}
 	got := Call{Corr: rc.Corr, Component: string(rc.Component), Op: string(rc.Op), Principal: string(rc.Principal),
-		DeadlineNanos: rc.DeadlineNanos, Args: args, Trace: rc.Trace, Span: rc.Span}
+		DeadlineNanos: rc.DeadlineNanos, Args: args, Trace: rc.Trace, Span: rc.Span, RespTag: rc.RespTag}
 	if !reflect.DeepEqual(got, sampleCall) {
 		t.Fatalf("raw call %+v, want %+v", got, sampleCall)
+	}
+	tagged := sampleCall
+	tagged.RespTag = tString
+	body, err = AppendCall(nil, tagged, MaxVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc, err = ParseCallRaw(body); err != nil || rc.RespTag != tagged.RespTag {
+		t.Fatalf("raw tagged call: tag %d, %v", rc.RespTag, err)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { _, _ = ParseCallRaw(body) }); allocs != 0 {
 		t.Fatalf("ParseCallRaw allocates %.1f/op, want 0", allocs)
@@ -167,9 +176,10 @@ func TestRawParsesMatchEager(t *testing.T) {
 	}
 }
 
-// TestScalarCodec: AppendScalar through a pointer writes what AppendValue
-// writes for the value, ReadScalar reads it back without boxing, and a value
-// of any other type is declined untouched.
+// TestScalarCodec: the scalar set names each wire-native type by the tag
+// AppendValue writes for it; AppendSole through a pointer writes what
+// AppendValues writes for the one value, ReadSole reads it back without
+// boxing, and a list of anything else is declined untouched.
 func TestScalarCodec(t *testing.T) {
 	var (
 		b   = true
@@ -188,32 +198,63 @@ func TestScalarCodec(t *testing.T) {
 		{&b, new(bool), b}, {&i, new(int), i}, {&i64, new(int64), i64}, {&u64, new(uint64), u64},
 		{&f, new(float64), f}, {&s, new(string), s}, {&p, new([]byte), p}, {&d, new(time.Duration), d},
 	} {
-		want, err := AppendValue(nil, c.val)
+		want, err := AppendValues(nil, []any{c.val})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AppendScalar(nil, c.ptr)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("AppendScalar(%T) = %x, %v; AppendValue gives %x", c.ptr, got, err, want)
+		sc := ScalarOf(c.ptr)
+		if sc == 0 || byte(sc) != want[1] {
+			t.Fatalf("ScalarOf(%T) = %d, AppendValue tags it %d", c.ptr, sc, want[1])
 		}
-		rest, ok := ReadScalar(append(got, 0xEE), c.fresh)
-		if !ok || len(rest) != 1 || !reflect.DeepEqual(reflect.ValueOf(c.fresh).Elem().Interface(), c.val) {
-			t.Fatalf("ReadScalar(%T): ok=%v, %d left, got %v", c.fresh, ok, len(rest), reflect.ValueOf(c.fresh).Elem().Interface())
+		if got := sc.AppendSole(nil, c.ptr); !bytes.Equal(got, want) {
+			t.Fatalf("AppendSole(%T) = %x; AppendValues gives %x", c.ptr, got, want)
 		}
-		// The wrong type on the wire: declined, destination untouched.
-		other, _ := AppendValue(nil, []any{c.val})
+		if !sc.ReadSole(want, c.fresh) || !reflect.DeepEqual(reflect.ValueOf(c.fresh).Elem().Interface(), c.val) {
+			t.Fatalf("ReadSole(%T) read %v", c.fresh, reflect.ValueOf(c.fresh).Elem().Interface())
+		}
+		// The wrong shape on the wire: declined, destination untouched.
 		zero := reflect.New(reflect.TypeOf(c.val)).Interface()
-		if _, ok := ReadScalar(other, zero); ok || !reflect.ValueOf(zero).Elem().IsZero() {
-			t.Fatalf("ReadScalar(%T) took a slice", zero)
+		nested, _ := AppendValues(nil, []any{[]any{c.val}})
+		two, _ := AppendValues(nil, []any{c.val, c.val})
+		for _, bad := range [][]byte{nested, two, append(want[:len(want):len(want)], 0xEE), want[:len(want)-1], {}} {
+			if sc.ReadSole(bad, zero) || !reflect.ValueOf(zero).Elem().IsZero() {
+				t.Fatalf("ReadSole(%T) took %x", zero, bad)
+			}
 		}
-		if _, ok := ReadScalar(got[:len(got)-1], zero); ok {
-			t.Fatalf("ReadScalar(%T) took a truncated value", zero)
+		// A slot of the type holds the value and gives it up zeroed.
+		var sl Slot
+		if !sl.HoldSole(want) {
+			t.Fatalf("HoldSole(%x) declined", want)
+		}
+		if held, v := sl.Held(); held != sc || !reflect.DeepEqual(reflect.ValueOf(v).Elem().Interface(), c.val) {
+			t.Fatalf("slot holds %d %v, want %d %v", held, v, sc, c.val)
+		}
+		_, v := sl.Held()
+		sl.Release()
+		if held, _ := sl.Held(); held != 0 || !reflect.ValueOf(v).Elem().IsZero() {
+			t.Fatalf("released slot of %T holds %d, value %v", c.ptr, held, reflect.ValueOf(v).Elem().Interface())
+		}
+		if sl.Hold(sc) != v {
+			t.Fatalf("slot of %T did not reuse its value", c.ptr)
 		}
 	}
-	if _, err := AppendScalar(nil, &struct{}{}); !errors.Is(err, ErrUnsupportedType) {
-		t.Fatalf("AppendScalar of an unsupported pointer: %v", err)
+	for _, ptr := range []any{&struct{}{}, new([]any), new(int32), "not a pointer", nil} {
+		if sc := ScalarOf(ptr); sc != 0 {
+			t.Fatalf("ScalarOf(%T) = %d", ptr, sc)
+		}
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { _, _ = AppendScalar(make([]byte, 0, 32), &s) }); allocs != 0 {
-		t.Fatalf("AppendScalar allocates %.1f/op, want 0", allocs)
+	var sl Slot
+	for _, tag := range []Scalar{0, tNil, tSlice, 200} {
+		if sl.Hold(tag) != nil || sl.HoldSole([]byte{1, byte(tag)}) {
+			t.Fatalf("a slot held tag %d", tag)
+		}
+	}
+	str, buf := ScalarOf(&s), make([]byte, 0, 32)
+	if allocs := testing.AllocsPerRun(1000, func() { _ = str.AppendSole(buf, &s) }); allocs != 0 {
+		t.Fatalf("AppendSole allocates %.1f/op, want 0", allocs)
+	}
+	block := ScalarOf(&i).AppendSole(nil, &i)
+	if allocs := testing.AllocsPerRun(1000, func() { sl.HoldSole(block); sl.Release() }); allocs != 0 {
+		t.Fatalf("a slot allocates %.1f/op, want 0", allocs)
 	}
 }

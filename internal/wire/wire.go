@@ -284,51 +284,14 @@ func readValue(b []byte, depth int) (any, []byte, error) {
 	if len(b) == 0 {
 		return nil, b, ErrTruncated
 	}
+	if e := Scalar(b[0]).entry(); e != nil {
+		return e.value(b[1:])
+	}
 	tag := b[0]
 	b = b[1:]
 	switch tag {
 	case tNil:
 		return nil, b, nil
-	case tBool:
-		if len(b) < 1 {
-			return nil, b, ErrTruncated
-		}
-		return b[0] != 0, b[1:], nil
-	case tInt:
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, b, ErrTruncated
-		}
-		return int(v), b[n:], nil
-	case tInt64:
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, b, ErrTruncated
-		}
-		return v, b[n:], nil
-	case tUint64:
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, b, ErrTruncated
-		}
-		return v, b[n:], nil
-	case tFloat64:
-		if len(b) < 8 {
-			return nil, b, ErrTruncated
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
-	case tString:
-		s, rest, err := ReadString(b)
-		return s, rest, err
-	case tBytes:
-		p, rest, err := ReadBytes(b)
-		return p, rest, err
-	case tDuration:
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, b, ErrTruncated
-		}
-		return time.Duration(v), b[n:], nil
 	case tSlice:
 		count, n := binary.Uvarint(b)
 		if n <= 0 {
@@ -474,93 +437,175 @@ func SkipValues(b []byte) ([]byte, error) {
 	}
 }
 
-// AppendScalar appends the encoding of the value p points at — p is a
-// *string, *int, *int64, *uint64, *float64, *bool, *[]byte or
-// *time.Duration — exactly as AppendValue encodes the value itself. Going
-// through the pointer is the point: a typed handle holds its request in
-// place, and boxing it for AppendValue would allocate on every call.
-func AppendScalar(dst []byte, p any) ([]byte, error) {
-	switch x := p.(type) {
-	case *bool:
-		if *x {
-			return append(dst, tBool, 1), nil
-		}
-		return append(dst, tBool, 0), nil
-	case *int:
-		return binary.AppendVarint(append(dst, tInt), int64(*x)), nil
-	case *int64:
-		return binary.AppendVarint(append(dst, tInt64), *x), nil
-	case *uint64:
-		return binary.AppendUvarint(append(dst, tUint64), *x), nil
-	case *float64:
-		return binary.BigEndian.AppendUint64(append(dst, tFloat64), math.Float64bits(*x)), nil
-	case *string:
-		return AppendString(append(dst, tString), *x), nil
-	case *[]byte:
-		return AppendBytes(append(dst, tBytes), *x), nil
-	case *time.Duration:
-		return binary.AppendVarint(append(dst, tDuration), int64(*x)), nil
-	default:
-		return dst, fmt.Errorf("%w: %T", ErrUnsupportedType, p)
+// ---------------------------------------------------------------------------
+// Scalars: the wire-native value types a typed call ships through a pointer,
+// never boxed. The scalar set below is the one list of them that the typed
+// paths and ReadValue use; AppendValue and SkipValues switch over the whole
+// value codec, nil and []any included, inline for speed.
+
+// Scalar names one wire-native scalar type — string, int, int64, uint64,
+// float64, bool, []byte or time.Duration — by its value tag; 0 is none. Its
+// methods go through a pointer to the value (a *string for the string
+// scalar): a typed handle holds its request in place, and boxing it for
+// AppendValue would allocate on every call.
+type Scalar uint8
+
+// scalar is one entry of the scalar set, built by scalarOf from the codec of
+// the value after its tag.
+type scalar struct {
+	is     func(p any) bool // p is a *T
+	append func(dst []byte, p any) []byte
+	read   func(b []byte, p any) bool // b is exactly one value; writes p only then
+	value  func(b []byte) (any, []byte, error)
+	fresh  func() any // a new *T
+	clear  func(p any)
+}
+
+func scalarOf[T any](tag byte, enc func([]byte, T) []byte, dec func([]byte) (T, []byte, bool)) *scalar {
+	return &scalar{
+		is:     func(p any) bool { _, ok := p.(*T); return ok },
+		append: func(dst []byte, p any) []byte { return enc(append(dst, tag), *p.(*T)) },
+		read: func(b []byte, p any) bool {
+			if len(b) == 0 || b[0] != tag {
+				return false
+			}
+			v, rest, ok := dec(b[1:])
+			if ok = ok && len(rest) == 0; ok {
+				*p.(*T) = v
+			}
+			return ok
+		},
+		value: func(b []byte) (any, []byte, error) {
+			if v, rest, ok := dec(b); ok {
+				return v, rest, nil
+			}
+			return nil, b, ErrTruncated
+		},
+		fresh: func() any { return new(T) },
+		clear: func(p any) { var zero T; *p.(*T) = zero },
 	}
 }
 
-// ReadScalar decodes one value from b into what p points at (the pointer
-// types AppendScalar takes) and returns the remaining bytes. It reports false,
-// having written nothing, unless the value on the wire is of exactly p's
+func varintScalar[T ~int | ~int64](tag byte) *scalar {
+	return scalarOf(tag, func(dst []byte, v T) []byte { return binary.AppendVarint(dst, int64(v)) },
+		func(b []byte) (T, []byte, bool) { v, n := binary.Varint(b); return T(v), b[max(n, 0):], n > 0 })
+}
+
+// scalars is the scalar set, indexed by tag. Each entry encodes exactly what
+// AppendValue encodes for the value itself.
+var scalars = [...]*scalar{
+	tBool: scalarOf(tBool, func(dst []byte, v bool) []byte {
+		if v {
+			return append(dst, 1)
+		}
+		return append(dst, 0)
+	},
+		func(b []byte) (bool, []byte, bool) { return len(b) > 0 && b[0] != 0, b[min(len(b), 1):], len(b) > 0 }),
+	tInt:   varintScalar[int](tInt),
+	tInt64: varintScalar[int64](tInt64),
+	tUint64: scalarOf(tUint64, binary.AppendUvarint,
+		func(b []byte) (uint64, []byte, bool) { v, n := binary.Uvarint(b); return v, b[max(n, 0):], n > 0 }),
+	tFloat64: scalarOf(tFloat64, func(dst []byte, v float64) []byte { return binary.BigEndian.AppendUint64(dst, math.Float64bits(v)) },
+		func(b []byte) (float64, []byte, bool) {
+			if len(b) < 8 {
+				return 0, b, false
+			}
+			return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], true
+		}),
+	tString: scalarOf(tString, AppendString,
+		func(b []byte) (string, []byte, bool) { s, rest, err := ReadString(b); return s, rest, err == nil }),
+	tBytes: scalarOf(tBytes, AppendBytes,
+		func(b []byte) ([]byte, []byte, bool) { v, rest, err := ReadBytes(b); return v, rest, err == nil }),
+	tDuration: varintScalar[time.Duration](tDuration),
+}
+
+// ScalarOf returns the scalar p points at, or 0 when p is not a pointer to
+// one. It walks the set: call it once per type, not per value.
+func ScalarOf(p any) Scalar {
+	for tag, s := range scalars {
+		if s != nil && s.is(p) {
+			return Scalar(tag)
+		}
+	}
+	return 0
+}
+
+// entry returns s's entry of the set, nil when s names no scalar — which a
+// tag byte off the wire may not.
+func (s Scalar) entry() *scalar {
+	if int(s) < len(scalars) {
+		return scalars[s]
+	}
+	return nil
+}
+
+// AppendSole appends a value list of the one value p points at (a *T of s),
+// as AppendValues encodes []any{*p}.
+func (s Scalar) AppendSole(dst []byte, p any) []byte {
+	return scalars[s].append(binary.AppendUvarint(dst, 1), p)
+}
+
+// ReadSole decodes a value list into what p points at (a *T of s). It reports
+// false, having written nothing, unless the list is exactly one value of s's
 // type: the caller then decodes the generic way and reports what it found.
-func ReadScalar(b []byte, p any) ([]byte, bool) {
-	if len(b) == 0 {
-		return b, false
+func (s Scalar) ReadSole(block []byte, p any) bool {
+	e := s.entry()
+	count, n := binary.Uvarint(block)
+	return e != nil && n > 0 && count == 1 && e.read(block[n:], p)
+}
+
+// Slot is a reusable home for one scalar value, so that a pooled holder —
+// a relayed call's typed request or response — hands out a typed pointer
+// without allocating one per use. The zero Slot holds nothing.
+type Slot struct {
+	s    Scalar // what the slot holds; 0 for nothing
+	kept Scalar // what p points at, kept across Release
+	p    any
+}
+
+// Hold makes the slot hold a zero value of s's type and returns a pointer to
+// it — the previous value's memory when it was of the same type — or nil,
+// holding nothing, when s names no scalar.
+func (sl *Slot) Hold(s Scalar) any {
+	sl.Release()
+	e := s.entry()
+	if e == nil {
+		return nil
 	}
-	tag, b := b[0], b[1:]
-	switch x := p.(type) {
-	case *bool:
-		if tag == tBool && len(b) >= 1 {
-			*x = b[0] != 0
-			return b[1:], true
-		}
-	case *int:
-		if v, n := binary.Varint(b); tag == tInt && n > 0 {
-			*x = int(v)
-			return b[n:], true
-		}
-	case *int64:
-		if v, n := binary.Varint(b); tag == tInt64 && n > 0 {
-			*x = v
-			return b[n:], true
-		}
-	case *uint64:
-		if v, n := binary.Uvarint(b); tag == tUint64 && n > 0 {
-			*x = v
-			return b[n:], true
-		}
-	case *float64:
-		if tag == tFloat64 && len(b) >= 8 {
-			*x = math.Float64frombits(binary.BigEndian.Uint64(b))
-			return b[8:], true
-		}
-	case *string:
-		if tag == tString {
-			if s, rest, err := ReadString(b); err == nil {
-				*x = s
-				return rest, true
-			}
-		}
-	case *[]byte:
-		if tag == tBytes {
-			if v, rest, err := ReadBytes(b); err == nil {
-				*x = v
-				return rest, true
-			}
-		}
-	case *time.Duration:
-		if v, n := binary.Varint(b); tag == tDuration && n > 0 {
-			*x = time.Duration(v)
-			return b[n:], true
+	if sl.kept != s {
+		sl.p, sl.kept = e.fresh(), s
+	}
+	sl.s = s
+	return sl.p
+}
+
+// Held returns what the slot holds and a pointer to it, or (0, nil).
+func (sl *Slot) Held() (Scalar, any) {
+	if sl.s == 0 {
+		return 0, nil
+	}
+	return sl.s, sl.p
+}
+
+// HoldSole makes the slot hold the one value of a value list and reports
+// whether the list was exactly one scalar; otherwise the slot holds nothing.
+func (sl *Slot) HoldSole(block []byte) bool {
+	if count, n := binary.Uvarint(block); n > 0 && count == 1 && n < len(block) {
+		if s := Scalar(block[n]); s.entry() != nil && s.ReadSole(block, sl.Hold(s)) {
+			return true
 		}
 	}
-	return b, false
+	sl.Release()
+	return false
+}
+
+// Release zeroes the held value — no string or slice outlives its use in a
+// pooled slot — and leaves the slot holding nothing.
+func (sl *Slot) Release() {
+	if sl.s != 0 {
+		scalars[sl.s].clear(sl.p)
+		sl.s = 0
+	}
 }
 
 // AppendString appends a uvarint-length-prefixed string.
@@ -649,6 +694,13 @@ type Call struct {
 	// the argument list.
 	Trace int64
 	Span  int64
+	// RespTag is the value tag of the caller's scalar response type — the
+	// shape it can take a result back in, which a callee serving the call
+	// typed writes — or 0 for none. Encoded as one optional byte after the
+	// trace trailer, only when non-zero, so an untagged frame is what a
+	// reader that predates the byte expects; a reader ignores bytes after the
+	// trailer, and a tag that names no Scalar means none.
+	RespTag uint8
 }
 
 // Reply error kinds. The numbering is shared with the connector's ErrKind so
@@ -847,7 +899,11 @@ func AppendCall(dst []byte, c Call, _ uint8) ([]byte, error) {
 	} else if dst, err = AppendValues(dst, c.Args); err != nil {
 		return dst, err
 	}
-	return appendTrace(dst, c.Trace, c.Span), nil
+	dst = appendTrace(dst, c.Trace, c.Span)
+	if c.RespTag != 0 {
+		dst = append(dst, c.RespTag)
+	}
+	return dst, nil
 }
 
 // RawCall is a Call body parsed without materializing anything: the names
@@ -860,6 +916,7 @@ type RawCall struct {
 	DeadlineNanos            int64
 	RawArgs                  []byte
 	Trace, Span              int64
+	RespTag                  uint8
 }
 
 // parseCallHeader reads a call body up to its argument list, which it
@@ -901,6 +958,7 @@ func ParseCall(b []byte, _ uint8) (c Call, err error) {
 		return c, err
 	}
 	c.Trace, c.Span, err = parseTrace(b)
+	c.RespTag = parseRespTag(b)
 	return c, err
 }
 
@@ -917,7 +975,17 @@ func ParseCallRaw(b []byte) (h RawCall, err error) {
 	}
 	h.RawArgs = b[:len(b)-len(rest)]
 	h.Trace, h.Span, err = parseTrace(rest)
+	h.RespTag = parseRespTag(rest)
 	return h, err
+}
+
+// parseRespTag reads a call's optional response tag from the bytes after its
+// argument list; anything after the tag belongs to newer builds.
+func parseRespTag(b []byte) uint8 {
+	if len(b) > traceTrailerSize {
+		return b[traceTrailerSize]
+	}
+	return 0
 }
 
 // traceTrailerSize is the fixed encoding of the trace-context trailer: trace

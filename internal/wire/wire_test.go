@@ -242,6 +242,53 @@ func TestRawArgsEquivalence(t *testing.T) {
 	}
 }
 
+// TestCallRespTag: the response tag is one byte after the trace trailer,
+// written only when set. An untagged body is the body without the byte, and a
+// tagged one reads, under the rules of a reader that predates the byte (the
+// trailer parse ignores what follows it), as the same call minus its tag.
+func TestCallRespTag(t *testing.T) {
+	untagged, err := AppendCall(nil, sampleCall, MaxVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []uint8{tString, tInt, 0xFF} {
+		c := sampleCall
+		c.RespTag = tag
+		body, err := AppendCall(nil, c, MaxVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, append(untagged[:len(untagged):len(untagged)], tag)) {
+			t.Fatalf("tag %d: body %x, want the untagged body and the byte", tag, body)
+		}
+		// Bytes after the tag belong to newer builds.
+		for _, b := range [][]byte{body, append(body, 0xAB)} {
+			got, err := ParseCall(b, MaxVersion)
+			if err != nil || !reflect.DeepEqual(got, c) {
+				t.Fatalf("tag %d: ParseCall = %+v, %v", tag, got, err)
+			}
+			if raw, err := ParseCallRaw(b); err != nil || raw.RespTag != tag {
+				t.Fatalf("tag %d: ParseCallRaw tag %d, %v", tag, raw.RespTag, err)
+			}
+		}
+		// The reader that predates the byte: header, arguments, trailer.
+		var h RawCall
+		rest, err := parseCallHeader(body, &h)
+		if err == nil {
+			rest, err = SkipValues(rest)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr, sp, err := parseTrace(rest); err != nil || tr != sampleCall.Trace || sp != sampleCall.Span {
+			t.Fatalf("tag %d: old reader's trailer %x %x, %v", tag, tr, sp, err)
+		}
+	}
+	if c, err := ParseCall(untagged, MaxVersion); err != nil || c.RespTag != 0 {
+		t.Fatalf("untagged: tag %d, %v", c.RespTag, err)
+	}
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
