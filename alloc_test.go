@@ -11,6 +11,7 @@ package aas_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -286,6 +287,55 @@ func TestRemoteTypedStoreCallAllocs(t *testing.T) {
 		t.Fatalf("remote typed call to a TypedComponent allocates %.1f/op across both nodes, budget 4", allocs)
 	}
 	t.Logf("remote typed call to a TypedComponent: %.1f allocs/op", allocs)
+}
+
+// TestClusterBeaconAllocs pins what an idle cluster allocates per beacon
+// interval once a node's QoS windows are full. Each beacon asks the load
+// meter for the node's loads, and the meter reads the admission counters
+// (core.System.Admission), never the windows: a beacon costs its gossip frame
+// and the meter's few small maps, not a gather and sort of two 16 Ki-sample
+// windows (about 1.8 MB per meter sample). Both nodes are counted; the budget
+// is 64 KiB per interval.
+func TestClusterBeaconAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const heartbeat = 25 * time.Millisecond
+	h, err := aas.StartCluster(context.Background(), aas.ClusterSpec{
+		ADL:       benchClusterADL,
+		Nodes:     []string{"n1", "n2"},
+		Placement: map[string]string{"Front": "n1", "Store": "n2"},
+		Registry:  benchClusterRegistry,
+		Cluster: func(string) aas.ClusterOptions {
+			return aas.ClusterOptions{Heartbeat: heartbeat, FailAfter: 2 * time.Second}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	// Store lives on n2, so these typed calls are served locally there and
+	// fill n2's latency and throughput windows to the core cap.
+	ctx := context.Background()
+	store := aas.ClientOf[string, string](h.System("n2"), "Store")
+	for i := 0; i < 1<<14; i++ {
+		if _, err := store.Call(ctx, "get", "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := h.System("n2").Monitor().Count(qos.Latency); n < 1<<14 {
+		t.Fatalf("n2's latency window holds %d samples, want %d", n, 1<<14)
+	}
+	const intervals = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	time.Sleep(intervals * heartbeat)
+	runtime.ReadMemStats(&after)
+	perInterval := (after.TotalAlloc - before.TotalAlloc) / intervals
+	if perInterval >= 64<<10 {
+		t.Fatalf("idle cluster allocates %d B per %v beacon interval, budget 64 KiB", perInterval, heartbeat)
+	}
+	t.Logf("idle cluster with full windows: %d B per beacon interval", perInterval)
 }
 
 // TestMonitorRecordAllocs pins the QoS hot counter at zero allocations.

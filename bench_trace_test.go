@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	aas "repro"
+
+	"repro/internal/qos"
 )
 
 // BenchmarkTracedCall is BenchmarkTypedClientCall with head sampling at 1
@@ -51,13 +53,21 @@ func benchTraceCall(b *testing.B, sampling int) {
 }
 
 // BenchmarkSnapshot assembles the unified telemetry snapshot of a running
-// system — the cost one /metrics scrape puts on a node.
+// system — the cost one /metrics scrape puts on a node. The QoS windows are
+// filled to the core monitor's 16 Ki-sample cap first, the state of any node
+// that has served a second of traffic: gathering and sorting them is most of
+// the snapshot's cost.
 func BenchmarkSnapshot(b *testing.B) {
 	sys, _ := startBenchSystem(b)
 	store := sys.Client("Store")
 	ctx := context.Background()
-	if _, err := store.Call(ctx, "put", "k", "v"); err != nil {
-		b.Fatal(err)
+	for i := 0; i < 1<<14; i++ {
+		if _, err := store.Call(ctx, "put", "k", "v"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := sys.Monitor().Count(qos.Latency); n < 1<<14 {
+		b.Fatalf("latency window holds %d samples, want %d", n, 1<<14)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

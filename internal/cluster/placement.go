@@ -1,13 +1,13 @@
 // Load-driven placement: the cluster half of the observe→decide→reconfigure
 // loop (DESIGN.md §12). Each node meters its own components' observed load
-// from the telemetry snapshot's admission section, gossips the figures with
-// its membership entry, and runs the same deterministic planner over the
-// converged view — so every node computes the same plan and each enacts
-// only the moves that depart from itself, which needs no leader and no
-// coordination traffic. Damping is layered: the strategy selector rests on
-// a no-move planner until load skew crosses a guard threshold (with dwell
-// hysteresis), the rebalance planner ignores moves under its gain
-// threshold, and enacted components carry a per-component cooldown.
+// from their admission counters, gossips the figures with its membership
+// entry, and runs the same deterministic planner over the converged view —
+// so every node computes the same plan and each enacts only the moves that
+// depart from itself, which needs no leader and no coordination traffic.
+// Damping is layered: the strategy selector rests on a no-move planner until
+// load skew crosses a guard threshold (with dwell hysteresis), the rebalance
+// planner ignores moves under its gain threshold, and enacted components
+// carry a per-component cooldown.
 package cluster
 
 import (
@@ -25,11 +25,12 @@ import (
 	"repro/internal/wire"
 )
 
-// loadMeter turns the admission section of consecutive telemetry snapshots
-// into a per-component load signal: admitted-request deltas over the sample
-// interval times the EWMA service estimate gives busy-nanoseconds per
-// second, smoothed again with an EWMA so one bursty sample cannot trigger a
-// migration (the metering half of the damping rule).
+// loadMeter turns consecutive reads of the system's admission counters
+// (core.System.Admission — never the QoS windows) into a per-component load
+// signal: admitted-request deltas over the sample interval times the EWMA
+// service estimate gives busy-nanoseconds per second, smoothed again with an
+// EWMA so one bursty sample cannot trigger a migration (the metering half of
+// the damping rule).
 type loadMeter struct {
 	mu          sync.Mutex
 	lastCount   map[string]uint64
@@ -49,31 +50,23 @@ func newLoadMeter(minGap time.Duration) *loadMeter {
 }
 
 // sample returns the current per-component loads (and their sum) for the
-// node's local components, resampling the telemetry snapshot at most once
+// node's local components, rereading the admission counters at most once
 // per minGap.
 func (lm *loadMeter) sample(n *Node) ([]wire.GossipComp, float64) {
 	lm.mu.Lock()
+	defer lm.mu.Unlock()
 	now := time.Now()
 	if !lm.lastAt.IsZero() && now.Sub(lm.lastAt) < lm.minGap {
-		comps, total := lm.cached, lm.cachedTotal
-		lm.mu.Unlock()
-		return comps, total
+		return lm.cached, lm.cachedTotal
 	}
 	dt := now.Sub(lm.lastAt).Seconds()
 	first := lm.lastAt.IsZero()
 	lm.lastAt = now
-	lm.mu.Unlock()
-
-	// Snapshot outside the meter lock; re-enter to fold it in.
-	snap := n.sys.Telemetry()
-
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
 	const alpha = 0.5
 	seen := map[string]bool{}
 	var comps []wire.GossipComp
 	total := 0.0
-	for _, a := range snap.Admission {
+	for _, a := range n.sys.Admission() {
 		seen[a.Component] = true
 		prev, had := lm.lastCount[a.Component]
 		lm.lastCount[a.Component] = a.Admitted

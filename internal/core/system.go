@@ -552,7 +552,7 @@ func (s *System) NodeName() string { return *s.node.Load() }
 func (s *System) Telemetry() telemetry.Snapshot {
 	bst := s.bus.Stats()
 	rec, lost, roots := s.rec.Stats()
-	snap := telemetry.Snapshot{
+	return telemetry.Snapshot{
 		Schema:     telemetry.SchemaVersion,
 		Node:       s.NodeName(),
 		TakenNanos: s.clk.Now().UnixNano(),
@@ -579,24 +579,33 @@ func (s *System) Telemetry() telemetry.Snapshot {
 			Roots:      roots,
 			SampleRate: s.rec.Sampling(),
 		},
-		QoS: s.monitor.Snapshot(),
+		QoS:       s.monitor.Snapshot(),
+		Admission: s.Admission(),
 	}
+}
+
+// Admission reads each local component's admission estimator state, sorted
+// by component name: the Admission section of Telemetry, without the QoS
+// windows the rest of the snapshot gathers. Lock-free, so the cluster load
+// meter reads it on every beacon.
+func (s *System) Admission() []telemetry.AdmissionState {
 	view := *s.compView.Load()
 	names := make([]string, 0, len(view))
 	for name := range view {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var out []telemetry.AdmissionState
 	for _, name := range names {
 		ast := view[name].adm.Stats()
-		snap.Admission = append(snap.Admission, telemetry.AdmissionState{
+		out = append(out, telemetry.AdmissionState{
 			Component:     name,
 			EstimateNanos: float64(ast.EWMAServiceNanos),
 			Admitted:      ast.Admitted,
 			Rejected:      ast.Rejected,
 		})
 	}
-	return snap
+	return out
 }
 
 // Monitor exposes the QoS monitor.

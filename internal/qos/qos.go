@@ -194,8 +194,9 @@ type rsample struct {
 	v   float64
 }
 
-// gather snapshots every published slot not older than cutoff, ordered by
-// claim sequence, capped to the maxN most recent.
+// gather snapshots every published slot not older than cutoff, in slot
+// order. Every statistic is order-free, so only a window over maxN is sorted
+// by claim sequence, to keep the maxN most recently claimed.
 func (r *dimRing) gather(cutoff int64, maxN int) []rsample {
 	// At most cursor claims have ever been published; size the result for
 	// the early window instead of the full ring capacity.
@@ -223,8 +224,8 @@ func (r *dimRing) gather(cutoff int64, maxN int) []rsample {
 		}
 		out = append(out, rsample{seq: s1, at: at, v: math.Float64frombits(bits)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	if len(out) > maxN {
+		sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 		out = out[len(out)-maxN:]
 	}
 	return out
@@ -334,84 +335,76 @@ func (m *Monitor) Stat(d Dimension, st Stat) (float64, bool) {
 }
 
 // statFromSamples computes one statistic over an already-gathered window,
-// so readers needing several statistics (Snapshot) gather once.
+// so readers needing several statistics (Evaluate) gather once.
 func statFromSamples(s []rsample, st Stat) (float64, bool) {
 	if len(s) == 0 {
 		return 0, false
 	}
-	vals := make([]float64, len(s))
-	minAt, maxAt := s[0].at, s[0].at
-	for i, smp := range s {
-		vals[i] = smp.v
-		if smp.at < minAt {
-			minAt = smp.at
-		}
-		if smp.at > maxAt {
-			maxAt = smp.at
-		}
-	}
-	// Span from timestamp extremes, not first/last-by-sequence: a Record
-	// reads the clock before claiming its ring slot, so a preempted writer
-	// can publish a high sequence with an older timestamp.
-	span := time.Duration(maxAt - minAt)
-
 	switch st {
 	case Mean:
-		sum := 0.0
-		for _, v := range vals {
-			sum += v
-		}
-		return sum / float64(len(vals)), true
+		return mean(s), true
 	case P50:
-		return percentile(vals, 0.50), true
+		return percentile(values(s), 0.50), true
 	case P95:
-		return percentile(vals, 0.95), true
+		return percentile(values(s), 0.95), true
 	case P99:
-		return percentile(vals, 0.99), true
-	case Max:
-		max := vals[0]
-		for _, v := range vals {
-			if v > max {
-				max = v
+		return percentile(values(s), 0.99), true
+	case Max, Min:
+		ext := s[0].v
+		for _, smp := range s {
+			if st == Max {
+				ext = max(ext, smp.v)
+			} else {
+				ext = min(ext, smp.v)
 			}
 		}
-		return max, true
-	case Min:
-		min := vals[0]
-		for _, v := range vals {
-			if v < min {
-				min = v
-			}
-		}
-		return min, true
+		return ext, true
 	case Rate:
-		if span <= 0 {
+		// Span from timestamp extremes, not first/last-by-sequence: a Record
+		// reads the clock before claiming its ring slot, so a preempted
+		// writer can publish a high sequence with an older timestamp.
+		minAt, maxAt := s[0].at, s[0].at
+		for _, smp := range s {
+			minAt, maxAt = min(minAt, smp.at), max(maxAt, smp.at)
+		}
+		if maxAt <= minAt {
 			return 0, false
 		}
-		return float64(len(vals)-1) / span.Seconds(), true
+		return float64(len(s)-1) / time.Duration(maxAt-minAt).Seconds(), true
 	default:
 		return 0, false
 	}
 }
 
-// percentile computes the nearest-rank percentile of vals (copied, sorted).
+// mean sums the window in gather order, so every reader agrees to the bit.
+func mean(s []rsample) float64 {
+	sum := 0.0
+	for _, smp := range s {
+		sum += smp.v
+	}
+	return sum / float64(len(s))
+}
+
+// values copies the window's sample values.
+func values(s []rsample) []float64 {
+	vals := make([]float64, len(s))
+	for i, smp := range s {
+		vals[i] = smp.v
+	}
+	return vals
+}
+
+// percentile computes the nearest-rank percentile (0 ≤ p ≤ 1) of vals,
+// sorting vals in place.
 func percentile(vals []float64, p float64) float64 {
-	cp := append([]float64(nil), vals...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 1 {
-		return cp[len(cp)-1]
-	}
-	rank := int(p*float64(len(cp)-1) + 0.5)
-	return cp[rank]
+	sort.Float64s(vals)
+	return vals[int(p*float64(len(vals)-1)+0.5)]
 }
 
 // Snapshot exports every dimension's mean/p95/max as a flat metric map
 // ("latency.p95" etc.) for the strategy and trigger layers. Each dimension
-// is gathered from its ring once, then all statistics derive from that one
-// window.
+// is gathered from its ring once and its values copied and sorted once; all
+// three statistics derive from that one window.
 func (m *Monitor) Snapshot() map[string]float64 {
 	out := map[string]float64{}
 	for d := Latency; d <= Loss; d++ {
@@ -419,11 +412,11 @@ func (m *Monitor) Snapshot() map[string]float64 {
 		if len(s) == 0 {
 			continue
 		}
-		for _, st := range []Stat{Mean, P95, Max} {
-			if v, ok := statFromSamples(s, st); ok {
-				out[d.String()+"."+st.String()] = v
-			}
-		}
+		vals := values(s)
+		name := d.String() + "."
+		out[name+Mean.String()] = mean(s)
+		out[name+P95.String()] = percentile(vals, 0.95) // sorts vals
+		out[name+Max.String()] = vals[len(vals)-1]
 	}
 	return out
 }

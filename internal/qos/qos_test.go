@@ -161,6 +161,56 @@ func TestSnapshotKeys(t *testing.T) {
 	}
 }
 
+// TestSnapshotMatchesStat: Snapshot derives mean, p95 and max from one
+// sorted copy of each window; each must equal, to the bit, what Stat computes
+// over the same window. Uncapped, the window is read in slot order; capped
+// (maxN below the ring's 512 slots) it is sorted by claim sequence and cut.
+func TestSnapshotMatchesStat(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		maxN, records int
+	}{
+		{"uncapped", 1 << 12, 3000},
+		{"capped", 100, 700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := clock.NewSim(origin)
+			m := NewMonitor(sim, time.Hour, tc.maxN)
+			dims := []Dimension{Latency, Throughput, Jitter}
+			for i := 0; i < tc.records; i++ {
+				for k, d := range dims {
+					m.Record(d, math.Abs(math.Sin(float64(i*(k+3))))*1e-3+float64(i%7))
+				}
+				sim.Advance(time.Microsecond)
+			}
+			snap := m.Snapshot()
+			if len(snap) != 3*len(dims) {
+				t.Fatalf("snapshot has %d keys, want %d: %v", len(snap), 3*len(dims), snap)
+			}
+			for _, d := range dims {
+				if n, want := m.Count(d), min(tc.maxN, tc.records); n != want {
+					t.Fatalf("%s count = %d, want %d", d, n, want)
+				}
+				for _, st := range []Stat{Mean, P95, Max} {
+					key := d.String() + "." + st.String()
+					v, ok := m.Stat(d, st)
+					if !ok || snap[key] != v {
+						t.Fatalf("snapshot %s = %v, Stat = %v (ok %v)", key, snap[key], v, ok)
+					}
+				}
+			}
+		})
+	}
+	// The capped window keeps the most recently claimed samples.
+	m := NewMonitor(clock.NewSim(origin), time.Hour, 100)
+	for i := 0; i < 700; i++ {
+		m.Record(Loss, float64(i))
+	}
+	if lo, _ := m.Stat(Loss, Min); lo != 600 {
+		t.Fatalf("capped window min = %v, want 600", lo)
+	}
+}
+
 func TestBoundAndViolationStrings(t *testing.T) {
 	b := Bound{Dimension: Latency, Stat: P95, Limit: 0.05, Upper: true}
 	if b.String() != "latency.p95 <= 0.05" {

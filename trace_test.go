@@ -8,6 +8,7 @@ package aas_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -298,5 +299,43 @@ func TestTelemetrySnapshot(t *testing.T) {
 	}
 	if snap.Events.Published == 0 {
 		t.Fatal("event hub published nothing")
+	}
+}
+
+// TestAdmissionMatchesTelemetry: System.Admission, which the cluster load
+// meter reads on every beacon, is the Telemetry snapshot's Admission section
+// — one entry per local component, sorted by name, with the same counters.
+func TestAdmissionMatchesTelemetry(t *testing.T) {
+	sys, err := aas.Load(benchClusterADL, aas.Options{Registry: benchClusterRegistry("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	// Deadline-budgeted, so both admission ledgers count (DESIGN.md §9).
+	front := sys.Client("Front").With(aas.WithDeadline(time.Second))
+	store := sys.Client("Store").With(aas.WithDeadline(time.Second))
+	for i := 0; i < 10; i++ {
+		if _, err := front.Call(context.Background(), "fetch", "k"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Call(context.Background(), "get", "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Bus().WaitIdle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	adm := sys.Admission()
+	if want := sys.Telemetry().Admission; !reflect.DeepEqual(adm, want) {
+		t.Fatalf("Admission() = %+v, Telemetry().Admission = %+v", adm, want)
+	}
+	if len(adm) != 2 || adm[0].Component != "Front" || adm[1].Component != "Store" {
+		t.Fatalf("Admission() = %+v, want Front then Store", adm)
+	}
+	if adm[0].Admitted == 0 || adm[1].Admitted == 0 {
+		t.Fatalf("admission ledger empty: %+v", adm)
 	}
 }
