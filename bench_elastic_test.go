@@ -52,7 +52,7 @@ func BenchmarkMembershipGossipEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = wire.AppendGossip(buf[:0], view)
+		buf, _ = wire.Append(buf[:0], &view)
 	}
 	if len(buf) == 0 {
 		b.Fatal("empty gossip payload")
@@ -63,12 +63,15 @@ func BenchmarkMembershipGossipEncode(b *testing.B) {
 // beacon costs the pair of nodes exchanging it.
 func BenchmarkMembershipGossipRoundtrip(b *testing.B) {
 	view := benchGossipView()
-	buf := wire.AppendGossip(nil, view)
+	buf, err := wire.Append(nil, &view)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := wire.ParseGossip(buf)
-		if err != nil || len(g.Members) != len(view.Members) {
+		var g wire.Gossip
+		if err := wire.Parse(buf, &g); err != nil || len(g.Members) != len(view.Members) {
 			b.Fatalf("roundtrip: %v (%d members)", err, len(g.Members))
 		}
 	}

@@ -51,7 +51,10 @@ var (
 	ErrClosed        = errors.New("cluster: node closed")
 	ErrUnknownPeer   = errors.New("cluster: unknown peer")
 	ErrDuplicatePeer = errors.New("cluster: peer already linked")
-	ErrSystemName    = errors.New("cluster: peer runs a different architecture")
+	// ErrSystemName refuses a link to a node running a different
+	// architecture. Like ErrWireVersion, both ends reach it from the
+	// hello/welcome exchange: Join returns it and the acceptor logs it.
+	ErrSystemName = errors.New("cluster: peer runs a different architecture")
 	// ErrWireVersion refuses a link whose two ends speak no common wire
 	// protocol version: min(both offers) is below wire.MinVersion. Both ends
 	// compute the same verdict from the hello/welcome exchange, so the dialer
@@ -330,7 +333,7 @@ func (n *Node) Join(addr string) error {
 	seen := new(atomic.Int64)
 	dec := wire.NewDecoder(&livenessReader{r: conn, seen: seen})
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := enc.EncodeHello(wire.FrameHello, n.hello()); err != nil {
+	if err := enc.Encode(wire.FrameHello, n.hello()); err != nil {
 		conn.Close()
 		return fmt.Errorf("cluster: join %s: %w", addr, err)
 	}
@@ -339,8 +342,8 @@ func (n *Node) Join(addr string) error {
 		conn.Close()
 		return fmt.Errorf("cluster: join %s: handshake failed (%v, frame %v)", addr, err, t)
 	}
-	h, err := wire.ParseHello(body)
-	if err != nil {
+	var h wire.Hello
+	if err := wire.Parse(body, &h); err != nil {
 		conn.Close()
 		return fmt.Errorf("cluster: join %s: %w", addr, err)
 	}
@@ -349,8 +352,8 @@ func (n *Node) Join(addr string) error {
 }
 
 // hello builds this node's handshake payload.
-func (n *Node) hello() wire.Hello {
-	return wire.Hello{Node: n.id, System: n.sys.Name(), Components: n.sys.LocalComponents(),
+func (n *Node) hello() *wire.Hello {
+	return &wire.Hello{Node: n.id, System: n.sys.Name(), Components: n.sys.LocalComponents(),
 		MaxVersion: wire.MaxVersion, Addr: n.opts.Advertise}
 }
 
@@ -445,7 +448,7 @@ func (n *Node) Telemetry() telemetry.Snapshot {
 		p := n.peers[id]
 		ls := telemetry.LinkState{
 			Peer:          id,
-			WireVersion:   int(p.version),
+			WireVersion:   wire.MaxVersion,
 			BatchWrites:   p.batchWrites.Load(),
 			BatchFrames:   p.batchFrames.Load(),
 			LastSeenNanos: p.lastSeen.Load(),
@@ -529,7 +532,9 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// handshakeInbound answers a dialer's hello with a welcome and links it.
+// handshakeInbound answers a dialer's hello with a welcome and links it. Any
+// hello that parses is answered, so a dialer refused by addPeer — another
+// architecture, no common version — learns the verdict from the welcome.
 func (n *Node) handshakeInbound(conn net.Conn) {
 	enc := wire.NewEncoder(conn)
 	seen := new(atomic.Int64)
@@ -540,12 +545,12 @@ func (n *Node) handshakeInbound(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	h, err := wire.ParseHello(body)
-	if err != nil || h.System != n.sys.Name() {
+	var h wire.Hello
+	if err := wire.Parse(body, &h); err != nil {
 		conn.Close()
 		return
 	}
-	if err := enc.EncodeHello(wire.FrameWelcome, n.hello()); err != nil {
+	if err := enc.Encode(wire.FrameWelcome, n.hello()); err != nil {
 		conn.Close()
 		return
 	}
@@ -575,15 +580,14 @@ func (n *Node) addPeer(conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, h wi
 	}
 	// Version negotiation: both sides independently compute min(offers) —
 	// the hello carried each side's MaxVersion — so they agree on the version,
-	// or on refusing the link, without another round trip.
-	v := min(h.MaxVersion, wire.MaxVersion)
-	if v < wire.MinVersion {
+	// or on refusing the link, without another round trip. This build speaks
+	// one version, so a link it accepts runs at MaxVersion.
+	if min(h.MaxVersion, wire.MaxVersion) < wire.MinVersion {
 		conn.Close()
 		return fmt.Errorf("%w: peer %s offers up to v%d, this build speaks v%d to v%d",
 			ErrWireVersion, h.Node, h.MaxVersion, wire.MinVersion, wire.MaxVersion)
 	}
-	enc.SetVersion(v)
-	p := newPeer(n, h.Node, v, conn, enc, dec, seen)
+	p := newPeer(n, h.Node, conn, enc, dec, seen)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -993,7 +997,7 @@ func (n *Node) migrateTo(component string, p *peer) error {
 		p.addMig(corr, ack)
 		defer p.dropMig(corr)
 		err := p.send(func(e *wire.Encoder) error {
-			return e.EncodeMigrate(wire.Migrate{
+			return e.Encode(wire.FrameMigrate, &wire.Migrate{
 				Corr: corr, Component: h.Component,
 				Implements: h.Decl.Implements, Properties: h.Decl.Properties,
 				CPU: h.CPU, HasState: h.HasState, State: h.State,
@@ -1101,7 +1105,7 @@ func (n *Node) announce(a wire.Announce, except string) {
 	}
 	n.mu.Unlock()
 	for _, p := range peers {
-		if err := p.send(func(e *wire.Encoder) error { return e.EncodeAnnounce(a) }); err != nil {
+		if err := p.send(func(e *wire.Encoder) error { return e.Encode(wire.FrameAnnounce, &a) }); err != nil {
 			n.opts.Logf("cluster %s: announce to %s: %v", n.id, p.id, err)
 		}
 	}

@@ -61,33 +61,33 @@ type egressItem struct {
 
 // appendBody encodes the frame the item carries; budget is a request's
 // remaining deadline budget.
-func (it *egressItem) appendBody(dst, arena []byte, budget int64, version uint8) ([]byte, error) {
+func (it *egressItem) appendBody(dst, arena []byte, budget int64) ([]byte, error) {
 	switch it.kind {
 	case wire.FrameCall:
 		return wire.AppendCall(dst, wire.Call{Corr: it.corr, Component: it.comp, Op: it.op, Principal: it.text,
-			DeadlineNanos: budget, RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span, RespTag: it.respTag}, version)
+			DeadlineNanos: budget, RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span, RespTag: it.respTag}, wire.MaxVersion)
 	case wire.FrameReply:
 		r := wire.Reply{Corr: it.corr, Err: it.text, Kind: it.errKind}
 		if it.end > it.off {
 			r.RawResults = arena[it.off:it.end]
 		}
-		return wire.AppendReply(dst, r, version)
+		return wire.AppendReply(dst, r, wire.MaxVersion)
 	case wire.FrameCancel:
-		return wire.AppendCancel(dst, wire.Cancel{Corr: it.corr}), nil
+		return wire.Append(dst, &wire.Cancel{Corr: it.corr})
 	case wire.FrameStreamOpen:
-		return wire.AppendStreamOpen(dst, wire.StreamOpen{Corr: it.corr, Component: it.comp, Op: it.op, Principal: it.text,
-			DeadlineNanos: budget, Window: uint32(it.num), RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span}, version)
+		return wire.Append(dst, &wire.StreamOpen{Corr: it.corr, Component: it.comp, Op: it.op, Principal: it.text,
+			DeadlineNanos: budget, Window: uint32(it.num), RawArgs: arena[it.off:it.end], Trace: it.trace, Span: it.span})
 	case wire.FrameStreamChunk:
-		return wire.AppendStreamChunk(dst, wire.StreamChunk{Corr: it.corr, Seq: it.num, Item: it.val})
+		return wire.Append(dst, &wire.StreamChunk{Corr: it.corr, Seq: it.num, Item: it.val})
 	case wire.FrameStreamCredit:
-		return wire.AppendStreamCredit(dst, wire.StreamCredit{Corr: it.corr, Credit: uint32(it.num)}), nil
+		return wire.Append(dst, &wire.StreamCredit{Corr: it.corr, Credit: uint32(it.num)})
 	case wire.FrameStreamEnd:
-		return wire.AppendStreamEnd(dst, wire.StreamEnd{Corr: it.corr, Err: it.text, Kind: it.errKind}), nil
+		return wire.Append(dst, &wire.StreamEnd{Corr: it.corr, Err: it.text, Kind: it.errKind})
 	case wire.FrameReplicate:
 		state, _ := it.val.([]byte)
-		return wire.AppendReplicate(dst, wire.Replicate{Corr: it.corr, Component: it.comp, Seq: it.num, State: state}), nil
+		return wire.Append(dst, &wire.Replicate{Corr: it.corr, Component: it.comp, Seq: it.num, State: state})
 	default:
-		return wire.AppendReplicateAck(dst, wire.ReplicateAck{Corr: it.corr, Component: it.comp, Seq: it.num, Err: it.text}), nil
+		return wire.Append(dst, &wire.ReplicateAck{Corr: it.corr, Component: it.comp, Seq: it.num, Err: it.text})
 	}
 }
 
@@ -270,7 +270,7 @@ func (e *egress) writeBatch(items []egressItem, arena []byte) {
 				continue
 			}
 		}
-		body := func(dst []byte) ([]byte, error) { return it.appendBody(dst, arena, budget, p.version) }
+		body := func(dst []byte) ([]byte, error) { return it.appendBody(dst, arena, budget) }
 		err := enc.BatchAdd(it.kind, body)
 		if err != nil && it.kind == wire.FrameReply {
 			// A reply too large to frame becomes an error reply in place.

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,13 +21,19 @@ import (
 // every error its Logf is handed.
 func oneNode(t *testing.T) (*Harness, func() []error) {
 	t.Helper()
+	return archNode(t, clusterADL, "n1")
+}
+
+// archNode is oneNode for node id running architecture adl.
+func archNode(t *testing.T, adl, id string) (*Harness, func() []error) {
+	t.Helper()
 	var (
 		mu     sync.Mutex
 		logged []error
 	)
 	h, err := StartHarness(context.Background(), Spec{
-		ADL:      clusterADL,
-		Nodes:    []string{"n1"},
+		ADL:      adl,
+		Nodes:    []string{id},
 		Registry: testRegistry,
 		Cluster: func(node string) Options {
 			o := fastCluster(node)
@@ -58,6 +65,16 @@ func rawFrame(version uint8, t wire.FrameType, body []byte) []byte {
 	f := []byte{0xA5, 0x57, version, byte(t)}
 	f = binary.BigEndian.AppendUint32(f, uint32(len(body)))
 	return append(f, body...)
+}
+
+// bodyFrame assembles one frame of type ft around the encoding of b.
+func bodyFrame(t *testing.T, ft wire.FrameType, b wire.Body) []byte {
+	t.Helper()
+	body, err := wire.Append(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rawFrame(wire.MaxVersion, ft, body)
 }
 
 // helloBody encodes a hello for peer "ghost" of the test architecture; a
@@ -122,8 +139,8 @@ func TestHandshakeNewerPeerNegotiatesDown(t *testing.T) {
 	if err != nil || ft != wire.FrameWelcome {
 		t.Fatalf("welcome: %v %v", ft, err)
 	}
-	welcome, err := wire.ParseHello(body)
-	if err != nil || welcome.Node != "n1" || welcome.MaxVersion != wire.MaxVersion {
+	var welcome wire.Hello
+	if err := wire.Parse(body, &welcome); err != nil || welcome.Node != "n1" || welcome.MaxVersion != wire.MaxVersion {
 		t.Fatalf("welcome: %+v %v", welcome, err)
 	}
 
@@ -255,4 +272,42 @@ func TestHandshakeOlderPeerRefused(t *testing.T) {
 			settleGoroutines(t, base)
 		})
 	}
+}
+
+// TestHandshakeOtherArchitectureRefused: nodes running different
+// architectures refuse each other on both ends with ErrSystemName — the
+// acceptor answers the hello with its welcome, as it does an unacceptable
+// version offer, so the dialer learns why — and neither lists the other.
+func TestHandshakeOtherArchitectureRefused(t *testing.T) {
+	base := runtime.NumGoroutine()
+	h1, logged := oneNode(t)
+	h2, _ := archNode(t, strings.Replace(clusterADL, "system Cluster", "system Other", 1), "m1")
+	n1, m1 := h1.Node("n1"), h2.Node("m1")
+
+	if err := m1.Join(n1.Addr()); !errors.Is(err, ErrSystemName) {
+		t.Fatalf("Join(other architecture) = %v, want ErrSystemName", err)
+	}
+	refused := func() bool {
+		for _, err := range logged() {
+			if errors.Is(err, ErrSystemName) {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !refused(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("acceptor logged no ErrSystemName: %v", logged())
+		}
+	}
+	for _, pair := range [][2]*Node{{n1, m1}, {m1, n1}} {
+		n, other := pair[0], pair[1]
+		if _, member := n.Member(other.id); member || len(n.Peers()) != 0 || len(n.Telemetry().Links) != 0 {
+			t.Fatalf("%s shows the refused %s: peers=%v members=%+v", n.id, other.id, n.Peers(), n.Members())
+		}
+	}
+
+	h1.Close()
+	h2.Close()
+	settleGoroutines(t, base)
 }

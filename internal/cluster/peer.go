@@ -55,9 +55,6 @@ type peer struct {
 	n    *Node
 	id   string
 	conn net.Conn
-	// version is the negotiated wire protocol version of this link:
-	// min(both sides' MaxVersion).
-	version uint8
 	// egress is the frame-coalescing writer every data frame goes through.
 	egress *egress
 	// addr is the link's bus address, unique to this incarnation of the
@@ -122,9 +119,9 @@ type servedCall struct {
 	stream   bool
 }
 
-func newPeer(n *Node, id string, version uint8, conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, seen *atomic.Int64) *peer {
+func newPeer(n *Node, id string, conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, seen *atomic.Int64) *peer {
 	p := &peer{
-		n: n, id: id, version: version, conn: conn, enc: enc, dec: dec, lastSeen: seen,
+		n: n, id: id, conn: conn, enc: enc, dec: dec, lastSeen: seen,
 		addr:    bus.Address(fmt.Sprintf("peer:%s#%d", id, n.linkSeq.Add(1))),
 		pending: map[uint64]pendingCall{},
 		migs:    map[uint64]chan string{},
@@ -391,14 +388,14 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 		}
 		p.dispatchReply(r)
 	case wire.FrameCancel:
-		c, err := wire.ParseCancel(body)
-		if err != nil {
+		var c wire.Cancel
+		if err := wire.Parse(body, &c); err != nil {
 			return err
 		}
 		p.handleCancel(c)
 	case wire.FrameStreamOpen:
-		o, err := wire.ParseStreamOpen(body, p.version)
-		if err != nil {
+		var o wire.StreamOpen
+		if err := wire.Parse(body, &o); err != nil {
 			return err
 		}
 		p.relay(p.n.sys.Client(o.Component), o.DeadlineNanos, bus.Message{
@@ -406,39 +403,39 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 			Payload: connector.StreamOpenPayload{Principal: o.Principal, Window: int(o.Window), Args: o.Args},
 		})
 	case wire.FrameStreamChunk:
-		c, err := wire.ParseStreamChunk(body)
-		if err != nil {
+		var c wire.StreamChunk
+		if err := wire.Parse(body, &c); err != nil {
 			return err
 		}
 		p.n.deliverStreamChunk(p, c)
 	case wire.FrameStreamCredit:
-		c, err := wire.ParseStreamCredit(body)
-		if err != nil {
+		var c wire.StreamCredit
+		if err := wire.Parse(body, &c); err != nil {
 			return err
 		}
 		p.handleCredit(c)
 	case wire.FrameStreamEnd:
-		s, err := wire.ParseStreamEnd(body)
-		if err != nil {
+		var s wire.StreamEnd
+		if err := wire.Parse(body, &s); err != nil {
 			return err
 		}
 		// A stream's end settles its record the way a call's reply does.
 		p.dispatchReply(wire.Reply{Corr: s.Corr, Err: s.Err, Kind: s.Kind})
 	case wire.FrameReplicate:
-		r, err := wire.ParseReplicate(body)
-		if err != nil {
+		var r wire.Replicate
+		if err := wire.Parse(body, &r); err != nil {
 			return err
 		}
 		p.n.handleReplicate(p, r)
 	case wire.FrameReplicateAck:
-		a, err := wire.ParseReplicateAck(body)
-		if err != nil {
+		var a wire.ReplicateAck
+		if err := wire.Parse(body, &a); err != nil {
 			return err
 		}
 		p.n.handleReplicateAck(p, a)
 	case wire.FrameMigrate:
-		m, err := wire.ParseMigrate(body)
-		if err != nil {
+		var m wire.Migrate
+		if err := wire.Parse(body, &m); err != nil {
 			return err
 		}
 		// Adoption quiesces nothing locally but does take the
@@ -450,8 +447,8 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 			p.handleMigrate(m)
 		}()
 	case wire.FrameMigrateAck:
-		a, err := wire.ParseMigrateAck(body)
-		if err != nil {
+		var a wire.MigrateAck
+		if err := wire.Parse(body, &a); err != nil {
 			return err
 		}
 		p.pmu.Lock()
@@ -464,14 +461,14 @@ func (p *peer) dispatch(t wire.FrameType, body []byte) error {
 			}
 		}
 	case wire.FrameAnnounce:
-		a, err := wire.ParseAnnounce(body)
-		if err != nil {
+		var a wire.Announce
+		if err := wire.Parse(body, &a); err != nil {
 			return err
 		}
 		p.n.handleAnnounce(p, a)
 	case wire.FrameGossip:
-		g, err := wire.ParseGossip(body)
-		if err != nil {
+		var g wire.Gossip
+		if err := wire.Parse(body, &g); err != nil {
 			return err
 		}
 		p.n.handleGossip(p, g)
@@ -652,7 +649,7 @@ func (p *peer) handleMigrate(m wire.Migrate) {
 	if err != nil {
 		ack.Err = err.Error()
 	}
-	if serr := p.send(func(e *wire.Encoder) error { return e.EncodeMigrateAck(ack) }); serr != nil {
+	if serr := p.send(func(e *wire.Encoder) error { return e.Encode(wire.FrameMigrateAck, &ack) }); serr != nil {
 		p.n.opts.Logf("cluster %s: migrate ack to %s: %v", p.n.id, p.id, serr)
 		if err == nil {
 			// The origin never sees the ack, so it rolls back and keeps
@@ -697,7 +694,7 @@ func (p *peer) heartbeatLoop() {
 			}
 			p.sweepServed(time.Now().UnixNano())
 			g := p.n.membership.localView()
-			if err := p.send(func(e *wire.Encoder) error { return e.EncodeGossip(g) }); err != nil {
+			if err := p.send(func(e *wire.Encoder) error { return e.Encode(wire.FrameGossip, &g) }); err != nil {
 				p.n.peerDown(p, "heartbeat send: "+err.Error())
 				return
 			}

@@ -832,12 +832,8 @@ func TestRelayedStreamLifecycle(t *testing.T) {
 		// cancel for a corr nobody holds, so its link outlives FailAfter.
 		conn, dec := ghostLink(t, n2)
 		defer conn.Close()
-		body, err := wire.AppendStreamOpen(nil, wire.StreamOpen{Corr: 7, Component: "Store", Op: "pump",
-			DeadlineNanos: int64(40 * time.Millisecond), Window: 4}, wire.MaxVersion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(rawFrame(wire.MaxVersion, wire.FrameStreamOpen, body)); err != nil {
+		if _, err := conn.Write(bodyFrame(t, wire.FrameStreamOpen, &wire.StreamOpen{Corr: 7, Component: "Store", Op: "pump",
+			DeadlineNanos: int64(40 * time.Millisecond), Window: 4})); err != nil {
 			t.Fatal(err)
 		}
 		for swept := false; !swept; {
@@ -847,12 +843,12 @@ func TestRelayedStreamLifecycle(t *testing.T) {
 			}
 			switch ft {
 			case wire.FrameGossip:
-				if _, err := conn.Write(rawFrame(wire.MaxVersion, wire.FrameCancel, wire.AppendCancel(nil, wire.Cancel{Corr: 1 << 40}))); err != nil {
+				if _, err := conn.Write(bodyFrame(t, wire.FrameCancel, &wire.Cancel{Corr: 1 << 40})); err != nil {
 					t.Fatal(err)
 				}
 			case wire.FrameStreamEnd:
-				end, err := wire.ParseStreamEnd(body)
-				if err != nil || end.Corr != 7 || end.Kind != wire.KindDeadline {
+				var end wire.StreamEnd
+				if err := wire.Parse(body, &end); err != nil || end.Corr != 7 || end.Kind != wire.KindDeadline {
 					t.Fatalf("stream end on the wire: %+v %v, want corr 7 with the deadline kind", end, err)
 				}
 				swept = true

@@ -133,7 +133,7 @@ func ghostCall(t *testing.T, conn net.Conn, dec *wire.Decoder, c wire.Call) wire
 		}
 		switch ft {
 		case wire.FrameGossip:
-			if _, err := conn.Write(rawFrame(wire.MaxVersion, wire.FrameCancel, wire.AppendCancel(nil, wire.Cancel{Corr: 1 << 40}))); err != nil {
+			if _, err := conn.Write(bodyFrame(t, wire.FrameCancel, &wire.Cancel{Corr: 1 << 40})); err != nil {
 				t.Fatal(err)
 			}
 		case wire.FrameReply:

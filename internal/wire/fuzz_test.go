@@ -91,13 +91,23 @@ func fuzzParser[T any](f *testing.F, parse func([]byte) (T, error), encode func(
 	})
 }
 
-// infallible adapts an Append function that cannot fail.
-func infallible[T any](appendT func([]byte, T) []byte) func(T) ([]byte, error) {
-	return func(v T) ([]byte, error) { return appendT(nil, v), nil }
+// fuzzBody is fuzzParser for a Body: Parse and Append through a *T.
+func fuzzBody[T any, P interface {
+	*T
+	Body
+}](f *testing.F, seeds ...T) {
+	fuzzParser(f,
+		func(b []byte) (T, error) {
+			var v T
+			err := Parse(b, P(&v))
+			return v, err
+		},
+		func(v T) ([]byte, error) { return Append(nil, P(&v)) },
+		seeds...)
 }
 
 func FuzzParseHello(f *testing.F) {
-	fuzzParser(f, ParseHello, infallible(AppendHello), sampleHello, Hello{Node: "n", System: "S"})
+	fuzzBody(f, sampleHello, Hello{Node: "n", System: "S"})
 }
 
 // deepSeed is the shape TestValueDepthBound pins, small: a value list nested
@@ -168,55 +178,50 @@ func FuzzSkipValues(f *testing.F) {
 }
 
 func FuzzParseCancel(f *testing.F) {
-	fuzzParser(f, ParseCancel, infallible(AppendCancel), sampleCancel)
+	fuzzBody(f, sampleCancel)
 }
 
 func FuzzParseStreamOpen(f *testing.F) {
-	fuzzParser(f,
-		func(b []byte) (StreamOpen, error) { return ParseStreamOpen(b, MaxVersion) },
-		func(o StreamOpen) ([]byte, error) { return AppendStreamOpen(nil, o, MaxVersion) },
-		sampleOpen)
+	fuzzBody(f, sampleOpen)
 }
 
 func FuzzParseStreamChunk(f *testing.F) {
-	fuzzParser(f, ParseStreamChunk,
-		func(c StreamChunk) ([]byte, error) { return AppendStreamChunk(nil, c) },
-		sampleChunk, StreamChunk{Corr: 1, Seq: 1, Item: []any{1, "two"}})
+	fuzzBody(f, sampleChunk, StreamChunk{Corr: 1, Seq: 1, Item: []any{1, "two"}})
 }
 
 func FuzzParseStreamCredit(f *testing.F) {
-	fuzzParser(f, ParseStreamCredit, infallible(AppendStreamCredit), sampleCredit)
+	fuzzBody(f, sampleCredit)
 }
 
 func FuzzParseStreamEnd(f *testing.F) {
-	fuzzParser(f, ParseStreamEnd, infallible(AppendStreamEnd), sampleEnd, StreamEnd{Corr: 41})
+	fuzzBody(f, sampleEnd, StreamEnd{Corr: 41})
 }
 
 func FuzzParseMigrate(f *testing.F) {
-	fuzzParser(f, ParseMigrate, infallible(AppendMigrate), sampleMigrate, Migrate{Component: "C"})
+	fuzzBody(f, sampleMigrate, Migrate{Component: "C"})
 }
 
 func FuzzParseMigrateAck(f *testing.F) {
-	fuzzParser(f, ParseMigrateAck, infallible(AppendMigrateAck), sampleMigrateAck)
+	fuzzBody(f, sampleMigrateAck)
 }
 
 func FuzzParseAnnounce(f *testing.F) {
-	fuzzParser(f, ParseAnnounce, infallible(AppendAnnounce), sampleAnnounce)
+	fuzzBody(f, sampleAnnounce)
 }
 
 func FuzzParseGossip(f *testing.F) {
-	// The shape TestParseGossipCountBomb pins, small: a count claiming every
-	// remaining byte as a member.
+	// The shape TestCountBombs pins, small: a count claiming every remaining
+	// byte as a member.
 	f.Add(append(binary.AppendUvarint(nil, 4096), make([]byte, 4096)...))
-	fuzzParser(f, ParseGossip, infallible(AppendGossip), sampleGossip, Gossip{})
+	fuzzBody(f, sampleGossip, Gossip{})
 }
 
 func FuzzParseReplicate(f *testing.F) {
-	fuzzParser(f, ParseReplicate, infallible(AppendReplicate), sampleReplicate)
+	fuzzBody(f, sampleReplicate)
 }
 
 func FuzzParseReplicateAck(f *testing.F) {
-	fuzzParser(f, ParseReplicateAck, infallible(AppendReplicateAck), sampleReplicateAck)
+	fuzzBody(f, sampleReplicateAck)
 }
 
 // FuzzReadBatchFrame walks an arbitrary FrameBatch body: the sub-frames it
@@ -226,7 +231,7 @@ func FuzzReadBatchFrame(f *testing.F) {
 	enc.BeginBatch()
 	_ = enc.BatchAdd(FrameCall, callBody(sampleCall))
 	_ = enc.BatchAdd(FrameReply, replyBody(sampleReply))
-	_ = enc.BatchAdd(FrameCancel, plainBody(AppendCancel, sampleCancel))
+	_ = enc.BatchAdd(FrameCancel, bodyOf(&sampleCancel))
 	f.Add(bytes.Clone(enc.batch[headerSize:]))
 	f.Add([]byte{byte(FrameCall), 0, 0, 0, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -256,9 +261,8 @@ func FuzzReadBatchFrame(f *testing.F) {
 func FuzzDecoderNext(f *testing.F) {
 	var stream bytes.Buffer
 	enc := NewEncoder(&stream)
-	_ = enc.EncodeHello(FrameHello, sampleHello)
-	enc.SetVersion(MaxVersion)
-	_ = enc.EncodeGossip(sampleGossip)
+	_ = enc.Encode(FrameHello, &sampleHello)
+	_ = enc.Encode(FrameGossip, &sampleGossip)
 	enc.BeginBatch()
 	_ = enc.BatchAdd(FrameCall, callBody(sampleCall))
 	_ = enc.BatchAdd(FrameReply, replyBody(sampleReply))

@@ -85,12 +85,12 @@ func TestValueDepthBound(t *testing.T) {
 		if _, err := ParseReplyRaw(replyWithResults(body)); !errors.Is(err, ErrTooDeep) {
 			t.Fatalf("raw reply with %d levels: %v", levels, err)
 		}
-		open, _ := AppendStreamOpen(nil, StreamOpen{Corr: 1, Component: "C", Op: "op", Window: 1, RawArgs: body}, MaxVersion)
-		if _, err := ParseStreamOpen(open, MaxVersion); !errors.Is(err, ErrTooDeep) {
+		open, _ := Append(nil, &StreamOpen{Corr: 1, Component: "C", Op: "op", Window: 1, RawArgs: body})
+		if err := Parse(open, &StreamOpen{}); !errors.Is(err, ErrTooDeep) {
 			t.Fatalf("stream open with %d levels: %v", levels, err)
 		}
 		chunk := append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1), body[1:]...)
-		if _, err := ParseStreamChunk(chunk); !errors.Is(err, ErrTooDeep) {
+		if err := Parse(chunk, &StreamChunk{}); !errors.Is(err, ErrTooDeep) {
 			t.Fatalf("stream chunk with %d levels: %v", levels, err)
 		}
 	}

@@ -22,18 +22,18 @@
 // fails fast instead of desynchronizing the stream.
 //
 // Versioning. A build speaks every version in [MinVersion, MaxVersion]; today
-// that is the single version 7. Each side offers its MaxVersion in the
-// hello/welcome exchange and both independently run the link at the smaller
-// offer; when that falls below MinVersion there is no common version and both
-// sides refuse the link. Handshake frames are parsed before anything is
-// negotiated, so they are stamped with the sender's MinVersion — the oldest
-// header any peer it could still link with accepts — and every later frame
-// with the negotiated version. The next protocol change raises MaxVersion to
-// 8 and branches on the version argument the body codecs already take.
+// that is the single version 7, which every frame carries. Each side offers
+// its MaxVersion in the hello/welcome exchange and both independently run the
+// link at the smaller offer; when that falls below MinVersion there is no
+// common version and both sides refuse the link. A body grows without a new
+// version: a new field arrives as an optional tail, a body that ends before
+// it reads it as zero, and bytes after the fields a reader knows are ignored
+// (see body.go, where each body but Call and Reply is described once).
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -515,7 +515,10 @@ var scalars = [...]*scalar{
 	tString: scalarOf(tString, AppendString,
 		func(b []byte) (string, []byte, bool) { s, rest, err := ReadString(b); return s, rest, err == nil }),
 	tBytes: scalarOf(tBytes, AppendBytes,
-		func(b []byte) ([]byte, []byte, bool) { v, rest, err := ReadBytes(b); return v, rest, err == nil }),
+		func(b []byte) ([]byte, []byte, bool) {
+			v, rest, err := readRaw(b)
+			return bytes.Clone(v), rest, err == nil
+		}),
 	tDuration: varintScalar[time.Duration](tDuration),
 }
 
@@ -639,33 +642,8 @@ func AppendBytes(dst, p []byte) []byte {
 	return append(dst, p...)
 }
 
-// ReadBytes decodes a length-prefixed byte slice (copied out of b).
-func ReadBytes(b []byte) ([]byte, []byte, error) {
-	p, rest, err := readRaw(b)
-	if err != nil {
-		return nil, b, err
-	}
-	return append(make([]byte, 0, len(p)), p...), rest, nil
-}
-
 // ---------------------------------------------------------------------------
-// Frame structs.
-
-// Hello is the handshake payload, sent as FrameHello by the dialer and
-// echoed back as FrameWelcome by the accepter.
-type Hello struct {
-	Node       string   // sender's node id
-	System     string   // architecture name, for sanity checking
-	Components []string // components the sender hosts (exported providers)
-	// MaxVersion is the highest protocol version the sender speaks; both
-	// sides run the link at min(ours, theirs). Zero (a body that ends before
-	// the field) is an offer no build accepts.
-	MaxVersion uint8
-	// Addr is the sender's advertised listen address, so gossip can tell
-	// third parties where to dial this member; empty means the peer did not
-	// advertise one.
-	Addr string
-}
+// Call and Reply: the per-call path, hand-written (see body.go).
 
 // Call is one remote invocation routed through a gateway endpoint.
 type Call struct {
@@ -731,162 +709,11 @@ type Reply struct {
 	RawResults []byte
 }
 
-// Migrate ships one quiesced component to a peer.
-type Migrate struct {
-	Corr       uint64 // ack correlation
-	Component  string
-	Implements string
-	Properties map[string]string
-	// CPU is the component's declared requirement, advisory: the
-	// destination places the adopted instance by its own topology and may
-	// use this to pick a node. It is not an allocation transfer — the
-	// origin releases exactly what it allocated, independently.
-	CPU      float64
-	HasState bool
-	State    []byte
-}
-
-// MigrateAck confirms (empty Err) or refuses an adoption.
-type MigrateAck struct {
-	Corr uint64
-	Err  string
-}
-
-// Announce updates component ownership: Add means "I now host Component",
-// !Add means "I no longer host it".
-type Announce struct {
-	Add       bool
-	Component string
-}
-
-// Member statuses carried in gossip entries. The numbering is the merge
-// precedence at equal (Incarnation, Version): a worse status wins.
-const (
-	GossipAlive   = 1
-	GossipSuspect = 2
-	GossipDead    = 3
-)
-
-// GossipComp is one hosted component inside a gossip entry: its observed
-// load (EWMA-smoothed busy nanoseconds per second, from the admission
-// estimator) and the node id of its replication follower ("" = none). The
-// follower assignment riding gossip is what lets every node agree, without
-// any coordination frame, on who promotes a component when its host dies.
-type GossipComp struct {
-	Name     string
-	Load     float64
-	Follower string
-}
-
-// GossipMember is one member entry in a gossip exchange. Incarnation orders
-// reincarnations of the same node id (a member refutes its own suspicion by
-// bumping it); Version orders updates within one incarnation (the origin
-// bumps it every beacon, so a fresh heartbeat relayed through any path
-// clears a stale suspicion). Merge rule: higher Incarnation wins, then
-// higher Version, then worse Status.
-type GossipMember struct {
-	Node        string
-	Addr        string
-	Incarnation uint64
-	Version     uint64
-	Status      uint8
-	Load        float64
-	Comps       []GossipComp
-}
-
-// Gossip is the full membership view one node pushes to a peer on every
-// beacon.
-type Gossip struct {
-	Members []GossipMember
-}
-
-// Replicate ships one warm-standby state snapshot to a follower. Seq is
-// monotonic per (origin, component); a follower ignores any snapshot at or
-// below the sequence it already installed.
-type Replicate struct {
-	Corr      uint64
-	Component string
-	Seq       uint64
-	State     []byte
-}
-
-// ReplicateAck confirms (empty Err) or refuses a standby snapshot.
-type ReplicateAck struct {
-	Corr      uint64
-	Component string
-	Seq       uint64
-	Err       string
-}
-
-// ---------------------------------------------------------------------------
-// Body encoders/decoders.
-
-// AppendHello encodes h.
-func AppendHello(dst []byte, h Hello) []byte {
-	dst = AppendString(dst, h.Node)
-	dst = AppendString(dst, h.System)
-	dst = binary.AppendUvarint(dst, uint64(len(h.Components)))
-	for _, c := range h.Components {
-		dst = AppendString(dst, c)
-	}
-	dst = binary.AppendUvarint(dst, uint64(h.MaxVersion))
-	return AppendString(dst, h.Addr)
-}
-
-// ParseHello decodes a Hello body. A body may end after the component list
-// or after MaxVersion (the absent fields stay zero), and bytes after Addr
-// belong to newer builds and are ignored: a hello from any version parses,
-// and whether the link is acceptable is the negotiation's verdict, not the
-// parser's.
-func ParseHello(b []byte) (Hello, error) {
-	var (
-		h   Hello
-		err error
-	)
-	if h.Node, b, err = ReadString(b); err != nil {
-		return h, err
-	}
-	if h.System, b, err = ReadString(b); err != nil {
-		return h, err
-	}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return h, ErrTruncated
-	}
-	b = b[n:]
-	if count > uint64(len(b)) {
-		return h, ErrTruncated
-	}
-	if count > 0 {
-		h.Components = make([]string, 0, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		var c string
-		if c, b, err = ReadString(b); err != nil {
-			return h, err
-		}
-		h.Components = append(h.Components, c)
-	}
-	if len(b) > 0 {
-		max, n := binary.Uvarint(b)
-		if n <= 0 {
-			return h, ErrTruncated
-		}
-		h.MaxVersion = uint8(min(max, math.MaxUint8))
-		b = b[n:]
-	}
-	if len(b) > 0 {
-		h.Addr, _, err = ReadString(b)
-	}
-	return h, err
-}
-
 // AppendCall encodes c. When RawArgs is set it is spliced verbatim in place
 // of Args; the output is byte-identical either way, so the fast path is
-// invisible to the receiving peer. The trailing argument of this and the
-// other version-taking body codecs is the link's negotiated version: every
-// version this build speaks encodes alike, so it is unused until a v8 body
-// differs.
+// invisible to the receiving peer. The trailing version argument of this and
+// the other Call and Reply codecs is unused — every link runs the one
+// version — and stays because benchmark/probes.go compiles against it.
 func AppendCall(dst []byte, c Call, _ uint8) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, c.Corr)
 	dst = AppendString(dst, c.Component)
@@ -1061,490 +888,6 @@ func ParseReplyRaw(b []byte) (r Reply, err error) {
 	return r, nil
 }
 
-// Cancel revokes an in-flight call by correlation id. The sender has already
-// settled the call locally (context cancel or deadline expiry), so the
-// receiver frees the serving slot and pending entry and suppresses the reply.
-type Cancel struct {
-	Corr uint64
-}
-
-// AppendCancel encodes c.
-func AppendCancel(dst []byte, c Cancel) []byte {
-	return binary.AppendUvarint(dst, c.Corr)
-}
-
-// ParseCancel decodes a Cancel body.
-func ParseCancel(b []byte) (Cancel, error) {
-	corr, n := binary.Uvarint(b)
-	if n <= 0 {
-		return Cancel{}, ErrTruncated
-	}
-	return Cancel{Corr: corr}, nil
-}
-
-// StreamOpen asks the peer to start a server stream. It is a call body plus
-// the consumer's initial credit window: the producer may have at most Window
-// un-credited chunks in flight before blocking.
-type StreamOpen struct {
-	Corr      uint64
-	Component string
-	Op        string
-	Principal string
-	// DeadlineNanos is the caller's remaining budget at encode time
-	// (relative, like Call.DeadlineNanos; 0 = no deadline).
-	DeadlineNanos int64
-	// Window is the initial credit window in items (>= 1).
-	Window uint32
-	Args   []any
-	// RawArgs, when non-nil, is spliced in place of Args, as on Call.
-	RawArgs []byte
-	// Trace and Span carry the stream's trace context, exactly as on Call.
-	Trace int64
-	Span  int64
-}
-
-// AppendStreamOpen encodes o; the trace-context trailer follows the
-// arguments as on a call.
-func AppendStreamOpen(dst []byte, o StreamOpen, _ uint8) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, o.Corr)
-	dst = AppendString(dst, o.Component)
-	dst = AppendString(dst, o.Op)
-	dst = AppendString(dst, o.Principal)
-	dst = binary.AppendVarint(dst, o.DeadlineNanos)
-	dst = binary.AppendUvarint(dst, uint64(o.Window))
-	var err error
-	if o.RawArgs != nil {
-		dst = append(dst, o.RawArgs...)
-	} else if dst, err = AppendValues(dst, o.Args); err != nil {
-		return dst, err
-	}
-	return appendTrace(dst, o.Trace, o.Span), nil
-}
-
-// ParseStreamOpen decodes a StreamOpen body.
-func ParseStreamOpen(b []byte, _ uint8) (StreamOpen, error) {
-	var (
-		o   StreamOpen
-		err error
-	)
-	corr, n := binary.Uvarint(b)
-	if n <= 0 {
-		return o, ErrTruncated
-	}
-	o.Corr = corr
-	b = b[n:]
-	if o.Component, b, err = ReadString(b); err != nil {
-		return o, err
-	}
-	if o.Op, b, err = ReadString(b); err != nil {
-		return o, err
-	}
-	if o.Principal, b, err = ReadString(b); err != nil {
-		return o, err
-	}
-	dl, n := binary.Varint(b)
-	if n <= 0 {
-		return o, ErrTruncated
-	}
-	o.DeadlineNanos = dl
-	b = b[n:]
-	w, n := binary.Uvarint(b)
-	if n <= 0 || w > math.MaxUint32 {
-		return o, ErrTruncated
-	}
-	o.Window = uint32(w)
-	b = b[n:]
-	if o.Args, b, err = ReadValues(b); err != nil {
-		return o, err
-	}
-	o.Trace, o.Span, err = parseTrace(b)
-	return o, err
-}
-
-// StreamChunk carries one pushed stream item. Seq is the 1-based position of
-// the item in its stream, for conservation accounting on the consumer side.
-type StreamChunk struct {
-	Corr uint64
-	Seq  uint64
-	Item any
-}
-
-// AppendStreamChunk encodes c.
-func AppendStreamChunk(dst []byte, c StreamChunk) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, c.Corr)
-	dst = binary.AppendUvarint(dst, c.Seq)
-	return AppendValue(dst, c.Item)
-}
-
-// ParseStreamChunk decodes a StreamChunk body.
-func ParseStreamChunk(b []byte) (StreamChunk, error) {
-	var c StreamChunk
-	corr, n := binary.Uvarint(b)
-	if n <= 0 {
-		return c, ErrTruncated
-	}
-	c.Corr = corr
-	b = b[n:]
-	seq, n := binary.Uvarint(b)
-	if n <= 0 {
-		return c, ErrTruncated
-	}
-	c.Seq = seq
-	b = b[n:]
-	item, _, err := ReadValue(b)
-	if err != nil {
-		return c, err
-	}
-	c.Item = item
-	return c, nil
-}
-
-// StreamCredit extends the producer's send window by Credit items.
-type StreamCredit struct {
-	Corr   uint64
-	Credit uint32
-}
-
-// AppendStreamCredit encodes c.
-func AppendStreamCredit(dst []byte, c StreamCredit) []byte {
-	dst = binary.AppendUvarint(dst, c.Corr)
-	return binary.AppendUvarint(dst, uint64(c.Credit))
-}
-
-// ParseStreamCredit decodes a StreamCredit body.
-func ParseStreamCredit(b []byte) (StreamCredit, error) {
-	var c StreamCredit
-	corr, n := binary.Uvarint(b)
-	if n <= 0 {
-		return c, ErrTruncated
-	}
-	c.Corr = corr
-	b = b[n:]
-	cr, n := binary.Uvarint(b)
-	if n <= 0 || cr > math.MaxUint32 {
-		return c, ErrTruncated
-	}
-	c.Credit = uint32(cr)
-	return c, nil
-}
-
-// StreamEnd terminates a stream: clean end when Err is empty, failure
-// otherwise. Kind classifies Err like Reply.Kind does.
-type StreamEnd struct {
-	Corr uint64
-	Err  string
-	Kind uint8
-}
-
-// AppendStreamEnd encodes s.
-func AppendStreamEnd(dst []byte, s StreamEnd) []byte {
-	dst = binary.AppendUvarint(dst, s.Corr)
-	dst = AppendString(dst, s.Err)
-	return append(dst, s.Kind)
-}
-
-// ParseStreamEnd decodes a StreamEnd body.
-func ParseStreamEnd(b []byte) (StreamEnd, error) {
-	var (
-		s   StreamEnd
-		err error
-	)
-	corr, n := binary.Uvarint(b)
-	if n <= 0 {
-		return s, ErrTruncated
-	}
-	s.Corr = corr
-	b = b[n:]
-	if s.Err, b, err = ReadString(b); err != nil {
-		return s, err
-	}
-	if len(b) < 1 {
-		return s, ErrTruncated
-	}
-	s.Kind = b[0]
-	return s, nil
-}
-
-// AppendMigrate encodes m.
-func AppendMigrate(dst []byte, m Migrate) []byte {
-	dst = binary.AppendUvarint(dst, m.Corr)
-	dst = AppendString(dst, m.Component)
-	dst = AppendString(dst, m.Implements)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Properties)))
-	for k, v := range m.Properties {
-		dst = AppendString(dst, k)
-		dst = AppendString(dst, v)
-	}
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.CPU))
-	if m.HasState {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	return AppendBytes(dst, m.State)
-}
-
-// ParseMigrate decodes a Migrate body.
-func ParseMigrate(b []byte) (Migrate, error) {
-	var (
-		m   Migrate
-		err error
-	)
-	corr, n := binary.Uvarint(b)
-	if n <= 0 {
-		return m, ErrTruncated
-	}
-	m.Corr = corr
-	b = b[n:]
-	if m.Component, b, err = ReadString(b); err != nil {
-		return m, err
-	}
-	if m.Implements, b, err = ReadString(b); err != nil {
-		return m, err
-	}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return m, ErrTruncated
-	}
-	b = b[n:]
-	if count > uint64(len(b))/2 { // each entry costs at least two bytes
-		return m, ErrTruncated
-	}
-	if count > 0 {
-		m.Properties = make(map[string]string, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		var k, v string
-		if k, b, err = ReadString(b); err != nil {
-			return m, err
-		}
-		if v, b, err = ReadString(b); err != nil {
-			return m, err
-		}
-		m.Properties[k] = v
-	}
-	if len(b) < 9 {
-		return m, ErrTruncated
-	}
-	m.CPU = math.Float64frombits(binary.BigEndian.Uint64(b))
-	m.HasState = b[8] != 0
-	b = b[9:]
-	m.State, _, err = ReadBytes(b)
-	return m, err
-}
-
-// AppendMigrateAck encodes a.
-func AppendMigrateAck(dst []byte, a MigrateAck) []byte {
-	dst = binary.AppendUvarint(dst, a.Corr)
-	return AppendString(dst, a.Err)
-}
-
-// ParseMigrateAck decodes a MigrateAck body.
-func ParseMigrateAck(b []byte) (MigrateAck, error) {
-	var a MigrateAck
-	corr, n := binary.Uvarint(b)
-	if n <= 0 {
-		return a, ErrTruncated
-	}
-	a.Corr = corr
-	var err error
-	a.Err, _, err = ReadString(b[n:])
-	return a, err
-}
-
-// AppendAnnounce encodes a.
-func AppendAnnounce(dst []byte, a Announce) []byte {
-	if a.Add {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	return AppendString(dst, a.Component)
-}
-
-// ParseAnnounce decodes an Announce body.
-func ParseAnnounce(b []byte) (Announce, error) {
-	var a Announce
-	if len(b) < 1 {
-		return a, ErrTruncated
-	}
-	a.Add = b[0] != 0
-	var err error
-	a.Component, _, err = ReadString(b[1:])
-	return a, err
-}
-
-func appendFloat64(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func readFloat64(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, b, ErrTruncated
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
-}
-
-// AppendGossip encodes g. Same hand-rolled tag-free layout as every other
-// body — the beacon path stays off reflection.
-func AppendGossip(dst []byte, g Gossip) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(g.Members)))
-	for _, m := range g.Members {
-		dst = AppendString(dst, m.Node)
-		dst = AppendString(dst, m.Addr)
-		dst = binary.AppendUvarint(dst, m.Incarnation)
-		dst = binary.AppendUvarint(dst, m.Version)
-		dst = append(dst, m.Status)
-		dst = appendFloat64(dst, m.Load)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Comps)))
-		for _, c := range m.Comps {
-			dst = AppendString(dst, c.Name)
-			dst = appendFloat64(dst, c.Load)
-			dst = AppendString(dst, c.Follower)
-		}
-	}
-	return dst
-}
-
-// Smallest encodings of a gossip member (two empty strings, two one-byte
-// uvarints, status, load, component count) and of a hosted component (two
-// empty strings and a load). ParseGossip divides the bytes it has left by
-// these before it sizes a slice from a count read off the wire: the entries
-// are several times larger in memory than encoded, so a count checked only
-// against the byte length would let one crafted frame reserve gigabytes.
-const (
-	minGossipMember = 14
-	minGossipComp   = 10
-)
-
-// ParseGossip decodes a Gossip body.
-func ParseGossip(b []byte) (Gossip, error) {
-	var g Gossip
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return g, ErrTruncated
-	}
-	b = b[n:]
-	if count > uint64(len(b))/minGossipMember {
-		return g, ErrTruncated
-	}
-	g.Members = make([]GossipMember, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var (
-			m   GossipMember
-			err error
-		)
-		if m.Node, b, err = ReadString(b); err != nil {
-			return g, err
-		}
-		if m.Addr, b, err = ReadString(b); err != nil {
-			return g, err
-		}
-		if m.Incarnation, n = binary.Uvarint(b); n <= 0 {
-			return g, ErrTruncated
-		}
-		b = b[n:]
-		if m.Version, n = binary.Uvarint(b); n <= 0 {
-			return g, ErrTruncated
-		}
-		b = b[n:]
-		if len(b) < 1 {
-			return g, ErrTruncated
-		}
-		m.Status = b[0]
-		b = b[1:]
-		if m.Load, b, err = readFloat64(b); err != nil {
-			return g, err
-		}
-		nc, n := binary.Uvarint(b)
-		if n <= 0 {
-			return g, ErrTruncated
-		}
-		b = b[n:]
-		if nc > uint64(len(b))/minGossipComp {
-			return g, ErrTruncated
-		}
-		if nc > 0 {
-			m.Comps = make([]GossipComp, 0, nc)
-		}
-		for j := uint64(0); j < nc; j++ {
-			var c GossipComp
-			if c.Name, b, err = ReadString(b); err != nil {
-				return g, err
-			}
-			if c.Load, b, err = readFloat64(b); err != nil {
-				return g, err
-			}
-			if c.Follower, b, err = ReadString(b); err != nil {
-				return g, err
-			}
-			m.Comps = append(m.Comps, c)
-		}
-		g.Members = append(g.Members, m)
-	}
-	return g, nil
-}
-
-// AppendReplicate encodes r.
-func AppendReplicate(dst []byte, r Replicate) []byte {
-	dst = binary.AppendUvarint(dst, r.Corr)
-	dst = AppendString(dst, r.Component)
-	dst = binary.AppendUvarint(dst, r.Seq)
-	return AppendBytes(dst, r.State)
-}
-
-// ParseReplicate decodes a Replicate body.
-func ParseReplicate(b []byte) (Replicate, error) {
-	var (
-		r   Replicate
-		err error
-	)
-	var n int
-	if r.Corr, n = binary.Uvarint(b); n <= 0 {
-		return r, ErrTruncated
-	}
-	b = b[n:]
-	if r.Component, b, err = ReadString(b); err != nil {
-		return r, err
-	}
-	if r.Seq, n = binary.Uvarint(b); n <= 0 {
-		return r, ErrTruncated
-	}
-	b = b[n:]
-	r.State, _, err = ReadBytes(b)
-	return r, err
-}
-
-// AppendReplicateAck encodes a.
-func AppendReplicateAck(dst []byte, a ReplicateAck) []byte {
-	dst = binary.AppendUvarint(dst, a.Corr)
-	dst = AppendString(dst, a.Component)
-	dst = binary.AppendUvarint(dst, a.Seq)
-	return AppendString(dst, a.Err)
-}
-
-// ParseReplicateAck decodes a ReplicateAck body.
-func ParseReplicateAck(b []byte) (ReplicateAck, error) {
-	var (
-		a   ReplicateAck
-		err error
-	)
-	var n int
-	if a.Corr, n = binary.Uvarint(b); n <= 0 {
-		return a, ErrTruncated
-	}
-	b = b[n:]
-	if a.Component, b, err = ReadString(b); err != nil {
-		return a, err
-	}
-	if a.Seq, n = binary.Uvarint(b); n <= 0 {
-		return a, ErrTruncated
-	}
-	b = b[n:]
-	a.Err, _, err = ReadString(b)
-	return a, err
-}
-
 // ---------------------------------------------------------------------------
 // Framed stream I/O.
 
@@ -1555,7 +898,6 @@ func ParseReplicateAck(b []byte) (ReplicateAck, error) {
 type Encoder struct {
 	w       *bufio.Writer
 	scratch []byte
-	version uint8
 	// batch is assembled independently of scratch so batched sub-frames and
 	// interleaved standalone frames (gossip, migrations) never fight over
 	// one buffer.
@@ -1563,24 +905,9 @@ type Encoder struct {
 	batchCount int
 }
 
-// NewEncoder wraps w. The encoder stamps MinVersion — the handshake stamp —
-// on every frame until SetVersion fixes the negotiated one.
+// NewEncoder wraps w. Every frame it writes is stamped MaxVersion.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w), version: MinVersion}
-}
-
-// SetVersion fixes the protocol version stamped on subsequent frames. Called
-// once after the handshake with the negotiated version; must not race a
-// write.
-func (e *Encoder) SetVersion(v uint8) { e.version = v }
-
-// body returns the reusable body buffer, reset to the frame header's length
-// so the frame can be assembled in one allocation-free pass.
-func (e *Encoder) body() []byte {
-	if e.scratch == nil {
-		e.scratch = make([]byte, headerSize, 256)
-	}
-	return e.scratch[:headerSize]
+	return &Encoder{w: bufio.NewWriter(w)}
 }
 
 // stamp fills in the header of a frame whose first headerSize bytes are
@@ -1592,7 +919,7 @@ func (e *Encoder) stamp(t FrameType, buf []byte) error {
 	}
 	buf[0] = magic0
 	buf[1] = magic1
-	buf[2] = e.version
+	buf[2] = MaxVersion
 	buf[3] = byte(t)
 	binary.BigEndian.PutUint32(buf[4:8], uint32(body))
 	return nil
@@ -1606,9 +933,19 @@ func (e *Encoder) write(buf []byte) error {
 	return e.w.Flush()
 }
 
-// flushFrame stamps the header onto buf and writes the whole frame.
-func (e *Encoder) flushFrame(t FrameType, buf []byte) error {
-	if err := e.stamp(t, buf); err != nil {
+// Encode writes a standalone frame of type t: the handshake (FrameHello,
+// FrameWelcome) and the link-control frames, which never ride a batch. The
+// frame is assembled behind its reserved header in the reusable scratch
+// buffer, in one allocation-free pass.
+func (e *Encoder) Encode(t FrameType, b Body) error {
+	if e.scratch == nil {
+		e.scratch = make([]byte, headerSize, 256)
+	}
+	buf, err := Append(e.scratch[:headerSize], b)
+	if err == nil {
+		err = e.stamp(t, buf)
+	}
+	if err != nil {
 		return err
 	}
 	if cap(buf) <= retainLimit {
@@ -1617,31 +954,6 @@ func (e *Encoder) flushFrame(t FrameType, buf []byte) error {
 		e.scratch = nil // oversized one-off (migration state): let it go
 	}
 	return e.write(buf)
-}
-
-// EncodeHello writes a FrameHello or FrameWelcome.
-func (e *Encoder) EncodeHello(t FrameType, h Hello) error {
-	return e.flushFrame(t, AppendHello(e.body(), h))
-}
-
-// EncodeMigrate writes a FrameMigrate.
-func (e *Encoder) EncodeMigrate(m Migrate) error {
-	return e.flushFrame(FrameMigrate, AppendMigrate(e.body(), m))
-}
-
-// EncodeMigrateAck writes a FrameMigrateAck.
-func (e *Encoder) EncodeMigrateAck(a MigrateAck) error {
-	return e.flushFrame(FrameMigrateAck, AppendMigrateAck(e.body(), a))
-}
-
-// EncodeAnnounce writes a FrameAnnounce.
-func (e *Encoder) EncodeAnnounce(a Announce) error {
-	return e.flushFrame(FrameAnnounce, AppendAnnounce(e.body(), a))
-}
-
-// EncodeGossip writes a FrameGossip.
-func (e *Encoder) EncodeGossip(g Gossip) error {
-	return e.flushFrame(FrameGossip, AppendGossip(e.body(), g))
 }
 
 // ---------------------------------------------------------------------------

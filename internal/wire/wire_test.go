@@ -52,8 +52,48 @@ func replyBody(r Reply) func([]byte) ([]byte, error) {
 	return func(dst []byte) ([]byte, error) { return AppendReply(dst, r, MaxVersion) }
 }
 
-func plainBody[T any](appendT func([]byte, T) []byte, v T) func([]byte) ([]byte, error) {
-	return func(dst []byte) ([]byte, error) { return appendT(dst, v), nil }
+func bodyOf(b Body) func([]byte) ([]byte, error) {
+	return func(dst []byte) ([]byte, error) { return Append(dst, b) }
+}
+
+// encodeBody is the closure for v: a *Call, a *Reply or a Body.
+func encodeBody(v any) func([]byte) ([]byte, error) {
+	switch x := v.(type) {
+	case *Call:
+		return callBody(*x)
+	case *Reply:
+		return replyBody(*x)
+	}
+	return bodyOf(v.(Body))
+}
+
+// encodeFrame writes v, a Body, as a standalone frame of type t.
+func encodeFrame(enc *Encoder, t FrameType, v any) error { return enc.Encode(t, v.(Body)) }
+
+// parseAs decodes b into a new value of want's type: a *Call, a *Reply or a
+// Body.
+func parseAs(want any, b []byte) (any, error) {
+	switch want.(type) {
+	case *Call:
+		c, err := ParseCall(b, MaxVersion)
+		return &c, err
+	case *Reply:
+		r, err := ParseReply(b, MaxVersion)
+		return &r, err
+	}
+	got := reflect.New(reflect.TypeOf(want).Elem()).Interface().(Body)
+	return got, Parse(b, got)
+}
+
+// parsed is parseAs for a test: the value, or a fatal error.
+func parsed[T any](t *testing.T, b []byte) T {
+	t.Helper()
+	var want T
+	got, err := parseAs(&want, b)
+	if err != nil {
+		t.Fatalf("parse %T: %v", want, err)
+	}
+	return *got.(*T)
 }
 
 // sendAlone writes one data frame the way the egress writes a lone one: a
@@ -141,30 +181,26 @@ func TestFrameRoundTrip(t *testing.T) {
 	enc := NewEncoder(&conn)
 	dec := NewDecoder(&conn)
 
-	if err := enc.EncodeHello(FrameHello, sampleHello); err != nil {
+	if err := enc.Encode(FrameHello, &sampleHello); err != nil {
 		t.Fatal(err)
 	}
-	enc.SetVersion(MaxVersion)
 	sendAlone(t, enc, FrameCall, callBody(sampleCall))
 	sendAlone(t, enc, FrameReply, replyBody(sampleReply))
-	if err := enc.EncodeMigrate(sampleMigrate); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeMigrateAck(sampleMigrateAck); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeAnnounce(sampleAnnounce); err != nil {
-		t.Fatal(err)
+	for _, f := range []struct {
+		t FrameType
+		b Body
+	}{{FrameMigrate, &sampleMigrate}, {FrameMigrateAck, &sampleMigrateAck}, {FrameAnnounce, &sampleAnnounce}} {
+		if err := enc.Encode(f.t, f.b); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// The handshake frame carries the handshake stamp, later frames the
-	// negotiated version.
-	if got := conn.Bytes()[2]; got != MinVersion {
-		t.Fatalf("hello stamped v%d, want MinVersion", got)
+	// Every frame carries the one version, the handshake's included.
+	if got := conn.Bytes()[2]; got != MaxVersion {
+		t.Fatalf("hello stamped v%d, want MaxVersion", got)
 	}
-	gotHello, err := ParseHello(next(t, dec, FrameHello))
-	if err != nil || !reflect.DeepEqual(gotHello, sampleHello) {
-		t.Fatalf("hello: %#v %v", gotHello, err)
+	if got := parsed[Hello](t, next(t, dec, FrameHello)); !reflect.DeepEqual(got, sampleHello) {
+		t.Fatalf("hello: %#v", got)
 	}
 	gotCall, err := ParseCall(next(t, dec, FrameCall), MaxVersion)
 	if err != nil || !reflect.DeepEqual(gotCall, sampleCall) {
@@ -174,36 +210,34 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gotReply, sampleReply) {
 		t.Fatalf("reply: %#v %v", gotReply, err)
 	}
-	gotMig, err := ParseMigrate(next(t, dec, FrameMigrate))
-	if err != nil || !reflect.DeepEqual(gotMig, sampleMigrate) {
-		t.Fatalf("migrate: %#v %v", gotMig, err)
+	if got := parsed[Migrate](t, next(t, dec, FrameMigrate)); !reflect.DeepEqual(got, sampleMigrate) {
+		t.Fatalf("migrate: %#v", got)
 	}
-	gotAck, err := ParseMigrateAck(next(t, dec, FrameMigrateAck))
-	if err != nil || gotAck != sampleMigrateAck {
-		t.Fatalf("ack: %#v %v", gotAck, err)
+	if got := parsed[MigrateAck](t, next(t, dec, FrameMigrateAck)); got != sampleMigrateAck {
+		t.Fatalf("ack: %#v", got)
 	}
-	gotAnn, err := ParseAnnounce(next(t, dec, FrameAnnounce))
-	if err != nil || gotAnn != sampleAnnounce {
-		t.Fatalf("announce: %#v %v", gotAnn, err)
+	if got := parsed[Announce](t, next(t, dec, FrameAnnounce)); got != sampleAnnounce {
+		t.Fatalf("announce: %#v", got)
 	}
 }
 
 func TestHelloVersionNegotiation(t *testing.T) {
 	// The offer rides the hello unclamped — a newer build's offer above this
 	// build's MaxVersion must reach the negotiation as sent.
-	buf := AppendHello(nil, Hello{Node: "n1", System: "S", MaxVersion: MaxVersion + 1})
-	h, err := ParseHello(buf)
-	if err != nil || h.MaxVersion != MaxVersion+1 {
-		t.Fatalf("newer hello: MaxVersion=%d err=%v", h.MaxVersion, err)
+	buf, err := Append(nil, &Hello{Node: "n1", System: "S", MaxVersion: MaxVersion + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := parsed[Hello](t, buf); h.MaxVersion != MaxVersion+1 {
+		t.Fatalf("newer hello: MaxVersion=%d", h.MaxVersion)
 	}
 	// A hello that ends before the offer parses as offering nothing: the
 	// parser accepts it and the negotiation refuses it.
 	bare := AppendString(nil, "n1")
 	bare = AppendString(bare, "S")
 	bare = append(bare, 0) // zero components
-	h, err = ParseHello(bare)
-	if err != nil || h.MaxVersion != 0 {
-		t.Fatalf("bare hello: MaxVersion=%d err=%v", h.MaxVersion, err)
+	if h := parsed[Hello](t, bare); h.MaxVersion != 0 {
+		t.Fatalf("bare hello: MaxVersion=%d", h.MaxVersion)
 	}
 }
 
@@ -292,7 +326,6 @@ func TestCallRespTag(t *testing.T) {
 func TestBatchRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(MaxVersion)
 	dec := NewDecoder(&conn)
 
 	calls := []Call{
@@ -377,10 +410,9 @@ func TestCancelRoundTrip(t *testing.T) {
 
 	// Alone on the link: the bare frame.
 	want := sampleCancel
-	sendAlone(t, enc, FrameCancel, plainBody(AppendCancel, want))
-	got, err := ParseCancel(next(t, dec, FrameCancel))
-	if err != nil || got != want {
-		t.Fatalf("cancel: %#v %v", got, err)
+	sendAlone(t, enc, FrameCancel, bodyOf(&want))
+	if got := parsed[Cancel](t, next(t, dec, FrameCancel)); got != want {
+		t.Fatalf("cancel: %#v", got)
 	}
 
 	// Batched sub-frame, coalescing with a call.
@@ -388,7 +420,7 @@ func TestCancelRoundTrip(t *testing.T) {
 	if err := enc.BatchAdd(FrameCall, callBody(Call{Corr: 1, Component: "C", Op: "op"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAdd(FrameCancel, plainBody(AppendCancel, want)); err != nil {
+	if err := enc.BatchAdd(FrameCancel, bodyOf(&want)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.FlushBatch(); err != nil {
@@ -402,15 +434,15 @@ func TestCancelRoundTrip(t *testing.T) {
 	if err != nil || st != FrameCancel {
 		t.Fatalf("cancel sub: %v %v", st, err)
 	}
-	if got, err := ParseCancel(sb); err != nil || got != want {
-		t.Fatalf("batched cancel: %#v %v", got, err)
+	if got := parsed[Cancel](t, sb); got != want {
+		t.Fatalf("batched cancel: %#v", got)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("%d trailing bytes", len(rest))
 	}
 
 	// Truncation is rejected.
-	if _, err := ParseCancel(nil); !errors.Is(err, ErrTruncated) {
+	if err := Parse(nil, &Cancel{}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty cancel body: %v", err)
 	}
 }
@@ -460,7 +492,6 @@ func (l *loopReader) Read(p []byte) (int, error) {
 func TestDecoderNextAllocs(t *testing.T) {
 	var stream bytes.Buffer
 	enc := NewEncoder(&stream)
-	enc.SetVersion(MaxVersion)
 	enc.BeginBatch()
 	if err := enc.BatchAdd(FrameCall, callBody(sampleCall)); err != nil {
 		t.Fatal(err)
@@ -487,12 +518,12 @@ func TestTruncatedBodies(t *testing.T) {
 	if _, err := ParseCall([]byte{}, MaxVersion); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("call: want ErrTruncated, got %v", err)
 	}
-	if _, err := ParseMigrate([]byte{1, 0}); !errors.Is(err, ErrTruncated) {
+	if err := Parse([]byte{1, 0}, &Migrate{}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("migrate: want ErrTruncated, got %v", err)
 	}
 	// A migrate body claiming more property entries than bytes remaining
 	// must not pre-size a huge map.
-	if _, err := ParseMigrate([]byte{1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}); !errors.Is(err, ErrTruncated) {
+	if err := Parse([]byte{1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, &Migrate{}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("migrate property bomb: want ErrTruncated, got %v", err)
 	}
 	// A slice claiming more elements than bytes remaining must not
@@ -531,25 +562,22 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	dec := NewDecoder(&conn)
 
 	open, chunk, credit, end := sampleOpen, sampleChunk, sampleCredit, sampleEnd
-	openBody := func(dst []byte) ([]byte, error) { return AppendStreamOpen(dst, open, MaxVersion) }
-	chunkBody := func(dst []byte) ([]byte, error) { return AppendStreamChunk(dst, chunk) }
 
-	sendAlone(t, enc, FrameStreamOpen, openBody)
-	gotOpen, err := ParseStreamOpen(next(t, dec, FrameStreamOpen), MaxVersion)
-	if err != nil || !reflect.DeepEqual(gotOpen, open) {
-		t.Fatalf("open: %#v %v", gotOpen, err)
+	sendAlone(t, enc, FrameStreamOpen, bodyOf(&open))
+	if got := parsed[StreamOpen](t, next(t, dec, FrameStreamOpen)); !reflect.DeepEqual(got, open) {
+		t.Fatalf("open: %#v", got)
 	}
-	sendAlone(t, enc, FrameStreamChunk, chunkBody)
-	if got, err := ParseStreamChunk(next(t, dec, FrameStreamChunk)); err != nil || got != chunk {
-		t.Fatalf("chunk: %#v %v", got, err)
+	sendAlone(t, enc, FrameStreamChunk, bodyOf(&chunk))
+	if got := parsed[StreamChunk](t, next(t, dec, FrameStreamChunk)); got != chunk {
+		t.Fatalf("chunk: %#v", got)
 	}
-	sendAlone(t, enc, FrameStreamCredit, plainBody(AppendStreamCredit, credit))
-	if got, err := ParseStreamCredit(next(t, dec, FrameStreamCredit)); err != nil || got != credit {
-		t.Fatalf("credit: %#v %v", got, err)
+	sendAlone(t, enc, FrameStreamCredit, bodyOf(&credit))
+	if got := parsed[StreamCredit](t, next(t, dec, FrameStreamCredit)); got != credit {
+		t.Fatalf("credit: %#v", got)
 	}
-	sendAlone(t, enc, FrameStreamEnd, plainBody(AppendStreamEnd, end))
-	if got, err := ParseStreamEnd(next(t, dec, FrameStreamEnd)); err != nil || got != end {
-		t.Fatalf("end: %#v %v", got, err)
+	sendAlone(t, enc, FrameStreamEnd, bodyOf(&end))
+	if got := parsed[StreamEnd](t, next(t, dec, FrameStreamEnd)); got != end {
+		t.Fatalf("end: %#v", got)
 	}
 
 	// All four coalesce as batch sub-frames alongside a reply.
@@ -558,11 +586,11 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 		t    FrameType
 		body func([]byte) ([]byte, error)
 	}{
-		{FrameStreamOpen, openBody},
-		{FrameStreamChunk, chunkBody},
+		{FrameStreamOpen, bodyOf(&open)},
+		{FrameStreamChunk, bodyOf(&chunk)},
 		{FrameReply, replyBody(Reply{Corr: 9, Results: []any{"r"}})},
-		{FrameStreamCredit, plainBody(AppendStreamCredit, credit)},
-		{FrameStreamEnd, plainBody(AppendStreamEnd, end)},
+		{FrameStreamCredit, bodyOf(&credit)},
+		{FrameStreamEnd, bodyOf(&end)},
 	} {
 		if err := enc.BatchAdd(sub.t, sub.body); err != nil {
 			t.Fatal(err)
@@ -580,12 +608,12 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 		}
 		switch st {
 		case FrameStreamChunk:
-			if got, err := ParseStreamChunk(sb); err != nil || got != chunk {
-				t.Fatalf("batched chunk: %#v %v", got, err)
+			if got := parsed[StreamChunk](t, sb); got != chunk {
+				t.Fatalf("batched chunk: %#v", got)
 			}
 		case FrameStreamEnd:
-			if got, err := ParseStreamEnd(sb); err != nil || got != end {
-				t.Fatalf("batched end: %#v %v", got, err)
+			if got := parsed[StreamEnd](t, sb); got != end {
+				t.Fatalf("batched end: %#v", got)
 			}
 		}
 		body = rest
@@ -595,14 +623,9 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	}
 
 	// Truncated bodies are rejected, not crashed on.
-	for _, parse := range []func([]byte) error{
-		func(b []byte) error { _, err := ParseStreamOpen(b, MaxVersion); return err },
-		func(b []byte) error { _, err := ParseStreamChunk(b); return err },
-		func(b []byte) error { _, err := ParseStreamCredit(b); return err },
-		func(b []byte) error { _, err := ParseStreamEnd(b); return err },
-	} {
-		if err := parse(nil); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("empty body: %v", err)
+	for _, b := range []Body{&StreamOpen{}, &StreamChunk{}, &StreamCredit{}, &StreamEnd{}} {
+		if err := Parse(nil, b); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("empty %T body: %v", b, err)
 		}
 	}
 }
@@ -613,52 +636,64 @@ func TestGossipRoundTrip(t *testing.T) {
 	dec := NewDecoder(&conn)
 
 	g := sampleGossip
-	if err := enc.EncodeGossip(g); err != nil {
+	if err := enc.Encode(FrameGossip, &g); err != nil {
 		t.Fatal(err)
 	}
 	body := next(t, dec, FrameGossip)
-	got, err := ParseGossip(body)
-	if err != nil || !reflect.DeepEqual(got, g) {
-		t.Fatalf("gossip round trip: %#v %v", got, err)
+	if got := parsed[Gossip](t, body); !reflect.DeepEqual(got, g) {
+		t.Fatalf("gossip round trip: %#v", got)
 	}
-	if _, err := ParseGossip(body[:len(body)-3]); !errors.Is(err, ErrTruncated) {
+	if err := Parse(body[:len(body)-3], &Gossip{}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated gossip: %v", err)
 	}
-	if _, err := ParseGossip(nil); !errors.Is(err, ErrTruncated) {
+	if err := Parse(nil, &Gossip{}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty gossip: %v", err)
 	}
 }
 
-// TestParseGossipCountBomb feeds ParseGossip frames whose member and
-// component counts claim as many entries as there are bytes left. An entry
-// is several times larger in memory than its smallest encoding, so sizing
-// the slices from such a count would reserve ~100x the frame (gigabytes at
-// MaxFrame) before the first field read failed; the parser must reject the
-// count itself and allocate next to nothing.
-func TestParseGossipCountBomb(t *testing.T) {
+// TestCountBombs feeds every counted list of the codec a count one above the
+// bound its entries' smallest encoding sets: the bytes left divided by that
+// size. An entry is several times larger in memory than its smallest
+// encoding, so sizing a list from such a count would reserve ~100x the frame
+// (gigabytes at MaxFrame) before the first entry failed to read; the parser
+// must reject the count itself and allocate next to nothing. At the bound, a
+// list of smallest entries that ends the body parses.
+func TestCountBombs(t *testing.T) {
 	const size = 1 << 20
-	members := binary.AppendUvarint(nil, size)
-	members = append(members, make([]byte, size)...)
-
-	// One well-formed member header, then a component count bomb.
-	comps := []byte{1}
-	comps = AppendString(comps, "n1")
-	comps = AppendString(comps, "")
-	comps = append(comps, 1, 1, GossipAlive)
-	comps = append(comps, make([]byte, 8)...) // load
-	comps = append(comps, binary.AppendUvarint(nil, size)...)
-	comps = append(comps, make([]byte, size)...)
-
-	for name, frame := range map[string][]byte{"members": members, "components": comps} {
+	member := AppendString(AppendString(nil, "n1"), "")
+	member = append(member, 1, 1, GossipAlive)
+	member = append(member, make([]byte, 8)...) // load
+	for _, c := range []struct {
+		name    string
+		body    Body
+		prefix  []byte // the body before the count
+		minSize int
+		ends    bool // whether the list is the end of the body
+	}{
+		{"hello components", &Hello{}, AppendString(AppendString(nil, "n1"), "S"), 1, true},
+		{"migrate properties", &Migrate{}, AppendString(AppendString([]byte{1}, "C"), "KV"), 2, false},
+		{"gossip members", &Gossip{}, nil, minGossipMember, true},
+		{"gossip components", &Gossip{}, append([]byte{1}, member...), minGossipComp, true},
+	} {
+		// count entries' worth of zero bytes: an entry of smallest encoding
+		// is all zeros.
+		frame := func(count int) []byte {
+			b := binary.AppendUvarint(bytes.Clone(c.prefix), uint64(count))
+			return append(b, make([]byte, size)...)
+		}
+		bomb := frame(size/c.minSize + 1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ParseGossip(frame)
+		err := Parse(bomb, c.body)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("%s bomb: want ErrTruncated, got %v", name, err)
+			t.Fatalf("%s bomb: want ErrTruncated, got %v", c.name, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > size {
-			t.Fatalf("%s bomb: parsing a %d-byte frame allocated %d bytes", name, len(frame), grew)
+			t.Fatalf("%s bomb: parsing a %d-byte frame allocated %d bytes", c.name, len(bomb), grew)
+		}
+		if err := Parse(frame(size/c.minSize), c.body); c.ends && err != nil {
+			t.Fatalf("%s at the bound: %v", c.name, err)
 		}
 	}
 }
@@ -669,72 +704,110 @@ func TestReplicateRoundTrip(t *testing.T) {
 	dec := NewDecoder(&conn)
 
 	rep, ack := sampleReplicate, sampleReplicateAck
-	sendAlone(t, enc, FrameReplicate, plainBody(AppendReplicate, rep))
-	sendAlone(t, enc, FrameReplicateAck, plainBody(AppendReplicateAck, ack))
+	sendAlone(t, enc, FrameReplicate, bodyOf(&rep))
+	sendAlone(t, enc, FrameReplicateAck, bodyOf(&ack))
 	enc.BeginBatch()
-	if err := enc.BatchAdd(FrameReplicate, plainBody(AppendReplicate, rep)); err != nil {
+	if err := enc.BatchAdd(FrameReplicate, bodyOf(&rep)); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAdd(FrameReplicateAck, plainBody(AppendReplicateAck, ack)); err != nil {
+	if err := enc.BatchAdd(FrameReplicateAck, bodyOf(&ack)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.FlushBatch(); err != nil {
 		t.Fatal(err)
 	}
 
-	if got, err := ParseReplicate(next(t, dec, FrameReplicate)); err != nil || !reflect.DeepEqual(got, rep) {
-		t.Fatalf("replicate: %#v %v", got, err)
+	if got := parsed[Replicate](t, next(t, dec, FrameReplicate)); !reflect.DeepEqual(got, rep) {
+		t.Fatalf("replicate: %#v", got)
 	}
-	if got, err := ParseReplicateAck(next(t, dec, FrameReplicateAck)); err != nil || got != ack {
-		t.Fatalf("ack: %#v %v", got, err)
+	if got := parsed[ReplicateAck](t, next(t, dec, FrameReplicateAck)); got != ack {
+		t.Fatalf("ack: %#v", got)
 	}
 	st, sb, rest, err := ReadBatchFrame(next(t, dec, FrameBatch))
 	if err != nil || st != FrameReplicate {
 		t.Fatalf("sub 1: %v %v", st, err)
 	}
-	if got, err := ParseReplicate(sb); err != nil || !reflect.DeepEqual(got, rep) {
-		t.Fatalf("batched replicate: %#v %v", got, err)
+	if got := parsed[Replicate](t, sb); !reflect.DeepEqual(got, rep) {
+		t.Fatalf("batched replicate: %#v", got)
 	}
 	st, sb, rest, err = ReadBatchFrame(rest)
 	if err != nil || st != FrameReplicateAck {
 		t.Fatalf("sub 2: %v %v", st, err)
 	}
-	if got, err := ParseReplicateAck(sb); err != nil || got != ack {
-		t.Fatalf("batched ack: %#v %v", got, err)
+	if got := parsed[ReplicateAck](t, sb); got != ack {
+		t.Fatalf("batched ack: %#v", got)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("%d trailing bytes", len(rest))
 	}
 
-	for _, parse := range []func([]byte) error{
-		func(b []byte) error { _, err := ParseReplicate(b); return err },
-		func(b []byte) error { _, err := ParseReplicateAck(b); return err },
-	} {
-		if err := parse(nil); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("empty body: %v", err)
+	for _, b := range []Body{&Replicate{}, &ReplicateAck{}} {
+		if err := Parse(nil, b); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("empty %T body: %v", b, err)
 		}
 	}
 }
 
 func TestHelloAddrTrailer(t *testing.T) {
 	h := Hello{Node: "n1", System: "S", MaxVersion: MaxVersion, Addr: "10.0.0.1:7000"}
-	body := AppendHello(nil, h)
-	got, err := ParseHello(body)
-	if err != nil || got.Addr != h.Addr || got.MaxVersion != MaxVersion {
-		t.Fatalf("addr trailer: %#v %v", got, err)
+	body, err := Append(nil, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := parsed[Hello](t, body); got.Addr != h.Addr || got.MaxVersion != MaxVersion {
+		t.Fatalf("addr trailer: %#v", got)
 	}
 	// Fields a newer build appends after Addr are ignored, not an error.
-	if got, err := ParseHello(append(body, 1, 2, 3)); err != nil || got.Addr != h.Addr {
-		t.Fatalf("hello with newer trailing fields: %#v %v", got, err)
+	if got := parsed[Hello](t, append(body, 1, 2, 3)); got.Addr != h.Addr {
+		t.Fatalf("hello with newer trailing fields: %#v", got)
 	}
 	// A body that stops at the MaxVersion uvarint still parses, with an
-	// empty Addr.
+	// empty Addr — also into a Hello that held one: an absent tail reads as
+	// zero.
 	short := AppendString(nil, "n1")
 	short = AppendString(short, "S")
 	short = append(short, 0) // zero components
 	short = append(short, MaxVersion)
-	got, err = ParseHello(short)
-	if err != nil || got.Addr != "" || got.MaxVersion != MaxVersion {
+	got := h
+	if err := Parse(short, &got); err != nil || got.Addr != "" || got.MaxVersion != MaxVersion {
 		t.Fatalf("addr-less hello: %#v %v", got, err)
+	}
+	// A tail cut inside a field is truncated, not absent.
+	if err := Parse(append(short[:len(short)-1], 0x80), &got); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("hello cut inside MaxVersion: %v", err)
+	}
+}
+
+// TestBodyAllocs pins what routing every body through walk's exhaustive
+// switch buys: appending any of the twelve bodies into a warm buffer
+// allocates nothing, and neither does parsing a body of fixed-size fields.
+// Through an interface call, the body and the codec would each move to the
+// heap on every call.
+func TestBodyAllocs(t *testing.T) {
+	open, chunk, gossip, migrate := sampleOpen, sampleChunk, sampleGossip, sampleMigrate
+	bodies := []Body{&sampleHello, &sampleCancel, &open, &chunk, &sampleCredit, &sampleEnd, &migrate,
+		&sampleMigrateAck, &sampleAnnounce, &gossip, &sampleReplicate, &sampleReplicateAck}
+	if len(bodies) != 12 {
+		t.Fatalf("%d bodies, want all twelve", len(bodies))
+	}
+	buf := make([]byte, 0, 4096)
+	for _, b := range bodies {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := Append(buf[:0], b); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("Append(%T) allocates %.1f/op, want 0", b, allocs)
+		}
+	}
+	cancel, _ := Append(nil, &sampleCancel)
+	credit, _ := Append(nil, &sampleCredit)
+	for name, parse := range map[string]func(){
+		"Cancel":       func() { var c Cancel; _ = Parse(cancel, &c) },
+		"StreamCredit": func() { var c StreamCredit; _ = Parse(credit, &c) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, parse); allocs != 0 {
+			t.Fatalf("Parse(%s) allocates %.1f/op, want 0", name, allocs)
+		}
 	}
 }
