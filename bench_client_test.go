@@ -115,9 +115,9 @@ func BenchmarkTypedClientCallParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkTypedClientAsync is the asynchronous typed shape; futures are
-// freshly allocated per call (never pooled), so compare allocations against
-// BenchmarkClientAsyncFanout, not the synchronous typed path.
+// BenchmarkTypedClientAsync is the asynchronous typed shape: the same pooled
+// envelope as the synchronous typed path, plus the future the caller holds.
+// Compare it against BenchmarkClientAsyncFanout for the untyped engine.
 func BenchmarkTypedClientAsync(b *testing.B) {
 	const fanout = 16
 	sys, _ := startBenchSystem(b)

@@ -38,12 +38,23 @@ system Lifecycle {
 `
 
 // lifecycleTarget answers do(what) as what says and counts the requests that
-// reached it.
+// reached it. "echo" and any what that starts with "#" are echoed; one that
+// starts with "slow#" is echoed after lifecycleSlowOp.
 type lifecycleTarget struct{ served atomic.Int64 }
+
+const lifecycleSlowOp = 20 * time.Millisecond
 
 func (c *lifecycleTarget) Handle(op string, args []any) ([]any, error) {
 	c.served.Add(1)
-	switch what, _ := args[0].(string); what {
+	what, _ := args[0].(string)
+	switch {
+	case strings.HasPrefix(what, "#"):
+		return []any{what}, nil
+	case strings.HasPrefix(what, "slow#"):
+		time.Sleep(lifecycleSlowOp)
+		return []any{what}, nil
+	}
+	switch what {
 	case "echo":
 		return []any{what}, nil
 	case "deadline":
@@ -104,13 +115,13 @@ func startLifecycle(t *testing.T, opts Options) *lifecycleEnv {
 // callShape is one way into the engine, as functions of the system under
 // test: invoke makes the call and returns its outcome; probe, for the async
 // shapes, makes the call and hands back the future's Wait and a report of
-// whether its timer or context hook is still installed.
+// what the future still holds once Wait has returned.
 type callShape struct {
 	name string
 	// invoke under a handle budget of d (0 for none); nil means the shape
 	// has no such thing and the row is skipped.
 	invoke func(env *lifecycleEnv, d time.Duration) callFn
-	probe  func(env *lifecycleEnv, ctx context.Context, what string) (wait func() (string, error), armed func() bool)
+	probe  func(env *lifecycleEnv, ctx context.Context, what string) (wait func() (string, error), held func() (pooled, timerLive bool))
 	// pending counts the waiter entries of the table the shape registers in.
 	pending func(env *lifecycleEnv) int
 	// dst is where the shape's request goes first.
@@ -127,11 +138,50 @@ func first(res []any, err error) (string, error) {
 	return s, nil
 }
 
-func armedProbe[Req, Resp any](f *TypedFuture[Req, Resp]) func() bool {
+// heldProbe reports, once Wait has returned, whether f gave its envelope back
+// to the pool — which a collected reply does exactly when it stopped the
+// fallback timer and the context hook before either ran — and, when it did
+// not, whether the timer armed for f could still fire (asking stops it).
+func heldProbe[Req, Resp any](f *TypedFuture[Req, Resp]) func() (pooled, timerLive bool) {
+	return func() (bool, bool) {
+		if f.e == nil {
+			return true, false
+		}
+		return false, f.timed && f.e.lapser.Stop()
+	}
+}
+
+// hookCtx is a cancellable context that counts the context.AfterFunc
+// registrations made on it and those still live. context.AfterFunc hands a
+// context that is not built on the package's own cancelCtx to the context's
+// AfterFunc method, and the stop function it returns releases the
+// registration through the one that method returns — so live counts every
+// hook not yet run or released.
+type hookCtx struct {
+	context.Context // Background: no deadline, no values
+	inner           context.Context
+	cancel          context.CancelFunc
+	made, live      atomic.Int32
+}
+
+func newHookCtx() *hookCtx {
+	inner, cancel := context.WithCancel(context.Background())
+	return &hookCtx{Context: context.Background(), inner: inner, cancel: cancel}
+}
+
+func (c *hookCtx) Done() <-chan struct{} { return c.inner.Done() }
+func (c *hookCtx) Err() error            { return c.inner.Err() }
+
+func (c *hookCtx) AfterFunc(f func()) func() bool {
+	c.made.Add(1)
+	c.live.Add(1)
+	stop := context.AfterFunc(c.inner, func() { c.live.Add(-1); f() })
 	return func() bool {
-		f.cleanupMu.Lock()
-		defer f.cleanupMu.Unlock()
-		return f.timer != nil || f.stopHook != nil
+		stopped := stop()
+		if stopped {
+			c.live.Add(-1)
+		}
+		return stopped
 	}
 }
 
@@ -166,9 +216,9 @@ var callShapes = []callShape{
 			t := typedTarget(env, d)
 			return func(ctx context.Context, what string) (string, error) { return t.Async(ctx, "do", what).Wait() }
 		},
-		probe: func(env *lifecycleEnv, ctx context.Context, what string) (func() (string, error), func() bool) {
+		probe: func(env *lifecycleEnv, ctx context.Context, what string) (func() (string, error), func() (bool, bool)) {
 			f := typedTarget(env, 0).Async(ctx, "do", what)
-			return f.Wait, armedProbe(f)
+			return f.Wait, heldProbe(f)
 		}},
 	{name: "untyped/call", pending: edgePending, dst: targetAddr,
 		invoke: func(env *lifecycleEnv, d time.Duration) callFn {
@@ -182,9 +232,9 @@ var callShapes = []callShape{
 				return first(c.Async(ctx, "do", what).Wait())
 			}
 		},
-		probe: func(env *lifecycleEnv, ctx context.Context, what string) (func() (string, error), func() bool) {
+		probe: func(env *lifecycleEnv, ctx context.Context, what string) (func() (string, error), func() (bool, bool)) {
 			f := untypedTarget(env, 0).Async(ctx, "do", what)
-			return func() (string, error) { return first(f.Wait()) }, armedProbe(f)
+			return func() (string, error) { return first(f.Wait()) }, heldProbe(f)
 		}},
 	{name: "outcall", pending: originPending, dst: connectorAddr,
 		invoke: func(env *lifecycleEnv, d time.Duration) callFn {
@@ -485,26 +535,66 @@ func TestFutureLifecycle(t *testing.T) {
 	// A reply nobody Waits for frees the waiter entry at once, and the
 	// fallback timer's callback — which finds the entry gone — releases the
 	// context hook with it, so the context does not pin the future for its
-	// own lifetime. The reply is still there for a late Wait.
+	// own lifetime. Only that callback releases the hook here, so its release
+	// also says the timer has run. The reply is still there for a late Wait,
+	// which must not give back an envelope whose timer ran.
 	t.Run("un-awaited", func(t *testing.T) {
 		env := startLifecycle(t, Options{CallTimeout: short})
 		for _, sh := range async {
-			ctx, cancel := context.WithCancel(context.Background())
-			wait, armed := sh.probe(env, ctx, "echo")
+			ctx := newHookCtx()
+			wait, held := sh.probe(env, ctx, "echo")
+			if n := ctx.made.Load(); n != 1 {
+				t.Fatalf("%s: the future made %d context hooks, want 1", sh.name, n)
+			}
 			eventually(t, sh.name+": the reply to free the waiter entry", func() bool { return sh.pending(env) == 0 })
-			eventually(t, sh.name+": the timer and the context hook to be released", func() bool { return !armed() })
-			cancel() // nothing is registered on ctx any more: this must not settle the future
+			eventually(t, sh.name+": the timer to run and release the context hook", func() bool { return ctx.live.Load() == 0 })
+			ctx.cancel() // nothing is registered on ctx any more: this must not settle the future
 			if got, err := wait(); err != nil || got != "echo" {
 				t.Fatalf("%s: late Wait = %q, %v", sh.name, got, err)
+			}
+			if pooled, _ := held(); pooled {
+				t.Fatalf("%s: an envelope whose timer ran went back to the pool", sh.name)
 			}
 			env.quiesced(t, sh)
 		}
 	})
 
+	// A lapse releases the other bound too: the context hook that gives the
+	// call up stops the fallback timer, so a cancelled future pins nothing
+	// for the fallback's length.
+	t.Run("cancel stops the timer", func(t *testing.T) {
+		env := startLifecycle(t, Options{})
+		addr := ComponentAddress("Target")
+		for _, sh := range async {
+			env.sys.Bus().PauseRequests(addr)
+			ctx := newHookCtx()
+			wait, held := sh.probe(env, ctx, "echo")
+			eventually(t, sh.name+": the request to park on Target", func() bool { return env.sys.Bus().HeldCount(addr) == 1 })
+			ctx.cancel()
+			if _, err := wait(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want context.Canceled", sh.name, err)
+			}
+			if pooled, timerLive := held(); pooled || timerLive {
+				t.Fatalf("%s: a cancelled future's envelope: pooled %v, fallback timer still armed %v", sh.name, pooled, timerLive)
+			}
+			if _, err := env.sys.Bus().Resume(addr); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, sh.name+": the revoked request to be answered unserved", func() bool {
+				return env.target.cancels.n.Load() == 0
+			})
+			env.quiesced(t, sh)
+		}
+	})
+
+	// Eight Waits, one collector: every Wait gets the one outcome, and the
+	// collector stops the timer and the hook before they run, so the
+	// envelope goes back to the pool.
 	t.Run("concurrent Wait", func(t *testing.T) {
 		env := startLifecycle(t, Options{})
 		for _, sh := range async {
-			wait, armed := sh.probe(env, context.Background(), "echo")
+			ctx := newHookCtx()
+			wait, held := sh.probe(env, ctx, "echo")
 			var wg sync.WaitGroup
 			for i := 0; i < 8; i++ {
 				wg.Add(1)
@@ -516,15 +606,18 @@ func TestFutureLifecycle(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if armed() {
-				t.Fatalf("%s: a settled future kept its timer or hook", sh.name)
+			if pooled, _ := held(); ctx.made.Load() != 1 || ctx.live.Load() != 0 || !pooled {
+				t.Fatalf("%s: a collected reply kept its envelope (%d context hooks live): its timer or hook was not stopped",
+					sh.name, ctx.live.Load())
 			}
 			env.quiesced(t, sh)
 		}
 	})
 
-	// The callbacks can settle the future before invokeAsync has installed
-	// them; arm then releases what it was handed.
+	// invokeAsync installs the context hook before it arms the timer, so the
+	// timer's callback always finds the hook to release; the hook, though,
+	// can settle the future before the timer is armed, and arm then leaves
+	// the timer alone.
 	t.Run("settle before arm", func(t *testing.T) {
 		settleBeforeArm[string, string](t)
 		settleBeforeArm[[]any, []any](t)
@@ -533,15 +626,156 @@ func TestFutureLifecycle(t *testing.T) {
 
 func settleBeforeArm[Req, Resp any](t *testing.T) {
 	t.Helper()
-	f := failedFuture[Req, Resp](errors.New("settled first"))
-	timer := time.AfterFunc(time.Hour, func() {})
-	unhooked := false
-	f.arm(timer, func() bool { unhooked = true; return true })
-	if stoppedLate := timer.Stop(); stoppedLate || !unhooked || armedProbe(f)() {
-		t.Fatalf("%T: arm after settle left the timer (still running: %v) or the hook (released: %v) installed",
-			f, stoppedLate, unhooked)
+	via := newEnvelopes(Codec[Req, Resp]{}, nil)
+	var zero Resp
+	settled := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.async.Get().(*asyncEnvelope[Req, Resp])}
+	settled.settle(zero, errors.New("settled first"))
+	settled.arm(time.Nanosecond)
+	if settled.timed || settled.e.lapser != nil {
+		t.Fatalf("%T: arm after settle started the fallback timer", settled)
 	}
-	if _, err := f.Wait(); err == nil || err.Error() != "settled first" {
-		t.Fatalf("%T: Wait = %v", f, err)
+	if _, err := settled.Wait(); err == nil || err.Error() != "settled first" {
+		t.Fatalf("%T: Wait = %v", settled, err)
+	}
+	// A timer that fires after the reply took the waiter entry — this
+	// future has none left — still releases the hook.
+	var unhooked atomic.Bool
+	replied := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.async.Get().(*asyncEnvelope[Req, Resp]),
+		stop: func() bool { return unhooked.CompareAndSwap(false, true) }}
+	replied.arm(time.Nanosecond)
+	eventually(t, fmt.Sprintf("%T: the timer to release the hook", replied), unhooked.Load)
+	select {
+	case <-replied.Done():
+		t.Fatalf("%T: a timer that lost the waiter entry settled the future", replied)
+	default:
+	}
+}
+
+// TestFutureLifecycleEnvelopeReuse: a future leases its envelope from its
+// handle's async pool, so the envelope a collected reply gave back is a
+// later future's. Ten thousand futures on one handle, sixteen in
+// flight, mix the three ways a future ends — a reply (under a context that
+// cannot end, one that can be cancelled and one with a distant deadline), a
+// context deadline of 0–100 µs, and a fallback shorter than a slow op — with
+// two Waits on each and Done asked for before, between and after them. A
+// signal left behind in a pooled envelope's channel would hand a later
+// future an outcome that is not its own: every reply must be the request's
+// own echo. Done closes on a lapse without anyone Waiting and after Wait,
+// never on a reply alone.
+func TestFutureLifecycleEnvelopeReuse(t *testing.T) {
+	const (
+		futures  = 10000
+		window   = 16
+		fallback = 5 * time.Millisecond // < lifecycleSlowOp
+	)
+	env := startLifecycle(t, Options{CallTimeout: fallback})
+	h := typedTarget(env, 0)
+	var (
+		wg                                sync.WaitGroup
+		replies, timeouts, deadline, shed atomic.Int64
+		inFlight                          = make(chan struct{}, window)
+	)
+	for i := 0; i < futures; i++ {
+		inFlight <- struct{}{}
+		what := fmt.Sprintf("#%d", i)
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		switch k := i % 10; {
+		case k == 1 || k == 4:
+			ctx, cancel = context.WithCancel(context.Background())
+		case k == 2 || k == 5:
+			ctx, cancel = context.WithTimeout(context.Background(), time.Minute)
+		case k >= 6 && k <= 8:
+			ctx, cancel = context.WithTimeout(context.Background(), time.Duration(i*37%101)*time.Microsecond)
+		case k == 9:
+			what = "slow" + what
+		}
+		_, hasDeadline := ctx.Deadline()
+		f := h.Async(ctx, "do", what)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { cancel(); <-inFlight }()
+			lapsedUnwaited := false
+			if strings.HasPrefix(what, "slow") {
+				// Nobody Waits yet: only the fallback's lapse may close Done.
+				select {
+				case <-f.Done():
+					lapsedUnwaited = true
+				case <-time.After(time.Second):
+				}
+			}
+			type outcome struct {
+				got string
+				err error
+			}
+			var waits [2]outcome
+			var both sync.WaitGroup
+			for j := range waits {
+				both.Add(1)
+				go func() {
+					defer both.Done()
+					waits[j].got, waits[j].err = f.Wait()
+				}()
+			}
+			<-f.Done()
+			both.Wait()
+			select {
+			case <-f.Done():
+			default:
+				t.Errorf("%s: Done is open after Wait", what)
+			}
+			got, err := waits[0].got, waits[0].err
+			if waits[1] != waits[0] {
+				t.Errorf("%s: two Waits, two outcomes: %q, %v and %q, %v", what, got, err, waits[1].got, waits[1].err)
+			}
+			switch {
+			case err == nil && got != what:
+				t.Errorf("%s: Wait returned another call's reply %q", what, got)
+			case err == nil && lapsedUnwaited:
+				t.Errorf("%s: a reply closed Done before anyone Waited", what)
+			case err == nil:
+				replies.Add(1)
+			// The handle has no budget: a context deadline is the only
+			// deadline, and the fallback is armed only without one.
+			case hasDeadline && errors.Is(err, context.DeadlineExceeded):
+				deadline.Add(1)
+			case hasDeadline && errors.Is(err, ErrOverloaded):
+				shed.Add(1) // admission, while slow ops are in service
+			case !hasDeadline && strings.Contains(err.Error(), "timed out"):
+				timeouts.Add(1)
+			default:
+				t.Errorf("%s: unexpected outcome %v", what, err)
+			}
+		}()
+		if t.Failed() {
+			break
+		}
+	}
+	wg.Wait()
+	if replies.Load() == 0 || timeouts.Load() == 0 || deadline.Load() == 0 {
+		t.Fatalf("outcomes: %d replies, %d fallback lapses, %d deadline lapses: a kind is missing",
+			replies.Load(), timeouts.Load(), deadline.Load())
+	}
+	t.Logf("%d replies, %d fallback lapses, %d deadline lapses, %d shed by admission",
+		replies.Load(), timeouts.Load(), deadline.Load(), shed.Load())
+	if n := env.sys.PendingCalls(); n != 0 {
+		t.Fatalf("%d waiter entries left after every future settled", n)
+	}
+
+	// A reply alone does not close Done: Wait collects it, and then it is.
+	f := h.Async(context.Background(), "do", "#last")
+	eventually(t, "the last reply to free its waiter entry", func() bool { return env.sys.PendingCalls() == 0 })
+	select {
+	case <-f.Done():
+		t.Fatal("a reply closed Done before anyone Waited")
+	default:
+	}
+	if got, err := f.Wait(); err != nil || got != "#last" {
+		t.Fatalf("last Wait = %q, %v", got, err)
+	}
+	select {
+	case <-f.Done():
+	default:
+		t.Fatal("Done is open after Wait")
 	}
 }

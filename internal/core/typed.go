@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/connector"
@@ -130,7 +131,8 @@ type TypedClient[Req, Resp any] struct {
 }
 
 // envelopes is what instantiates the call engine at one (Req, Resp): the
-// codec, and the pool the synchronous calls lease their envelopes from.
+// codec, and the pools the synchronous calls and the futures lease their
+// envelopes from.
 type envelopes[Req, Resp any] struct {
 	codec Codec[Req, Resp]
 	// resp is the scalar Resp is when it took deriveCodec's scalar plan, so
@@ -142,11 +144,17 @@ type envelopes[Req, Resp any] struct {
 	// instantiation whose Req is not the request a TypedComponent takes.
 	typed func(e *typedEnvelope[Req, Resp]) (req, resp any, respTag uint8)
 	pool  sync.Pool
+	async sync.Pool
 }
 
 func newEnvelopes[Req, Resp any](codec Codec[Req, Resp], typed func(*typedEnvelope[Req, Resp]) (any, any, uint8)) *envelopes[Req, Resp] {
 	via := &envelopes[Req, Resp]{codec: codec, typed: typed}
 	via.pool.New = func() any { return via.fresh() }
+	via.async.New = func() any {
+		e := &asyncEnvelope[Req, Resp]{}
+		e.via, e.w = via, make(chan connector.ReplyPayload, 1)
+		return e
+	}
 	return via
 }
 
@@ -331,14 +339,15 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 // moves no boxed values. The envelope implements connector.TypedCall (and
 // thereby container.TypedRequest).
 //
-// Pooling protocol: only a synchronous call's envelope is pooled, and it
-// returns to the pool only on the clean reply-receipt path. The timeout and
+// Pooling protocol: a synchronous call leases its envelope from its
+// handle's pool, a future its asyncEnvelope from the handle's async pool, and
+// either returns there only on the clean reply-receipt path. The timeout and
 // cancellation paths abandon it to the garbage collector — the serving side
 // may still hold the pointer and write the response, and a pooled envelope
 // must never race a late writer or leave a stale reply in its channel for the
-// next call to read. A future's envelope is freshly allocated and never
-// pooled: concurrent Waits select on its channel, so recycling it could leak
-// a signal across calls.
+// next call to read. A future adds two conditions (see TypedFuture): one Wait
+// alone receives from the channel, and the envelope goes back only if its
+// fallback timer and context hook were both stopped before they ran.
 type typedEnvelope[Req, Resp any] struct {
 	via *envelopes[Req, Resp]
 	// tag identifies the lease of a relayed call (LeaseRelay); unused by the
@@ -356,6 +365,17 @@ type typedEnvelope[Req, Resp any] struct {
 	// The reply-waiter channel and fallback timer, registered per call and
 	// reused across pooled calls under the pooling protocol above.
 	waitSlot
+}
+
+// asyncEnvelope is a future's lease: the call envelope the serving side
+// sees, plus the future's fallback timer, kept out of typedEnvelope so that
+// a synchronous call's envelope does not carry it. The timer is made on the
+// envelope's first lease that needs one and reset on every later one; its
+// callback (fire) finds the future the envelope is leased to through fut.
+type asyncEnvelope[Req, Resp any] struct {
+	typedEnvelope[Req, Resp]
+	lapser *time.Timer
+	fut    atomic.Pointer[TypedFuture[Req, Resp]]
 }
 
 var _ connector.TypedCall = (*typedEnvelope[int, int])(nil)
@@ -475,146 +495,189 @@ func invoke[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req,
 	return resp, err
 }
 
-// invokeAsync is the asynchronous call engine: the same send, with a future
-// in place of the wait. Whoever takes the waiter entry owns the outcome — the
-// replier (normal completion, collected by Wait), the fallback timer
-// (timeout), or the context hook (cancellation and deadline). Mirroring
+// invokeAsync is the asynchronous call engine: the same lease and send, with
+// a future in place of the wait. Whoever takes the waiter entry owns the
+// outcome — the replier (normal completion, collected by Wait), the fallback
+// timer (timeout), or the context hook (cancellation and deadline). Mirroring
 // invoke, the timer is armed only when the context carries no deadline, so
 // deadline expiry always resolves through the hook and keeps
-// context.DeadlineExceeded identity.
+// context.DeadlineExceeded identity. The hook is installed before the timer
+// is armed, so the timer's callback always finds it.
 func invokeAsync[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], op string, req *Req) *TypedFuture[Req, Resp] {
-	e := via.fresh()
-	e.principal, e.req = a.principal(), *req
-	f := &TypedFuture[Req, Resp]{a: *a, op: op, e: e, done: make(chan struct{})}
+	var zero Resp
+	e := via.async.Get().(*asyncEnvelope[Req, Resp])
+	e.principal, e.req, e.resp = a.principal(), *req, zero
+	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
+	f := &TypedFuture[Req, Resp]{a: *a, op: op}
 	a.waiters.add(a.corr, e.w)
-	if err := a.sys.bus.Send(a.request(op, e)); err != nil {
+	if err := a.sys.bus.Send(a.request(op, &e.typedEnvelope)); err != nil {
 		a.waiters.take(a.corr)
-		f.settle(err)
+		via.async.Put(e)
+		f.settle(zero, err)
 		return f
 	}
-	var timer *time.Timer
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		timer = time.AfterFunc(a.fallback(), func() { f.lapse(errFallbackElapsed) })
-	}
-	var hook func() bool
+	f.e = e
 	if ctx.Done() != nil {
-		hook = context.AfterFunc(ctx, func() { f.lapse(ctx.Err()) })
+		f.stop = context.AfterFunc(ctx, func() { f.lapse(ctx.Err()) })
 	}
-	f.arm(timer, hook)
+	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
+		f.arm(a.fallback())
+	}
 	return f
 }
 
 // TypedFuture is one in-flight asynchronous call. It resolves exactly once —
 // to the reply, a timeout, or the context's cancellation error — and every
 // Wait after resolution returns the same outcome. Safe for concurrent Wait.
+//
+// The future leases its envelope from the handle's async pool, as a
+// synchronous call leases one from the handle's pool, and keeps its own copy of the outcome, so the envelope can go
+// back once the outcome is read. Exactly one signal reaches the envelope's
+// channel per call: the reply, or — when the fallback timer or the context
+// hook takes the waiter entry, so no reply will come — the wake that lapse
+// sends after settling the future. One Wait, the collector, receives it; any
+// other parks on done. A collected reply returns the envelope to the pool
+// only when the timer and the hook are both stopped before they ran: then
+// nothing else can still touch it, and its channel is empty again. Otherwise
+// it is left to the garbage collector, as invoke leaves an abandoned one.
 type TypedFuture[Req, Resp any] struct {
 	a  admitted
 	op string
-	e  *typedEnvelope[Req, Resp] // nil when the call failed admission
+	// e is the leased envelope: nil when the send failed or was never made,
+	// and once a clean collect has returned it to the pool.
+	e *asyncEnvelope[Req, Resp]
+	// stop releases the context hook (nil for a context that cannot end). It
+	// is written before the timer is armed and before the future is returned,
+	// so the timer's callback and the collector read it without the lock.
+	stop func() bool
 
-	// cleanupMu guards the timer/hook handoff: invokeAsync arms them after
-	// the send, but the very callbacks they run (or the reply, via Wait)
-	// can settle the future first — a near-expired deadline makes that
-	// race real, not theoretical. settle and arm therefore exchange the
-	// pair under the lock with a nil-swap, each prepared to run second.
-	cleanupMu sync.Mutex
-	timer     *time.Timer
-	stopHook  func() bool
-
-	// done is closed, under cleanupMu, by the one settle that wins; err is
-	// written before it, and the response is the envelope's.
+	mu sync.Mutex
+	// settled is set once, with resp and err; collecting by the first Wait;
+	// timed by arm when the envelope's fallback timer runs for this call.
+	settled, collecting, timed bool
+	// done is made by the first Done or parked Wait before settlement, and
+	// closed by settle.
 	done chan struct{}
+	resp Resp
 	err  error
 }
 
+// closedDone is what Done returns for a future settled before anyone asked.
+var closedDone = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
 // failedFuture is the future of a call that was refused admission.
 func failedFuture[Req, Resp any](err error) *TypedFuture[Req, Resp] {
-	f := &TypedFuture[Req, Resp]{done: make(chan struct{})}
-	f.settle(err)
-	return f
+	return &TypedFuture[Req, Resp]{settled: true, err: err}
+}
+
+// arm runs the envelope's fallback timer for f — made on the envelope's
+// first asynchronous lease, reset on every later one — unless the context
+// hook has settled f already.
+func (f *TypedFuture[Req, Resp]) arm(d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.timed = !f.settled; !f.timed {
+		return
+	}
+	e := f.e
+	e.fut.Store(f)
+	if e.lapser == nil {
+		e.lapser = time.AfterFunc(d, e.fire)
+	} else {
+		e.lapser.Reset(d)
+	}
+}
+
+// fire is the fallback timer's callback. Whether or not the reply beat it,
+// the context hook has nothing left to do; the envelope's current future is
+// the one it was armed for, since an envelope whose timer may still fire is
+// never pooled.
+func (e *asyncEnvelope[Req, Resp]) fire() {
+	f := e.fut.Load()
+	if f.stop != nil {
+		f.stop()
+	}
+	f.lapse(errFallbackElapsed)
 }
 
 // lapse is the timer's and the context hook's callback: if the waiter entry
-// is still there the call is given up. Either callback that loses the take
-// race still runs cleanup: the reply arrived (the replier owns the slot) but
-// nobody Waited, and without the cleanup an un-awaited future would pin its
-// context.AfterFunc registration — and through it the future — for the
-// context's whole lifetime.
+// is still there the call is given up. The winner settles the future, stops
+// the timer when it is the hook, and — owning the channel's one send now that
+// no reply will come — wakes the collector. One that finds the entry gone
+// leaves the outcome to the reply.
 func (f *TypedFuture[Req, Resp]) lapse(cause error) {
 	if !f.a.abandon() {
-		f.cleanup()
 		return
 	}
-	f.settle(f.a.lapse(f.op, cause))
+	var zero Resp
+	if f.settle(zero, f.a.lapse(f.op, cause)) {
+		f.e.lapser.Stop() // a no-op when the timer is the caller
+	}
+	f.e.w <- connector.ReplyPayload{}
 }
 
-// settle resolves the future exactly once. done closes before cleanup so a
-// concurrent arm that misses the swap still observes the resolution and
-// cleans up itself.
-func (f *TypedFuture[Req, Resp]) settle(err error) {
-	f.cleanupMu.Lock()
-	select {
-	case <-f.done:
-		f.cleanupMu.Unlock()
-		return
-	default:
-	}
-	f.err = err
+// settle resolves the future; nothing settles it twice (see lapse and
+// collect). It reports whether the fallback timer was armed for the call.
+func (f *TypedFuture[Req, Resp]) settle(resp Resp, err error) (timed bool) {
 	f.a.span(f.op, err)
-	close(f.done)
-	f.cleanupMu.Unlock()
-	f.cleanup()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.resp, f.err, f.settled = resp, err, true
+	if f.done != nil {
+		close(f.done)
+	}
+	return f.timed
 }
 
-// arm installs the bounding timer and context hook. If the future settled
-// before (or while) they were installed, they are released immediately.
-func (f *TypedFuture[Req, Resp]) arm(timer *time.Timer, hook func() bool) {
-	f.cleanupMu.Lock()
-	f.timer, f.stopHook = timer, hook
-	f.cleanupMu.Unlock()
-	select {
-	case <-f.done:
-		f.cleanup()
-	default:
+// collect is the collector's receive. A lapse's wake finds the future settled
+// already; a reply is read out of the envelope, which goes back to the pool
+// when the timer and the hook are both stopped before they ran.
+func (f *TypedFuture[Req, Resp]) collect() {
+	e := f.e
+	payload := <-e.w
+	f.mu.Lock()
+	lapsed, timed := f.settled, f.timed
+	f.mu.Unlock()
+	if lapsed {
+		return
 	}
-}
-
-// cleanup releases the timer and context hook at most once (nil-swap under
-// the lock makes it idempotent and race-free against arm).
-func (f *TypedFuture[Req, Resp]) cleanup() {
-	f.cleanupMu.Lock()
-	timer, hook := f.timer, f.stopHook
-	f.timer, f.stopHook = nil, nil
-	f.cleanupMu.Unlock()
-	if timer != nil {
-		timer.Stop()
+	resp, err := e.collect(payload)
+	if (!timed || e.lapser.Stop()) && (f.stop == nil || f.stop()) {
+		f.e = nil
+		e.fut.Store(nil) // the pooled envelope pins no settled future
+		e.via.async.Put(e)
 	}
-	if hook != nil {
-		hook()
-	}
+	f.settle(resp, err)
 }
 
 // Wait blocks until the call resolves and returns its outcome. The deadline
 // and cancellation paths release the reply-waiter slot immediately; a reply
 // that raced a cancellation and arrived first is still returned.
 func (f *TypedFuture[Req, Resp]) Wait() (Resp, error) {
-	if f.e != nil {
-		select {
-		case <-f.done:
-		case payload := <-f.e.w:
-			_, err := f.e.collect(payload)
-			f.settle(err)
-		}
+	f.mu.Lock()
+	collector := !f.settled && !f.collecting
+	f.collecting = true
+	f.mu.Unlock()
+	if collector {
+		f.collect()
+	} else {
+		<-f.Done()
 	}
-	<-f.done
-	if f.err != nil {
-		var zero Resp
-		return zero, f.err
-	}
-	return f.e.resp, nil
+	return f.resp, f.err
 }
 
 // Done returns a channel closed when the future has resolved through Wait,
 // a timeout or a cancellation. A reply that arrives while nobody waits does
 // not close it — call Wait to collect.
-func (f *TypedFuture[Req, Resp]) Done() <-chan struct{} { return f.done }
+func (f *TypedFuture[Req, Resp]) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case f.done != nil:
+	case f.settled:
+		return closedDone
+	default:
+		f.done = make(chan struct{})
+	}
+	return f.done
+}
