@@ -158,7 +158,9 @@ var (
 	// edge because the callee's estimated queueing delay already exceeds the
 	// caller's remaining budget (DESIGN.md §9). Retryable: back off and call
 	// again — admission reopens as soon as the backlog drains. Test with
-	// errors.Is(err, aas.ErrOverloaded).
+	// errors.Is(err, aas.ErrOverloaded). A call that would queue with a
+	// budget shorter than one expected service time is refused as a
+	// deadline instead (errors.Is(err, context.DeadlineExceeded)).
 	ErrOverloaded = core.ErrOverloaded
 	// ErrStreamClosed is returned by Recv after the consumer closed the
 	// stream.

@@ -72,9 +72,8 @@ func TestTypedCallAllocs(t *testing.T) {
 
 // TestTypedAsyncAllocs pins the asynchronous typed call at what the
 // synchronous one allocates plus the future, the one thing the caller holds:
-// the future leases its envelope — reply channel and fallback timer
-// included — from the handle's async pool, and gives it back when it
-// collects the reply. It measures 3; the budget is that plus one.
+// the future leases its envelope — reply channel and lapser included —
+// from the handle's pool, and gives it back when it collects the reply. It measures 3; the budget is that plus one.
 func TestTypedAsyncAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -118,7 +117,7 @@ func TestAdmissionEstimatorAllocs(t *testing.T) {
 	a.Observe(int64(2 * time.Millisecond))
 	allocs := minAllocsPerRun(3, 1000, func() {
 		a.Observe(int64(time.Millisecond))
-		if !a.Admit(3, int64(time.Second)) {
+		if a.Admit(3, int64(time.Second)) != qos.Admitted {
 			t.Fatal("healthy admission rejected")
 		}
 	})
@@ -302,7 +301,7 @@ func startTypedStoreCluster(t *testing.T) *aas.TypedClient[string, string] {
 // TestRemotePipelinedAllocs is TestRemoteTypedStoreCallAllocs with sixteen
 // Async calls in flight, the ledger's remote_pipelined shape, counted per
 // call on both nodes. Each future leases its envelope from the handle's
-// async pool and returns it when Wait collects the reply, so a call costs the three
+// pool and returns it when Wait collects the reply, so a call costs the three
 // sites of the unary call plus the future the caller holds. It measures 4;
 // the budget is that plus one.
 func TestRemotePipelinedAllocs(t *testing.T) {

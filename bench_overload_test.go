@@ -52,9 +52,11 @@ func (g *gatedComp) Handle(op string, args []any) ([]any, error) {
 // real ~2ms service times, then blocks 64 deadline-less calls on the gate.
 // All 64 run at once — a component's concurrency is not bounded by its
 // resident serve workers — and admission sees them as 64 requests in
-// service. The returned client carries a 3ms budget: estimated wait (tens
-// of ms) dwarfs it, so every call through it is shed at the edge until
-// cleanup opens the gate.
+// service. The returned client carries a 6ms budget: it covers one service
+// time — a 2ms sleep measures 2.2–3ms on a shared host, and a budget below
+// the measured service time is refused as a deadline, not ErrOverloaded —
+// while the estimated wait (tens of ms) dwarfs it, so every call through it
+// is shed at the edge as ErrOverloaded until cleanup opens the gate.
 func startSaturated(tb testing.TB) (*aas.System, *aas.TypedClient[string, string], func()) {
 	tb.Helper()
 	comp := &gatedComp{gate: make(chan struct{}), delay: 2 * time.Millisecond}
@@ -81,7 +83,7 @@ func startSaturated(tb testing.TB) (*aas.System, *aas.TypedClient[string, string
 		// hold the depth the estimator multiplies by.
 		futs[i] = cl.Async(ctx, "block", "x")
 	}
-	short := cl.With(aas.WithDeadline(3 * time.Millisecond))
+	short := cl.With(aas.WithDeadline(6 * time.Millisecond))
 	// Wait until the backlog registers and budgeted calls actually shed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -362,24 +362,96 @@ func TestRefusedSendKeepsTheLedgerBalanced(t *testing.T) {
 	balanced(b, Stats{Sent: 3, Delivered: 2, Dropped: 1})
 }
 
-func TestReceiveContextCancel(t *testing.T) {
-	b := New()
-	dst := attach(t, b, "dst")
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := dst.Receive(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
+// parked reports the receivers parked on e.
+func parked(e *Endpoint) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.waiting
+}
+
+// waitParked waits until n receivers are parked on e.
+func waitParked(t *testing.T, e *Endpoint, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); parked(e) != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d receivers parked, want %d", parked(e), n)
+		}
 	}
 }
 
+// receiveResult is what one parked receiver returned, and under which
+// context.
+type receiveResult struct {
+	ctx string
+	m   Message
+	err error
+}
+
+func receiveWithin(t *testing.T, results <-chan receiveResult, what string) receiveResult {
+	t.Helper()
+	select {
+	case r := <-results:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never returned", what)
+		return receiveResult{}
+	}
+}
+
+// TestReceiveContextCancel: receivers parked under two contexts. Cancelling
+// one returns every receiver parked under it with the context's error — its
+// wake reaches one, and each passes it on — while the other context's
+// receivers stay parked and still receive. A context done before Receive is
+// refused at once.
+func TestReceiveContextCancel(t *testing.T) {
+	const n = 4
+	b := New()
+	dst := attach(t, b, "dst")
+	cancelled, cancel := context.WithCancel(context.Background())
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	results := make(chan receiveResult, 2*n)
+	for i := 0; i < n; i++ {
+		for name, ctx := range map[string]context.Context{"cancelled": cancelled, "live": live} {
+			go func() {
+				m, err := dst.Receive(ctx)
+				results <- receiveResult{name, m, err}
+			}()
+		}
+	}
+	waitParked(t, dst, 2*n)
+	cancel()
+	for i := 0; i < n; i++ {
+		r := receiveWithin(t, results, fmt.Sprintf("receiver %d of %d under the cancelled context", i+1, n))
+		if r.ctx != "cancelled" || !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("a receiver under the %s context returned %+v, want context.Canceled", r.ctx, r)
+		}
+	}
+	waitParked(t, dst, n)
+	for i := 1; i <= n; i++ {
+		if err := b.Send(Message{Kind: Event, Op: "ping", Src: "src", Dst: "dst", Corr: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if r := receiveWithin(t, results, "a receiver under the live context"); r.ctx != "live" || r.err != nil || r.m.Op != "ping" {
+			t.Fatalf("a receiver under the %s context returned %+v, want a message", r.ctx, r)
+		}
+	}
+	if _, err := dst.Receive(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Receive under a done context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestDetachWakesReceivers: closing an endpoint returns every receiver
+// parked on it with ErrClosed — one wake, passed on by each receiver that
+// leaves.
 func TestDetachWakesReceivers(t *testing.T) {
+	const n = 8
 	b := New()
 	dst := attach(t, b, "dst")
 	var wg sync.WaitGroup
-	errs := make([]error, 3)
+	errs := make([]error, n)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
@@ -387,14 +459,59 @@ func TestDetachWakesReceivers(t *testing.T) {
 			_, errs[i] = dst.Receive(context.Background())
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond)
+	waitParked(t, dst, n)
 	b.Detach("dst")
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%d of %d receivers still parked after Detach", parked(dst), n)
+	}
 	for i, err := range errs {
 		if !errors.Is(err, ErrClosed) {
 			t.Fatalf("receiver %d err = %v, want ErrClosed", i, err)
 		}
 	}
+}
+
+// TestSendReceiveAllocs: a steady-state Send→Receive round trip allocates
+// nothing, with both ends parked under a context that can end: a receiver
+// registers its context's cancellation wake once, not on every Receive.
+func TestSendReceiveAllocs(t *testing.T) {
+	b := New()
+	srv, cli := attach(t, b, "srv"), attach(t, b, "cli")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			m, err := srv.Receive(ctx)
+			if err != nil {
+				return
+			}
+			_ = b.Send(Message{Kind: Reply, Op: m.Op, Src: "srv", Dst: "cli", Corr: m.Corr})
+		}
+	}()
+	corr := uint64(0)
+	roundTrip := func() {
+		corr++
+		if err := b.Send(Message{Kind: Request, Op: "get", Src: "cli", Dst: "srv", Corr: corr}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := cli.Receive(ctx); err != nil || m.Corr != corr {
+			t.Fatalf("round trip %d: %+v, %v", corr, m, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		roundTrip() // warm both rings, the sequence tables and the watches
+	}
+	if avg := testing.AllocsPerRun(1000, roundTrip); avg != 0 {
+		t.Fatalf("a Send→Receive round trip allocates %.2f/op, want 0", avg)
+	}
+	cancel()
+	<-served
 }
 
 func TestConservationInvariant(t *testing.T) {

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +29,11 @@ import (
 //
 // An endpoint attached with a DirectFunc (Bus.AttachDirect) offers every
 // delivery to that function first and queues only what it declines.
+//
+// A receiver parks on one channel, notify, whatever it waits for (DESIGN.md
+// §2). A delivery wakes one receiver; the endpoint closing, or a context
+// receivers park under ending, sweeps them all: one wake, passed on by each
+// receiver it reaches.
 type Endpoint struct {
 	addr Address
 
@@ -37,9 +43,16 @@ type Endpoint struct {
 	count   int         // messages currently queued in the ring
 	cap     int         // hard mailbox capacity (both lanes combined)
 	closed  bool
-	waiting int           // receivers parked in select, guarded by mu
+	waiting int           // receivers parked on notify, guarded by mu
 	notify  chan struct{} // capacity 1: wake one waiting receiver
-	done    chan struct{} // closed on close(): broadcast to all receivers
+	// sweep counts sweeps; stale counts receivers parked before the latest
+	// one and not woken since — while any is left, every wake is passed on.
+	sweep uint64
+	stale int
+	// watches holds one entry per live context receivers park under;
+	// unwatched is the Done channel of the last one a Receive released.
+	watches   []*ctxWatch
+	unwatched <-chan struct{}
 
 	edfq      []Message     // deadline lane: min-heap on (Deadline, ID)
 	fifoOnly  bool          // disable the EDF lane (seed-comparison mode)
@@ -70,7 +83,6 @@ func newEndpoint(addr Address, capacity int, mu *sync.Mutex, stats *busStats, fi
 		fifoOnly: fifoOnly,
 		stats:    stats,
 		notify:   make(chan struct{}, 1),
-		done:     make(chan struct{}),
 		arrivals: newSeqTable(),
 	}
 }
@@ -202,13 +214,27 @@ func (e *Endpoint) enqueueLocked(m *Message) bool {
 	}
 	e.syncDepthLocked()
 	e.noteArrivalLocked(m)
+	e.wakeLocked()
+	return true
+}
+
+// wakeLocked wakes one parked receiver, if there is one and no wake is
+// pending already; callers hold e.mu.
+func (e *Endpoint) wakeLocked() {
 	if e.waiting > 0 {
 		select {
 		case e.notify <- struct{}{}:
 		default:
 		}
 	}
-	return true
+}
+
+// sweepLocked wakes every receiver parked now: one directly, the others
+// through the wake each passes on (see Receive). Callers hold e.mu.
+func (e *Endpoint) sweepLocked() {
+	e.sweep++
+	e.stale = e.waiting
+	e.wakeLocked()
 }
 
 // noteArrivalLocked counts one delivered message and checks its per-source
@@ -227,49 +253,119 @@ func (e *Endpoint) noteArrivalLocked(m *Message) {
 }
 
 // Receive blocks until a message arrives, the endpoint closes, or ctx is
-// done.
-func (e *Endpoint) Receive(ctx context.Context) (Message, error) {
-	registered := false
+// done. It parks on notify alone: closing and ctx ending reach it as a
+// sweep's wake. On its way out, or back to park, it passes on a wake owed to
+// another receiver — one a sweep has not reached, or a queued message.
+func (e *Endpoint) Receive(ctx context.Context) (m Message, err error) {
+	done := ctx.Done()
+	var w *ctxWatch
+	e.mu.Lock()
 	for {
-		e.mu.Lock()
-		if registered {
-			e.waiting--
-			registered = false
-		}
 		if e.pendingLocked() > 0 {
-			m, ok := e.dequeueLocked(e.nowIfDeadlined())
-			if ok {
-				if e.pendingLocked() > 0 && e.waiting > 0 {
-					// Rearm the wakeup for other receivers.
-					select {
-					case e.notify <- struct{}{}:
-					default:
-					}
-				}
-				e.mu.Unlock()
-				return m, nil
+			var ok bool
+			if m, ok = e.dequeueLocked(e.nowIfDeadlined()); ok {
+				break
 			}
 			// Everything queued was shed as expired; fall through and wait.
 		}
 		if e.closed {
-			e.mu.Unlock()
-			return Message{}, ErrClosed
+			err = ErrClosed
+			break
 		}
-		// Register before releasing the lock: enqueueLocked only notifies
-		// when it observes a waiter, and it observes under the same lock.
+		if done != nil && w == nil {
+			if w = e.watchLocked(done); w == nil {
+				// Register outside the route lock: a context is the caller's
+				// code. Everything is checked again once the lock is back.
+				kept := done == e.unwatched
+				e.mu.Unlock()
+				w = e.watch(ctx, done, kept)
+				e.mu.Lock()
+				if !w.ended && !e.closed {
+					e.watches = append(e.watches, w)
+				}
+				continue
+			}
+		}
+		if w != nil && w.ended {
+			err = ctx.Err()
+			break
+		}
+		e.passLocked()
+		// Register before releasing the lock: enqueueLocked and a sweep only
+		// wake when they observe a waiter, and they observe under the same
+		// lock.
 		e.waiting++
-		registered = true
+		sweep := e.sweep
 		e.mu.Unlock()
-		select {
-		case <-e.notify:
-		case <-e.done:
-		case <-ctx.Done():
-			e.mu.Lock()
-			e.waiting--
-			e.mu.Unlock()
-			return Message{}, ctx.Err()
+		<-e.notify
+		e.mu.Lock()
+		e.waiting--
+		if sweep != e.sweep {
+			e.stale--
 		}
 	}
+	// A context only one Receive came with is most likely the caller's own,
+	// about to be cancelled: release its registration now, so that its
+	// cancellation does not start a goroutine to sweep nobody. On a closed
+	// endpoint every registration goes.
+	release := w != nil && !w.ended && (!w.kept || e.closed)
+	if release {
+		e.watches = slices.DeleteFunc(e.watches, func(x *ctxWatch) bool { return x == w })
+		e.unwatched = done
+	}
+	e.passLocked()
+	e.mu.Unlock()
+	if release {
+		w.stop()
+	}
+	return m, err
+}
+
+// passLocked passes a wake on when one is owed; callers hold e.mu.
+func (e *Endpoint) passLocked() {
+	if e.stale > 0 || e.pendingLocked() > 0 {
+		e.wakeLocked()
+	}
+}
+
+// ctxWatch is one context receivers park under: its context.AfterFunc,
+// registered once per Done channel, marks it ended and sweeps the endpoint.
+// kept says a second Receive came with the channel (or came back after the
+// first released the watch), so the watch outlives each Receive. Fields
+// other than done and stop are guarded by the endpoint's mu.
+type ctxWatch struct {
+	done        <-chan struct{}
+	stop        func() bool
+	ended, kept bool
+}
+
+// watchLocked returns the watch for done, or nil when there is none.
+// Callers hold e.mu.
+func (e *Endpoint) watchLocked(done <-chan struct{}) *ctxWatch {
+	for _, w := range e.watches {
+		if w.done == done {
+			w.kept = true
+			return w
+		}
+	}
+	return nil
+}
+
+// watch makes a watch for ctx, whose Done channel is done, and registers it
+// unless ctx has ended already. Callers do not hold e.mu.
+func (e *Endpoint) watch(ctx context.Context, done <-chan struct{}, kept bool) *ctxWatch {
+	w := &ctxWatch{done: done, kept: kept, ended: ctx.Err() != nil}
+	if w.ended {
+		return w
+	}
+	w.stop = context.AfterFunc(ctx, func() {
+		e.mu.Lock()
+		w.ended = true
+		e.watches = slices.DeleteFunc(e.watches, func(x *ctxWatch) bool { return x == w })
+		e.sweepLocked()
+		e.mu.Unlock()
+	})
+	return w
 }
 
 // TryReceive pops a message without blocking; ok is false when empty (or
@@ -328,13 +424,18 @@ func (e *Endpoint) Anomalies() (dups, reorders uint64) {
 	return e.duplicate, e.reordered
 }
 
-// close marks the endpoint closed and wakes all blocked receivers. Queued
-// messages remain readable via TryReceive.
+// close marks the endpoint closed, sweeps its parked receivers and releases
+// its context watches. Queued messages remain readable via TryReceive.
 func (e *Endpoint) close() {
 	e.mu.Lock()
+	watches := e.watches
 	if !e.closed {
 		e.closed = true
-		close(e.done)
+		e.watches = nil
+		e.sweepLocked()
 	}
 	e.mu.Unlock()
+	for _, w := range watches {
+		w.stop()
+	}
 }

@@ -547,10 +547,12 @@ func saturate(t *testing.T, st *gatedStore, cl *core.Client, callee *Node) (rele
 }
 
 // TestInboundCallsPassAdmission: a peer link's calls enter through the
-// component's compiled binding, not around it. With the component saturated,
-// an inbound call whose shipped budget cannot cover the estimated wait is
-// shed by deadline-aware admission and the caller gets ErrOverloaded's text
-// back.
+// component's compiled binding, not around it. With the component saturated
+// (a ~20 ms service time), an inbound call whose shipped budget covers one
+// service time but not the estimated wait as well is shed by deadline-aware
+// admission and the caller gets ErrOverloaded's identity back; one whose
+// budget is shorter than one service time is refused as a deadline, carried
+// as the link's deadline kind.
 func TestInboundCallsPassAdmission(t *testing.T) {
 	st := &gatedStore{}
 	h, _ := storeCluster(t, st, nil)
@@ -558,20 +560,31 @@ func TestInboundCallsPassAdmission(t *testing.T) {
 	cl := sys1.Client("Store")
 	ctx := context.Background()
 	release := saturate(t, st, cl, n2)
+	rejected := func() uint64 {
+		for _, a := range n2.Telemetry().Admission {
+			if a.Component == "Store" {
+				return a.Rejected
+			}
+		}
+		return 0
+	}
 
-	short := cl.With(core.WithDeadline(15 * time.Millisecond))
+	short := cl.With(core.WithDeadline(40 * time.Millisecond))
 	eventually(t, "an inbound call to be shed by admission", func() bool {
 		_, err := short.Call(ctx, "get", "k")
 		return errors.Is(err, core.ErrOverloaded)
 	})
-	rejected := uint64(0)
-	for _, a := range n2.Telemetry().Admission {
-		if a.Component == "Store" {
-			rejected = a.Rejected
-		}
-	}
-	if rejected == 0 {
+	if rejected() == 0 {
 		t.Fatal("n2's admission estimator rejected nothing")
+	}
+	before := rejected()
+	_, err := cl.With(core.WithDeadline(10*time.Millisecond)).Call(ctx, "get", "k")
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, core.ErrOverloaded) ||
+		!strings.Contains(err.Error(), "shorter than one service time") {
+		t.Fatalf("a budget shorter than one service time: err = %v, want admission's deadline refusal", err)
+	}
+	if rejected() != before+1 {
+		t.Fatalf("n2's admission estimator counted %d rejections for the short call, want 1", rejected()-before)
 	}
 	release()
 	assertQuiescent(t, h)
@@ -922,7 +935,7 @@ func TestRelayedStreamLifecycle(t *testing.T) {
 		bg := context.Background()
 		release := saturate(t, &st.gatedStore, cl, n2)
 
-		short := cl.With(core.WithDeadline(15 * time.Millisecond))
+		short := cl.With(core.WithDeadline(40 * time.Millisecond))
 		eventually(t, "an inbound stream open to be shed by admission", func() bool {
 			s, err := short.Stream(bg, "pump")
 			if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/connector"
+	"repro/internal/qos"
 	"repro/internal/telemetry"
 )
 
@@ -408,8 +409,8 @@ func (c *Client) admit(ctx context.Context, op string, a *admitted) error {
 		}
 		dl = now + int64(c.budget)
 	}
-	if dl != 0 && !b.admitAt(dl, now) {
-		return ErrOverloaded
+	if err := b.admitAt(dl, now); err != nil {
+		return err
 	}
 	// The trace root starts only for calls that pass admission: the shed
 	// path's zero-allocation, ~100ns contract stays untouched, and shed
@@ -442,27 +443,42 @@ func (b *clientBinding) resolve() error {
 	return nil
 }
 
-// admitAt is the deadline-aware admission decision (DESIGN.md §9). It runs
-// only for deadline-carrying calls toward a locally hosted component: when
-// the component's estimated queueing delay — EWMA service time × backlog
-// depth — already exceeds the remaining budget, the call is shed (the caller
-// reports the bare ErrOverloaded sentinel) before any resource is committed:
-// no waiter slot, no message, no goroutine, no allocation. now is the
-// caller's clock read in unix nanos, 0 when it has none yet.
-func (b *clientBinding) admitAt(dl, now int64) bool {
-	if b.sys.noOverload {
-		return true
+// admitAt is the deadline-aware admission decision (DESIGN.md §9). It acts
+// only on deadline-carrying calls (dl in unix nanos, 0 for none) toward a
+// locally hosted component: when the component's estimated queueing delay —
+// EWMA service time × backlog depth — already exceeds the remaining budget,
+// the call is shed with a pre-built error (ErrOverloaded, or
+// errBudgetUnmeetable for a budget no retry can meet) before any resource is
+// committed: no waiter slot, no message, no goroutine, no allocation. now is
+// the caller's clock read in unix nanos, 0 when it has none yet.
+func (b *clientBinding) admitAt(dl, now int64) error {
+	if dl == 0 || b.sys.noOverload {
+		return nil
 	}
 	local := b.local.Load()
 	if local == nil {
-		return true
+		return nil
 	}
 	if now == 0 {
 		now = time.Now().UnixNano()
 	}
 	rem := dl - now
-	return rem <= 0 || local.adm.Admit(local.depth(), rem)
+	if rem <= 0 {
+		return nil
+	}
+	switch local.adm.Admit(local.depth(), rem) {
+	case qos.Overloaded:
+		return ErrOverloaded
+	case qos.Unmeetable:
+		return errBudgetUnmeetable
+	}
+	return nil
 }
+
+// errBudgetUnmeetable refuses a queueing call whose budget is shorter than
+// one service time: a deadline, by errors.Is and by the kind a peer link
+// carries it as.
+var errBudgetUnmeetable = fmt.Errorf("core: deadline budget shorter than one service time: %w", context.DeadlineExceeded)
 
 // Relay enters a request that arrived from outside this process — over a
 // peer link — through the platform edge, without a context, a waiter or a
@@ -472,15 +488,15 @@ func (b *clientBinding) admitAt(dl, now int64) bool {
 // reply goes, m.Deadline (unix nanos, 0 for none) and m.Trace/m.Span ride as
 // given; Dst is set here. now is the caller's clock read, 0 when it took
 // none. The error is synchronous refusal only — ErrNotRunning,
-// ErrUnknownComp, ErrOverloaded, or the bus's (mailbox full) — and nothing
-// was sent when it is non-nil.
+// ErrUnknownComp, ErrOverloaded, admission's deadline refusal, or the bus's
+// (mailbox full) — and nothing was sent when it is non-nil.
 func (c *Client) Relay(m bus.Message, now int64) error {
 	b := c.b
 	if err := b.resolve(); err != nil {
 		return err
 	}
-	if m.Deadline != 0 && !b.admitAt(m.Deadline, now) {
-		return ErrOverloaded
+	if err := b.admitAt(m.Deadline, now); err != nil {
+		return err
 	}
 	m.Dst = b.dst
 	return b.sys.bus.Send(m)

@@ -361,8 +361,8 @@ func TestClientAsyncExpiringDeadlineStorm(t *testing.T) {
 		// A worker on another P can pop a request inside its microsecond
 		// budget and serve it for 5 ms. Let those finish before offering the
 		// next: a budgeted call that would queue behind serveWorkers others
-		// is shed by admission (ErrOverloaded), which is not the expiry this
-		// test is about.
+		// is refused by admission before it is sent, which is not the expiry
+		// this test is about.
 		for rc.depth() >= serveWorkers {
 			time.Sleep(time.Millisecond)
 		}

@@ -39,10 +39,14 @@ system Lifecycle {
 
 // lifecycleTarget answers do(what) as what says and counts the requests that
 // reached it. "echo" and any what that starts with "#" are echoed; one that
-// starts with "slow#" is echoed after lifecycleSlowOp.
+// starts with "slow#" is echoed after lifecycleSlowOp, one that starts with
+// "edge#" after lifecycleEdgeOp.
 type lifecycleTarget struct{ served atomic.Int64 }
 
-const lifecycleSlowOp = 20 * time.Millisecond
+const (
+	lifecycleSlowOp = 20 * time.Millisecond
+	lifecycleEdgeOp = 5 * time.Millisecond
+)
 
 func (c *lifecycleTarget) Handle(op string, args []any) ([]any, error) {
 	c.served.Add(1)
@@ -52,6 +56,9 @@ func (c *lifecycleTarget) Handle(op string, args []any) ([]any, error) {
 		return []any{what}, nil
 	case strings.HasPrefix(what, "slow#"):
 		time.Sleep(lifecycleSlowOp)
+		return []any{what}, nil
+	case strings.HasPrefix(what, "edge#"):
+		time.Sleep(lifecycleEdgeOp)
 		return []any{what}, nil
 	}
 	switch what {
@@ -628,7 +635,7 @@ func settleBeforeArm[Req, Resp any](t *testing.T) {
 	t.Helper()
 	via := newEnvelopes(Codec[Req, Resp]{}, nil)
 	var zero Resp
-	settled := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.async.Get().(*asyncEnvelope[Req, Resp])}
+	settled := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.pool.Get().(*typedEnvelope[Req, Resp])}
 	settled.settle(zero, errors.New("settled first"))
 	settled.arm(time.Nanosecond)
 	if settled.timed || settled.e.lapser != nil {
@@ -640,7 +647,7 @@ func settleBeforeArm[Req, Resp any](t *testing.T) {
 	// A timer that fires after the reply took the waiter entry — this
 	// future has none left — still releases the hook.
 	var unhooked atomic.Bool
-	replied := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.async.Get().(*asyncEnvelope[Req, Resp]),
+	replied := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.pool.Get().(*typedEnvelope[Req, Resp]),
 		stop: func() bool { return unhooked.CompareAndSwap(false, true) }}
 	replied.arm(time.Nanosecond)
 	eventually(t, fmt.Sprintf("%T: the timer to release the hook", replied), unhooked.Load)
@@ -652,7 +659,7 @@ func settleBeforeArm[Req, Resp any](t *testing.T) {
 }
 
 // TestFutureLifecycleEnvelopeReuse: a future leases its envelope from its
-// handle's async pool, so the envelope a collected reply gave back is a
+// handle's pool, so the envelope a collected reply gave back is a
 // later future's. Ten thousand futures on one handle, sixteen in
 // flight, mix the three ways a future ends — a reply (under a context that
 // cannot end, one that can be cancelled and one with a distant deadline), a
@@ -777,5 +784,139 @@ func TestFutureLifecycleEnvelopeReuse(t *testing.T) {
 	case <-f.Done():
 	default:
 		t.Fatal("Done is open after Wait")
+	}
+}
+
+// cancelInWait is a context that cancels itself a millisecond after Done is
+// first asked for: the engine asks only once it has sent the request and
+// parks, so the cancel always finds a call in flight to revoke, never one
+// that admission refuses before sending.
+type cancelInWait struct {
+	context.Context
+	cancel context.CancelFunc
+	once   sync.Once
+}
+
+func newCancelInWait() *cancelInWait {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelInWait{Context: ctx, cancel: cancel}
+}
+
+func (c *cancelInWait) Done() <-chan struct{} {
+	c.once.Do(func() { time.AfterFunc(time.Millisecond, c.cancel) })
+	return c.Context.Done()
+}
+
+// revokeCounter counts the cancels the bus carries.
+type revokeCounter struct{ n atomic.Int64 }
+
+func (*revokeCounter) Name() string { return "revokes" }
+
+func (r *revokeCounter) Intercept(m *bus.Message) bus.Verdict {
+	if m.Kind == bus.Control && m.Op == bus.OpCancel {
+		r.n.Add(1)
+	}
+	return bus.Pass
+}
+
+// TestCallLifecycleEnvelopeReuse is TestFutureLifecycleEnvelopeReuse's
+// synchronous twin: a call leases its envelope from its handle's pool, and
+// the envelope a clean reply gave back is a later call's. Ten thousand calls
+// on one handle's pool from sixteen goroutines mix the ways a call ends — a
+// reply (under a context that cannot end and one that can), a context
+// cancelled mid-call, a context deadline of 0–100 µs, the 5 ms CallTimeout
+// lapsing a 20 ms op under a plain receive and under a select, the same
+// fallback racing a 5 ms op, and a handle budget lapsing the 20 ms op. A
+// signal left in a pooled envelope's channel, or a lapser that ran for a
+// pooled envelope's earlier call, would hand a call an outcome that is not
+// its own: every reply must be the request's own echo, every error the kind
+// of its own cause, and a fallback lapse no earlier than the fallback. A
+// call the lapser gave up, or its context cancelled, is revoked exactly
+// once; a lapsed deadline is its own revocation.
+func TestCallLifecycleEnvelopeReuse(t *testing.T) {
+	const (
+		calls    = 10000
+		callers  = 16
+		fallback = lifecycleEdgeOp // < lifecycleSlowOp
+	)
+	env := startLifecycle(t, Options{CallTimeout: fallback})
+	h := typedTarget(env, 0)
+	budgeted := h.With(WithDeadline(fallback))
+	revokes := &revokeCounter{}
+	env.sys.Bus().AddInterceptor(revokes)
+	var (
+		wg                                    sync.WaitGroup
+		next                                  atomic.Int64
+		replies, timeouts, cancels, deadlines atomic.Int64
+		shed                                  atomic.Int64
+	)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < calls && !t.Failed(); i = next.Add(1) - 1 {
+				what, call := fmt.Sprintf("#%d", i), h
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				switch i % 10 {
+				case 1:
+					ctx, cancel = context.WithCancel(context.Background())
+				case 2: // the lapser under a select
+					ctx, cancel = context.WithCancel(context.Background())
+					what = "slow" + what
+				case 3: // the lapser under a plain receive
+					what = "slow" + what
+				case 4: // cancelled mid-call
+					c := newCancelInWait()
+					ctx, cancel = c, c.cancel
+					what = "slow" + what
+				case 5:
+					call, what = budgeted, "slow"+what
+				case 6, 7, 8:
+					ctx, cancel = context.WithTimeout(context.Background(), time.Duration(i*37%101)*time.Microsecond)
+				case 9: // the reply races the lapser
+					what = "edge" + what
+				}
+				_, hasDeadline := ctx.Deadline()
+				start := time.Now()
+				got, err := call.Call(ctx, "do", what)
+				took := time.Since(start)
+				cancel()
+				deadlined := hasDeadline || call == budgeted
+				switch {
+				case err == nil && got != what:
+					t.Errorf("%s: the call returned another call's reply %q", what, got)
+				case err == nil:
+					replies.Add(1)
+				case deadlined && errors.Is(err, context.DeadlineExceeded):
+					deadlines.Add(1)
+				case deadlined && errors.Is(err, ErrOverloaded):
+					shed.Add(1) // admission, while slow ops are in service
+				case i%10 == 4 && errors.Is(err, context.Canceled):
+					cancels.Add(1)
+				case !deadlined && strings.Contains(err.Error(), "timed out") && !errors.Is(err, context.DeadlineExceeded):
+					if took < fallback {
+						t.Errorf("%s: a fallback lapse after %v, before the %v fallback", what, took, fallback)
+					}
+					timeouts.Add(1)
+				default:
+					t.Errorf("%s: unexpected outcome %v", what, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// No eventually: a call that returned has its waiter entry taken — by
+	// the reply, the lapser, or the caller itself.
+	if n := env.sys.PendingCalls(); n != 0 {
+		t.Fatalf("%d waiter entries left after every call returned", n)
+	}
+	if replies.Load() == 0 || timeouts.Load() == 0 || cancels.Load() == 0 || deadlines.Load() == 0 {
+		t.Fatalf("outcomes: %d replies, %d fallback lapses, %d cancels, %d deadline lapses: a kind is missing",
+			replies.Load(), timeouts.Load(), cancels.Load(), deadlines.Load())
+	}
+	t.Logf("%d replies, %d fallback lapses, %d cancels, %d deadline lapses, %d shed by admission",
+		replies.Load(), timeouts.Load(), cancels.Load(), deadlines.Load(), shed.Load())
+	if got, want := revokes.n.Load(), timeouts.Load()+cancels.Load(); got != want {
+		t.Fatalf("%d revocations for %d fallback lapses and %d cancels", got, timeouts.Load(), cancels.Load())
 	}
 }

@@ -174,7 +174,8 @@ var (
 	// instead (DESIGN.md §9). The error is a bare sentinel — the reject path
 	// is allocation-free by contract — and retryable: back off and retry, the
 	// estimator admits again as soon as the backlog drains. Calls without a
-	// deadline are never shed.
+	// deadline are never shed. A call that would queue with a budget shorter
+	// than one expected service time is refused as a deadline instead.
 	ErrOverloaded = errors.New("core: overloaded: estimated wait exceeds deadline budget")
 )
 

@@ -131,8 +131,8 @@ type TypedClient[Req, Resp any] struct {
 }
 
 // envelopes is what instantiates the call engine at one (Req, Resp): the
-// codec, and the pools the synchronous calls and the futures lease their
-// envelopes from.
+// codec, and the pool every call — synchronous or a future — leases its
+// envelope from.
 type envelopes[Req, Resp any] struct {
 	codec Codec[Req, Resp]
 	// resp is the scalar Resp is when it took deriveCodec's scalar plan, so
@@ -144,17 +144,11 @@ type envelopes[Req, Resp any] struct {
 	// instantiation whose Req is not the request a TypedComponent takes.
 	typed func(e *typedEnvelope[Req, Resp]) (req, resp any, respTag uint8)
 	pool  sync.Pool
-	async sync.Pool
 }
 
 func newEnvelopes[Req, Resp any](codec Codec[Req, Resp], typed func(*typedEnvelope[Req, Resp]) (any, any, uint8)) *envelopes[Req, Resp] {
 	via := &envelopes[Req, Resp]{codec: codec, typed: typed}
 	via.pool.New = func() any { return via.fresh() }
-	via.async.New = func() any {
-		e := &asyncEnvelope[Req, Resp]{}
-		e.via, e.w = via, make(chan connector.ReplyPayload, 1)
-		return e
-	}
 	return via
 }
 
@@ -339,15 +333,16 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 // moves no boxed values. The envelope implements connector.TypedCall (and
 // thereby container.TypedRequest).
 //
-// Pooling protocol: a synchronous call leases its envelope from its
-// handle's pool, a future its asyncEnvelope from the handle's async pool, and
-// either returns there only on the clean reply-receipt path. The timeout and
+// Pooling protocol: every call — synchronous or a future — leases its
+// envelope from its handle's pool and returns it there only on the clean
+// reply-receipt path, and only when the envelope's lapser was stopped before
+// it ran (Stop returned true) or was never armed. The timeout and
 // cancellation paths abandon it to the garbage collector — the serving side
 // may still hold the pointer and write the response, and a pooled envelope
-// must never race a late writer or leave a stale reply in its channel for the
-// next call to read. A future adds two conditions (see TypedFuture): one Wait
-// alone receives from the channel, and the envelope goes back only if its
-// fallback timer and context hook were both stopped before they ran.
+// must never race a late writer, a lapser callback still reading it, or leave
+// a stale signal in its channel for the next call to read. A future adds two
+// conditions (see TypedFuture): one Wait alone receives from the channel,
+// and its context hook too must have been stopped before it ran.
 type typedEnvelope[Req, Resp any] struct {
 	via *envelopes[Req, Resp]
 	// tag identifies the lease of a relayed call (LeaseRelay); unused by the
@@ -362,20 +357,20 @@ type typedEnvelope[Req, Resp any] struct {
 	done    bool
 	errMsg  string
 	errKind connector.ErrKind
-	// The reply-waiter channel and fallback timer, registered per call and
-	// reused across pooled calls under the pooling protocol above.
-	waitSlot
-}
-
-// asyncEnvelope is a future's lease: the call envelope the serving side
-// sees, plus the future's fallback timer, kept out of typedEnvelope so that
-// a synchronous call's envelope does not carry it. The timer is made on the
-// envelope's first lease that needs one and reset on every later one; its
-// callback (fire) finds the future the envelope is leased to through fut.
-type asyncEnvelope[Req, Resp any] struct {
-	typedEnvelope[Req, Resp]
-	lapser *time.Timer
-	fut    atomic.Pointer[TypedFuture[Req, Resp]]
+	// w is the reply-waiter channel, registered per call. Exactly one signal
+	// reaches it per call: the reply, or the wake of whoever gave the call
+	// up after taking its waiter entry.
+	w chan connector.ReplyPayload
+	// lapser bounds a wait whose context carries no deadline (see arm). Its
+	// callback, fire, finds the future the envelope is leased to through fut
+	// (nil for a synchronous call), or else the call's waiter entry through
+	// waiters and corr, and marks that call lapsed — an envelope that is
+	// never pooled again, so lapsed needs no reset.
+	lapser  *time.Timer
+	fut     atomic.Pointer[TypedFuture[Req, Resp]]
+	waiters *replyWaiters
+	corr    uint64
+	lapsed  bool
 }
 
 var _ connector.TypedCall = (*typedEnvelope[int, int])(nil)
@@ -442,7 +437,82 @@ func (e *typedEnvelope[Req, Resp]) Finish(err string, kind connector.ErrKind) {
 
 // fresh makes an envelope with its own reply channel.
 func (via *envelopes[Req, Resp]) fresh() *typedEnvelope[Req, Resp] {
-	return &typedEnvelope[Req, Resp]{via: via, waitSlot: waitSlot{w: make(chan connector.ReplyPayload, 1)}}
+	return &typedEnvelope[Req, Resp]{via: via, w: make(chan connector.ReplyPayload, 1)}
+}
+
+// start leases an envelope, resets what the last call left in it, registers
+// its channel for the reply and sends the request. A refused send takes the
+// entry back and returns the envelope to the pool.
+func (via *envelopes[Req, Resp]) start(a *admitted, op string, req *Req) (*typedEnvelope[Req, Resp], error) {
+	var zero Resp
+	e := via.pool.Get().(*typedEnvelope[Req, Resp])
+	e.principal, e.req, e.resp = a.principal(), *req, zero
+	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
+	a.waiters.add(a.corr, e.w)
+	if err := a.sys.bus.Send(a.request(op, e)); err != nil {
+		a.waiters.take(a.corr)
+		via.pool.Put(e)
+		return nil, err
+	}
+	return e, nil
+}
+
+// arm runs the envelope's lapser for d: made on the envelope's first lease
+// that needs one, reset on every later one.
+func (e *typedEnvelope[Req, Resp]) arm(d time.Duration) {
+	if e.lapser == nil {
+		e.lapser = time.AfterFunc(d, e.fire)
+	} else {
+		e.lapser.Reset(d)
+	}
+}
+
+// fire is the lapser's callback. For a future it releases the context hook —
+// reply or not, the hook has nothing left to do — and lapses the future. For
+// a synchronous call it takes the waiter entry; if that wins, no reply will
+// come, so it marks the envelope lapsed and sends the channel's one wake
+// itself (the caller revokes the call). The fields it reads are those of the
+// call it was armed for: an envelope whose lapser may still run is never
+// pooled.
+func (e *typedEnvelope[Req, Resp]) fire() {
+	if f := e.fut.Load(); f != nil {
+		if f.stop != nil {
+			f.stop()
+		}
+		f.lapse(errFallbackElapsed)
+		return
+	}
+	if _, ok := e.waiters.take(e.corr); ok {
+		e.lapsed = true
+		e.w <- connector.ReplyPayload{}
+	}
+}
+
+// await parks a synchronous caller on its channel's one signal — a plain
+// receive for a context that cannot end, a 2-way select with ctx otherwise
+// — and returns the cause of a wait that ended without a reply: the
+// context's error when the caller took the waiter entry back itself,
+// errFallbackElapsed when the lapser took it. A context that ends after the
+// reply or the lapser took the entry waits for their signal.
+func (e *typedEnvelope[Req, Resp]) await(ctx context.Context, a *admitted) (connector.ReplyPayload, error) {
+	var payload connector.ReplyPayload
+	if done := ctx.Done(); done == nil {
+		payload = <-e.w
+	} else {
+		select {
+		case payload = <-e.w:
+		case <-done:
+			if a.abandon() {
+				return payload, ctx.Err()
+			}
+			payload = <-e.w
+		}
+	}
+	if e.lapsed {
+		a.revoke()
+		return payload, errFallbackElapsed
+	}
+	return payload, nil
 }
 
 // collect turns a received reply signal into the call outcome. The in-place
@@ -469,50 +539,51 @@ func (e *typedEnvelope[Req, Resp]) collect(payload connector.ReplyPayload) (Resp
 // invoke is the synchronous call engine, the one body behind
 // TypedClient.Call, Client.Call and a component's outcall: lease an envelope,
 // register its channel for the reply, send, wait, and either collect the
-// reply and recycle the envelope or give the call up. The lease resets what
-// the last call left in the envelope. Closing the client span is left to the
+// reply and recycle the envelope or give the call up. The envelope's lapser
+// bounds the wait only when the context carries no deadline, so deadline
+// expiry always resolves through the context and keeps
+// context.DeadlineExceeded identity. Closing the client span is left to the
 // surface (admitted.span).
 func invoke[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], op string, req *Req) (Resp, error) {
 	var zero Resp
-	e := via.pool.Get().(*typedEnvelope[Req, Resp])
-	e.principal, e.req, e.resp = a.principal(), *req, zero
-	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
-	a.waiters.add(a.corr, e.w)
-	if err := a.sys.bus.Send(a.request(op, e)); err != nil {
-		a.waiters.take(a.corr)
-		via.pool.Put(e)
+	e, err := via.start(a, op, req)
+	if err != nil {
 		return zero, err
 	}
-	payload, cause := e.await(ctx, a.fallback())
+	_, hasDeadline := ctx.Deadline()
+	if !hasDeadline {
+		e.waiters, e.corr = a.waiters, a.corr
+		e.arm(a.fallback())
+	}
+	payload, cause := e.await(ctx, a)
 	if cause != nil {
 		// The envelope is left to the collector: the serving side may still
-		// write it.
-		a.abandon()
+		// write it, and a cancelled call's lapser has nothing left to do.
+		if !hasDeadline {
+			e.lapser.Stop()
+		}
 		return zero, a.lapse(op, cause)
 	}
 	resp, err := e.collect(payload)
-	via.pool.Put(e)
+	if hasDeadline || e.lapser.Stop() {
+		via.pool.Put(e)
+	}
 	return resp, err
 }
 
 // invokeAsync is the asynchronous call engine: the same lease and send, with
 // a future in place of the wait. Whoever takes the waiter entry owns the
-// outcome — the replier (normal completion, collected by Wait), the fallback
-// timer (timeout), or the context hook (cancellation and deadline). Mirroring
-// invoke, the timer is armed only when the context carries no deadline, so
-// deadline expiry always resolves through the hook and keeps
-// context.DeadlineExceeded identity. The hook is installed before the timer
-// is armed, so the timer's callback always finds it.
+// outcome — the replier (normal completion, collected by Wait), the lapser
+// (timeout), or the context hook (cancellation and deadline). As in invoke,
+// the lapser is armed only when the context carries no deadline, so deadline
+// expiry always resolves through the hook and keeps context.DeadlineExceeded
+// identity. The hook is installed before the lapser is armed, so fire always
+// finds it.
 func invokeAsync[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], op string, req *Req) *TypedFuture[Req, Resp] {
-	var zero Resp
-	e := via.async.Get().(*asyncEnvelope[Req, Resp])
-	e.principal, e.req, e.resp = a.principal(), *req, zero
-	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
 	f := &TypedFuture[Req, Resp]{a: *a, op: op}
-	a.waiters.add(a.corr, e.w)
-	if err := a.sys.bus.Send(a.request(op, &e.typedEnvelope)); err != nil {
-		a.waiters.take(a.corr)
-		via.async.Put(e)
+	e, err := via.start(a, op, req)
+	if err != nil {
+		var zero Resp
 		f.settle(zero, err)
 		return f
 	}
@@ -530,10 +601,10 @@ func invokeAsync[Req, Resp any](ctx context.Context, a *admitted, via *envelopes
 // to the reply, a timeout, or the context's cancellation error — and every
 // Wait after resolution returns the same outcome. Safe for concurrent Wait.
 //
-// The future leases its envelope from the handle's async pool, as a
-// synchronous call leases one from the handle's pool, and keeps its own copy of the outcome, so the envelope can go
+// The future leases its envelope from the handle's pool, as a synchronous
+// call does, and keeps its own copy of the outcome, so the envelope can go
 // back once the outcome is read. Exactly one signal reaches the envelope's
-// channel per call: the reply, or — when the fallback timer or the context
+// channel per call: the reply, or — when the lapser or the context
 // hook takes the waiter entry, so no reply will come — the wake that lapse
 // sends after settling the future. One Wait, the collector, receives it; any
 // other parks on done. A collected reply returns the envelope to the pool
@@ -545,7 +616,7 @@ type TypedFuture[Req, Resp any] struct {
 	op string
 	// e is the leased envelope: nil when the send failed or was never made,
 	// and once a clean collect has returned it to the pool.
-	e *asyncEnvelope[Req, Resp]
+	e *typedEnvelope[Req, Resp]
 	// stop releases the context hook (nil for a context that cannot end). It
 	// is written before the timer is armed and before the future is returned,
 	// so the timer's callback and the collector read it without the lock.
@@ -553,7 +624,7 @@ type TypedFuture[Req, Resp any] struct {
 
 	mu sync.Mutex
 	// settled is set once, with resp and err; collecting by the first Wait;
-	// timed by arm when the envelope's fallback timer runs for this call.
+	// timed by arm when the envelope's lapser runs for this call.
 	settled, collecting, timed bool
 	// done is made by the first Done or parked Wait before settlement, and
 	// closed by settle.
@@ -570,34 +641,16 @@ func failedFuture[Req, Resp any](err error) *TypedFuture[Req, Resp] {
 	return &TypedFuture[Req, Resp]{settled: true, err: err}
 }
 
-// arm runs the envelope's fallback timer for f — made on the envelope's
-// first asynchronous lease, reset on every later one — unless the context
-// hook has settled f already.
+// arm runs the envelope's lapser for f unless the context hook has settled f
+// already.
 func (f *TypedFuture[Req, Resp]) arm(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.timed = !f.settled; !f.timed {
 		return
 	}
-	e := f.e
-	e.fut.Store(f)
-	if e.lapser == nil {
-		e.lapser = time.AfterFunc(d, e.fire)
-	} else {
-		e.lapser.Reset(d)
-	}
-}
-
-// fire is the fallback timer's callback. Whether or not the reply beat it,
-// the context hook has nothing left to do; the envelope's current future is
-// the one it was armed for, since an envelope whose timer may still fire is
-// never pooled.
-func (e *asyncEnvelope[Req, Resp]) fire() {
-	f := e.fut.Load()
-	if f.stop != nil {
-		f.stop()
-	}
-	f.lapse(errFallbackElapsed)
+	f.e.fut.Store(f)
+	f.e.arm(d)
 }
 
 // lapse is the timer's and the context hook's callback: if the waiter entry
@@ -617,7 +670,7 @@ func (f *TypedFuture[Req, Resp]) lapse(cause error) {
 }
 
 // settle resolves the future; nothing settles it twice (see lapse and
-// collect). It reports whether the fallback timer was armed for the call.
+// collect). It reports whether the lapser was armed for the call.
 func (f *TypedFuture[Req, Resp]) settle(resp Resp, err error) (timed bool) {
 	f.a.span(f.op, err)
 	f.mu.Lock()
@@ -645,7 +698,7 @@ func (f *TypedFuture[Req, Resp]) collect() {
 	if (!timed || e.lapser.Stop()) && (f.stop == nil || f.stop()) {
 		f.e = nil
 		e.fut.Store(nil) // the pooled envelope pins no settled future
-		e.via.async.Put(e)
+		e.via.pool.Put(e)
 	}
 	f.settle(resp, err)
 }

@@ -83,54 +83,11 @@ func (w *replyWaiters) take(corr uint64) (chan connector.ReplyPayload, bool) {
 	return ch, ok
 }
 
-// waitSlot is what a synchronous caller parks on, embedded in its call
-// envelope: the reply channel the waiter-table entry points at, and the
-// fallback timer that bounds the wait when the call's context carries no
-// deadline (created on first use, reset afterwards — go1.23 timers need no
-// drain). It is reused with the envelope, under the envelope's pooling
-// protocol: after a clean reply the channel held exactly the one signal the
-// waiter table routed and is empty again.
-type waitSlot struct {
-	w     chan connector.ReplyPayload
-	timer *time.Timer
-}
-
-// errFallbackElapsed is the cause of a wait its fallback timer ended; the
+// errFallbackElapsed is the cause of a wait its envelope's lapser ended; the
 // other cause is the context's own error. It stays private: the system
 // fallback's expiry reads "timed out" and has no identity a caller can match
 // (see lapse), but its span closes as a deadline (outcomeOf).
 var errFallbackElapsed = errors.New("timed out")
-
-// await parks the caller until the reply arrives, ctx is done or — armed only
-// when ctx has no deadline of its own to cover the wait — fallback elapses;
-// a non-nil error is the cause of a wait that ended without a reply. The
-// timer is stoppable and reused, never time.After: a high-QPS caller must not
-// leave a pending timer behind per request.
-func (ws *waitSlot) await(ctx context.Context, fallback time.Duration) (connector.ReplyPayload, error) {
-	var timerC <-chan time.Time
-	if _, ok := ctx.Deadline(); !ok {
-		if ws.timer == nil {
-			ws.timer = time.NewTimer(fallback)
-		} else {
-			ws.timer.Reset(fallback)
-		}
-		timerC = ws.timer.C
-	}
-	select {
-	case payload := <-ws.w:
-		if timerC != nil {
-			ws.timer.Stop()
-		}
-		return payload, nil
-	case <-ctx.Done():
-		if timerC != nil {
-			ws.timer.Stop()
-		}
-		return connector.ReplyPayload{}, ctx.Err()
-	case <-timerC:
-		return connector.ReplyPayload{}, errFallbackElapsed
-	}
-}
 
 // abandon is what a caller does when it stops waiting: it takes its waiter
 // entry back and, if the entry was still there (no reply beat it), revokes the

@@ -80,29 +80,48 @@ func (a *Admission) EstimatedWaitNanos(pending int64) int64 {
 	return ewma * pending / a.workers
 }
 
-// Admit reports whether a call with the given remaining budget (nanoseconds)
-// should be accepted given the current pending depth. A call arriving behind
-// fewer than workers others — a resident worker is parked to take it — is
-// always admitted: an idle component is never overloaded, and whether the
-// budget covers the service time is the caller's gamble (it expires as
-// DeadlineExceeded, not as a retry-later signal). A call that will queue must have budget for both the estimated
-// queueing delay AND one expected service time — admitting with just enough
-// budget to reach the front of the queue dooms the call to expire
-// mid-service, wasting the very capacity admission exists to protect. Calls
-// with no deadline (remaining ≤ 0 by convention of the caller) must not
-// reach Admit — the caller short-circuits them to accepted. Counters are
-// updated either way so operators can see shed rates.
-func (a *Admission) Admit(pending, remainingNanos int64) bool {
+// Verdict is Admit's decision about one call.
+type Verdict uint8
+
+const (
+	Admitted Verdict = iota
+	// Overloaded: the budget covers one expected service time but not the
+	// estimated wait as well; a retry once the backlog drains can succeed.
+	Overloaded
+	// Unmeetable: the call would queue and its budget is shorter than one
+	// expected service time; no retry with that budget can succeed.
+	Unmeetable
+)
+
+// Admit decides a call with the given remaining budget (nanoseconds) given
+// the current pending depth. A call arriving behind fewer than workers
+// others — a resident worker is parked to take it — is always admitted: an
+// idle component is never overloaded, and whether the budget covers the
+// service time is the caller's gamble (it expires as DeadlineExceeded, not
+// as a retry-later signal). A call that will queue must have budget for
+// both the estimated queueing delay AND one expected service time —
+// admitting with just enough budget to reach the front of the queue dooms
+// the call to expire mid-service, wasting the very capacity admission
+// exists to protect. Calls with no deadline (remaining ≤ 0 by convention of
+// the caller) must not reach Admit — the caller short-circuits them to
+// accepted. Counters are updated either way so operators can see shed
+// rates; both refusals count as rejected.
+func (a *Admission) Admit(pending, remainingNanos int64) Verdict {
 	if pending < a.workers {
 		a.admitted.Add(1)
-		return true
+		return Admitted
 	}
-	if a.EstimatedWaitNanos(pending)+a.ewmaNanos.Load() > remainingNanos {
+	ewma := a.ewmaNanos.Load()
+	switch {
+	case ewma > remainingNanos:
 		a.rejected.Add(1)
-		return false
+		return Unmeetable
+	case a.EstimatedWaitNanos(pending)+ewma > remainingNanos:
+		a.rejected.Add(1)
+		return Overloaded
 	}
 	a.admitted.Add(1)
-	return true
+	return Admitted
 }
 
 // AdmissionStats is a point-in-time snapshot of an estimator.

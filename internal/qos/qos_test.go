@@ -303,3 +303,38 @@ func TestPercentileEdgeCases(t *testing.T) {
 		t.Fatalf("p100 = %v", got)
 	}
 }
+
+// TestAdmissionVerdicts: four workers, a 2 ms service time. A call that
+// finds a worker free is admitted whatever its budget; one that would queue
+// needs budget for the estimated wait plus one service time, is Overloaded
+// when it covers the service time but not the wait as well, and Unmeetable
+// when it does not cover even the service time. Both refusals count as
+// rejected.
+func TestAdmissionVerdicts(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	rows := []struct {
+		name            string
+		pending, budget int64
+		want            Verdict
+	}{
+		{"a free worker takes any budget", 3, ms / 10, Admitted},
+		{"the wait and one service time fit", 8, 7 * ms, Admitted},
+		{"one service time fits, the wait does not", 8, 3 * ms, Overloaded},
+		{"shorter than one service time", 8, ms, Unmeetable},
+		{"shorter than one service time behind a long queue", 400, ms, Unmeetable},
+	}
+	for _, row := range rows {
+		a := NewAdmission(4)
+		a.Observe(2 * ms)
+		if got := a.Admit(row.pending, row.budget); got != row.want {
+			t.Errorf("%s: Admit(%d, %v) = %d, want %d", row.name, row.pending, time.Duration(row.budget), got, row.want)
+		}
+		want := AdmissionStats{EWMAServiceNanos: 2 * ms, Admitted: 1}
+		if row.want != Admitted {
+			want.Admitted, want.Rejected = 0, 1
+		}
+		if st := a.Stats(); st != want {
+			t.Errorf("%s: stats %+v, want %+v", row.name, st, want)
+		}
+	}
+}
