@@ -35,6 +35,27 @@ func minAllocsPerRun(batches, runs int, f func()) float64 {
 	return best
 }
 
+// minBytesPerRun is minAllocsPerRun for bytes: runtime.MemStats.TotalAlloc
+// over each batch of runs, taken as testing.AllocsPerRun takes Mallocs (one
+// P, one warm-up run per batch), and the best batch.
+func minBytesPerRun(batches, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	best := -1.0
+	for i := 0; i < batches; i++ {
+		f()
+		runtime.ReadMemStats(&before)
+		for j := 0; j < runs; j++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		if b := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs); best < 0 || b < best {
+			best = b
+		}
+	}
+	return best
+}
+
 // TestTypedCallAllocs pins the synchronous typed local call at ≤2
 // allocations per call (measured: 1 — the aspect-invocation frame; the
 // envelope, reply channel, waiter slot and timer are all pooled or reused).
@@ -303,7 +324,12 @@ func startTypedStoreCluster(t *testing.T) *aas.TypedClient[string, string] {
 // call on both nodes. Each future leases its envelope from the handle's
 // pool and returns it when Wait collects the reply, so a call costs the three
 // sites of the unary call plus the future the caller holds. It measures 4;
-// the budget is that plus one.
+// the budget is that plus one. The future is a handle — the call it stands
+// for lives in the envelope — so it is the 64-byte size class, and the call
+// measures 122.7 bytes: 64 for the future, the rest the unary call's three
+// sites. The bytes budget is that
+// rounded up to the next size class, 128, so the future cannot grow back
+// into a larger class unnoticed.
 func TestRemotePipelinedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -329,7 +355,11 @@ func TestRemotePipelinedAllocs(t *testing.T) {
 	if allocs > 5 {
 		t.Fatalf("pipelined remote typed call allocates %.2f/call across both nodes, budget 5", allocs)
 	}
-	t.Logf("pipelined remote typed call: %.2f allocs/call", allocs)
+	bytes := minBytesPerRun(5, 20, round) / window
+	if bytes > 128 {
+		t.Fatalf("pipelined remote typed call allocates %.1f B/call across both nodes, budget 128", bytes)
+	}
+	t.Logf("pipelined remote typed call: %.2f allocs/call, %.1f B/call", allocs, bytes)
 }
 
 // TestClusterBeaconAllocs pins what an idle cluster allocates per beacon

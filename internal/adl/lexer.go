@@ -45,13 +45,6 @@ func newLexer(src string) *lexer {
 	return &lexer{src: []rune(src), line: 1}
 }
 
-func (l *lexer) peekRune() rune {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) next() (token, error) {
 	// Skip whitespace and comments.
 	for l.pos < len(l.src) {

@@ -83,11 +83,10 @@ type Message struct {
 	Dst     Address
 	Seq     uint64 // per (Src,Dst) FIFO sequence, assigned on Send
 	Corr    uint64 // request/reply correlation
-	// SentAt is the send stamp in unix nanoseconds, assigned on Send from
-	// the bus clock. One int64 rather than a time.Time (3 words) for the
-	// same size-class reason as Deadline — and serving components subtract
-	// it from their serve-start read to split queue wait from service time
-	// in span records (DESIGN.md §11).
+	// SentAt is a traced request's send stamp (unix nanoseconds, bus clock),
+	// 0 on every other message: its one reader splits the request's server
+	// span into queue wait and service (DESIGN.md §11). One int64 rather
+	// than a time.Time (3 words) for the same size-class reason as Deadline.
 	SentAt int64
 	// Trace is the trace id of the call this message belongs to (0 when the
 	// call is untraced): minted at the client-handle edge by head sampling,
@@ -496,7 +495,9 @@ func (b *Bus) deliver(m Message) error {
 	sp := r.seq.cell(m.Src)
 	*sp++
 	m.Seq = *sp
-	m.SentAt = b.clk.Now().UnixNano()
+	if m.Kind == Request && m.Trace != 0 {
+		m.SentAt = b.clk.Now().UnixNano()
+	}
 	b.stats.sent.Add(1)
 
 	delay := time.Duration(0)

@@ -38,6 +38,41 @@ func TestSendDeliver(t *testing.T) {
 	}
 }
 
+// TestSentAtStampsTracedRequestsOnly: the send stamp's one reader is a
+// traced request's server span, so Send reads the clock for a request whose
+// Trace is set and for nothing else.
+func TestSentAtStampsTracedRequestsOnly(t *testing.T) {
+	sim := clock.NewSim(origin)
+	b := New(WithClock(sim))
+	dst := attach(t, b, "dst")
+	for _, tc := range []struct {
+		name  string
+		m     Message
+		stamp bool
+	}{
+		{"traced request", Message{Kind: Request, Trace: 7, Span: 1}, true},
+		{"untraced request", Message{Kind: Request}, false},
+		{"reply of a traced call", Message{Kind: Reply, Trace: 7, Span: 1}, false},
+		{"untraced reply", Message{Kind: Reply}, false},
+	} {
+		tc.m.Src, tc.m.Dst = "src", "dst"
+		if err := b.Send(tc.m); err != nil {
+			t.Fatalf("%s: send: %v", tc.name, err)
+		}
+		m, err := dst.Receive(context.Background())
+		if err != nil {
+			t.Fatalf("%s: receive: %v", tc.name, err)
+		}
+		want := int64(0)
+		if tc.stamp {
+			want = origin.UnixNano() // the bus clock's reading
+		}
+		if m.SentAt != want {
+			t.Fatalf("%s: SentAt = %d, want %d", tc.name, m.SentAt, want)
+		}
+	}
+}
+
 func TestUnknownDestination(t *testing.T) {
 	b := New()
 	err := b.Send(Message{Dst: "nowhere"})

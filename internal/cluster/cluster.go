@@ -831,8 +831,13 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 	// gateway is answered here — crossing the wire to be rejected on the
 	// other side would waste a round trip on a caller that already left.
 	// The budget itself is stamped at write time from the absolute deadline
-	// (see egress), so only the already-expired check happens here.
-	if m.Deadline != 0 && time.Now().UnixNano() >= m.Deadline {
+	// (see egress), so only the already-expired check happens here; its clock
+	// read is also a traced call's forward span start.
+	var now int64
+	if m.Deadline != 0 || m.Trace != 0 {
+		now = time.Now().UnixNano()
+	}
+	if m.Deadline != 0 && now >= m.Deadline {
 		return connector.ErrKindDeadline,
 			fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op)
 	}
@@ -860,7 +865,7 @@ func (n *Node) forwardVia(p *peer, g *gateway, m *bus.Message) (connector.ErrKin
 	if m.Trace != 0 {
 		pc.trace, pc.parentSpan = m.Trace, telemetry.SpanID(m.Span)
 		pc.fwdSpan = telemetry.NextSpanID()
-		pc.fwdStart = time.Now().UnixNano()
+		pc.fwdStart = now
 		it.trace = m.Trace
 		it.span = telemetry.PackSpan(pc.fwdSpan, pc.parentSpan)
 	}

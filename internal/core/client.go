@@ -258,8 +258,8 @@ func (c *Client) Call(ctx context.Context, op string, args ...any) ([]any, error
 	if err := c.admit(ctx, op, &a); err != nil {
 		return nil, err
 	}
-	res, err := invoke(ctx, &a, untyped, op, &args)
-	a.span(op, err)
+	res, err := invoke(ctx, &a, untyped, &args)
+	a.span(err)
 	return res, err
 }
 
@@ -272,7 +272,7 @@ func (c *Client) Async(ctx context.Context, op string, args ...any) *Future {
 	if err := c.admit(ctx, op, &a); err != nil {
 		return failedFuture[[]any, []any](err)
 	}
-	return invokeAsync(ctx, &a, untyped, op, &args)
+	return invokeAsync(ctx, &a, untyped, &args)
 }
 
 // Oneway sends op without expecting a result: no reply-waiter slot is
@@ -293,7 +293,7 @@ func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
 	b := c.b
 	// Nothing completes a one-way request, so it carries no envelope: the
 	// arguments ride boxed.
-	if err := b.sys.bus.Send(a.request(op, connector.CallPayload{Principal: c.principal, Args: args})); err != nil {
+	if err := b.sys.bus.Send(a.request(connector.CallPayload{Principal: c.principal, Args: args})); err != nil {
 		if errors.Is(err, bus.ErrUnknownDst) {
 			return fmt.Errorf("%w: %s", ErrNoSuchComponent, b.name)
 		}
@@ -308,7 +308,7 @@ func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
 	// A one-way call has no reply edge, so its root span closes at the
 	// send: the record marks where the trace entered the system, and the
 	// serving side's span (parented to it) carries the service story.
-	a.span(op, nil)
+	a.span(nil)
 	return nil
 }
 
@@ -334,8 +334,8 @@ type admitted struct {
 	// principal and closes the client-edge span. nil for a component outcall,
 	// which has neither.
 	edge *Client
-	// name is what errors call the call: "<name>.<op>".
-	name string
+	// name and op are what errors call the call: "<name>.<op>".
+	name, op string
 	// budget is the handle's WithDeadline budget, 0 for none. With a budget,
 	// it bounds the wait when the context carries no deadline, and because it
 	// was stamped into the request its expiry carries
@@ -421,7 +421,7 @@ func (c *Client) admit(ctx context.Context, op string, a *admitted) error {
 		sys: s, waiters: &s.clientWaiters,
 		src: (*addrs)[corr&(clientEndpoints-1)], dst: b.dst, corr: corr,
 		dl: dl, tr: tr,
-		edge: c, name: b.name, budget: c.budget,
+		edge: c, name: b.name, op: op, budget: c.budget,
 	}
 	return nil
 }
@@ -504,9 +504,9 @@ func (c *Client) Relay(m bus.Message, now int64) error {
 
 // request assembles the admitted request message, deadline and trace
 // context stamped.
-func (a *admitted) request(op string, payload any) bus.Message {
+func (a *admitted) request(payload any) bus.Message {
 	return bus.Message{
-		Kind: bus.Request, Op: op,
+		Kind: bus.Request, Op: a.op,
 		Payload: payload,
 		Src:     a.src, Dst: a.dst, Corr: a.corr,
 		Trace: a.tr.trace, Span: a.tr.span,
@@ -515,12 +515,12 @@ func (a *admitted) request(op string, payload any) bus.Message {
 }
 
 // span closes the client-edge span of a traced call with its outcome. It is
-// the last thing a handle's call does before the outcome is the caller's —
-// the surfaces call it, not the engine under them, so that the span brackets
-// the whole call.
-func (a *admitted) span(op string, err error) {
+// the last thing a handle's Call does before the outcome is the caller's —
+// the surface calls it, not the engine under it, so that the span brackets
+// the whole call; a future's closes as the future's outcome is fixed.
+func (a *admitted) span(err error) {
 	if a.edge != nil {
-		a.edge.recordEdgeSpan(a.tr, op, telemetry.KindClient, outcomeOf(err))
+		a.edge.recordEdgeSpan(a.tr, a.op, telemetry.KindClient, outcomeOf(err))
 	}
 }
 

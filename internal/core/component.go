@@ -495,7 +495,7 @@ func (rc *runtimeComponent) CallContext(ctx context.Context, service string, arg
 	if err := rc.admit(ctx, service, &a); err != nil {
 		return nil, err
 	}
-	return invoke(ctx, &a, untyped, service, &args) // an outcall owns no span to close
+	return invoke(ctx, &a, untyped, &args) // an outcall owns no span to close
 }
 
 // admit is the admission prologue of an outcall: the route the requirement
@@ -513,7 +513,7 @@ func (rc *runtimeComponent) admit(ctx context.Context, service string, a *admitt
 	*a = admitted{
 		sys: rc.sys, waiters: &rc.waiters,
 		src: rc.ep.Addr(), dst: dst, corr: rc.corr.Add(1),
-		dl: dl, name: rc.name,
+		dl: dl, name: rc.name, op: service,
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/connector"
 	"repro/internal/registry"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -629,13 +630,123 @@ func TestFutureLifecycle(t *testing.T) {
 		settleBeforeArm[string, string](t)
 		settleBeforeArm[[]any, []any](t)
 	})
+
+	// The call a future stands for lives in its envelope, and a collected
+	// reply gives the envelope back: the future keeps its outcome and has
+	// closed its span before the next lease can overwrite the call.
+	t.Run("outlives its envelope", func(t *testing.T) {
+		outlivesEnvelope(t, func(env *lifecycleEnv) func(string) *TypedFuture[string, string] {
+			h := typedTarget(env, 0)
+			return func(what string) *TypedFuture[string, string] { return h.Async(context.Background(), "do", what) }
+		}, func(r string) string { return r })
+		outlivesEnvelope(t, func(env *lifecycleEnv) func(string) *Future {
+			c := untypedTarget(env, 0)
+			return func(what string) *Future { return c.Async(context.Background(), "do", what) }
+		}, func(r []any) string { s, _ := first(r, nil); return s })
+	})
+}
+
+// outlivesEnvelope runs, with every call traced, a future that is collected
+// — a reply and an error — and then asked again after sixteen newer calls on
+// the same handle, one of which re-leased its envelope: every Wait and Done
+// still answer for the future's own call, and the recorder holds exactly one
+// client span under its trace id, with its outcome. Then a future whose send
+// failed, which never had an envelope: its span closes all the same, once.
+func outlivesEnvelope[Req, Resp any](t *testing.T, handle func(*lifecycleEnv) func(what string) *TypedFuture[Req, Resp], result func(Resp) string) {
+	t.Helper()
+	env := startLifecycle(t, Options{TraceSampling: 1})
+	async := handle(env)
+	name := fmt.Sprintf("%T", (*TypedFuture[Req, Resp])(nil))
+	clientSpans := func() map[int64][]telemetry.Span {
+		by := map[int64][]telemetry.Span{}
+		for _, sp := range env.sys.Spans() {
+			if sp.Kind == telemetry.KindClient {
+				by[sp.Trace] = append(by[sp.Trace], sp)
+			}
+		}
+		return by
+	}
+	sameSpan := func(what string, spans []telemetry.Span, err error) {
+		t.Helper()
+		if len(spans) != 1 || spans[0].Op != "do" || spans[0].Outcome != outcomeOf(err) {
+			t.Fatalf("%s %s: client spans %+v, want one for do with outcome %v", name, what, spans, outcomeOf(err))
+		}
+	}
+	for _, what := range []string{"#mine", "refused"} {
+		// The pool may drop what is put back — at random under the race
+		// detector — so a round in which no newer call leased the envelope
+		// back is checked all the same, and made again.
+		for round, reused := 0, false; !reused; round++ {
+			if round == 64 {
+				t.Fatalf("%s %s: %d rounds of 16 newer calls, none leased the collected envelope back", name, what, round)
+			}
+			f := async(what)
+			e, trace := f.e, f.e.a.tr.trace
+			resp, err := f.Wait()
+			if f.e != nil {
+				t.Fatalf("%s %s: the collected reply kept its envelope", name, what)
+			}
+			switch {
+			case what == "#mine" && (err != nil || result(resp) != what):
+				t.Fatalf("%s %s: Wait = %q, %v", name, what, result(resp), err)
+			case what == "refused" && (err == nil || err.Error() != "target: refused"):
+				t.Fatalf("%s %s: Wait = %q, %v", name, what, result(resp), err)
+			}
+			for i := 0; i < 16; i++ {
+				newer := fmt.Sprintf("#newer%d", i)
+				g := async(newer)
+				reused = reused || g.e == e
+				if r, err := g.Wait(); err != nil || result(r) != newer {
+					t.Fatalf("%s: newer call %s = %q, %v", name, newer, result(r), err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if r, err2 := f.Wait(); result(r) != result(resp) || err2 != err {
+					t.Fatalf("%s %s: Wait after 16 newer calls = %q, %v; first Wait = %q, %v", name, what, result(r), err2, result(resp), err)
+				}
+			}
+			select {
+			case <-f.Done():
+			default:
+				t.Fatalf("%s %s: Done is open after Wait", name, what)
+			}
+			sameSpan(what, clientSpans()[trace], err)
+		}
+	}
+
+	env.sys.Bus().Detach(targetAddr(env))
+	before := clientSpans()
+	f := async("#lost")
+	if f.e != nil {
+		t.Fatalf("%s: a future whose send failed holds an envelope", name)
+	}
+	_, err := f.Wait()
+	if !errors.Is(err, bus.ErrUnknownDst) {
+		t.Fatalf("%s: err = %v, want bus.ErrUnknownDst", name, err)
+	}
+	if _, err2 := f.Wait(); err2 != err {
+		t.Fatalf("%s: second Wait = %v, first %v", name, err2, err)
+	}
+	<-f.Done()
+	var lost []telemetry.Span
+	for trace, spans := range clientSpans() {
+		if before[trace] == nil {
+			lost = append(lost, spans...)
+		}
+	}
+	sameSpan("send failure", lost, err)
 }
 
 func settleBeforeArm[Req, Resp any](t *testing.T) {
 	t.Helper()
 	via := newEnvelopes(Codec[Req, Resp]{}, nil)
+	lease := func() *typedEnvelope[Req, Resp] {
+		e := via.pool.Get().(*typedEnvelope[Req, Resp])
+		e.a.waiters = &replyWaiters{}
+		return e
+	}
 	var zero Resp
-	settled := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.pool.Get().(*typedEnvelope[Req, Resp])}
+	settled := &TypedFuture[Req, Resp]{e: lease()}
 	settled.settle(zero, errors.New("settled first"))
 	settled.arm(time.Nanosecond)
 	if settled.timed || settled.e.lapser != nil {
@@ -647,8 +758,8 @@ func settleBeforeArm[Req, Resp any](t *testing.T) {
 	// A timer that fires after the reply took the waiter entry — this
 	// future has none left — still releases the hook.
 	var unhooked atomic.Bool
-	replied := &TypedFuture[Req, Resp]{a: admitted{waiters: &replyWaiters{}}, e: via.pool.Get().(*typedEnvelope[Req, Resp]),
-		stop: func() bool { return unhooked.CompareAndSwap(false, true) }}
+	replied := &TypedFuture[Req, Resp]{e: lease()}
+	replied.e.stop = func() bool { return unhooked.CompareAndSwap(false, true) }
 	replied.arm(time.Nanosecond)
 	eventually(t, fmt.Sprintf("%T: the timer to release the hook", replied), unhooked.Load)
 	select {

@@ -42,8 +42,7 @@ var ErrStreamClosed = errors.New("core: stream closed")
 // A Stream is owned by one consumer: Recv must not be called concurrently.
 // Close is safe to call at any time and from other goroutines.
 type Stream struct {
-	a  admitted // the open: where the producer is, and what revokes it
-	op string
+	a admitted // the open: where the producer is, and what revokes it
 
 	mu       sync.Mutex
 	buf      []any // ring, len(buf) == credit window
@@ -137,7 +136,7 @@ func (s *Stream) Recv(ctx context.Context) (any, error) {
 		select {
 		case <-s.notify:
 		case <-ctx.Done():
-			return nil, fmt.Errorf("core: stream %s.%s: %w", s.a.name, s.op, ctx.Err())
+			return nil, fmt.Errorf("core: stream %s.%s: %w", s.a.name, s.a.op, ctx.Err())
 		}
 	}
 }
@@ -212,12 +211,12 @@ func (c *Client) Stream(ctx context.Context, op string, args ...any) (*Stream, e
 		grantAt = 1
 	}
 	st := &Stream{
-		a: a, op: op,
+		a:   a,
 		buf: make([]any, window), grantAt: grantAt,
 		notify: make(chan struct{}, 1),
 	}
 	s.clientStreams.add(a.corr, st)
-	m := a.request(op, connector.StreamOpenPayload{Principal: c.principal, Args: args, Window: window})
+	m := a.request(connector.StreamOpenPayload{Principal: c.principal, Args: args, Window: window})
 	if err := s.bus.Send(m); err != nil {
 		s.clientStreams.take(a.corr)
 		c.recordEdgeSpan(a.tr, op, telemetry.KindStream, outcomeOf(err))
@@ -336,7 +335,7 @@ func (t *TypedStream[Item]) Recv(ctx context.Context) (Item, error) {
 	err = t.decode(t.scratch[:], &item)
 	t.scratch[0] = nil
 	if err != nil {
-		return item, fmt.Errorf("core: stream %s.%s: %w", t.s.a.name, t.s.op, err)
+		return item, fmt.Errorf("core: stream %s.%s: %w", t.s.a.name, t.s.a.op, err)
 	}
 	return item, nil
 }

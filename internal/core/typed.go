@@ -311,8 +311,8 @@ func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (
 		var zero Resp
 		return zero, err
 	}
-	resp, err := invoke(ctx, &a, t.via, op, &req)
-	a.span(op, err)
+	resp, err := invoke(ctx, &a, t.via, &req)
+	a.span(err)
 	return resp, err
 }
 
@@ -325,7 +325,7 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 	if err := t.c.admit(ctx, op, &a); err != nil {
 		return failedFuture[Req, Resp](err)
 	}
-	return invokeAsync(ctx, &a, t.via, op, &req)
+	return invokeAsync(ctx, &a, t.via, &req)
 }
 
 // typedEnvelope is one in-flight call: request and response live inline, so
@@ -361,16 +361,20 @@ type typedEnvelope[Req, Resp any] struct {
 	// reaches it per call: the reply, or the wake of whoever gave the call
 	// up after taking its waiter entry.
 	w chan connector.ReplyPayload
+	// a is the call the engine leased the envelope for (unused by a relayed
+	// call), and stop a future's context hook (nil for none). stop is written
+	// before the lapser is armed and the future returned, so fire and the
+	// collector read it without a lock.
+	a    admitted
+	stop func() bool
 	// lapser bounds a wait whose context carries no deadline (see arm). Its
 	// callback, fire, finds the future the envelope is leased to through fut
 	// (nil for a synchronous call), or else the call's waiter entry through
-	// waiters and corr, and marks that call lapsed — an envelope that is
-	// never pooled again, so lapsed needs no reset.
-	lapser  *time.Timer
-	fut     atomic.Pointer[TypedFuture[Req, Resp]]
-	waiters *replyWaiters
-	corr    uint64
-	lapsed  bool
+	// a, and marks that call lapsed — an envelope that is never pooled again,
+	// so lapsed needs no reset.
+	lapser *time.Timer
+	fut    atomic.Pointer[TypedFuture[Req, Resp]]
+	lapsed bool
 }
 
 var _ connector.TypedCall = (*typedEnvelope[int, int])(nil)
@@ -440,16 +444,16 @@ func (via *envelopes[Req, Resp]) fresh() *typedEnvelope[Req, Resp] {
 	return &typedEnvelope[Req, Resp]{via: via, w: make(chan connector.ReplyPayload, 1)}
 }
 
-// start leases an envelope, resets what the last call left in it, registers
-// its channel for the reply and sends the request. A refused send takes the
-// entry back and returns the envelope to the pool.
-func (via *envelopes[Req, Resp]) start(a *admitted, op string, req *Req) (*typedEnvelope[Req, Resp], error) {
+// start leases an envelope, resets what the last call left in it, copies the
+// call into it, registers its channel for the reply and sends the request. A
+// refused send takes the entry back and returns the envelope to the pool.
+func (via *envelopes[Req, Resp]) start(a *admitted, req *Req) (*typedEnvelope[Req, Resp], error) {
 	var zero Resp
 	e := via.pool.Get().(*typedEnvelope[Req, Resp])
-	e.principal, e.req, e.resp = a.principal(), *req, zero
+	e.a, e.principal, e.req, e.resp = *a, a.principal(), *req, zero
 	e.done, e.errMsg, e.errKind = false, "", connector.ErrKindNone
 	a.waiters.add(a.corr, e.w)
-	if err := a.sys.bus.Send(a.request(op, e)); err != nil {
+	if err := a.sys.bus.Send(a.request(e)); err != nil {
 		a.waiters.take(a.corr)
 		via.pool.Put(e)
 		return nil, err
@@ -476,13 +480,13 @@ func (e *typedEnvelope[Req, Resp]) arm(d time.Duration) {
 // pooled.
 func (e *typedEnvelope[Req, Resp]) fire() {
 	if f := e.fut.Load(); f != nil {
-		if f.stop != nil {
-			f.stop()
+		if e.stop != nil {
+			e.stop()
 		}
 		f.lapse(errFallbackElapsed)
 		return
 	}
-	if _, ok := e.waiters.take(e.corr); ok {
+	if _, ok := e.a.waiters.take(e.a.corr); ok {
 		e.lapsed = true
 		e.w <- connector.ReplyPayload{}
 	}
@@ -544,15 +548,14 @@ func (e *typedEnvelope[Req, Resp]) collect(payload connector.ReplyPayload) (Resp
 // expiry always resolves through the context and keeps
 // context.DeadlineExceeded identity. Closing the client span is left to the
 // surface (admitted.span).
-func invoke[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], op string, req *Req) (Resp, error) {
+func invoke[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], req *Req) (Resp, error) {
 	var zero Resp
-	e, err := via.start(a, op, req)
+	e, err := via.start(a, req)
 	if err != nil {
 		return zero, err
 	}
 	_, hasDeadline := ctx.Deadline()
 	if !hasDeadline {
-		e.waiters, e.corr = a.waiters, a.corr
 		e.arm(a.fallback())
 	}
 	payload, cause := e.await(ctx, a)
@@ -562,7 +565,7 @@ func invoke[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req,
 		if !hasDeadline {
 			e.lapser.Stop()
 		}
-		return zero, a.lapse(op, cause)
+		return zero, a.lapse(cause)
 	}
 	resp, err := e.collect(payload)
 	if hasDeadline || e.lapser.Stop() {
@@ -578,18 +581,16 @@ func invoke[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req,
 // the lapser is armed only when the context carries no deadline, so deadline
 // expiry always resolves through the hook and keeps context.DeadlineExceeded
 // identity. The hook is installed before the lapser is armed, so fire always
-// finds it.
-func invokeAsync[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], op string, req *Req) *TypedFuture[Req, Resp] {
-	f := &TypedFuture[Req, Resp]{a: *a, op: op}
-	e, err := via.start(a, op, req)
+// finds it. A refused send's span closes with the caller's own record.
+func invokeAsync[Req, Resp any](ctx context.Context, a *admitted, via *envelopes[Req, Resp], req *Req) *TypedFuture[Req, Resp] {
+	e, err := via.start(a, req)
 	if err != nil {
-		var zero Resp
-		f.settle(zero, err)
-		return f
+		a.span(err)
+		return failedFuture[Req, Resp](err)
 	}
-	f.e = e
+	f := &TypedFuture[Req, Resp]{e: e}
 	if ctx.Done() != nil {
-		f.stop = context.AfterFunc(ctx, func() { f.lapse(ctx.Err()) })
+		e.stop = context.AfterFunc(ctx, func() { f.lapse(ctx.Err()) })
 	}
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		f.arm(a.fallback())
@@ -601,27 +602,21 @@ func invokeAsync[Req, Resp any](ctx context.Context, a *admitted, via *envelopes
 // to the reply, a timeout, or the context's cancellation error — and every
 // Wait after resolution returns the same outcome. Safe for concurrent Wait.
 //
-// The future leases its envelope from the handle's pool, as a synchronous
-// call does, and keeps its own copy of the outcome, so the envelope can go
-// back once the outcome is read. Exactly one signal reaches the envelope's
-// channel per call: the reply, or — when the lapser or the context
-// hook takes the waiter entry, so no reply will come — the wake that lapse
-// sends after settling the future. One Wait, the collector, receives it; any
-// other parks on done. A collected reply returns the envelope to the pool
-// only when the timer and the hook are both stopped before they ran: then
-// nothing else can still touch it, and its channel is empty again. Otherwise
-// it is left to the garbage collector, as invoke leaves an abandoned one.
+// The future is a handle: the call lives in the envelope it leases from the
+// handle's pool, as a synchronous call's does, and the future keeps only the
+// outcome, so the envelope can go back once that is read and the span
+// closed. Exactly one signal reaches the envelope's channel per call: the
+// reply, or — when the lapser or the context hook takes the waiter entry, so
+// no reply will come — the wake that lapse sends after settling the future.
+// One Wait, the collector, receives it; any other parks on done. A collected
+// reply returns the envelope to the pool only when the timer and the hook are
+// both stopped before they ran: then nothing else can still touch it, and its
+// channel is empty again. Otherwise it is left to the garbage collector, as
+// invoke leaves an abandoned one.
 type TypedFuture[Req, Resp any] struct {
-	a  admitted
-	op string
 	// e is the leased envelope: nil when the send failed or was never made,
 	// and once a clean collect has returned it to the pool.
-	e *typedEnvelope[Req, Resp]
-	// stop releases the context hook (nil for a context that cannot end). It
-	// is written before the timer is armed and before the future is returned,
-	// so the timer's callback and the collector read it without the lock.
-	stop func() bool
-
+	e  *typedEnvelope[Req, Resp]
 	mu sync.Mutex
 	// settled is set once, with resp and err; collecting by the first Wait;
 	// timed by arm when the envelope's lapser runs for this call.
@@ -654,25 +649,27 @@ func (f *TypedFuture[Req, Resp]) arm(d time.Duration) {
 }
 
 // lapse is the timer's and the context hook's callback: if the waiter entry
-// is still there the call is given up. The winner settles the future, stops
-// the timer when it is the hook, and — owning the channel's one send now that
-// no reply will come — wakes the collector. One that finds the entry gone
-// leaves the outcome to the reply.
+// is still there the call is given up. The winner closes the span, settles
+// the future, stops the timer when it is the hook, and — owning the channel's
+// one send now that no reply will come — wakes the collector. One that finds
+// the entry gone leaves the outcome to the reply.
 func (f *TypedFuture[Req, Resp]) lapse(cause error) {
-	if !f.a.abandon() {
+	e := f.e
+	if !e.a.abandon() {
 		return
 	}
 	var zero Resp
-	if f.settle(zero, f.a.lapse(f.op, cause)) {
-		f.e.lapser.Stop() // a no-op when the timer is the caller
+	err := e.a.lapse(cause)
+	e.a.span(err)
+	if f.settle(zero, err) {
+		e.lapser.Stop() // a no-op when the timer is the caller
 	}
-	f.e.w <- connector.ReplyPayload{}
+	e.w <- connector.ReplyPayload{}
 }
 
 // settle resolves the future; nothing settles it twice (see lapse and
 // collect). It reports whether the lapser was armed for the call.
 func (f *TypedFuture[Req, Resp]) settle(resp Resp, err error) (timed bool) {
-	f.a.span(f.op, err)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.resp, f.err, f.settled = resp, err, true
@@ -683,8 +680,9 @@ func (f *TypedFuture[Req, Resp]) settle(resp Resp, err error) (timed bool) {
 }
 
 // collect is the collector's receive. A lapse's wake finds the future settled
-// already; a reply is read out of the envelope, which goes back to the pool
-// when the timer and the hook are both stopped before they ran.
+// already; a reply is read out of the envelope, the span closed, and then the
+// envelope goes back to the pool when the timer and the hook are both stopped
+// before they ran.
 func (f *TypedFuture[Req, Resp]) collect() {
 	e := f.e
 	payload := <-e.w
@@ -695,9 +693,11 @@ func (f *TypedFuture[Req, Resp]) collect() {
 		return
 	}
 	resp, err := e.collect(payload)
-	if (!timed || e.lapser.Stop()) && (f.stop == nil || f.stop()) {
+	e.a.span(err)
+	if (!timed || e.lapser.Stop()) && (e.stop == nil || e.stop()) {
 		f.e = nil
 		e.fut.Store(nil) // the pooled envelope pins no settled future
+		e.stop = nil     // nor its context
 		e.via.pool.Put(e)
 	}
 	f.settle(resp, err)

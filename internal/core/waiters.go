@@ -117,13 +117,13 @@ func (a *admitted) revoke() {
 // lapse is the error of a call whose wait ended without a reply — cause is
 // the context's error or errFallbackElapsed (see admitted.budget for which
 // identity the timer's expiry carries).
-func (a *admitted) lapse(op string, cause error) error {
+func (a *admitted) lapse(cause error) error {
 	switch {
 	case cause != errFallbackElapsed: // the context's own error
 	case a.budget > 0:
 		cause = context.DeadlineExceeded
 	default:
-		return fmt.Errorf("core: call %s.%s %w", a.name, op, cause) // "… timed out"
+		return fmt.Errorf("core: call %s.%s %w", a.name, a.op, cause) // "… timed out"
 	}
-	return fmt.Errorf("core: call %s.%s: %w", a.name, op, cause)
+	return fmt.Errorf("core: call %s.%s: %w", a.name, a.op, cause)
 }

@@ -85,8 +85,10 @@ func TestTracedLocalCallSpans(t *testing.T) {
 		t.Fatalf("server span [%d,%d] not nested in client span [%d,%d]",
 			server.Start, server.End, client.Start, client.End)
 	}
-	if server.Queue < 0 || server.Queue > server.End-client.Start {
-		t.Fatalf("queue wait %dns out of range", server.Queue)
+	// The request's send stamp is its queue wait's start: a traced request
+	// carries one, so the wait is positive and ends where service starts.
+	if server.Queue <= 0 || server.Queue > server.Start-client.Start || server.Start > server.End {
+		t.Fatalf("server span [%d,%d] with queue wait %dns: out of range", server.Start, server.End, server.Queue)
 	}
 }
 
