@@ -10,7 +10,9 @@ package aas_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -531,13 +533,34 @@ func TestStreamRecvAllocs(t *testing.T) {
 }
 
 // mediatedStore answers get from a fixed table, so each reply boxes a fresh
-// string the way a real lookup does (the ledger benchmark's Store).
-type mediatedStore struct{ table map[string]string }
+// string the way a real lookup does, and counts what it served: the counter
+// is its whole transferable state, 8 bytes (the ledger benchmark's Store).
+type mediatedStore struct {
+	table  map[string]string
+	served atomic.Int64
+}
 
 func (s *mediatedStore) Handle(op string, args []any) ([]any, error) {
 	key, _ := args[0].(string)
+	s.served.Add(1)
 	return []any{s.table[key]}, nil
 }
+
+func (s *mediatedStore) Snapshot() ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(nil, uint64(s.served.Load())), nil
+}
+
+func (s *mediatedStore) Restore(b []byte) error {
+	if len(b) != 8 {
+		return fmt.Errorf("store: state of %d bytes", len(b))
+	}
+	s.served.Store(int64(binary.LittleEndian.Uint64(b)))
+	return nil
+}
+
+var mediatedTable = map[string]string{"k": "v:k:0001"}
+
+func newMediatedStore() any { return &mediatedStore{table: mediatedTable} }
 
 // startMediated builds the mediated call path of the ledger's local_reconfig
 // workload: Front.fetch → connector Link carrying two input filters → Store
@@ -546,9 +569,7 @@ func startMediated(tb testing.TB) *aas.System {
 	tb.Helper()
 	reg := aas.NewRegistry()
 	reg.MustRegister("Front", "1.0", nil, func() any { return &clFront{} })
-	reg.MustRegister("Store", "1.0", nil, func() any {
-		return &mediatedStore{table: map[string]string{"k": "v:k:0001"}}
-	})
+	reg.MustRegister("Store", "1.0", nil, newMediatedStore)
 	sys, err := aas.Load(benchClusterADL, aas.Options{Registry: reg.Registry})
 	if err != nil {
 		tb.Fatal(err)
@@ -671,6 +692,49 @@ func TestUntypedAsyncAllocs(t *testing.T) {
 		t.Fatalf("untyped async call allocates %.1f/op, budget 6", allocs)
 	}
 	t.Logf("untyped async call: %.1f allocs/op", allocs)
+}
+
+// TestReconfigChurnAllocs pins one round of the ledger's local_reconfig
+// churn — a strong swap of Store for itself, an aspect attached, disabled,
+// enabled and removed, a meta-object inserted and removed, a filter attached
+// to Link and detached — at its allocation count, every reconfiguration
+// entry point going through the one region executor. AllocsPerRun rounds
+// down, so the budget is the measurement.
+func TestReconfigChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys := startMediated(t)
+	entry := registry.Entry{Name: "Store", Version: registry.Version{Major: 1}, New: newMediatedStore}
+	transient := aas.Aspect{Name: "churn", Advice: []aas.Advice{{
+		Pointcut: aas.Pointcut{Component: "Store", Op: "get"},
+		Before:   func(*aas.Invocation) error { return nil }}}}
+	filter := aas.TransformFilter{FilterName: "churn", Match: aas.FilterMatcher{Op: "get"}, Fn: func(*bus.Message) {}}
+	round := func() {
+		_, err := sys.SwapImplementation("Store", entry, true)
+		err = errors.Join(err,
+			sys.AttachAspect(transient),
+			sys.EnableAspect("churn", false),
+			sys.EnableAspect("churn", true),
+			sys.RemoveAspect("churn"),
+			sys.InsertMetaObject("Store", &aas.MetaObject{Name: "churn", Props: aas.MetaModificatory,
+				Invoke: func(m *bus.Message, next func(*bus.Message) error) error { return next(m) }}),
+			sys.RemoveMetaObject("Store", "churn"),
+			sys.AttachFilter("Front", "get", aas.FilterInput, filter),
+			sys.DetachFilter("Front", "get", aas.FilterInput, "churn"))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	allocs := minAllocsPerRun(5, 50, round)
+	bytes := minBytesPerRun(5, 50, round)
+	t.Logf("churn round: %.0f allocs, %.0f B", allocs, bytes)
+	if allocs > 111 {
+		t.Fatalf("churn round allocates %.0f, budget 111", allocs)
+	}
 }
 
 // BenchmarkMediatedCall is the mediated path of TestMediatedCallAllocs as a

@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/aspects"
-	"repro/internal/bus"
 	"repro/internal/connector"
 	"repro/internal/filters"
 	"repro/internal/metaobj"
@@ -13,64 +12,29 @@ import (
 
 // This file is the RAML's adaptation-mechanism intercession surface: the
 // run-time interchange of aspects, composition filters and meta-object
-// wrappers, routed through the same region machinery as Reconfigure
-// (DESIGN.md §4-§5). Each operation:
-//
-//  1. serializes on reconfigMu, so its region cut cannot interleave with a
-//     reconfiguration transaction's paused region (or another interchange);
-//  2. pauses request admission at the affected region's bus addresses —
-//     the components an aspect's pointcuts cover, or the one connector a
-//     filter change targets. Unlike an implementation swap no quiescence is
-//     needed: the pipelines are immutable compiled snapshots, so in-flight
-//     work simply finishes on the chain it loaded;
-//  3. applies the change, which compiles and atomically republishes the
-//     affected pipelines — every message evaluates against exactly one
-//     complete pipeline generation, never a half-applied chain;
-//  4. resumes the region, flushing requests that parked at the cut onto
-//     the new pipeline, and reports the interchange on the event stream.
+// wrappers (DESIGN.md §4-§5). Each operation is a region that only parks
+// request admission — the components an aspect's pointcuts cover, the one
+// connector a filter change targets, the one component a meta-object
+// change targets — cut by the same executor as Reconfigure (inRegion in
+// region.go). Applying the change compiles and atomically republishes the
+// affected pipelines, so every message evaluates against exactly one
+// complete pipeline generation, never a half-applied chain; the resume
+// flushes the requests that parked at the cut onto the new pipeline, and
+// the interchange is reported on the event stream.
 //
 // The direct handles (Weaver(), Connector().Filters()) remain available and
 // are themselves atomic per binding; these wrappers add the cross-component
 // region cut and the RAML observability.
 
-// pauseAdaptationRegion parks request admission at every given address;
-// replies keep flowing so in-flight invocations drain on their old
-// pipeline. Addresses must be resumed in reverse order via
-// resumeAdaptationRegion.
-func (s *System) pauseAdaptationRegion(addrs []bus.Address) {
-	for _, a := range addrs {
-		s.bus.PauseRequests(a)
-	}
-}
-
-func (s *System) resumeAdaptationRegion(addrs []bus.Address) {
-	for i := len(addrs) - 1; i >= 0; i-- {
-		// Unknown addresses (component removed mid-flight) are fine: the
-		// resume of a never-paused route is a no-op.
-		_, _ = s.bus.Resume(addrs[i])
-	}
-}
-
-// aspectRegion derives the region of an aspect interchange: the bus
-// addresses of every live component the predicate covers, in deterministic
-// order.
-func (s *System) aspectRegion(covers func(component string) bool) []bus.Address {
-	view := s.compView.Load()
-	if view == nil {
-		return nil
-	}
-	var names []string
-	for name := range *view {
+// parkCovered adds to the region the bus address of every live component
+// the predicate covers, in name order: the region of an aspect interchange.
+func (s *System) parkCovered(r *reconfigRegion, covers func(component string) bool) {
+	for name, rc := range *s.compView.Load() {
 		if covers(name) {
-			names = append(names, name)
+			r.park = append(r.park, rc.ep.Addr())
 		}
 	}
-	sort.Strings(names)
-	addrs := make([]bus.Address, len(names))
-	for i, n := range names {
-		addrs[i] = ComponentAddress(n)
-	}
-	return addrs
+	slices.Sort(r.park)
 }
 
 // AttachAspect attaches an aspect system-wide as one region-scoped
@@ -80,69 +44,70 @@ func (s *System) aspectRegion(covers func(component string) bool) []bus.Address 
 // globs are validated here — a malformed pattern fails the attach instead
 // of silently matching nothing.
 func (s *System) AttachAspect(a aspects.Aspect) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	region := s.aspectRegion(aspects.Coverage(a))
-	s.pauseAdaptationRegion(region)
-	defer s.resumeAdaptationRegion(region)
-	if err := s.weaver.Attach(a); err != nil {
-		return err
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(),
-		Detail: fmt.Sprintf("aspect %s attached (gen %d, region %d components)",
-			a.Name, s.weaver.Generation(), len(region))})
-	return nil
+	return s.inRegion(func(r *reconfigRegion) error {
+		s.parkCovered(r, aspects.Coverage(a))
+		return nil
+	}, func(r *reconfigRegion) error {
+		if err := s.weaver.Attach(a); err != nil {
+			return err
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(),
+			Detail: fmt.Sprintf("aspect %s attached (gen %d, region %d components)",
+				a.Name, s.weaver.Generation(), len(r.park))})
+		return nil
+	})
 }
 
 // RemoveAspect detaches an aspect through the same region cut as
 // AttachAspect.
 func (s *System) RemoveAspect(name string) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	region := s.aspectRegion(func(c string) bool { return s.weaver.Covers(name, c) })
-	s.pauseAdaptationRegion(region)
-	defer s.resumeAdaptationRegion(region)
-	if err := s.weaver.Remove(name); err != nil {
-		return err
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(),
-		Detail: fmt.Sprintf("aspect %s removed (gen %d, region %d components)",
-			name, s.weaver.Generation(), len(region))})
-	return nil
+	return s.inRegion(func(r *reconfigRegion) error {
+		s.parkCovered(r, func(c string) bool { return s.weaver.Covers(name, c) })
+		return nil
+	}, func(r *reconfigRegion) error {
+		if err := s.weaver.Remove(name); err != nil {
+			return err
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(),
+			Detail: fmt.Sprintf("aspect %s removed (gen %d, region %d components)",
+				name, s.weaver.Generation(), len(r.park))})
+		return nil
+	})
 }
 
 // EnableAspect toggles an aspect without detaching it — the lightest
 // interchange, still cut at the covered components' admission edge. A
 // toggle to the current state is a no-op: no region pause, no event.
 func (s *System) EnableAspect(name string, on bool) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	cur, err := s.weaver.IsEnabled(name)
-	if err != nil {
+	var cur bool
+	return s.inRegion(func(r *reconfigRegion) (err error) {
+		if cur, err = s.weaver.IsEnabled(name); err == nil && cur != on {
+			s.parkCovered(r, func(c string) bool { return s.weaver.Covers(name, c) })
+		}
 		return err
-	}
-	if cur == on {
+	}, func(*reconfigRegion) error {
+		if cur == on {
+			return nil // nothing was cut, nothing to report
+		}
+		if err := s.weaver.SetEnabled(name, on); err != nil {
+			return err
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(),
+			Detail: fmt.Sprintf("aspect %s enabled=%v (gen %d)", name, on, s.weaver.Generation())})
 		return nil
-	}
-	region := s.aspectRegion(func(c string) bool { return s.weaver.Covers(name, c) })
-	s.pauseAdaptationRegion(region)
-	defer s.resumeAdaptationRegion(region)
-	if err := s.weaver.SetEnabled(name, on); err != nil {
-		return err
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(),
-		Detail: fmt.Sprintf("aspect %s enabled=%v (gen %d)", name, on, s.weaver.Generation())})
-	return nil
+	})
 }
 
-// bindingConnector resolves the connector mediating a binding and its bus
-// address; callers hold reconfigMu.
-func (s *System) bindingConnector(fromComponent, service string) (*connector.Connector, bus.Address, error) {
-	conn, err := s.Connector(fromComponent, service)
-	if err != nil {
-		return nil, "", err
-	}
-	return conn, connector.Address(conn.Name()), nil
+// onConnector runs change as an interchange whose region is the connector
+// mediating a binding.
+func (s *System) onConnector(fromComponent, service string, change func(*connector.Connector) error) error {
+	var conn *connector.Connector
+	return s.inRegion(func(r *reconfigRegion) (err error) {
+		if conn, err = s.Connector(fromComponent, service); err == nil {
+			r.park = append(r.park, connector.Address(conn.Name()))
+		}
+		return err
+	}, func(*reconfigRegion) error { return change(conn) })
 }
 
 // AttachFilter attaches a composition filter to the connector mediating the
@@ -150,61 +115,57 @@ func (s *System) bindingConnector(fromComponent, service string) (*connector.Con
 // that connector. The filter's glob patterns are compiled and validated
 // before the pipeline is republished.
 func (s *System) AttachFilter(fromComponent, service string, dir filters.Direction, f filters.Filter) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	conn, addr, err := s.bindingConnector(fromComponent, service)
-	if err != nil {
-		return err
-	}
-	s.pauseAdaptationRegion([]bus.Address{addr})
-	defer s.resumeAdaptationRegion([]bus.Address{addr})
-	if err := conn.Filters().Attach(dir, f); err != nil {
-		return err
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: fromComponent,
-		Detail: fmt.Sprintf("filter %s attached to %s.%s %s (gen %d)",
-			f.Name(), fromComponent, service, dir, conn.Filters().Generation(dir))})
-	return nil
+	return s.onConnector(fromComponent, service, func(conn *connector.Connector) error {
+		if err := conn.Filters().Attach(dir, f); err != nil {
+			return err
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: fromComponent,
+			Detail: fmt.Sprintf("filter %s attached to %s.%s %s (gen %d)",
+				f.Name(), fromComponent, service, dir, conn.Filters().Generation(dir))})
+		return nil
+	})
 }
 
 // DetachFilter removes the named filter from the binding's connector.
 func (s *System) DetachFilter(fromComponent, service string, dir filters.Direction, name string) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	conn, addr, err := s.bindingConnector(fromComponent, service)
-	if err != nil {
-		return err
-	}
-	s.pauseAdaptationRegion([]bus.Address{addr})
-	defer s.resumeAdaptationRegion([]bus.Address{addr})
-	if !conn.Filters().Detach(dir, name) {
-		return fmt.Errorf("core: filter %s not attached to %s.%s %s", name, fromComponent, service, dir)
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: fromComponent,
-		Detail: fmt.Sprintf("filter %s detached from %s.%s %s (gen %d)",
-			name, fromComponent, service, dir, conn.Filters().Generation(dir))})
-	return nil
+	return s.onConnector(fromComponent, service, func(conn *connector.Connector) error {
+		if !conn.Filters().Detach(dir, name) {
+			return fmt.Errorf("core: filter %s not attached to %s.%s %s", name, fromComponent, service, dir)
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: fromComponent,
+			Detail: fmt.Sprintf("filter %s detached from %s.%s %s (gen %d)",
+				name, fromComponent, service, dir, conn.Filters().Generation(dir))})
+		return nil
+	})
 }
 
 // ReplaceFilters atomically swaps the binding's whole filter chain for dir:
 // the transactional interchange primitive — either the complete new chain
 // compiles and is published as one unit, or the old chain stays in effect.
 func (s *System) ReplaceFilters(fromComponent, service string, dir filters.Direction, fs ...filters.Filter) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	conn, addr, err := s.bindingConnector(fromComponent, service)
-	if err != nil {
-		return err
-	}
-	s.pauseAdaptationRegion([]bus.Address{addr})
-	defer s.resumeAdaptationRegion([]bus.Address{addr})
-	if err := conn.Filters().Replace(dir, fs...); err != nil {
-		return err
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: fromComponent,
-		Detail: fmt.Sprintf("filter chain %s.%s %s replaced: %d filters (gen %d)",
-			fromComponent, service, dir, len(fs), conn.Filters().Generation(dir))})
-	return nil
+	return s.onConnector(fromComponent, service, func(conn *connector.Connector) error {
+		if err := conn.Filters().Replace(dir, fs...); err != nil {
+			return err
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: fromComponent,
+			Detail: fmt.Sprintf("filter chain %s.%s %s replaced: %d filters (gen %d)",
+				fromComponent, service, dir, len(fs), conn.Filters().Generation(dir))})
+		return nil
+	})
+}
+
+// onComponent runs change as an interchange whose region is one live
+// component.
+func (s *System) onComponent(component string, change func(*runtimeComponent) error) error {
+	var rc *runtimeComponent
+	return s.inRegion(func(r *reconfigRegion) error {
+		var ok bool
+		if rc, ok = (*s.compView.Load())[component]; !ok {
+			return fmt.Errorf("%w: %s", ErrUnknownComp, component)
+		}
+		r.park = append(r.park, rc.ep.Addr())
+		return nil
+	}, func(*reconfigRegion) error { return change(rc) })
 }
 
 // InsertMetaObject composes a meta-object wrapper into the named
@@ -212,42 +173,28 @@ func (s *System) ReplaceFilters(fromComponent, service string, dir filters.Direc
 // chain revalidates the wrapper set (exclusivity, partial order) and only a
 // consistent composition is published.
 func (s *System) InsertMetaObject(component string, o *metaobj.MetaObject) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	rc, ok := (*s.compView.Load())[component]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownComp, component)
-	}
-	addr := []bus.Address{ComponentAddress(component)}
-	s.pauseAdaptationRegion(addr)
-	defer s.resumeAdaptationRegion(addr)
-	if err := rc.meta.Insert(o); err != nil {
-		return err
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: component,
-		Detail: fmt.Sprintf("meta-object %s inserted (gen %d, order %v)",
-			o.Name, rc.meta.Generation(), rc.meta.Order())})
-	return nil
+	return s.onComponent(component, func(rc *runtimeComponent) error {
+		if err := rc.meta.Insert(o); err != nil {
+			return err
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: component,
+			Detail: fmt.Sprintf("meta-object %s inserted (gen %d, order %v)",
+				o.Name, rc.meta.Generation(), rc.meta.Order())})
+		return nil
+	})
 }
 
 // RemoveMetaObject removes a wrapper from the component's chain; mandatory
 // wrappers are refused by the chain itself.
 func (s *System) RemoveMetaObject(component, name string) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	rc, ok := (*s.compView.Load())[component]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownComp, component)
-	}
-	addr := []bus.Address{ComponentAddress(component)}
-	s.pauseAdaptationRegion(addr)
-	defer s.resumeAdaptationRegion(addr)
-	if err := rc.meta.Remove(name); err != nil {
-		return err
-	}
-	s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: component,
-		Detail: fmt.Sprintf("meta-object %s removed (gen %d)", name, rc.meta.Generation())})
-	return nil
+	return s.onComponent(component, func(rc *runtimeComponent) error {
+		if err := rc.meta.Remove(name); err != nil {
+			return err
+		}
+		s.events.Emit(Event{Kind: EvAdaptation, At: s.clk.Now(), Component: component,
+			Detail: fmt.Sprintf("meta-object %s removed (gen %d)", name, rc.meta.Generation())})
+		return nil
+	})
 }
 
 // MetaObjectOrder returns the execution order of the component's

@@ -529,12 +529,16 @@ func TestReconfigureGuardRollsBack(t *testing.T) {
 	if !errors.Is(err, ErrReconfigFailed) {
 		t.Fatalf("err = %v", err)
 	}
+	// The failure names the guard, not a plan step.
+	if want := "core: reconfiguration failed: guard: non-regression check failed"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+	if h := sys.Events().History(EvReconfigRolledBack); len(h) != 1 || h[0].Detail != "guard: non-regression check failed" {
+		t.Errorf("rolled-back events %+v, want one naming the guard", h)
+	}
 	// The added component must be gone (rolled back).
 	if _, err := sys.Client("Cache").Call(context.Background(), "put", "a", "b"); !errors.Is(err, ErrUnknownComp) {
 		t.Fatalf("rollback incomplete: %v", err)
-	}
-	if len(sys.Events().History(EvReconfigRolledBack)) != 1 {
-		t.Error("rollback event missing")
 	}
 	// The original system still works.
 	if _, err := sys.Client("Store").Call(context.Background(), "put", "k", "v"); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -118,96 +117,89 @@ type Handoff struct {
 // If rebind fails the channel stays blocked with the parked requests
 // captured; a later gateway attach plus bus resume recovers them.
 func (s *System) MigrateOut(component string, to netsim.NodeID, ship func(Handoff) error, rebind func() error) error {
-	// A migration is a one-component reconfiguration transaction; it must
-	// not interleave with Reconfigure/SwapImplementation on an overlapping
-	// region.
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
+	var (
+		rc      *runtimeComponent
+		started time.Time
+		from    netsim.NodeID
+	)
+	// Steps 1–2 and the rollback are a one-component quiesced region, which
+	// also aborts running stream producers: a stream is long-lived by
+	// design, so waiting it out would hold the migration hostage.
+	err := s.inRegion(func(r *reconfigRegion) error {
+		var ok bool
+		if rc, ok = (*s.compView.Load())[component]; !ok {
+			return fmt.Errorf("%w: %s", ErrUnknownComp, component)
+		}
+		r.comps, r.why = append(r.comps, component), migrating
+		started = s.clk.Now()
+		return nil
+	}, func(r *reconfigRegion) error {
+		// 2. Bounce every queued request onto the paused route so the
+		// mailbox is empty before teardown.
+		if err := s.drainServeQueue(rc); err != nil {
+			return fmt.Errorf("core: migrate %s: %w", component, err)
+		}
 
-	rc, ok := (*s.compView.Load())[component]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownComp, component)
-	}
-	addr := rc.ep.Addr()
-	started := s.clk.Now()
+		// 3. Encode the module context. Components without state capture
+		// ship stateless; a capturer that fails to snapshot aborts the
+		// migration.
+		h := Handoff{Component: component, Decl: rc.decl, CPU: componentCPU(rc.decl)}
+		if snap, serr := rc.cont.Snapshot(); serr == nil {
+			h.State, h.HasState = snap, true
+		} else if !errors.Is(serr, container.ErrNotCapturable) {
+			return fmt.Errorf("core: migrate %s: snapshot: %w", component, serr)
+		}
 
-	// 1. Block the channel.
-	s.bus.PauseRequests(addr)
-	rollback := func(err error) error {
-		rc.cont.Activate()
-		_, _ = s.bus.Resume(addr)
+		// 4. Ship. The peer adopts under our pause; until the ack arrives
+		// the component still exists here (passive) and there (active), but
+		// no request can reach the passive copy, so no call is served twice.
+		if err := ship(h); err != nil {
+			return fmt.Errorf("core: migrate %s: ship: %w", component, err)
+		}
+
+		// 5. Commit: the peer owns the component now. Tear down the local
+		// instance and route table entries; release exactly the capacity
+		// that was allocated at placement time.
+		addr := rc.ep.Addr()
+		rc.stop()
+		s.bus.Detach(addr)
+		s.mu.Lock()
+		// Remote view before component view: a handle's resolveNow reads
+		// compView first and remoteView second, so publishing in the reverse
+		// order would open a window where the component resolves through
+		// neither snapshot and a concurrent call spuriously fails with
+		// ErrUnknownComp.
+		s.setRemoteLocked(component)
+		delete(s.comps, component)
+		s.publishCompsLocked()
+		s.placement[component] = to
+		released := rc.allocCPU
+		from = rc.node
+		rc.allocCPU, rc.node = 0, ""
+		s.mu.Unlock()
+		s.addrs.dropNode(addr)
+		if s.topo != nil && from != "" {
+			_ = s.topo.Release(from, released)
+		}
+
+		// 6. Re-point the address at the caller's gateway.
+		if rebind != nil {
+			if err := rebind(); err != nil {
+				// The component is gone locally but its channel stays
+				// blocked: parked requests are captured, not lost, until a
+				// gateway attaches and resumes the address.
+				r.comps = r.comps[:0]
+				s.events.Emit(Event{Kind: EvMigration, At: s.clk.Now(), Component: component,
+					Detail: fmt.Sprintf("-> %s (cross-node, rebind failed: %v)", to, err)})
+				return fmt.Errorf("core: migrate %s: rebind: %w", component, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-
-	// 2. Reach the reconfiguration point, then bounce every queued request
-	// onto the paused route so the mailbox is empty before teardown.
-	// Running stream producers are aborted first: a stream is long-lived
-	// by design, so waiting it out would hold the migration hostage — the
-	// consumer gets a fast-fail end and reopens against the new home.
-	rc.abortStreams("component migrating")
-	ctx, cancel := context.WithTimeout(context.Background(), s.callTimeout)
-	err := rc.cont.Quiesce(ctx)
-	cancel()
-	if err != nil {
-		_, _ = s.bus.Resume(addr)
-		return fmt.Errorf("core: migrate %s: %w", component, err)
-	}
-	if err := s.drainServeQueue(rc); err != nil {
-		return rollback(fmt.Errorf("core: migrate %s: %w", component, err))
-	}
-
-	// 3. Encode the module context. Components without state capture ship
-	// stateless; a capturer that fails to snapshot aborts the migration.
-	h := Handoff{Component: component, Decl: rc.decl, CPU: componentCPU(rc.decl)}
-	if snap, serr := rc.cont.Snapshot(); serr == nil {
-		h.State, h.HasState = snap, true
-	} else if !errors.Is(serr, container.ErrNotCapturable) {
-		return rollback(fmt.Errorf("core: migrate %s: snapshot: %w", component, serr))
-	}
-
-	// 4. Ship. The peer adopts under our pause; until the ack arrives the
-	// component still exists here (passive) and there (active), but no
-	// request can reach the passive copy, so no call is served twice.
-	if err := ship(h); err != nil {
-		return rollback(fmt.Errorf("core: migrate %s: ship: %w", component, err))
-	}
-
-	// 5. Commit: the peer owns the component now. Tear down the local
-	// instance and route table entries; release exactly the capacity that
-	// was allocated at placement time.
-	rc.stop()
-	s.bus.Detach(addr)
-	s.mu.Lock()
-	// Remote view before component view: a handle's resolveNow reads compView
-	// first and remoteView second, so publishing in the reverse order would open a
-	// window where the component resolves through neither snapshot and a
-	// concurrent call spuriously fails with ErrUnknownComp.
-	s.setRemoteLocked(component)
-	delete(s.comps, component)
-	s.publishCompsLocked()
-	s.placement[component] = to
-	released, from := rc.allocCPU, rc.node
-	rc.allocCPU, rc.node = 0, ""
-	s.mu.Unlock()
-	s.addrs.dropNode(addr)
-	if s.topo != nil && from != "" {
-		_ = s.topo.Release(from, released)
-	}
-
-	// 6. Re-point the address at the caller's gateway.
-	if rebind != nil {
-		if err := rebind(); err != nil {
-			// The component is gone locally but its channel stays blocked:
-			// parked requests are captured, not lost, until a gateway
-			// attaches and resumes the address.
-			s.events.Emit(Event{Kind: EvMigration, At: s.clk.Now(), Component: component,
-				Detail: fmt.Sprintf("-> %s (cross-node, rebind failed: %v)", to, err)})
-			return fmt.Errorf("core: migrate %s: rebind: %w", component, err)
-		}
-	}
-
-	// 7. Reopen the channel; everything parked flushes into the gateway.
-	_, _ = s.bus.Resume(addr)
+	// 7. The region's resume flushed everything parked into the gateway.
 	s.events.Emit(Event{Kind: EvMigration, At: s.clk.Now(), Component: component,
 		Detail: fmt.Sprintf("%s -> %s (cross-node, blackout=%v)", from, to, s.clk.Now().Sub(started))})
 	return nil
@@ -219,9 +211,7 @@ func (s *System) MigrateOut(component string, to netsim.NodeID, ship func(Handof
 // delivered: the origin, never having seen the ack, rolls back and keeps
 // serving, so the destination must not keep a second live copy.
 func (s *System) EvictComponent(name string) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	return s.removeComponentLive(name)
+	return s.inRegion(nil, func(*reconfigRegion) error { return s.removeComponentLive(name) })
 }
 
 // SnapshotComponent captures a hot copy of a local component's state for
@@ -266,101 +256,100 @@ func (s *System) drainServeQueue(rc *runtimeComponent) error {
 // is free for the real endpoint. Messages sent in that window park on the
 // addressless route and are recovered by the final resume.
 func (s *System) AdoptComponent(decl adl.ComponentDecl, state []byte, hasState bool, pre func()) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
+	return s.inRegion(nil, func(*reconfigRegion) error {
+		entry, err := s.reg.Lookup(decl.Name)
+		if err != nil {
+			return fmt.Errorf("core: adopt %s: %w", decl.Name, err)
+		}
+		// Validate instantiability before pre tears the gateway down, so a node
+		// that cannot host the component refuses without disturbing routing.
+		if _, ok := entry.New().(container.Component); !ok {
+			return fmt.Errorf("%w: adopt %s", ErrBadComponent, decl.Name)
+		}
+		if pre != nil {
+			pre()
+		}
 
-	entry, err := s.reg.Lookup(decl.Name)
-	if err != nil {
-		return fmt.Errorf("core: adopt %s: %w", decl.Name, err)
-	}
-	// Validate instantiability before pre tears the gateway down, so a node
-	// that cannot host the component refuses without disturbing routing.
-	if _, ok := entry.New().(container.Component); !ok {
-		return fmt.Errorf("%w: adopt %s", ErrBadComponent, decl.Name)
-	}
-	if pre != nil {
-		pre()
-	}
-
-	addr := ComponentAddress(decl.Name)
-	s.mu.Lock()
-	if _, dup := s.comps[decl.Name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("core: adopt %s: already hosted locally", decl.Name)
-	}
-	// The inherited placement entry may name the origin cluster node, which
-	// is not a topology node here; the adopted instance is simply local.
-	delete(s.placement, decl.Name)
-	if err := s.buildComponentFromEntryLocked(decl, entry); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("core: adopt %s: %w", decl.Name, err)
-	}
-	rc := s.comps[decl.Name]
-	if hasState {
-		if rerr := rc.cont.Restore(state); rerr != nil {
-			delete(s.comps, decl.Name)
+		addr := ComponentAddress(decl.Name)
+		s.mu.Lock()
+		if _, dup := s.comps[decl.Name]; dup {
 			s.mu.Unlock()
-			s.bus.Detach(addr)
-			s.addrs.dropNode(addr)
-			// The component never started, so stop() never runs: release
-			// the weaver binding here or every failed adoption would leak
-			// one binding the weaver recompiles on each aspect interchange.
-			rc.woven.Release()
-			return fmt.Errorf("core: adopt %s: restore: %w", decl.Name, rerr)
+			return fmt.Errorf("core: adopt %s: already hosted locally", decl.Name)
 		}
-	}
-	// Keep the architectural model consistent: a node adopting a component
-	// its own configuration never declared records the shipped declaration
-	// (fresh slice — published snapshots never mutate).
-	if _, declared := s.cfg.Component(decl.Name); !declared {
-		next := *s.cfg
-		next.Components = append(append([]adl.ComponentDecl(nil), s.cfg.Components...), decl)
-		s.cfg = &next
-	}
-	// Component view before remote view (the mirror of MigrateOut's commit
-	// order): a concurrent call must find the component in at least one
-	// snapshot at every instant.
-	s.publishCompsLocked()
-	s.dropRemoteLocked(decl.Name)
+		// The inherited placement entry may name the origin cluster node, which
+		// is not a topology node here; the adopted instance is simply local.
+		delete(s.placement, decl.Name)
+		if err := s.buildComponentFromEntryLocked(decl, entry); err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("core: adopt %s: %w", decl.Name, err)
+		}
+		rc := s.comps[decl.Name]
+		if hasState {
+			if rerr := rc.cont.Restore(state); rerr != nil {
+				delete(s.comps, decl.Name)
+				s.mu.Unlock()
+				s.bus.Detach(addr)
+				s.addrs.dropNode(addr)
+				// The component never started, so stop() never runs: release
+				// the weaver binding here or every failed adoption would leak
+				// one binding the weaver recompiles on each aspect interchange.
+				rc.woven.Release()
+				return fmt.Errorf("core: adopt %s: restore: %w", decl.Name, rerr)
+			}
+		}
+		// Keep the architectural model consistent: a node adopting a component
+		// its own configuration never declared records the shipped declaration
+		// (fresh slice — published snapshots never mutate).
+		if _, declared := s.cfg.Component(decl.Name); !declared {
+			next := *s.cfg
+			next.Components = append(append([]adl.ComponentDecl(nil), s.cfg.Components...), decl)
+			s.cfg = &next
+		}
+		// Component view before remote view (the mirror of MigrateOut's commit
+		// order): a concurrent call must find the component in at least one
+		// snapshot at every instant.
+		s.publishCompsLocked()
+		s.dropRemoteLocked(decl.Name)
 
-	// Route the adopted component's own required services through local
-	// connector instances, creating the ones assembly skipped while the
-	// caller was remote.
-	var (
-		newConns []*connector.Connector
-		bindErrs error
-	)
-	for _, b := range s.cfg.Bindings {
-		if b.FromComponent != decl.Name {
-			continue
+		// Route the adopted component's own required services through local
+		// connector instances, creating the ones assembly skipped while the
+		// caller was remote.
+		var (
+			newConns []*connector.Connector
+			bindErrs error
+		)
+		for _, b := range s.cfg.Bindings {
+			if b.FromComponent != decl.Name {
+				continue
+			}
+			inst := connectorInstanceName(b)
+			if _, exists := s.conns[inst]; exists {
+				rc.setRoute(b.FromService, connector.Address(inst))
+				continue
+			}
+			if berr := s.buildBindingLocked(b); berr != nil {
+				bindErrs = errors.Join(bindErrs, berr)
+				continue
+			}
+			newConns = append(newConns, s.conns[inst])
 		}
-		inst := connectorInstanceName(b)
-		if _, exists := s.conns[inst]; exists {
-			rc.setRoute(b.FromService, connector.Address(inst))
-			continue
-		}
-		if berr := s.buildBindingLocked(b); berr != nil {
-			bindErrs = errors.Join(bindErrs, berr)
-			continue
-		}
-		newConns = append(newConns, s.conns[inst])
-	}
-	running, ctx := s.running, s.ctx
-	s.mu.Unlock()
+		running, ctx := s.running, s.ctx
+		s.mu.Unlock()
 
-	if running {
-		for _, c := range newConns {
-			c.Start(ctx)
+		if running {
+			for _, c := range newConns {
+				c.Start(ctx)
+			}
+			rc.start(ctx)
 		}
-		rc.start(ctx)
-	}
-	// Recover everything that parked while the address was between
-	// endpoints (gateway detached, real endpoint not yet attached).
-	_, _ = s.bus.Resume(addr)
-	s.events.Emit(Event{Kind: EvMigration, At: s.clk.Now(), Component: decl.Name,
-		Detail: fmt.Sprintf("adopted (stateful=%v, %d bytes)", hasState, len(state))})
-	if bindErrs != nil {
-		return fmt.Errorf("core: adopt %s: bindings: %w", decl.Name, bindErrs)
-	}
-	return nil
+		// Recover everything that parked while the address was between
+		// endpoints (gateway detached, real endpoint not yet attached).
+		_, _ = s.bus.Resume(addr)
+		s.events.Emit(Event{Kind: EvMigration, At: s.clk.Now(), Component: decl.Name,
+			Detail: fmt.Sprintf("adopted (stateful=%v, %d bytes)", hasState, len(state))})
+		if bindErrs != nil {
+			return fmt.Errorf("core: adopt %s: bindings: %w", decl.Name, bindErrs)
+		}
+		return nil
+	})
 }

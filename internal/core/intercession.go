@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -38,51 +37,27 @@ type SwapReport struct {
 // the swap's region is exactly this one component, and the rest of the
 // system serves traffic throughout.
 func (s *System) SwapImplementation(component string, entry registry.Entry, transferState bool) (SwapReport, error) {
-	// A standalone swap is a one-component reconfiguration transaction; it
-	// must not interleave with a region-scoped Reconfigure, whose paused
-	// region this swap's Resume would otherwise reopen mid-transaction.
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	rc, ok := (*s.compView.Load())[component]
 	rep := SwapReport{Component: component}
-	if !ok {
-		return rep, fmt.Errorf("%w: %s", ErrUnknownComp, component)
-	}
-	if err := s.checkSwapCompliance(rc, entry); err != nil {
-		return rep, err
-	}
-
-	addr := rc.ep.Addr()
-	started := s.clk.Now()
-
-	// 1. Block the communication channel; new requests are parked.
-	s.bus.PauseRequests(addr)
-
-	// 2. Reach the reconfiguration point: in-flight requests complete,
-	// running stream producers are aborted (the consumer fast-fails and
-	// reopens against the new implementation).
-	rc.abortStreams("implementation swapping")
-	ctx, cancel := context.WithTimeout(context.Background(), s.callTimeout)
-	defer cancel()
-	if err := rc.cont.Quiesce(ctx); err != nil {
-		_, _ = s.bus.Resume(addr)
-		return rep, fmt.Errorf("core: swap %s: %w", component, err)
-	}
-
-	// 3. Encode the module context and initialize the new module.
-	stateBytes, err := s.replaceQuiesced(rc, entry, transferState)
-	rep.StateBytes = stateBytes
+	var (
+		rc      *runtimeComponent
+		started time.Time
+	)
+	// A standalone swap is a one-component quiesced region; it must not
+	// interleave with a region-scoped Reconfigure, whose paused region this
+	// swap's resume would otherwise reopen mid-transaction.
+	err := s.inRegion(func(r *reconfigRegion) (err error) {
+		if rc, err = s.swapTarget(component, entry); err != nil {
+			return err
+		}
+		r.comps, r.why = append(r.comps, component), swapping
+		started = s.clk.Now()
+		return nil
+	}, func(*reconfigRegion) (err error) {
+		rep, err = s.replaceQuiesced(rc, entry, transferState)
+		return err
+	})
 	if err != nil {
-		rc.cont.Activate()
-		_, _ = s.bus.Resume(addr)
 		return rep, err
-	}
-
-	// 4. Reactivate and flush the parked messages in order.
-	rc.cont.Activate()
-	rep.HeldMessages = s.bus.HeldCount(addr)
-	if _, err := s.bus.Resume(addr); err != nil {
-		return rep, fmt.Errorf("core: swap %s: resume: %w", component, err)
 	}
 	rep.Blackout = s.clk.Now().Sub(started)
 	s.events.Emit(Event{Kind: EvSwap, At: s.clk.Now(), Component: component,
@@ -90,76 +65,74 @@ func (s *System) SwapImplementation(component string, entry registry.Entry, tran
 	return rep, nil
 }
 
-// checkSwapCompliance gates a replacement implementation on the interface
-// the component declares (interface modification rules).
-func (s *System) checkSwapCompliance(rc *runtimeComponent, entry registry.Entry) error {
+// swapTarget resolves the component a swap replaces and gates the
+// replacement implementation on the interface the component declares
+// (interface modification rules).
+func (s *System) swapTarget(component string, entry registry.Entry) (*runtimeComponent, error) {
+	rc, ok := (*s.compView.Load())[component]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownComp, component)
+	}
 	if rc.decl.Implements == "" {
-		return nil
+		return rc, nil
 	}
 	if iface, ok := s.Config().Interface(rc.decl.Implements); ok {
 		if !registry.CheckCompliance(iface.ToRegistry(), entry.Provides).Compliant {
-			return fmt.Errorf("core: swap %s: replacement %s does not keep compliancy with %s",
+			return nil, fmt.Errorf("core: swap %s: replacement %s does not keep compliancy with %s",
 				rc.name, entry.Name, iface.Name)
 		}
 	}
-	return nil
+	return rc, nil
 }
 
-// replaceQuiesced swaps the hosted implementation of an already-quiesced
-// component (container Passive, channel blocked) and records the new entry.
-// Activation and channel resume are the caller's responsibility — the
-// standalone swap does both immediately, a region-scoped transaction defers
-// them to the region resume.
-func (s *System) replaceQuiesced(rc *runtimeComponent, entry registry.Entry, transferState bool) (stateBytes int, err error) {
+// replaceQuiesced is the one swap body: it replaces the hosted
+// implementation of a component its region has quiesced (container
+// Passive, channel blocked) — encoding the module context and initializing
+// the new module — and records the new entry. Activation and the flush of
+// the held messages it counts are the region's resume.
+func (s *System) replaceQuiesced(rc *runtimeComponent, entry registry.Entry, transferState bool) (SwapReport, error) {
+	rep := SwapReport{Component: rc.name}
 	raw := entry.New()
 	comp, ok := raw.(container.Component)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s produced %T", ErrBadComponent, entry.Name, raw)
+		return rep, fmt.Errorf("%w: %s produced %T", ErrBadComponent, entry.Name, raw)
 	}
 	if transferState {
 		if snap, serr := rc.cont.Snapshot(); serr == nil {
-			stateBytes = len(snap)
+			rep.StateBytes = len(snap)
 		}
 	}
 	if err := rc.cont.ReplaceComponent(comp, transferState); err != nil {
-		return stateBytes, fmt.Errorf("core: swap %s: %w", rc.name, err)
+		return rep, fmt.Errorf("core: swap %s: %w", rc.name, err)
 	}
 	if aware, ok := comp.(CallerAware); ok {
 		aware.SetCaller(rc)
 	}
 	rc.entry = entry
-	return stateBytes, nil
+	rep.HeldMessages = s.bus.HeldCount(rc.ep.Addr())
+	return rep, nil
 }
 
 // swapWithin performs an implementation swap as one step of a region-scoped
-// transaction: the component's channel is already paused and its container
-// already quiesced, so the swap replaces the implementation in place;
-// activation and flush happen when the whole region resumes. The caller
-// holds reconfigMu, so the component must be covered by the region —
-// computeRegion always includes ModifyComponent targets; falling back to
-// the standalone SwapImplementation here would self-deadlock on that mutex.
-func (s *System) swapWithin(region *reconfigRegion, component string, entry registry.Entry, transferState bool) (SwapReport, error) {
+// transaction. The caller holds reconfigMu, so the component must be
+// covered by the region — computeRegion always includes ModifyComponent
+// targets; falling back to the standalone SwapImplementation here would
+// self-deadlock on that mutex.
+func (s *System) swapWithin(region *reconfigRegion, component string, entry registry.Entry, transferState bool) error {
 	if !region.covers(component) {
-		return SwapReport{Component: component}, fmt.Errorf(
-			"core: swap %s: component outside the transaction's region %v", component, region.comps)
+		return fmt.Errorf("core: swap %s: component outside the transaction's region %v", component, region.comps)
 	}
-	rc, ok := (*s.compView.Load())[component]
-	rep := SwapReport{Component: component}
-	if !ok {
-		return rep, fmt.Errorf("%w: %s", ErrUnknownComp, component)
-	}
-	if err := s.checkSwapCompliance(rc, entry); err != nil {
-		return rep, err
-	}
-	stateBytes, err := s.replaceQuiesced(rc, entry, transferState)
-	rep.StateBytes = stateBytes
+	rc, err := s.swapTarget(component, entry)
 	if err != nil {
-		return rep, err
+		return err
 	}
-	rep.HeldMessages = s.bus.HeldCount(rc.ep.Addr())
+	rep, err := s.replaceQuiesced(rc, entry, transferState)
+	if err != nil {
+		return err
+	}
 	s.events.Emit(Event{Kind: EvSwap, At: s.clk.Now(), Component: component,
 		Detail: fmt.Sprintf("-> %s %s (strong=%v, held=%d, in-region)", entry.Name, entry.Version, transferState, rep.HeldMessages)})
-	return rep, nil
+	return nil
 }
 
 // Rebind points a binding's connector at a different provider component —
@@ -167,45 +140,45 @@ func (s *System) swapWithin(region *reconfigRegion, component string, entry regi
 // with Reconfigure so its architectural-model update cannot be erased by a
 // concurrently committing transaction.
 func (s *System) Rebind(fromComponent, service, newProvider string) error {
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.comps[newProvider]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownComp, newProvider)
-	}
-	for name, c := range s.conns {
-		for _, b := range s.cfg.Bindings {
-			if connectorInstanceName(b) == name && b.FromComponent == fromComponent && b.FromService == service {
-				// The cutover region is this one connector, and its swap is
-				// already atomic: the target set and the routing index are
-				// copy-on-write snapshots, so no pause or quiescence is
-				// needed — requests mediated before the swap reach the old
-				// provider, requests after it the new one, and the rest of
-				// the system is untouched.
-				c.SetTargets([]bus.Address{ComponentAddress(newProvider)})
-				s.addrs.setVia(connector.Address(name), ComponentAddress(newProvider))
-				// Track the change in the architectural model — on a fresh
-				// bindings slice, not in place: Reconfigure diffs its
-				// configuration snapshot outside s.mu, so a snapshot once
-				// published must never mutate.
-				next := *s.cfg
-				next.Bindings = append([]adl.Binding(nil), s.cfg.Bindings...)
-				for i := range next.Bindings {
-					bb := &next.Bindings[i]
-					if bb.FromComponent == fromComponent && bb.FromService == service {
-						bb.ToComponent = newProvider
+	return s.inRegion(nil, func(*reconfigRegion) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, ok := s.comps[newProvider]; !ok {
+			return fmt.Errorf("%w: %s", ErrUnknownComp, newProvider)
+		}
+		for name, c := range s.conns {
+			for _, b := range s.cfg.Bindings {
+				if connectorInstanceName(b) == name && b.FromComponent == fromComponent && b.FromService == service {
+					// The cutover region is this one connector, and its swap is
+					// already atomic: the target set and the routing index are
+					// copy-on-write snapshots, so no pause or quiescence is
+					// needed — requests mediated before the swap reach the old
+					// provider, requests after it the new one, and the rest of
+					// the system is untouched.
+					c.SetTargets([]bus.Address{ComponentAddress(newProvider)})
+					s.addrs.setVia(connector.Address(name), ComponentAddress(newProvider))
+					// Track the change in the architectural model — on a fresh
+					// bindings slice, not in place: Reconfigure diffs its
+					// configuration snapshot outside s.mu, so a snapshot once
+					// published must never mutate.
+					next := *s.cfg
+					next.Bindings = append([]adl.Binding(nil), s.cfg.Bindings...)
+					for i := range next.Bindings {
+						bb := &next.Bindings[i]
+						if bb.FromComponent == fromComponent && bb.FromService == service {
+							bb.ToComponent = newProvider
+						}
 					}
+					s.cfg = &next
+					s.events.Emit(Event{Kind: EvReconfigStep, At: s.clk.Now(),
+						Component: fromComponent,
+						Detail:    fmt.Sprintf("rebind %s.%s -> %s", fromComponent, service, newProvider)})
+					return nil
 				}
-				s.cfg = &next
-				s.events.Emit(Event{Kind: EvReconfigStep, At: s.clk.Now(),
-					Component: fromComponent,
-					Detail:    fmt.Sprintf("rebind %s.%s -> %s", fromComponent, service, newProvider)})
-				return nil
 			}
 		}
-	}
-	return fmt.Errorf("%w: binding %s.%s", ErrUnknownConn, fromComponent, service)
+		return fmt.Errorf("%w: binding %s.%s", ErrUnknownConn, fromComponent, service)
+	})
 }
 
 // Migrate moves a component to another node. When a Migrator hook is

@@ -65,81 +65,82 @@ func (s *System) Reconfigure(newCfg *adl.Config) (ReconfigReport, error) {
 	if _, err := adl.Check(newCfg); err != nil {
 		return rep, fmt.Errorf("%w: %v", ErrReconfigFailed, err)
 	}
-	// One transaction at a time: the plan must diff against a configuration
-	// no other transaction is concurrently replacing.
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	s.mu.Lock()
-	oldCfg := s.cfg
-	s.mu.Unlock()
-	plan := adl.Diff(oldCfg, newCfg)
-	rep.Plan = plan
-	region := computeRegion(oldCfg, newCfg, plan)
-	rep.Region = region.Components()
-	s.events.Emit(Event{Kind: EvReconfigStarted, At: started,
-		Detail: fmt.Sprintf("%d steps toward %s (region: %v)", len(plan), newCfg.Name, rep.Region)})
-
-	var undo []func() error
-	fail := func(step adl.Change, err error) (ReconfigReport, error) {
-		// Roll back the applied prefix in reverse order, still inside the
-		// paused region, then resume: the region reopens either fully
-		// committed or fully restored, never half-way.
-		for i := len(undo) - 1; i >= 0; i-- {
-			if uerr := undo[i](); uerr != nil {
-				// A failing compensation is a reconfiguration-step error,
-				// not a guard failure.
-				s.events.Emit(Event{Kind: EvReconfigStep, At: s.clk.Now(),
-					Detail: "rollback failed: " + uerr.Error()})
+	var (
+		oldCfg *adl.Config
+		failed string // the rolled-back event's detail when a step failed
+	)
+	err := s.inRegion(func(r *reconfigRegion) error {
+		// The plan diffs against a configuration no other change is
+		// concurrently replacing: the executor's lock is held.
+		s.mu.Lock()
+		oldCfg = s.cfg
+		s.mu.Unlock()
+		rep.Plan = adl.Diff(oldCfg, newCfg)
+		*r = *computeRegion(oldCfg, newCfg, rep.Plan)
+		if s.live.Load() {
+			r.why = reconfiguring
+		}
+		rep.Region = append([]string(nil), r.comps...)
+		s.events.Emit(Event{Kind: EvReconfigStarted, At: started,
+			Detail: fmt.Sprintf("%d steps toward %s (region: %v)", len(rep.Plan), newCfg.Name, rep.Region)})
+		return nil
+	}, func(r *reconfigRegion) (err error) {
+		var undo []func() error
+		// A failure undoes the applied prefix in reverse order, still inside
+		// the cut region: the region reopens either fully committed or fully
+		// restored, never half-way.
+		defer func() {
+			for i := len(undo) - 1; err != nil && i >= 0; i-- {
+				if uerr := undo[i](); uerr != nil {
+					// A failing compensation is a reconfiguration-step
+					// error, not a guard failure.
+					s.events.Emit(Event{Kind: EvReconfigStep, At: s.clk.Now(),
+						Detail: "rollback failed: " + uerr.Error()})
+				}
+			}
+		}()
+		for _, step := range rep.Plan {
+			s.events.Emit(Event{Kind: EvReconfigStep, At: s.clk.Now(), Detail: step.String()})
+			u, err := s.applyStep(step, oldCfg, newCfg, r)
+			if err != nil {
+				failed = step.String() + ": " + err.Error()
+				return fmt.Errorf("step %q: %v", step, err)
+			}
+			if u != nil {
+				undo = append(undo, u)
+			}
+			rep.Steps++
+		}
+		// Non-regression guards, evaluated before the region reopens so a
+		// failing guard rolls back a configuration that never served
+		// traffic. Guards therefore must not call synchronously into the
+		// region itself; they observe through introspection, the QoS
+		// monitor and the stream.
+		s.mu.Lock()
+		guards := append([]Guard(nil), s.guards...)
+		s.mu.Unlock()
+		for _, g := range guards {
+			if err := g(s); err != nil {
+				s.events.Emit(Event{Kind: EvGuardFailed, At: s.clk.Now(), Detail: err.Error()})
+				return fmt.Errorf("guard: %v", err)
 			}
 		}
-		s.resumeRegion(region)
+		s.mu.Lock()
+		s.cfg = newCfg
+		s.mu.Unlock()
+		return nil
+	})
+	rep.Duration = s.clk.Now().Sub(started)
+	if err != nil {
+		// Quiescence never reached (nothing was applied), or the applied
+		// prefix was undone.
+		if failed == "" {
+			failed = err.Error()
+		}
 		rep.RolledBack = true
-		rep.Duration = s.clk.Now().Sub(started)
-		s.events.Emit(Event{Kind: EvReconfigRolledBack, At: s.clk.Now(),
-			Detail: step.String() + ": " + err.Error()})
-		return rep, fmt.Errorf("%w: step %q: %v", ErrReconfigFailed, step, err)
-	}
-
-	if err := s.pauseRegion(region); err != nil {
-		// Quiescence never reached; nothing was applied.
-		s.resumeRegion(region)
-		rep.RolledBack = true
-		rep.Duration = s.clk.Now().Sub(started)
-		s.events.Emit(Event{Kind: EvReconfigRolledBack, At: s.clk.Now(), Detail: err.Error()})
+		s.events.Emit(Event{Kind: EvReconfigRolledBack, At: s.clk.Now(), Detail: failed})
 		return rep, fmt.Errorf("%w: %v", ErrReconfigFailed, err)
 	}
-
-	for _, step := range plan {
-		s.events.Emit(Event{Kind: EvReconfigStep, At: s.clk.Now(), Detail: step.String()})
-		u, err := s.applyStep(step, oldCfg, newCfg, region)
-		if err != nil {
-			return fail(step, err)
-		}
-		if u != nil {
-			undo = append(undo, u)
-		}
-		rep.Steps++
-	}
-
-	// Non-regression guards, evaluated before the region reopens so a
-	// failing guard rolls back a configuration that never served traffic.
-	// Guards therefore must not call synchronously into the region itself;
-	// they observe through introspection, the QoS monitor and the stream.
-	s.mu.Lock()
-	guards := append([]Guard(nil), s.guards...)
-	s.mu.Unlock()
-	for _, g := range guards {
-		if err := g(s); err != nil {
-			s.events.Emit(Event{Kind: EvGuardFailed, At: s.clk.Now(), Detail: err.Error()})
-			return fail(adl.Change{Kind: adl.ChangeKind(0), Target: "guard"}, err)
-		}
-	}
-
-	s.mu.Lock()
-	s.cfg = newCfg
-	s.mu.Unlock()
-	s.resumeRegion(region)
-	rep.Duration = s.clk.Now().Sub(started)
 	s.events.Emit(Event{Kind: EvReconfigCommitted, At: s.clk.Now(),
 		Detail: fmt.Sprintf("%d steps in %v (region: %v)", rep.Steps, rep.Duration, rep.Region)})
 	return rep, nil
@@ -183,7 +184,7 @@ func (s *System) applyStep(step adl.Change, oldCfg, newCfg *adl.Config, region *
 		prevDecl := rc.decl
 		newDecl, _ := newCfg.Component(step.Target)
 		strong := newDecl.Properties["statefulness"] == "stateful"
-		if _, err := s.swapWithin(region, step.Target, entry, strong); err != nil {
+		if err := s.swapWithin(region, step.Target, entry, strong); err != nil {
 			return nil, err
 		}
 		rc.decl = newDecl
@@ -191,7 +192,7 @@ func (s *System) applyStep(step adl.Change, oldCfg, newCfg *adl.Config, region *
 			if prevEntry.New == nil {
 				return nil
 			}
-			_, err := s.swapWithin(region, step.Target, prevEntry, strong)
+			err := s.swapWithin(region, step.Target, prevEntry, strong)
 			if err == nil {
 				rc.decl = prevDecl
 			}

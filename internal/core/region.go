@@ -3,29 +3,48 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/adl"
 	"repro/internal/bus"
 	"repro/internal/connector"
+	"repro/internal/container"
 )
 
-// reconfigRegion is the part of the running system a reconfiguration plan
-// actually touches: the components named by the plan's steps (including
-// both endpoints of every named binding), ordered caller-first, plus the
-// connectors through which traffic from *outside* the region enters it.
-// Everything else keeps serving throughout the transaction — the DReAM
+// reconfigRegion is the part of the running system a change closes to new
+// requests while it applies; everything else keeps serving (the DReAM
 // discipline of scoping a reconfiguration to the interacting region instead
-// of stopping the world.
+// of stopping the world). park lists the addresses whose admission is only
+// parked: a plan's inbound boundary connectors, the components an aspect
+// covers, a filter's connector, a meta-object's component. comps lists the
+// components that are parked and, when why is set, quiesced, caller-first.
 type reconfigRegion struct {
-	comps   []string // caller-first quiesce order
-	compSet map[string]bool
-	conns   []bus.Address // inbound boundary connectors (source outside the region)
+	park  []bus.Address
+	comps []string
+	why   *quiesce // nil when nothing in comps can be in flight
 }
+
+// A quiesce names a change that brings components to their reconfiguration
+// point: verb prefixes the error when one does not get there in time, abort
+// ends the streams they produce (the consumer reopens against the new
+// configuration). With flush, a resume that leaves requests parked at a
+// component still hosted fails the change: a standalone swap reports it, a
+// committed transaction cannot.
+type quiesce struct {
+	verb, abort string
+	flush       bool
+}
+
+var (
+	reconfiguring = &quiesce{verb: "region quiesce", abort: "region reconfiguring"}
+	swapping      = &quiesce{verb: "swap", abort: "implementation swapping", flush: true}
+	migrating     = &quiesce{verb: "migrate", abort: "component migrating"}
+)
 
 // covers reports whether the component is inside the region.
 func (r *reconfigRegion) covers(component string) bool {
-	return r != nil && r.compSet[component]
+	return r != nil && slices.Contains(r.comps, component)
 }
 
 // computeRegion derives the affected region of a plan from the old and new
@@ -64,7 +83,7 @@ func computeRegion(oldCfg, newCfg *adl.Config, plan []adl.Change) *reconfigRegio
 		}
 	}
 
-	r := &reconfigRegion{compSet: set}
+	r := &reconfigRegion{}
 
 	// Caller-first topological order over the region's binding subgraph
 	// (union of both configurations): a caller must reach its
@@ -134,67 +153,99 @@ func computeRegion(oldCfg, newCfg *adl.Config, plan []adl.Change) *reconfigRegio
 			addr := connector.Address(connectorInstanceName(b))
 			if !connSeen[addr] {
 				connSeen[addr] = true
-				r.conns = append(r.conns, addr)
+				r.park = append(r.park, addr)
 			}
 		}
 	}
 	return r
 }
 
-// Components returns the region's component names (caller-first order).
-func (r *reconfigRegion) Components() []string {
-	return append([]string(nil), r.comps...)
+// inRegion is the one reconfiguration executor: Reconfigure,
+// SwapImplementation, MigrateOut and the interchanges of adaptation.go cut
+// their regions through it, and Rebind, EvictComponent and AdoptComponent
+// take its lock with an empty region. It
+//
+//  1. serializes on reconfigMu, so no two changes interleave and one
+//     change's resume never reopens a region another still holds;
+//  2. runs build (if any) under that lock to name the region, or to refuse
+//     the change before anything pauses;
+//  3. parks request admission at the region — parked addresses first, then
+//     components caller-first, each quiesced where the region asks so its
+//     in-flight requests complete against not-yet-paused callees. Pauses
+//     are request-only: replies keep flowing, which is what lets in-flight
+//     work drain (Mazzara & Bhattacharyya's requirement that
+//     reconfiguration run concurrently with application tasks). A region
+//     that only parks needs no quiescence: the pipelines an interchange
+//     republishes are immutable snapshots, so in-flight work finishes on
+//     the chain it loaded;
+//  4. runs apply, unless a component failed to quiesce;
+//  5. reactivates what it quiesced and resumes in the reverse order,
+//     whatever apply returned, so flushed requests land on already-active
+//     providers. A component the change removed has no endpoint: what
+//     parked for it stays parked, as after a Detach. apply leaves a
+//     component parked by dropping it from comps.
+//
+// The region value is reused by every change, so a cut allocates nothing.
+func (s *System) inRegion(build, apply func(r *reconfigRegion) error) error {
+	s.reconfigMu.Lock()
+	defer s.reconfigMu.Unlock()
+	r := &s.region
+	r.park, r.comps, r.why = r.park[:0], r.comps[:0], nil
+	if build != nil {
+		if err := build(r); err != nil {
+			return err
+		}
+	}
+	err := s.pause(r)
+	if err == nil {
+		err = apply(r)
+	}
+	view := *s.compView.Load()
+	for i := len(r.comps) - 1; i >= 0; i-- {
+		name := r.comps[i]
+		rc := view[name]
+		if rc != nil && rc.cont.State() == container.Passive {
+			rc.cont.Activate() // one that failed to quiesce is still active
+		}
+		_, ferr := s.bus.Resume(regionAddr(name, rc))
+		if ferr != nil && err == nil && rc != nil && r.why != nil && r.why.flush {
+			err = fmt.Errorf("core: %s %s: resume: %w", r.why.verb, name, ferr)
+		}
+	}
+	for i := len(r.park) - 1; i >= 0; i-- {
+		_, _ = s.bus.Resume(r.park[i])
+	}
+	return err
 }
 
-// pauseRegion blocks request admission into the region and brings every
-// live region component to its reconfiguration point. The order matters
-// twice over: boundary connectors pause first so no new outside work slips
-// in, and components quiesce caller-first so each one's in-flight requests
-// can still complete against its not-yet-paused callees. Pauses are
-// request-only — replies keep flowing, which is what lets in-flight work
-// drain at all (Mazzara & Bhattacharyya's requirement that reconfiguration
-// run concurrently with application tasks).
-//
-// On error the caller must resumeRegion; no plan step has run yet.
-func (s *System) pauseRegion(r *reconfigRegion) error {
-	for _, a := range r.conns {
+// regionAddr is a region component's bus address, read off its endpoint
+// when hosted so that cutting a live component allocates nothing.
+func regionAddr(name string, rc *runtimeComponent) bus.Address {
+	if rc != nil {
+		return rc.ep.Addr()
+	}
+	return ComponentAddress(name)
+}
+
+// pause parks the region and quiesces its components.
+func (s *System) pause(r *reconfigRegion) error {
+	for _, a := range r.park {
 		s.bus.PauseRequests(a)
 	}
 	view := *s.compView.Load()
 	for _, name := range r.comps {
-		s.bus.PauseRequests(ComponentAddress(name))
 		rc := view[name]
-		if rc == nil || !s.live.Load() {
-			// Component being added by the plan, or the system is not
-			// running yet: nothing can be in flight, nothing to quiesce.
-			continue
+		s.bus.PauseRequests(regionAddr(name, rc))
+		if rc == nil || r.why == nil {
+			continue // added by the change, or not running: nothing in flight
 		}
-		rc.abortStreams("region reconfiguring")
+		rc.abortStreams(r.why.abort)
 		ctx, cancel := context.WithTimeout(context.Background(), s.callTimeout)
 		err := rc.cont.Quiesce(ctx)
 		cancel()
 		if err != nil {
-			return fmt.Errorf("core: region quiesce %s: %w", name, err)
+			return fmt.Errorf("core: %s %s: %w", r.why.verb, name, err)
 		}
 	}
 	return nil
-}
-
-// resumeRegion reactivates the region and flushes everything that parked at
-// its edges, callee-first (the reverse of the pause order) so flushed
-// requests land on already-active providers. Components removed by the plan
-// no longer have an endpoint; their resume errors are expected and their
-// held messages stay parked, exactly as after a Detach.
-func (s *System) resumeRegion(r *reconfigRegion) {
-	view := *s.compView.Load()
-	for i := len(r.comps) - 1; i >= 0; i-- {
-		name := r.comps[i]
-		if rc := view[name]; rc != nil && s.live.Load() {
-			rc.cont.Activate()
-		}
-		_, _ = s.bus.Resume(ComponentAddress(name))
-	}
-	for _, a := range r.conns {
-		_, _ = s.bus.Resume(a)
-	}
 }

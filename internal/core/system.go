@@ -133,7 +133,10 @@ type System struct {
 	// same old configuration and overwrite each other's commit, and with
 	// overlapping regions one transaction's resume would reopen channels
 	// the other still holds quiesced. Data-plane traffic never touches it.
+	// region is the one region being cut; inRegion (region.go) is the only
+	// place that takes reconfigMu.
 	reconfigMu sync.Mutex
+	region     reconfigRegion
 
 	// clientAddrs are the client edge's bus addresses, nil until Start.
 	clientAddrs   atomic.Pointer[[]bus.Address]
